@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / valid / provable; 1 well-formed negative answer
-(ill-typed, countermodel found, invalid sequent); 2 usage or parse error.
+(ill-typed, countermodel found, invalid sequent); 2 usage or parse error,
+including a non-positive --fuel or --max-worlds and an unknown world.
 """
 
 from __future__ import annotations
@@ -9,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ParseError, PrkError, TypingError, WrongModeError
+from .errors import (ParseError, PrkError, TypingError, UnknownWorldError,
+                     WrongModeError)
 from .kripke import (countermodel_search, forces, parse_model, print_model,
                      validate_model)
 from .rewrite import ETA, PLAIN, classify, normalize
@@ -199,6 +201,14 @@ def cmd_embed(args, out: Output) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prk",
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--eta", action="store_true")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--fuel", type=int, default=100_000)
+    p.add_argument("--fuel", type=positive_int, default=100_000)
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("classify", help="report normal/neutral/canonical shape")
@@ -242,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("model")
     k = ksub.add_parser("countermodel", help="search for a small counter-model")
     k.add_argument("judgment")
-    k.add_argument("--max-worlds", type=int, default=3)
+    k.add_argument("--max-worlds", type=positive_int, default=3)
     p.set_defaults(fn=cmd_kripke)
 
     p = sub.add_parser("decide", help="decide a classical-affirmation sequent")
@@ -268,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except (FileNotFoundError, UnknownWorldError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TypingError as e:

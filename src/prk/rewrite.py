@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from .errors import DerivationMismatchError, FuelExhaustedError
 from .syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
-                     Proj, Term, Var, flip, fv, shift, subst_bound,
-                     uses_index)
+                     Proj, Term, Var, children, flip, fv, rebuild, shift,
+                     subst_bound, uses_index)
 from .typecheck import Derivation
 
 PLAIN = "plain"
@@ -45,54 +45,6 @@ def match_redex(t: Term, mode: str) -> tuple[str, Term] | None:
     return None
 
 
-def children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Var(_) | Bound(_):
-            return ()
-        case Abs(_, l, r) | Pair(_, l, r) | CApp(_, l, r):
-            return (l, r)
-        case Proj(_, _, b) | Inj(_, _, b) | NegI(_, b) | NegE(_, b):
-            return (b,)
-        case CLam(_, _, b):
-            return (b,)
-        case Case(_, s, _, b1, _, b2):
-            return (s, b1, b2)
-    raise TypeError(t)
-
-
-def with_child(t: Term, i: int, new: Term) -> Term:
-    match t, i:
-        case Abs(q, _, r), 0:
-            return Abs(q, new, r)
-        case Abs(q, l, _), 1:
-            return Abs(q, l, new)
-        case Pair(sg, _, r), 0:
-            return Pair(sg, new, r)
-        case Pair(sg, l, _), 1:
-            return Pair(sg, l, new)
-        case CApp(sg, _, a), 0:
-            return CApp(sg, new, a)
-        case CApp(sg, f, _), 1:
-            return CApp(sg, f, new)
-        case Proj(sg, ix, _), 0:
-            return Proj(sg, ix, new)
-        case Inj(sg, ix, _), 0:
-            return Inj(sg, ix, new)
-        case NegI(sg, _), 0:
-            return NegI(sg, new)
-        case NegE(sg, _), 0:
-            return NegE(sg, new)
-        case CLam(sg, p, _, h), 0:
-            return CLam(sg, p, new, h)
-        case Case(sg, _, p1, b1, p2, b2, h1, h2), 0:
-            return Case(sg, new, p1, b1, p2, b2, h1, h2)
-        case Case(sg, s, p1, _, p2, b2, h1, h2), 1:
-            return Case(sg, s, p1, new, p2, b2, h1, h2)
-        case Case(sg, s, p1, b1, p2, _, h1, h2), 2:
-            return Case(sg, s, p1, b1, p2, new, h1, h2)
-    raise IndexError(f"no child {i} in {type(t).__name__}")
-
-
 def subterm_at(t: Term, pos: Position) -> Term:
     for i in pos:
         t = children(t)[i]
@@ -120,8 +72,9 @@ def binder_names_at(t: Term, pos: Position) -> tuple[str, ...]:
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
     if not pos:
         return new
-    i = pos[0]
-    return with_child(t, i, replace_at(children(t)[i], pos[1:], new))
+    kids = list(children(t))
+    kids[pos[0]] = replace_at(kids[pos[0]], pos[1:], new)
+    return rebuild(t, kids)
 
 
 def all_redexes(t: Term, mode: str = PLAIN) -> list[tuple[Position, str]]:

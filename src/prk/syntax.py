@@ -4,12 +4,22 @@ Terms use de Bruijn indices for bound variables and names for free
 variables, so structural equality of terms *is* alpha-equivalence
 (binder name hints are carried for printing but excluded from
 comparison).  All values are immutable.
+
+The shape of the term tree lives in one place: `children`, `rebuild` and
+the binder table `BINDERS`.  Every walk over terms (size, free variables,
+shifting, substitution, closing, duality, subterm iteration) is built on
+that shape through the generic walks defined here: `make_map`, a
+binder-aware map that keeps unchanged nodes, and `make_fold`, an
+iterative pre-order walk; `make_debruijn` derives shifting, substitution
+and closing from a map.  systemf builds its type and term walks on the
+same helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence, Union
 
 
 def cache_hash(cls):
@@ -28,6 +38,112 @@ def cache_hash(cls):
 
     cls.__hash__ = __hash__
     return cls
+
+
+# ---------------------------------------------------------------------------
+# Generic walks over a tree shape.  A shape is children(t), the subtrees of
+# t in field order (none for a leaf); rebuild(t, kids), t with them
+# replaced; and a binder table giving, per binding constructor, how many
+# binders each child sits under.  A depth counts binders from `top` at the
+# root; deeper(depth, k) adds a table entry k to it.
+
+def make_map(children, rebuild, binders, deeper=operator.add, top=0):
+    """map(t, leaf, depth=top) replaces every leaf u of t by leaf(u, d), d
+    the depth of u.  A node whose children all come back unchanged is
+    returned itself, so a map that changes nothing allocates nothing."""
+
+    def tree_map(t, leaf, depth=top):
+        kids = children(t)
+        if not kids:
+            return leaf(t, depth)
+        under = binders.get(type(t))
+        if under is None:
+            new = [tree_map(c, leaf, depth) for c in kids]
+        else:
+            new = [tree_map(c, leaf, deeper(depth, k)) for c, k in zip(kids, under)]
+        return t if all(map(operator.is_, new, kids)) else rebuild(t, new)
+
+    return tree_map
+
+
+def make_fold(children, binders, deeper=operator.add, top=0):
+    """fold(t, visit, depth=top) calls visit(u, d) on every node u of t, d
+    its depth, parents first and left to right, and returns the first true
+    result.  It keeps an explicit stack, so no tree is too deep for it."""
+
+    def fold(t, visit, depth=top):
+        stack = [(t, depth)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            u, d = pop()
+            hit = visit(u, d)
+            if hit:
+                return hit
+            kids = children(u)
+            if kids:
+                under = binders.get(type(u))
+                if under is None:
+                    for c in reversed(kids):
+                        push((c, d))
+                else:
+                    for c, k in zip(reversed(kids), reversed(under)):
+                        push((c, deeper(d, k)))
+        return None
+
+    return fold
+
+
+def preorder(fold, t) -> list:
+    """Every node of t, parents first and left to right."""
+    out: list = []
+    fold(t, lambda u, _: out.append(u))
+    return out
+
+
+def make_debruijn(tree_map, Bound, Free):
+    """Shifting, substitution and closing for a tree with one kind of
+    binder, built on its map; Bound(i) is an index leaf, Free(n) a name."""
+
+    def shift(t, amount: int, cutoff: int = 0):
+        """Add `amount` to every index >= cutoff (indices below are untouched)."""
+
+        def leaf(u, cut):
+            if isinstance(u, Bound) and u.index >= cut:
+                if u.index + amount < cut:
+                    raise ValueError("shift would produce a dangling index")
+                return Bound(u.index + amount)
+            return u
+
+        return tree_map(t, leaf, cutoff)
+
+    def subst(t, j: int, s, depth: int = 0):
+        """Substitute s for index j, removing that binder level: indices
+        above it are decremented, and s is shifted by the binders crossed
+        on the way in.  depth counts binders already crossed between s's
+        home level and t."""
+
+        def leaf(u, d):
+            if isinstance(u, Bound):
+                if u.index == j + d:
+                    return shift(s, d) if d else s
+                if u.index > j + d:
+                    return Bound(u.index - 1)
+            return u
+
+        return tree_map(t, leaf, depth)
+
+    def close(t, name: str, depth: int = 0):
+        """Abstract the free variable `name` as index `depth` (inverse of
+        substituting Free(name) for that index)."""
+
+        def leaf(u, d):
+            if isinstance(u, Free):
+                return Bound(d) if u.name == name else u
+            return Bound(u.index + 1) if u.index >= d else u
+
+        return tree_map(t, leaf, depth)
+
+    return shift, subst, close
 
 
 # ---------------------------------------------------------------------------
@@ -296,124 +412,68 @@ class CApp(Term):
     arg: Term
 
 
-def term_size(t: Term) -> int:
+# ---------------------------------------------------------------------------
+# The shape of the term tree: children, rebuild and BINDERS are the only
+# code that lists the term constructors for structural recursion.
+
+def children(t: Term) -> tuple[Term, ...]:
+    """Immediate subterms in field order (empty for a variable)."""
     match t:
-        case Var(_) | Bound(_):
-            return 1
-        case Abs(_, l, r) | Pair(_, l, r) | CApp(_, l, r):
-            return 1 + term_size(l) + term_size(r)
-        case Proj(_, _, b) | Inj(_, _, b) | NegI(_, b) | NegE(_, b):
-            return 1 + term_size(b)
-        case CLam(_, _, b):
-            return 1 + term_size(b)
-        case Case(_, s, _, b1, _, b2):
-            return 1 + term_size(s) + term_size(b1) + term_size(b2)
+        case Var() | Bound():
+            return ()
+        case CLam() | NegI() | NegE() | Proj() | Inj():
+            return (t.body,)
+        case CApp():
+            return (t.fun, t.arg)
+        case Pair() | Abs():
+            return (t.left, t.right)
+        case Case():
+            return (t.scrutinee, t.branch1, t.branch2)
     raise TypeError(t)
+
+
+def rebuild(t: Term, kids: Sequence[Term]) -> Term:
+    """t with its immediate subterms replaced by kids, in field order."""
+    match t:
+        case Var() | Bound():
+            return t
+        case CLam():
+            return CLam(t.sign, t.annot, kids[0], t.hint)
+        case NegI() | NegE() | CApp() | Pair():
+            return type(t)(t.sign, *kids)
+        case Proj() | Inj():
+            return type(t)(t.sign, t.index, kids[0])
+        case Abs():
+            return Abs(t.annot, *kids)
+        case Case():
+            return Case(t.sign, kids[0], t.annot1, kids[1], t.annot2, kids[2], t.hint1, t.hint2)
+    raise TypeError(t)
+
+
+BINDERS = {CLam: (1,), Case: (0, 1, 1)}  # binders over each child
+
+term_map = make_map(children, rebuild, BINDERS)
+term_fold = make_fold(children, BINDERS)
+shift, subst_bound, close_binder = make_debruijn(term_map, Bound, Var)
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """Pre-order iteration over all subterms (bodies of binders included)."""
+    return iter(preorder(term_fold, t))
+
+
+def term_size(t: Term) -> int:
+    return len(preorder(term_fold, t))
 
 
 def fv(t: Term) -> frozenset[str]:
     """Free (named) variables."""
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Bound(_):
-            return frozenset()
-        case Abs(_, l, r) | Pair(_, l, r) | CApp(_, l, r):
-            return fv(l) | fv(r)
-        case Proj(_, _, b) | Inj(_, _, b) | NegI(_, b) | NegE(_, b) | CLam(_, _, b):
-            return fv(b)
-        case Case(_, s, _, b1, _, b2):
-            return fv(s) | fv(b1) | fv(b2)
-    raise TypeError(t)
+    return frozenset(u.name for u in preorder(term_fold, t) if isinstance(u, Var))
 
 
 def uses_index(t: Term, k: int) -> bool:
     """Does t refer to the k-th enclosing binder (relative to t's root)?"""
-    match t:
-        case Var(_):
-            return False
-        case Bound(i):
-            return i == k
-        case Abs(_, l, r) | Pair(_, l, r) | CApp(_, l, r):
-            return uses_index(l, k) or uses_index(r, k)
-        case Proj(_, _, b) | Inj(_, _, b) | NegI(_, b) | NegE(_, b):
-            return uses_index(b, k)
-        case CLam(_, _, b):
-            return uses_index(b, k + 1)
-        case Case(_, s, _, b1, _, b2):
-            return uses_index(s, k) or uses_index(b1, k + 1) or uses_index(b2, k + 1)
-    raise TypeError(t)
-
-
-def shift(t: Term, amount: int, cutoff: int = 0) -> Term:
-    """Add `amount` to every index >= cutoff (indices below are untouched)."""
-    match t:
-        case Var(_):
-            return t
-        case Bound(i):
-            if i >= cutoff:
-                if i + amount < cutoff:
-                    raise ValueError("shift would produce a dangling index")
-                return Bound(i + amount)
-            return t
-        case Abs(q, l, r):
-            return Abs(q, shift(l, amount, cutoff), shift(r, amount, cutoff))
-        case Pair(sg, l, r):
-            return Pair(sg, shift(l, amount, cutoff), shift(r, amount, cutoff))
-        case Proj(sg, i, b):
-            return Proj(sg, i, shift(b, amount, cutoff))
-        case Inj(sg, i, b):
-            return Inj(sg, i, shift(b, amount, cutoff))
-        case NegI(sg, b):
-            return NegI(sg, shift(b, amount, cutoff))
-        case NegE(sg, b):
-            return NegE(sg, shift(b, amount, cutoff))
-        case CLam(sg, p, b, h):
-            return CLam(sg, p, shift(b, amount, cutoff + 1), h)
-        case CApp(sg, f, a):
-            return CApp(sg, shift(f, amount, cutoff), shift(a, amount, cutoff))
-        case Case(sg, s, p1, b1, p2, b2, h1, h2):
-            return Case(sg, shift(s, amount, cutoff), p1, shift(b1, amount, cutoff + 1),
-                        p2, shift(b2, amount, cutoff + 1), h1, h2)
-    raise TypeError(t)
-
-
-def subst_bound(t: Term, j: int, s: Term) -> Term:
-    """Substitute s for index j (counted at t's root), removing that
-    binder level: indices above it are decremented, and s is shifted by
-    the number of binders crossed on the way in."""
-
-    def go(t: Term, depth: int) -> Term:
-        target = j + depth
-        match t:
-            case Var(_):
-                return t
-            case Bound(i):
-                if i == target:
-                    return shift(s, depth) if depth else s
-                return Bound(i - 1) if i > target else t
-            case Abs(q, l, r):
-                return Abs(q, go(l, depth), go(r, depth))
-            case Pair(sg, l, r):
-                return Pair(sg, go(l, depth), go(r, depth))
-            case Proj(sg, i, b):
-                return Proj(sg, i, go(b, depth))
-            case Inj(sg, i, b):
-                return Inj(sg, i, go(b, depth))
-            case NegI(sg, b):
-                return NegI(sg, go(b, depth))
-            case NegE(sg, b):
-                return NegE(sg, go(b, depth))
-            case CLam(sg, p, b, h):
-                return CLam(sg, p, go(b, depth + 1), h)
-            case CApp(sg, f, a):
-                return CApp(sg, go(f, depth), go(a, depth))
-            case Case(sg, sc, p1, b1, p2, b2, h1, h2):
-                return Case(sg, go(sc, depth), p1, go(b1, depth + 1),
-                            p2, go(b2, depth + 1), h1, h2)
-        raise TypeError(t)
-
-    return go(t, 0)
+    return bool(term_fold(t, lambda u, d: isinstance(u, Bound) and u.index == d, k))
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
@@ -422,69 +482,12 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     Bound variables are indices, so s can never be captured; binder
     hints are refreshed lazily at print time.
     """
-    match t:
-        case Var(name):
-            return s if name == x else t
-        case Bound(_):
-            return t
-        case Abs(q, l, r):
-            return Abs(q, substitute(l, x, s), substitute(r, x, s))
-        case Pair(sg, l, r):
-            return Pair(sg, substitute(l, x, s), substitute(r, x, s))
-        case Proj(sg, i, b):
-            return Proj(sg, i, substitute(b, x, s))
-        case Inj(sg, i, b):
-            return Inj(sg, i, substitute(b, x, s))
-        case NegI(sg, b):
-            return NegI(sg, substitute(b, x, s))
-        case NegE(sg, b):
-            return NegE(sg, substitute(b, x, s))
-        case CLam(sg, p, b, h):
-            return CLam(sg, p, substitute(b, x, s), h)
-        case CApp(sg, f, a):
-            return CApp(sg, substitute(f, x, s), substitute(a, x, s))
-        case Case(sg, sc, p1, b1, p2, b2, h1, h2):
-            return Case(sg, substitute(sc, x, s), p1, substitute(b1, x, s),
-                        p2, substitute(b2, x, s), h1, h2)
-    raise TypeError(t)
+    return term_map(t, lambda u, _: s if isinstance(u, Var) and u.name == x else u)
 
 
 def open_binder(body: Term, name: str) -> Term:
     """Replace index 0 of a binder body with the free variable `name`."""
     return subst_bound(body, 0, Var(name))
-
-
-def close_binder(t: Term, x: str) -> Term:
-    """Abstract the free variable x as index 0 (inverse of open_binder)."""
-
-    def go(t: Term, depth: int) -> Term:
-        match t:
-            case Var(name):
-                return Bound(depth) if name == x else t
-            case Bound(i):
-                return Bound(i + 1) if i >= depth else t
-            case Abs(q, l, r):
-                return Abs(q, go(l, depth), go(r, depth))
-            case Pair(sg, l, r):
-                return Pair(sg, go(l, depth), go(r, depth))
-            case Proj(sg, i, b):
-                return Proj(sg, i, go(b, depth))
-            case Inj(sg, i, b):
-                return Inj(sg, i, go(b, depth))
-            case NegI(sg, b):
-                return NegI(sg, go(b, depth))
-            case NegE(sg, b):
-                return NegE(sg, go(b, depth))
-            case CLam(sg, p, b, h):
-                return CLam(sg, p, go(b, depth + 1), h)
-            case CApp(sg, f, a):
-                return CApp(sg, go(f, depth), go(a, depth))
-            case Case(sg, sc, p1, b1, p2, b2, h1, h2):
-                return Case(sg, go(sc, depth), p1, go(b1, depth + 1),
-                            p2, go(b2, depth + 1), h1, h2)
-        raise TypeError(t)
-
-    return go(t, 0)
 
 
 def clam(sign: Sign, x: str, annot: MProp, body: Term) -> CLam:
@@ -501,31 +504,19 @@ def case(sign: Sign, scrutinee: Term, b1: tuple[str, MProp, Term],
                 hint1=x, hint2=y)
 
 
+# The dual of a node flips its sign and dualizes its annotations.
+_DUAL_FIELDS = {"sign": flip, "annot": mprop_dual, "annot1": mprop_dual,
+                "annot2": mprop_dual}
+
+
 def term_dual(t: Term) -> Term:
     """Flip every sign and dualize every proposition annotation."""
-    match t:
-        case Var(_) | Bound(_):
-            return t
-        case Abs(q, l, r):
-            return Abs(mprop_dual(q), term_dual(l), term_dual(r))
-        case Pair(sg, l, r):
-            return Pair(flip(sg), term_dual(l), term_dual(r))
-        case Proj(sg, i, b):
-            return Proj(flip(sg), i, term_dual(b))
-        case Inj(sg, i, b):
-            return Inj(flip(sg), i, term_dual(b))
-        case NegI(sg, b):
-            return NegI(flip(sg), term_dual(b))
-        case NegE(sg, b):
-            return NegE(flip(sg), term_dual(b))
-        case CLam(sg, p, b, h):
-            return CLam(flip(sg), mprop_dual(p), term_dual(b), h)
-        case CApp(sg, f, a):
-            return CApp(flip(sg), term_dual(f), term_dual(a))
-        case Case(sg, sc, p1, b1, p2, b2, h1, h2):
-            return Case(flip(sg), term_dual(sc), mprop_dual(p1), term_dual(b1),
-                        mprop_dual(p2), term_dual(b2), h1, h2)
-    raise TypeError(t)
+    kids = children(t)
+    if not kids:
+        return t
+    u = rebuild(t, [term_dual(c) for c in kids])
+    return replace(u, **{f: dual_of(getattr(u, f))
+                         for f, dual_of in _DUAL_FIELDS.items() if hasattr(u, f)})
 
 
 Dualizable = Union[PureProp, MProp, Term]
@@ -540,23 +531,6 @@ def dual(x: Dualizable) -> Dualizable:
     if isinstance(x, Term):
         return term_dual(x)
     raise TypeError(x)
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """Pre-order iteration over all subterms (bodies of binders included)."""
-    yield t
-    match t:
-        case Var(_) | Bound(_):
-            return
-        case Abs(_, l, r) | Pair(_, l, r) | CApp(_, l, r):
-            yield from subterms(l)
-            yield from subterms(r)
-        case Proj(_, _, b) | Inj(_, _, b) | NegI(_, b) | NegE(_, b) | CLam(_, _, b):
-            yield from subterms(b)
-        case Case(_, s, _, b1, _, b2):
-            yield from subterms(s)
-            yield from subterms(b1)
-            yield from subterms(b2)
 
 
 def fresh_name(base: str, taken: set[str] | frozenset[str]) -> str:

@@ -9,17 +9,28 @@ Pos<A,B> and Neg<A,B> are the constraint variables, subject to
 
 Bound variables (term and type) are de Bruijn indices; free variables
 are named, so structural equality is alpha-equivalence.
+
+Each tree's shape lives in one place: `ftype_children`, `ftype_rebuild`
+and `FTYPE_BINDERS` for types; `fterm_children`, `fterm_rebuild` and
+`FTERM_BINDERS` for terms, where type fields are leaves and a binder
+depth counts term and type binders separately.  Every walk over either
+tree (shifting, substitution, closing, free variables, complexity,
+polarity, reduction positions) is built on that shape with the generic
+map and fold of syntax (`make_map`, `make_fold`, `make_debruijn`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, MProp, Mode, Neg,
-                     Or, PVar, cache_hash, fresh_name, opposite)
+                     Or, PVar, cache_hash, fresh_name, make_debruijn, make_fold,
+                     make_map, opposite, preorder)
 from .typecheck import Context, Derivation, check_type
 
 
@@ -76,72 +87,42 @@ class Forall(FType):
     hint: str = field(default="a", compare=False)
 
 
-def shift_type(t: FType, amount: int, cutoff: int = 0) -> FType:
+# The shape of the type tree: ftype_children, ftype_rebuild and
+# FTYPE_BINDERS; every type walk below is built on ftype_map and ftype_fold.
+
+def ftype_children(t: FType) -> tuple[FType, ...]:
     match t:
-        case TVar(_):
+        case TVar() | TBound():
+            return ()
+        case Arrow():
+            return (t.dom, t.cod)
+        case FPos() | FNeg():
+            return (t.a, t.b)
+        case Forall():
+            return (t.body,)
+    raise TypeError(t)
+
+
+def ftype_rebuild(t: FType, kids: Sequence[FType]) -> FType:
+    match t:
+        case TVar() | TBound():
             return t
-        case TBound(i):
-            return TBound(i + amount) if i >= cutoff else t
-        case FPos(a, b):
-            return FPos(shift_type(a, amount, cutoff), shift_type(b, amount, cutoff))
-        case FNeg(a, b):
-            return FNeg(shift_type(a, amount, cutoff), shift_type(b, amount, cutoff))
-        case Arrow(d, c):
-            return Arrow(shift_type(d, amount, cutoff), shift_type(c, amount, cutoff))
-        case Forall(b, h):
-            return Forall(shift_type(b, amount, cutoff + 1), h)
+        case Arrow() | FPos() | FNeg():
+            return type(t)(*kids)
+        case Forall():
+            return Forall(kids[0], t.hint)
     raise TypeError(t)
 
 
-def subst_type(t: FType, j: int, a: FType, depth: int = 0) -> FType:
-    """Substitute a for type index j; depth counts binders already crossed
-    between a's home level and t (used when descending through terms)."""
-    match t:
-        case TVar(_):
-            return t
-        case TBound(i):
-            if i == j + depth:
-                return shift_type(a, depth) if depth else a
-            return TBound(i - 1) if i > j + depth else t
-        case FPos(x, y):
-            return FPos(subst_type(x, j, a, depth), subst_type(y, j, a, depth))
-        case FNeg(x, y):
-            return FNeg(subst_type(x, j, a, depth), subst_type(y, j, a, depth))
-        case Arrow(d, c):
-            return Arrow(subst_type(d, j, a, depth), subst_type(c, j, a, depth))
-        case Forall(b, h):
-            return Forall(subst_type(b, j, a, depth + 1), h)
-    raise TypeError(t)
+FTYPE_BINDERS = {Forall: (1,)}  # binders over each child
 
-
-def close_type(t: FType, name: str, depth: int = 0) -> FType:
-    match t:
-        case TVar(n):
-            return TBound(depth) if n == name else t
-        case TBound(i):
-            return TBound(i + 1) if i >= depth else t
-        case FPos(x, y):
-            return FPos(close_type(x, name, depth), close_type(y, name, depth))
-        case FNeg(x, y):
-            return FNeg(close_type(x, name, depth), close_type(y, name, depth))
-        case Arrow(d, c):
-            return Arrow(close_type(d, name, depth), close_type(c, name, depth))
-        case Forall(b, h):
-            return Forall(close_type(b, name, depth + 1), h)
-    raise TypeError(t)
+ftype_map = make_map(ftype_children, ftype_rebuild, FTYPE_BINDERS)
+ftype_fold = make_fold(ftype_children, FTYPE_BINDERS)
+shift_type, subst_type, close_type = make_debruijn(ftype_map, TBound, TVar)
 
 
 def ftype_vars(t: FType) -> frozenset[str]:
-    match t:
-        case TVar(n):
-            return frozenset((n,))
-        case TBound(_):
-            return frozenset()
-        case FPos(a, b) | FNeg(a, b) | Arrow(a, b):
-            return ftype_vars(a) | ftype_vars(b)
-        case Forall(b, _):
-            return ftype_vars(b)
-    raise TypeError(t)
+    return frozenset(u.name for u in preorder(ftype_fold, t) if isinstance(u, TVar))
 
 
 def forall(name: str, body: FType) -> Forall:
@@ -247,134 +228,110 @@ class TyApp(FTerm):
     ty: FType
 
 
+# The shape of the term tree: fterm_children, fterm_rebuild and
+# FTERM_BINDERS.  Type fields are leaves of the term tree, and a depth is
+# a pair (term binders, type binders); every term walk below is built on
+# fterm_map and fterm_fold.
+
+def fterm_children(t: FTerm) -> tuple[FTerm | FType, ...]:
+    match t:
+        case FVar() | FBound() | FType():
+            return ()
+        case FApp():
+            return (t.fun, t.arg)
+        case FLam():
+            return (t.annot, t.body)
+        case TyApp():
+            return (t.fun, t.ty)
+        case TyLam():
+            return (t.body,)
+    raise TypeError(t)
+
+
+def fterm_rebuild(t: FTerm, kids: Sequence[FTerm | FType]) -> FTerm:
+    match t:
+        case FVar() | FBound():
+            return t
+        case FApp() | TyApp():
+            return type(t)(*kids)
+        case FLam():
+            return FLam(kids[0], kids[1], t.hint)
+        case TyLam():
+            return TyLam(kids[0], t.hint)
+    raise TypeError(t)
+
+
+FTERM_BINDERS = {FLam: ((0, 0), (1, 0)), TyLam: ((0, 1),)}  # (term, type) binders
+
+
+def _deeper(depth: tuple[int, int], k: tuple[int, int]) -> tuple[int, int]:
+    return depth[0] + k[0], depth[1] + k[1]
+
+
+fterm_map = make_map(fterm_children, fterm_rebuild, FTERM_BINDERS, _deeper, (0, 0))
+fterm_fold = make_fold(fterm_children, FTERM_BINDERS, _deeper, (0, 0))
+
+
 def shift_fterm(t: FTerm, d_term: int, d_type: int, c_term: int = 0, c_type: int = 0) -> FTerm:
     """Shift term indices by d_term and type indices by d_type."""
-    match t:
-        case FVar(_):
-            return t
-        case FBound(i):
-            return FBound(i + d_term) if i >= c_term else t
-        case FLam(annot, body, h):
-            return FLam(shift_type(annot, d_type, c_type) if d_type else annot,
-                        shift_fterm(body, d_term, d_type, c_term + 1, c_type), h)
-        case FApp(f, a):
-            return FApp(shift_fterm(f, d_term, d_type, c_term, c_type),
-                        shift_fterm(a, d_term, d_type, c_term, c_type))
-        case TyLam(body, h):
-            return TyLam(shift_fterm(body, d_term, d_type, c_term, c_type + 1), h)
-        case TyApp(f, ty):
-            return TyApp(shift_fterm(f, d_term, d_type, c_term, c_type),
-                         shift_type(ty, d_type, c_type) if d_type else ty)
-    raise TypeError(t)
+
+    def leaf(u, cut: tuple[int, int]):
+        if isinstance(u, FBound):
+            return FBound(u.index + d_term) if u.index >= cut[0] else u
+        if isinstance(u, FType) and d_type:
+            return shift_type(u, d_type, cut[1])
+        return u
+
+    return fterm_map(t, leaf, (c_term, c_type))
 
 
 def subst_fterm(t: FTerm, j: int, s: FTerm) -> FTerm:
     """Substitute s for term index j (beta for term application); s is
     shifted by the term and type binders crossed on the way in."""
 
-    def go(t: FTerm, d_term: int, d_type: int) -> FTerm:
-        match t:
-            case FVar(_):
-                return t
-            case FBound(i):
-                if i == j + d_term:
-                    return shift_fterm(s, d_term, d_type) if (d_term or d_type) else s
-                return FBound(i - 1) if i > j + d_term else t
-            case FLam(annot, body, h):
-                return FLam(annot, go(body, d_term + 1, d_type), h)
-            case FApp(f, a):
-                return FApp(go(f, d_term, d_type), go(a, d_term, d_type))
-            case TyLam(body, h):
-                return TyLam(go(body, d_term, d_type + 1), h)
-            case TyApp(f, ty):
-                return TyApp(go(f, d_term, d_type), ty)
-        raise TypeError(t)
+    def leaf(u, depth: tuple[int, int]):
+        if isinstance(u, FBound):
+            d_term, d_type = depth
+            if u.index == j + d_term:
+                return shift_fterm(s, d_term, d_type) if (d_term or d_type) else s
+            if u.index > j + d_term:
+                return FBound(u.index - 1)
+        return u
 
-    return go(t, 0, 0)
+    return fterm_map(t, leaf)
 
 
 def subst_type_in_fterm(t: FTerm, j: int, a: FType) -> FTerm:
     """Substitute a for type index j throughout a term (beta for type
     application)."""
-
-    def go(t: FTerm, depth: int) -> FTerm:
-        match t:
-            case FVar(_) | FBound(_):
-                return t
-            case FLam(annot, body, h):
-                return FLam(subst_type(annot, j, a, depth), go(body, depth), h)
-            case FApp(f, s):
-                return FApp(go(f, depth), go(s, depth))
-            case TyLam(body, h):
-                return TyLam(go(body, depth + 1), h)
-            case TyApp(f, ty):
-                return TyApp(go(f, depth), subst_type(ty, j, a, depth))
-        raise TypeError(t)
-
-    return go(t, 0)
+    return fterm_map(t, lambda u, d: subst_type(u, j, a, d[1])
+                     if isinstance(u, FType) else u)
 
 
 def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
-    match t:
-        case FVar(n):
-            return FBound(depth) if n == name else t
-        case FBound(i):
-            return FBound(i + 1) if i >= depth else t
-        case FLam(annot, body, h):
-            return FLam(annot, close_fterm(body, name, depth + 1), h)
-        case FApp(f, a):
-            return FApp(close_fterm(f, name, depth), close_fterm(a, name, depth))
-        case TyLam(body, h):
-            return TyLam(close_fterm(body, name, depth), h)
-        case TyApp(f, ty):
-            return TyApp(close_fterm(f, name, depth), ty)
-    raise TypeError(t)
+    def leaf(u, d: tuple[int, int]):
+        if isinstance(u, FVar):
+            return FBound(d[0]) if u.name == name else u
+        if isinstance(u, FBound):
+            return FBound(u.index + 1) if u.index >= d[0] else u
+        return u
+
+    return fterm_map(t, leaf, (depth, 0))
 
 
 def close_tyvar_in_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
-    match t:
-        case FVar(_) | FBound(_):
-            return t
-        case FLam(annot, body, h):
-            return FLam(close_type(annot, name, depth), close_tyvar_in_fterm(body, name, depth), h)
-        case FApp(f, a):
-            return FApp(close_tyvar_in_fterm(f, name, depth), close_tyvar_in_fterm(a, name, depth))
-        case TyLam(body, h):
-            return TyLam(close_tyvar_in_fterm(body, name, depth + 1), h)
-        case TyApp(f, ty):
-            return TyApp(close_tyvar_in_fterm(f, name, depth), close_type(ty, name, depth))
-    raise TypeError(t)
+    return fterm_map(t, lambda u, d: close_type(u, name, d[1])
+                     if isinstance(u, FType) else u, (0, depth))
 
 
 def fterm_fv(t: FTerm) -> frozenset[str]:
-    match t:
-        case FVar(n):
-            return frozenset((n,))
-        case FBound(_):
-            return frozenset()
-        case FLam(_, body, _) | TyLam(body, _):
-            return fterm_fv(body)
-        case FApp(f, a):
-            return fterm_fv(f) | fterm_fv(a)
-        case TyApp(f, _):
-            return fterm_fv(f)
-    raise TypeError(t)
+    return frozenset(u.name for u in preorder(fterm_fold, t) if isinstance(u, FVar))
 
 
 def fterm_ftv(t: FTerm) -> frozenset[str]:
     """Free (named) type variables occurring in annotations and type arguments."""
-    match t:
-        case FVar(_) | FBound(_):
-            return frozenset()
-        case FLam(annot, body, _):
-            return ftype_vars(annot) | fterm_ftv(body)
-        case FApp(f, a):
-            return fterm_ftv(f) | fterm_ftv(a)
-        case TyLam(body, _):
-            return fterm_ftv(body)
-        case TyApp(f, ty):
-            return fterm_ftv(f) | ftype_vars(ty)
-    raise TypeError(t)
+    return frozenset().union(*(ftype_vars(u) for u in preorder(fterm_fold, t)
+                               if isinstance(u, FType)))
 
 
 def flam(name: str, annot: FType, body: FTerm) -> FLam:
@@ -486,43 +443,16 @@ def f_match_redex(t: FTerm) -> FTerm | None:
     return None
 
 
-def _f_children(t: FTerm) -> tuple[FTerm, ...]:
-    match t:
-        case FVar(_) | FBound(_):
-            return ()
-        case FLam(_, body, _) | TyLam(body, _):
-            return (body,)
-        case FApp(f, a):
-            return (f, a)
-        case TyApp(f, _):
-            return (f,)
-    raise TypeError(t)
-
-
-def _f_with_child(t: FTerm, i: int, new: FTerm) -> FTerm:
-    match t, i:
-        case FLam(annot, _, h), 0:
-            return FLam(annot, new, h)
-        case TyLam(_, h), 0:
-            return TyLam(new, h)
-        case FApp(_, a), 0:
-            return FApp(new, a)
-        case FApp(f, _), 1:
-            return FApp(f, new)
-        case TyApp(_, ty), 0:
-            return TyApp(new, ty)
-    raise IndexError(i)
-
-
 def f_step(t: FTerm) -> FTerm | None:
     """Leftmost-outermost beta step (term or type), or None."""
     red = f_match_redex(t)
     if red is not None:
         return red
-    for i, c in enumerate(_f_children(t)):
+    kids = fterm_children(t)
+    for i, c in enumerate(kids):
         stepped = f_step(c)
         if stepped is not None:
-            return _f_with_child(t, i, stepped)
+            return fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
     return None
 
 
@@ -532,9 +462,10 @@ def f_all_steps(t: FTerm) -> list[FTerm]:
     red = f_match_redex(t)
     if red is not None:
         out.append(red)
-    for i, c in enumerate(_f_children(t)):
+    kids = fterm_children(t)
+    for i, c in enumerate(kids):
         for stepped in f_all_steps(c):
-            out.append(_f_with_child(t, i, stepped))
+            out.append(fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:]))
     return out
 
 
@@ -728,13 +659,9 @@ def f_head_step(t: FTerm) -> FTerm | None:
     red = f_match_redex(t)
     if red is not None:
         return red
-    match t:
-        case FApp(f, a):
-            h = f_head_step(f)
-            return None if h is None else FApp(h, a)
-        case TyApp(f, ty):
-            h = f_head_step(f)
-            return None if h is None else TyApp(h, ty)
+    if isinstance(t, (FApp, TyApp)):
+        h = f_head_step(t.fun)
+        return None if h is None else fterm_rebuild(t, (h, fterm_children(t)[1]))
     return None
 
 
@@ -770,24 +697,19 @@ def f_reaches(source: FTerm, target: FTerm) -> int | None:
         return best
 
     def _decompose(u: FTerm, s: FTerm) -> int | None:
-        match u, s:
-            case FLam(annot1, body1, _), FLam(annot2, body2, _):
-                if annot1 != annot2:
+        # u and s share a constructor: their type fields must be equal and
+        # each term child of u must reach the matching child of s
+        pairs = list(zip(fterm_children(u), fterm_children(s)))
+        if not pairs or any(isinstance(a, FType) and a != b for a, b in pairs):
+            return None
+        total = 0
+        for a, b in pairs:
+            if isinstance(a, FTerm):
+                d = go(a, b)
+                if d is None:
                     return None
-                return go(body1, body2)
-            case FApp(f1, a1), FApp(f2, a2):
-                df = go(f1, f2)
-                if df is None:
-                    return None
-                da = go(a1, a2)
-                return None if da is None else df + da
-            case TyLam(body1, _), TyLam(body2, _):
-                return go(body1, body2)
-            case TyApp(f1, ty1), TyApp(f2, ty2):
-                if ty1 != ty2:
-                    return None
-                return go(f1, f2)
-        return None
+                total += d
+        return total
 
     return go(source, target)
 
@@ -821,60 +743,36 @@ class Polarity:
     compl: int
 
 
-def _posneg(t: FType) -> tuple[frozenset[FType], frozenset[FType]]:
-    match t:
-        case TVar(_) | FPos(_, _) | FNeg(_, _):
-            return frozenset((t,)), frozenset()
-        case TBound(_):
-            return frozenset(), frozenset()
-        case Arrow(d, c):
-            pd, nd = _posneg(d)
-            pc, nc = _posneg(c)
-            return nd | pc, pd | nc
-        case Forall(b, _):
-            return _posneg(b)
-    raise TypeError(t)
+# Polarity is a depth modulo 2 over the type shape: the table lists, per
+# constructor, which children have the opposite polarity to their parent.
+# Atoms (variables and constraint variables) are counted where they occur;
+# the strong walk treats Pos/Neg as opaque, the weak one looks inside.
+_strong_fold = make_fold(lambda t: () if isinstance(t, (FPos, FNeg)) else ftype_children(t),
+                         {Arrow: (1, 0)}, operator.xor)
+_weak_fold = make_fold(ftype_children, {Arrow: (1, 0), FPos: (0, 1), FNeg: (1, 0)},
+                       operator.xor)
 
 
-def _weak_posneg(t: FType) -> tuple[frozenset[FType], frozenset[FType]]:
-    match t:
-        case TVar(_):
-            return frozenset((t,)), frozenset()
-        case TBound(_):
-            return frozenset(), frozenset()
-        case FPos(a, b):
-            wpa, wna = _weak_posneg(a)
-            wpb, wnb = _weak_posneg(b)
-            return frozenset((t,)) | wpa | wnb, wna | wpb
-        case FNeg(a, b):
-            wpa, wna = _weak_posneg(a)
-            wpb, wnb = _weak_posneg(b)
-            return frozenset((t,)) | wna | wpb, wpa | wnb
-        case Arrow(d, c):
-            wpd, wnd = _weak_posneg(d)
-            wpc, wnc = _weak_posneg(c)
-            return wnd | wpc, wpd | wnc
-        case Forall(b, _):
-            return _weak_posneg(b)
-    raise TypeError(t)
+def _by_polarity(fold, t: FType) -> tuple[frozenset[FType], frozenset[FType]]:
+    found: tuple[set, set] = (set(), set())  # positive, negative
+
+    def visit(u: FType, side: int) -> None:
+        if isinstance(u, (TVar, FPos, FNeg)):
+            found[side].add(u)
+
+    fold(t, visit)
+    return frozenset(found[0]), frozenset(found[1])
 
 
 def complexity(t: FType) -> int:
-    match t:
-        case TVar(_) | TBound(_):
-            return 1
-        case FPos(a, b) | FNeg(a, b) | Arrow(a, b):
-            return 1 + complexity(a) + complexity(b)
-        case Forall(b, _):
-            return 1 + complexity(b)
-    raise TypeError(t)
+    return len(preorder(ftype_fold, t))
 
 
 def polarity(t: FType) -> Polarity:
     """Positive/negative and weakly positive/negative variable occurrences
     (constraint variables count as atoms), plus the complexity measure."""
-    pos, neg = _posneg(t)
-    wpos, wneg = _weak_posneg(t)
+    pos, neg = _by_polarity(_strong_fold, t)
+    wpos, wneg = _by_polarity(_weak_fold, t)
     return Polarity(pos, neg, wpos, wneg, complexity(t))
 
 
@@ -882,16 +780,7 @@ def polarity(t: FType) -> Polarity:
 # Printing
 
 def _mentions_bound0(t: FType, depth: int = 0) -> bool:
-    match t:
-        case TBound(i):
-            return i == depth
-        case TVar(_):
-            return False
-        case FPos(a, b) | FNeg(a, b) | Arrow(a, b):
-            return _mentions_bound0(a, depth) or _mentions_bound0(b, depth)
-        case Forall(b, _):
-            return _mentions_bound0(b, depth + 1)
-    raise TypeError(t)
+    return bool(ftype_fold(t, lambda u, d: isinstance(u, TBound) and u.index == d, depth))
 
 
 def _unsugar_type(t: FType) -> tuple[str, FType, FType] | str | None:

@@ -167,3 +167,36 @@ def test_machine_output_is_line_stable(capsys):
     code1, out1, _ = run(capsys, "--format", "machine", "check", str(GOLDEN / "lem.prk"))
     code2, out2, _ = run(capsys, "--format", "machine", "check", str(GOLDEN / "lem.prk"))
     assert (code1, out1) == (code2, out2)
+
+
+def test_non_positive_counts_are_usage_errors(capsys):
+    for argv in (["normalize", "--fuel", "0", str(GOLDEN / "lem.prk")],
+                 ["normalize", "--fuel", "-3", str(GOLDEN / "lem.prk")],
+                 ["kripke", "countermodel", str(GOLDEN / "lem_strong.seq"),
+                  "--max-worlds", "0"],
+                 ["kripke", "countermodel", str(GOLDEN / "lem_strong.seq"),
+                  "--max-worlds", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be a positive integer" in err
+        assert "Traceback" not in err
+
+
+def test_positive_counts_accepted(capsys, tmp_path):
+    judgment = tmp_path / "x.prk"
+    judgment.write_text("x : a^c+\n|- x\n")
+    code, out, _ = run(capsys, "normalize", "--fuel", "1", str(judgment))
+    assert code == 0 and out.strip() == "x"
+    seq = tmp_path / "ax.seq"
+    seq.write_text("a^s+\n|- a^s+\n")
+    code, out, _ = run(capsys, "kripke", "countermodel", str(seq), "--max-worlds", "1")
+    assert code == 0 and "inconclusive" in out
+
+
+def test_kripke_eval_unknown_world_is_usage_error(capsys):
+    code, out, err = run(capsys, "kripke", "eval", str(GOLDEN / "lem3.model"),
+                         "w9", "a^s+")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: unknown world 'w9'"

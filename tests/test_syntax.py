@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from prk.errors import ParseError
 from prk.surface import parse_mprop, parse_term, print_mprop, print_term
-from prk.syntax import (And, CLam, MProp, Mode, Neg, Or, PVar, Pair, Var,
-                        clam, dual, fv, measure, opposite, prop_size,
-                        substitute, truncate)
+from prk.syntax import (And, Bound, CLam, MProp, Mode, Neg, Or, PVar, Pair,
+                        Term, Var, clam, close_binder, dual, fresh_name, fv,
+                        measure, open_binder, opposite, prop_size, shift,
+                        substitute, truncate, uses_index)
+from prk.typecheck import mk_lem
 
 a = PVar("a")
 b = PVar("b")
@@ -167,15 +171,54 @@ def _brute_force_fv(t):
     return frozenset(node.name for node in subterms(t) if isinstance(node, Var))
 
 
+def _brute_uses_index(t, k):
+    # independent recursive scan over the dataclass fields; a case branch
+    # and a classical lambda body sit under one binder
+    if isinstance(t, Bound):
+        return t.index == k
+    for f in dataclasses.fields(t):
+        child = getattr(t, f.name)
+        if isinstance(child, Term):
+            under = f.name in ("branch1", "branch2") or isinstance(t, CLam) and f.name == "body"
+            if _brute_uses_index(child, k + under):
+                return True
+    return False
+
+
+def _check_walk_contracts(t):
+    # round trips of the binder-aware walks, on t and on every binder body
+    # (a body refers to its own binder as index 0)
+    from prk.syntax import Case, subterms
+    bodies = [t]
+    for u in subterms(t):
+        if isinstance(u, CLam):
+            bodies.append(u.body)
+        elif isinstance(u, Case):
+            bodies += [u.branch1, u.branch2]
+    for b in bodies:
+        for k, c in ((1, 0), (2, 1), (3, 0)):
+            assert shift(shift(b, k, c), -k, c) == b
+        x = fresh_name("x", fv(b))
+        assert close_binder(open_binder(b, x), x) == b
+        for k in range(3):
+            assert uses_index(b, k) == _brute_uses_index(b, k)
+
+
 def test_fv_against_brute_scan(term_gen, rng):
     for _ in range(80):
         ctx = term_gen.base_context()
         t = term_gen.term(ctx, term_gen.props.mprop(2), 3)
         assert fv(t) == _brute_force_fv(t)
+        _check_walk_contracts(t)
         x = rng.choice([n for n, _ in ctx])
         s = term_gen.term(ctx, term_gen.props.mprop(2), 2)
         result = substitute(t, x, s)
         assert fv(result) == _brute_force_fv(result)
+        _check_walk_contracts(result)
+    for _ in range(10):
+        t = mk_lem(term_gen.props.pure(2), rng.choice("+-"))
+        assert fv(t) == _brute_force_fv(t) == frozenset()
+        _check_walk_contracts(t)
 
 
 def test_fv_against_reparse(term_gen):

@@ -188,9 +188,24 @@ def test_translation_preserves_fv(term_gen):
         assert fterm_fv(translate_term(d)) == fv(t)
 
 
+def _check_close_roundtrips(ft, names, tyvars):
+    # closing a name and substituting it back is the identity, on ft and on
+    # every binder body (a body refers to its own binder as index 0)
+    from prk.syntax import preorder
+    from prk.systemf import (FLam, FVar, close_fterm, close_tyvar_in_fterm,
+                             fterm_fold, subst_fterm, subst_type_in_fterm)
+    bodies = [ft] + [u.body for u in preorder(fterm_fold, ft) if isinstance(u, (FLam, TyLam))]
+    for b in bodies:
+        for x in names:
+            assert subst_fterm(close_fterm(b, x), 0, FVar(x)) == b
+        for a in tyvars:
+            assert subst_type_in_fterm(close_tyvar_in_fterm(b, a), 0, TVar(a)) == b
+
+
 def test_translation_commutes_with_substitution(term_gen, rng):
     from prk.syntax import substitute
     from prk.systemf import close_fterm, subst_fterm
+    from prk.typecheck import mk_lem
     for _ in range(25):
         ctx = term_gen.base_context()
         goal = term_gen.props.mprop(2)
@@ -202,6 +217,11 @@ def test_translation_commutes_with_substitution(term_gen, rng):
         fs = translate_term(check_type(ctx, s, p))
         rhs = subst_fterm(close_fterm(ft, x), 0, fs)
         assert lhs == rhs
+        _check_close_roundtrips(ft, ctx.names(), ("a", "b"))
+    for _ in range(4):
+        lem = mk_lem(term_gen.props.pure(1), rng.choice("+-"))
+        ft = translate_term(infer_type(Context(), lem))
+        _check_close_roundtrips(ft, ("x", "y"), ("a", "b"))
 
 
 # -- simulation --------------------------------------------------------------------
