@@ -8,11 +8,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvalidNKProofError, WrongModeError
+from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
+from .surface import _Tokens, _parse_pure
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
-                     Term, Var, case, clam, fresh_name, fv, substitute)
+                     Term, Var, case, clam, fresh_name, fv, prop_vars,
+                     substitute)
 from .typecheck import Context, abs_general_at, contrapose_at, mk_lem
 
 FALSITY_VAR = "_bot0"
@@ -55,7 +57,6 @@ def eval_prop(a: PureProp, valuation: dict[str, bool]) -> bool:
 
 def tt_valid(hyps: list[PureProp], goal: PureProp) -> bool:
     """Classical semantic entailment by truth tables."""
-    from .syntax import prop_vars
     variables = sorted(set().union(prop_vars(goal), *(prop_vars(h) for h in hyps)))
     for bits in itertools.product((False, True), repeat=len(variables)):
         valuation = dict(zip(variables, bits))
@@ -418,9 +419,6 @@ def parse_nk(text: str) -> NKProof:
     '|- <proof>' where proofs use hyp(i), andi(p,q), ande1/2(p),
     ori1/2[other](p), ore(p,q,r), negi[a](p), nege(p,q), expl[c](p),
     lem[a], impi[a](p), impe(p,q)."""
-    from .surface import _Tokens, _parse_pure
-    from .errors import ParseError
-
     hyps: list[PureProp] = []
     proof_src = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -448,9 +446,6 @@ def parse_nk(text: str) -> NKProof:
 
 
 def _parse_nk_node(tk, hyps: tuple[PureProp, ...]) -> NKProof:
-    from .surface import _parse_pure
-    from .errors import ParseError
-
     kind, head, line, col = tk.next()
     if kind != "ident":
         raise ParseError(f"expected a proof rule, found {head!r}", line, col)

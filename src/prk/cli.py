@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (ParseError, PrkError, TypingError, UnknownWorldError,
-                     WrongModeError)
+from .errors import (CannotInferError, ParseError, PrkError, TypingError,
+                     UnknownWorldError, WrongModeError)
 from .kripke import (countermodel_search, forces, parse_model, print_model,
                      validate_model)
-from .rewrite import ETA, PLAIN, classify, normalize
+from .rewrite import ETA, PLAIN, binder_names_at, classify, normalize, replay
 from .surface import parse_mprop, parse_term, print_mprop, print_term
 from .syntax import MProp, Term, dual, mprop_dual
 from .typecheck import Context, infer_type
@@ -87,7 +87,6 @@ def cmd_check(args, out: Output) -> int:
 
 
 def cmd_normalize(args, out: Output) -> int:
-    from .errors import CannotInferError
     ctx, term = parse_judgment(_read(args.file))
     try:
         infer_type(ctx, term)  # reject ill-typed input before reducing
@@ -96,7 +95,6 @@ def cmd_normalize(args, out: Output) -> int:
     mode = ETA if args.eta else PLAIN
     nf, trace = normalize(term, mode=mode, fuel=args.fuel)
     if args.trace:
-        from .rewrite import binder_names_at, replay
         current = term
         for entry in trace:
             env = binder_names_at(current, entry.position)

@@ -7,11 +7,11 @@ from __future__ import annotations
 import os
 import random
 
-from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, Abs, And, CApp, MProp,
-                     Mode, Neg, Or, PVar, Pair, Proj, Inj, NegE, NegI,
-                     PureProp, Term, Var, case, clam, fresh_name, opposite,
-                     term_size)
-from .typecheck import Context, abs_general_at
+from .syntax import (CLASSICAL, INJECTED, MINUS, PAIRED, PLUS, STRONG, Abs, And,
+                     CApp, MProp, Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj,
+                     Inj, PureProp, Term, Var, case, clam, flip, fresh_name,
+                     opposite, prop_depth, prop_vars, term_size)
+from .typecheck import Context, abs_general_at, mk_lem
 
 DEFAULT_SEED = 20250807
 
@@ -119,8 +119,7 @@ class TermGen:
         if choice == "capp" and goal.is_strong:
             sg = goal.sign
             fun = self.term(ctx, MProp(goal.base, Mode(CLASSICAL, sg)), depth - 1)
-            arg = self.term(ctx, MProp(goal.base, Mode(CLASSICAL, "-" if sg == "+" else "+")),
-                            depth - 1)
+            arg = self.term(ctx, MProp(goal.base, Mode(CLASSICAL, flip(sg))), depth - 1)
             return CApp(sg, fun, arg)
         if choice == "absurd":
             a = self.props.pure(2)
@@ -131,12 +130,8 @@ class TermGen:
         if choice == "case":
             sg = self.rng.choice((PLUS, MINUS))
             a, b = self.props.pure(2), self.props.pure(2)
-            if sg == PLUS:
-                scrut_goal = MProp(Or(a, b), Mode(STRONG, PLUS))
-                annots = (MProp(a, Mode(CLASSICAL, PLUS)), MProp(b, Mode(CLASSICAL, PLUS)))
-            else:
-                scrut_goal = MProp(And(a, b), Mode(STRONG, MINUS))
-                annots = (MProp(a, Mode(CLASSICAL, MINUS)), MProp(b, Mode(CLASSICAL, MINUS)))
+            scrut_goal = MProp(INJECTED[sg](a, b), Mode(STRONG, sg))
+            annots = (MProp(a, Mode(CLASSICAL, sg)), MProp(b, Mode(CLASSICAL, sg)))
             scrut = self.term(ctx, scrut_goal, depth - 1)
             x, y = self._fresh(ctx), None
             b1 = self.term(ctx.extend(x, annots[0]), goal, depth - 1)
@@ -149,45 +144,30 @@ class TermGen:
             if kind == "proj":
                 other = self.props.pure(2)
                 index = self.rng.choice((1, 2))
-                if sg == PLUS:
-                    comps = (goal.base, other) if index == 1 else (other, goal.base)
-                    inner_goal = MProp(And(*comps), Mode(STRONG, PLUS))
-                else:
-                    comps = (goal.base, other) if index == 1 else (other, goal.base)
-                    inner_goal = MProp(Or(*comps), Mode(STRONG, MINUS))
-                inner = self.term(ctx, inner_goal, depth - 1)
-                return Proj(PLUS if sg == PLUS else MINUS, index, inner)
-            neg_sign = PLUS if sg == MINUS else MINUS
-            inner = self.term(ctx, MProp(Neg(goal.base), Mode(STRONG, neg_sign)), depth - 1)
-            return NegE(neg_sign, inner)
+                comps = (goal.base, other) if index == 1 else (other, goal.base)
+                inner = self.term(ctx, MProp(PAIRED[sg](*comps), Mode(STRONG, sg)), depth - 1)
+                return Proj(sg, index, inner)
+            inner = self.term(ctx, MProp(Neg(goal.base), Mode(STRONG, flip(sg))), depth - 1)
+            return NegE(flip(sg), inner)
 
         # intro dispatch on the goal's shape; falls back when it does not apply
-        base, mode = goal.base, goal.mode
-        if mode.strength == STRONG:
-            cp, cm = Mode(CLASSICAL, PLUS), Mode(CLASSICAL, MINUS)
-            match base, mode.sign:
-                case And(l, r), "+":
-                    return Pair(PLUS, self.term(ctx, MProp(l, cp), depth - 1),
-                                self.term(ctx, MProp(r, cp), depth - 1))
-                case Or(l, r), "-":
-                    return Pair(MINUS, self.term(ctx, MProp(l, cm), depth - 1),
-                                self.term(ctx, MProp(r, cm), depth - 1))
-                case Or(l, r), "+":
+        base, sg = goal.base, goal.sign
+        if goal.is_strong:
+            c = Mode(CLASSICAL, sg)
+            match base:
+                case And(l, r) | Or(l, r) if isinstance(base, PAIRED[sg]):
+                    return Pair(sg, self.term(ctx, MProp(l, c), depth - 1),
+                                self.term(ctx, MProp(r, c), depth - 1))
+                case And(l, r) | Or(l, r):
                     i = self.rng.choice((1, 2))
                     comp = l if i == 1 else r
-                    return Inj(PLUS, i, self.term(ctx, MProp(comp, cp), depth - 1))
-                case And(l, r), "-":
-                    i = self.rng.choice((1, 2))
-                    comp = l if i == 1 else r
-                    return Inj(MINUS, i, self.term(ctx, MProp(comp, cm), depth - 1))
-                case Neg(inner), "+":
-                    return NegI(PLUS, self.term(ctx, MProp(inner, cm), depth - 1))
-                case Neg(inner), "-":
-                    return NegI(MINUS, self.term(ctx, MProp(inner, cp), depth - 1))
-                case PVar(_), sg:
-                    fun = self.term(ctx, MProp(base, Mode(CLASSICAL, sg)), depth - 1)
-                    arg = self.term(ctx, MProp(base, Mode(CLASSICAL, "-" if sg == "+" else "+")),
-                                    depth - 1)
+                    return Inj(sg, i, self.term(ctx, MProp(comp, c), depth - 1))
+                case Neg(inner):
+                    return NegI(sg, self.term(ctx, MProp(inner, Mode(CLASSICAL, flip(sg))),
+                                              depth - 1))
+                case PVar(_):
+                    fun = self.term(ctx, MProp(base, c), depth - 1)
+                    arg = self.term(ctx, MProp(base, Mode(CLASSICAL, flip(sg))), depth - 1)
                     return CApp(sg, fun, arg)
         # classical goal fallback
         x = self._fresh(ctx)
@@ -217,20 +197,14 @@ def all_pure_props(atoms: tuple[str, ...], depth: int) -> list[PureProp]:
         nxt: list[PureProp] = [Neg(p) for p in by_depth[-1]]
         for l in prev:
             for r in prev:
-                if max(_height(l), _height(r)) == len(by_depth):
+                if max(prop_depth(l), prop_depth(r)) == len(by_depth):
                     nxt.append(And(l, r))
                     nxt.append(Or(l, r))
         by_depth.append(nxt)
     return [p for level in by_depth for p in level]
 
 
-def _height(p: PureProp) -> int:
-    from .syntax import prop_depth
-    return prop_depth(p)
-
-
 def bases_atoms(bases: tuple[PureProp, ...]) -> tuple[str, ...]:
-    from .syntax import prop_vars
     atoms: set[str] = set()
     for b in bases:
         atoms |= prop_vars(b)
@@ -304,82 +278,55 @@ class TypedEnumerator:
         return hit
 
     def _intro(self, ctx: Context, goal: MProp, n: int, out: list[Term]) -> None:
-        base, mode = goal.base, goal.mode
-        if mode.strength == CLASSICAL:
+        base, sign = goal.base, goal.sign
+        if goal.is_classical:
             x = f"u{len(ctx.entries)}"
             annot = opposite(goal)
-            inner = MProp(base, Mode(STRONG, mode.sign))
+            inner = MProp(base, Mode(STRONG, sign))
             for body in self._exact(ctx.extend(x, annot), inner, n - 1):
-                out.append(clam(mode.sign, x, annot, body))
+                out.append(clam(sign, x, annot, body))
             return
-        cp, cm = Mode(CLASSICAL, PLUS), Mode(CLASSICAL, MINUS)
-        match base, mode.sign:
-            case And(l, r), "+":
+        c = Mode(CLASSICAL, sign)
+        match base:
+            case And(l, r) | Or(l, r) if isinstance(base, PAIRED[sign]):
                 for i in range(1, n - 1):
-                    for left in self._exact(ctx, MProp(l, cp), i):
-                        for right in self._exact(ctx, MProp(r, cp), n - 1 - i):
-                            out.append(Pair(PLUS, left, right))
-            case Or(l, r), "-":
-                for i in range(1, n - 1):
-                    for left in self._exact(ctx, MProp(l, cm), i):
-                        for right in self._exact(ctx, MProp(r, cm), n - 1 - i):
-                            out.append(Pair(MINUS, left, right))
-            case Or(l, r), "+":
+                    for left in self._exact(ctx, MProp(l, c), i):
+                        for right in self._exact(ctx, MProp(r, c), n - 1 - i):
+                            out.append(Pair(sign, left, right))
+            case And(l, r) | Or(l, r):
                 for i, comp in ((1, l), (2, r)):
-                    for body in self._exact(ctx, MProp(comp, cp), n - 1):
-                        out.append(Inj(PLUS, i, body))
-            case And(l, r), "-":
-                for i, comp in ((1, l), (2, r)):
-                    for body in self._exact(ctx, MProp(comp, cm), n - 1):
-                        out.append(Inj(MINUS, i, body))
-            case Neg(inner), "+":
-                for body in self._exact(ctx, MProp(inner, cm), n - 1):
-                    out.append(NegI(PLUS, body))
-            case Neg(inner), "-":
-                for body in self._exact(ctx, MProp(inner, cp), n - 1):
-                    out.append(NegI(MINUS, body))
+                    for body in self._exact(ctx, MProp(comp, c), n - 1):
+                        out.append(Inj(sign, i, body))
+            case Neg(inner):
+                for body in self._exact(ctx, MProp(inner, Mode(CLASSICAL, flip(sign))), n - 1):
+                    out.append(NegI(sign, body))
 
     def _elim(self, ctx: Context, goal: MProp, n: int, out: list[Term]) -> None:
-        base, mode = goal.base, goal.mode
+        base, sign = goal.base, goal.sign
         # classical eliminations: projections and negation elimination
-        if mode.strength == CLASSICAL:
-            sign = mode.sign
+        if goal.is_classical:
             for other in self.bases:
                 for index in (1, 2):
                     comps = (base, other) if index == 1 else (other, base)
-                    if sign == PLUS:
-                        premise = MProp(And(*comps), Mode(STRONG, PLUS))
-                        for body in self._exact(ctx, premise, n - 1):
-                            out.append(Proj(PLUS, index, body))
-                    else:
-                        premise = MProp(Or(*comps), Mode(STRONG, MINUS))
-                        for body in self._exact(ctx, premise, n - 1):
-                            out.append(Proj(MINUS, index, body))
+                    premise = MProp(PAIRED[sign](*comps), Mode(STRONG, sign))
+                    for body in self._exact(ctx, premise, n - 1):
+                        out.append(Proj(sign, index, body))
             # nege+ : (~A)^s+ -> A^c-; nege- : (~A)^s- -> A^c+
-            if sign == MINUS:
-                for body in self._exact(ctx, MProp(Neg(base), Mode(STRONG, PLUS)), n - 1):
-                    out.append(NegE(PLUS, body))
-            else:
-                for body in self._exact(ctx, MProp(Neg(base), Mode(STRONG, MINUS)), n - 1):
-                    out.append(NegE(MINUS, body))
+            for body in self._exact(ctx, MProp(Neg(base), Mode(STRONG, flip(sign))), n - 1):
+                out.append(NegE(flip(sign), body))
         else:
             # strong goals via classical elimination (capp)
-            sign = mode.sign
             for i in range(1, n - 1):
                 for fun in self._exact(ctx, MProp(base, Mode(CLASSICAL, sign)), i):
-                    opp = Mode(CLASSICAL, MINUS if sign == PLUS else PLUS)
-                    for arg in self._exact(ctx, MProp(base, opp), n - 1 - i):
+                    for arg in self._exact(ctx, MProp(base, Mode(CLASSICAL, flip(sign))),
+                                           n - 1 - i):
                         out.append(CApp(sign, fun, arg))
         # case over a pool scrutinee, any goal
         for sign in (PLUS, MINUS):
             for a in self.bases:
                 for b in self.bases:
-                    if sign == PLUS:
-                        scrut_t = MProp(Or(a, b), Mode(STRONG, PLUS))
-                        annots = (MProp(a, Mode(CLASSICAL, PLUS)), MProp(b, Mode(CLASSICAL, PLUS)))
-                    else:
-                        scrut_t = MProp(And(a, b), Mode(STRONG, MINUS))
-                        annots = (MProp(a, Mode(CLASSICAL, MINUS)), MProp(b, Mode(CLASSICAL, MINUS)))
+                    scrut_t = MProp(INJECTED[sign](a, b), Mode(STRONG, sign))
+                    annots = (MProp(a, Mode(CLASSICAL, sign)), MProp(b, Mode(CLASSICAL, sign)))
                     x = f"u{len(ctx.entries)}"
                     ctx1 = ctx.extend(x, annots[0])
                     ctx2 = ctx.extend(x, annots[1])
@@ -403,7 +350,6 @@ def provable_library() -> list[tuple[Context, MProp, Term]]:
     non-contradiction instances, admissible-rule conclusions, and a few
     compiled classical proofs."""
     from .classical import embed_nk, nk_and_e, nk_and_i, nk_hyp, nk_imp_i, nk_neg_e, nk_neg_i
-    from .typecheck import mk_lem
 
     a, b = PVar("a"), PVar("b")
     sp, sm = Mode(STRONG, PLUS), Mode(STRONG, MINUS)

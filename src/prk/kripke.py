@@ -5,12 +5,12 @@ exhaustive enumeration of small models, and bounded counter-model search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
-from .syntax import (CLASSICAL, MINUS, PLUS, And, MProp, Mode, Neg, Or, PVar,
-                     PureProp, prop_vars)
+from .syntax import (CLASSICAL, PAIRED, PLUS, STRONG, And, MProp, Mode, Neg, Or,
+                     PVar, flip, prop_vars)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> frozen
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "order" | "monotonicity" | "stabilization"
+    kind: str  # "order" | "alphabet" | "monotonicity" | "stabilization"
     witness: tuple
 
     def __str__(self) -> str:
@@ -130,28 +130,22 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
 
 @lru_cache(maxsize=1 << 20)
 def _forces(m: KripkeModel, w: str, p: MProp) -> bool:
-    base, mode = p.base, p.mode
-    if mode.strength == CLASSICAL:
-        strong_opp = MProp(base, Mode("s", MINUS if mode.sign == PLUS else PLUS))
+    base, sign = p.base, p.sign
+    if p.mode.strength == CLASSICAL:
+        strong_opp = MProp(base, Mode(STRONG, flip(sign)))
         return all(not _forces(m, v, strong_opp) for v in m.above(w))
-    cp, cm = Mode(CLASSICAL, PLUS), Mode(CLASSICAL, MINUS)
-    match base, mode.sign:
-        case PVar(name), "+":
-            return name in m.plus(w)
-        case PVar(name), "-":
-            return name in m.minus(w)
-        case And(l, r), "+":
-            return _forces(m, w, MProp(l, cp)) and _forces(m, w, MProp(r, cp))
-        case And(l, r), "-":
-            return _forces(m, w, MProp(l, cm)) or _forces(m, w, MProp(r, cm))
-        case Or(l, r), "+":
-            return _forces(m, w, MProp(l, cp)) or _forces(m, w, MProp(r, cp))
-        case Or(l, r), "-":
-            return _forces(m, w, MProp(l, cm)) and _forces(m, w, MProp(r, cm))
-        case Neg(inner), "+":
-            return _forces(m, w, MProp(inner, cm))
-        case Neg(inner), "-":
-            return _forces(m, w, MProp(inner, cp))
+    match base:
+        case PVar(name):
+            return name in (m.plus(w) if sign == PLUS else m.minus(w))
+        case And(l, r) | Or(l, r):
+            # both components for the connective a pair of this sign
+            # builds, either one for the connective an injection builds
+            c = Mode(CLASSICAL, sign)
+            if isinstance(base, PAIRED[sign]):
+                return _forces(m, w, MProp(l, c)) and _forces(m, w, MProp(r, c))
+            return _forces(m, w, MProp(l, c)) or _forces(m, w, MProp(r, c))
+        case Neg(inner):
+            return _forces(m, w, MProp(inner, Mode(CLASSICAL, flip(sign))))
     raise TypeError(p)
 
 

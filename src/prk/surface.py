@@ -24,7 +24,7 @@ import re
 from .errors import ParseError
 from .syntax import (And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
                      NegE, NegI, Or, PVar, Pair, Proj, PureProp, Term, Var,
-                     case, clam, fresh_name, fv)
+                     case, clam, fresh_name, fv, prop_vars)
 
 RESERVED_FALSITY = "_bot0"
 
@@ -122,7 +122,6 @@ def _parse_mode(tk: _Tokens) -> Mode:
 def _check_reserved(a: PureProp, tk: _Tokens, allow_reserved: bool) -> None:
     if allow_reserved:
         return
-    from .syntax import prop_vars
     if RESERVED_FALSITY in prop_vars(a):
         raise tk.error(f"{RESERVED_FALSITY!r} is reserved for the falsity encoding")
 

@@ -13,6 +13,14 @@ binder-aware map that keeps unchanged nodes, and `make_fold`, an
 iterative pre-order walk; `make_debruijn` derives shifting, substitution
 and closing from a map.  systemf builds its type and term walks on the
 same helpers.
+
+The calculus is symmetric between affirmation (sign +) and denial (sign
+-), and that duality is written down once, in the table below the
+modes: `PAIRED[sign]` is the connective a pair and a projection of that
+sign work on, `INJECTED[sign]` the one an injection and a case work on,
+and negation flips the sign.  Typing, forcing, the System F translation
+and the generators state each rule once and read its `-` form off the
+table, so no `-` rule is written out beside its `+` mirror.
 """
 
 from __future__ import annotations
@@ -262,6 +270,25 @@ class Mode:
 
 MODES = (Mode("s", "+"), Mode("s", "-"), Mode("c", "+"), Mode("c", "-"))
 
+Sign = str  # "+" | "-"
+
+
+def flip(sign: Sign) -> Sign:
+    return MINUS if sign == PLUS else PLUS
+
+
+# The duality table (see the module docstring).  Rule names are read off
+# it too: pair/in are I{connective}{sign}, proj/case E{connective}{sign}.
+PAIRED = {PLUS: And, MINUS: Or}
+INJECTED = {PLUS: Or, MINUS: And}
+STANCE = {PLUS: "affirmation", MINUS: "denial"}
+
+
+def strong_noun(conn: type, sign: Sign) -> str:
+    """'strong conjunction', 'strong disjunction denial', ... for messages."""
+    noun = "strong conjunction" if conn is And else "strong disjunction"
+    return noun if sign == PLUS else f"{noun} denial"
+
 
 @dataclass(frozen=True)
 class MProp:
@@ -292,7 +319,7 @@ def mk(base: PureProp, strength: str, sign: str) -> MProp:
 
 def opposite(p: MProp) -> MProp:
     """Flip the sign, preserve strength and base."""
-    return MProp(p.base, Mode(p.mode.strength, MINUS if p.sign == PLUS else PLUS))
+    return MProp(p.base, Mode(p.mode.strength, flip(p.sign)))
 
 
 def truncate(p: MProp) -> MProp:
@@ -308,18 +335,11 @@ def measure(p: MProp) -> int:
 
 def mprop_dual(p: MProp) -> MProp:
     """Dualize the base and flip the sign, keeping strength."""
-    return MProp(prop_dual(p.base), Mode(p.mode.strength, MINUS if p.sign == PLUS else PLUS))
+    return MProp(prop_dual(p.base), Mode(p.mode.strength, flip(p.sign)))
 
 
 # ---------------------------------------------------------------------------
 # Terms
-
-Sign = str  # "+" | "-"
-
-
-def flip(sign: Sign) -> Sign:
-    return MINUS if sign == PLUS else PLUS
-
 
 class Term:
     __slots__ = ()

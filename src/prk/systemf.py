@@ -28,9 +28,10 @@ from typing import Sequence
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
-from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, MProp, Mode, Neg,
-                     Or, PVar, cache_hash, fresh_name, make_debruijn, make_fold,
-                     make_map, opposite, preorder)
+from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, And, CLam, Case,
+                     Inj, MProp, Mode, Neg, Or, Proj, PVar, Var, cache_hash,
+                     flip, fresh_name, make_debruijn, make_fold, make_map,
+                     opposite, preorder)
 from .typecheck import Context, Derivation, check_type
 
 
@@ -485,109 +486,64 @@ def f_normalize(t: FTerm, fuel: int = 100_000) -> FTerm:
 @lru_cache(maxsize=None)
 def translate_prop(p: MProp) -> FType:
     """Measure-recursive translation of a moded proposition to an F type."""
-    base, mode = p.base, p.mode
-    if mode.strength == CLASSICAL:
+    base, sign = p.base, p.sign
+    if p.mode.strength == CLASSICAL:
         a_plus = translate_prop(MProp(base, Mode(STRONG, PLUS)))
         a_minus = translate_prop(MProp(base, Mode(STRONG, MINUS)))
-        return FPos(a_plus, a_minus) if mode.sign == PLUS else FNeg(a_plus, a_minus)
-    cp, cm = Mode(CLASSICAL, PLUS), Mode(CLASSICAL, MINUS)
-    match base, mode.sign:
-        case PVar(name), "+":
-            return TVar(name)
-        case PVar(name), "-":
-            return Arrow(TVar(name), ZERO)
-        case And(l, r), "+":
-            return times(translate_prop(MProp(l, cp)), translate_prop(MProp(r, cp)))
-        case And(l, r), "-":
-            return plus(translate_prop(MProp(l, cm)), translate_prop(MProp(r, cm)))
-        case Or(l, r), "+":
-            return plus(translate_prop(MProp(l, cp)), translate_prop(MProp(r, cp)))
-        case Or(l, r), "-":
-            return times(translate_prop(MProp(l, cm)), translate_prop(MProp(r, cm)))
-        case Neg(inner), "+":
-            return Arrow(ONE, translate_prop(MProp(inner, cm)))
-        case Neg(inner), "-":
-            return Arrow(ONE, translate_prop(MProp(inner, cp)))
+        return FPos(a_plus, a_minus) if sign == PLUS else FNeg(a_plus, a_minus)
+    match base:
+        case PVar(name):
+            return TVar(name) if sign == PLUS else Arrow(TVar(name), ZERO)
+        case And(l, r) | Or(l, r):
+            # a pair of this sign is a product, an injection a sum
+            c = Mode(CLASSICAL, sign)
+            encode = times if isinstance(base, PAIRED[sign]) else plus
+            return encode(translate_prop(MProp(l, c)), translate_prop(MProp(r, c)))
+        case Neg(inner):
+            return Arrow(ONE, translate_prop(MProp(inner, Mode(CLASSICAL, flip(sign)))))
     raise TypeError(p)
 
 
-_funabs_memo: dict[tuple[MProp, MProp], FTerm] = {}
-
-
+@lru_cache(maxsize=None)
 def funabs(p: MProp, q: MProp) -> FTerm:
     """The closed absurdity interpreter, typed T(p) -> T(opposite p) -> T(q)
     for the proposition translation T, defined by recursion on measure(p)."""
-    key = (p, q)
-    cached = _funabs_memo.get(key)
-    if cached is not None:
-        return cached
-
     tq = translate_prop(q)
     tp = translate_prop(p)
     tpo = translate_prop(opposite(p))
-    cp, cm = Mode(CLASSICAL, PLUS), Mode(CLASSICAL, MINUS)
     x, y, z = FVar("x"), FVar("y"), FVar("z")
 
     def wrap(body: FTerm) -> FTerm:
         return flam("x", tp, flam("y", tpo, body))
 
-    base, mode = p.base, p.mode
-    if mode.strength == CLASSICAL:
-        inner = funabs(MProp(base, Mode(STRONG, mode.sign)), q)
-        term = wrap(FApp(FApp(inner, FApp(x, y)), FApp(y, x)))
-    else:
-        match base, mode.sign:
-            case PVar(_), "+":
-                term = wrap(abort_f(tq, FApp(y, x)))
-            case PVar(_), "-":
-                term = wrap(abort_f(tq, FApp(x, y)))
-            case And(l, r), "+":
-                lp, rp = MProp(l, cp), MProp(r, cp)
-                lm, rm = MProp(l, cm), MProp(r, cm)
-                tl, tr = translate_prop(lp), translate_prop(rp)
-                b1 = flam("z", translate_prop(lm),
-                          FApp(FApp(funabs(lp, q), proj_f(1, x, tl, tr)), z))
-                b2 = flam("z", translate_prop(rm),
-                          FApp(FApp(funabs(rp, q), proj_f(2, x, tl, tr)), z))
-                term = wrap(case_f(y, b1, b2, tq))
-            case And(l, r), "-":
-                lm, rm = MProp(l, cm), MProp(r, cm)
-                lp, rp = MProp(l, cp), MProp(r, cp)
-                tl, tr = translate_prop(lp), translate_prop(rp)
-                b1 = flam("z", translate_prop(lm),
-                          FApp(FApp(funabs(lm, q), z), proj_f(1, y, tl, tr)))
-                b2 = flam("z", translate_prop(rm),
-                          FApp(FApp(funabs(rm, q), z), proj_f(2, y, tl, tr)))
-                term = wrap(case_f(x, b1, b2, tq))
-            case Or(l, r), "+":
-                lp, rp = MProp(l, cp), MProp(r, cp)
-                lm, rm = MProp(l, cm), MProp(r, cm)
-                tl, tr = translate_prop(lm), translate_prop(rm)
-                b1 = flam("z", translate_prop(lp),
-                          FApp(FApp(funabs(lp, q), z), proj_f(1, y, tl, tr)))
-                b2 = flam("z", translate_prop(rp),
-                          FApp(FApp(funabs(rp, q), z), proj_f(2, y, tl, tr)))
-                term = wrap(case_f(x, b1, b2, tq))
-            case Or(l, r), "-":
-                lm, rm = MProp(l, cm), MProp(r, cm)
-                lp, rp = MProp(l, cp), MProp(r, cp)
-                tl, tr = translate_prop(lm), translate_prop(rm)
-                b1 = flam("z", translate_prop(lp),
-                          FApp(FApp(funabs(lm, q), proj_f(1, x, tl, tr)), z))
-                b2 = flam("z", translate_prop(rp),
-                          FApp(FApp(funabs(rm, q), proj_f(2, x, tl, tr)), z))
-                term = wrap(case_f(y, b1, b2, tq))
-            case Neg(inner), "+":
-                term = wrap(FApp(FApp(funabs(MProp(inner, cm), q), FApp(x, TRIV)),
-                                 FApp(y, TRIV)))
-            case Neg(inner), "-":
-                term = wrap(FApp(FApp(funabs(MProp(inner, cp), q), FApp(x, TRIV)),
-                                 FApp(y, TRIV)))
-            case _:
-                raise TypeError(p)
-
-    _funabs_memo[key] = term
-    return term
+    base, sign = p.base, p.sign
+    if p.mode.strength == CLASSICAL:
+        inner = funabs(MProp(base, Mode(STRONG, sign)), q)
+        return wrap(FApp(FApp(inner, FApp(x, y)), FApp(y, x)))
+    c, co = Mode(CLASSICAL, sign), Mode(CLASSICAL, flip(sign))
+    match base:
+        case PVar(_):
+            return wrap(abort_f(tq, FApp(y, x) if sign == PLUS else FApp(x, y)))
+        case And(l, r) | Or(l, r) if isinstance(base, PAIRED[sign]):
+            # x is a product, y a sum: split y, project x
+            tl, tr = translate_prop(MProp(l, c)), translate_prop(MProp(r, c))
+            b1 = flam("z", translate_prop(MProp(l, co)),
+                      FApp(FApp(funabs(MProp(l, c), q), proj_f(1, x, tl, tr)), z))
+            b2 = flam("z", translate_prop(MProp(r, co)),
+                      FApp(FApp(funabs(MProp(r, c), q), proj_f(2, x, tl, tr)), z))
+            return wrap(case_f(y, b1, b2, tq))
+        case And(l, r) | Or(l, r):
+            # x is a sum, y a product: split x, project y
+            tl, tr = translate_prop(MProp(l, co)), translate_prop(MProp(r, co))
+            b1 = flam("z", translate_prop(MProp(l, c)),
+                      FApp(FApp(funabs(MProp(l, c), q), z), proj_f(1, y, tl, tr)))
+            b2 = flam("z", translate_prop(MProp(r, c)),
+                      FApp(FApp(funabs(MProp(r, c), q), z), proj_f(2, y, tl, tr)))
+            return wrap(case_f(x, b1, b2, tq))
+        case Neg(inner):
+            return wrap(FApp(FApp(funabs(MProp(inner, co), q), FApp(x, TRIV)),
+                             FApp(y, TRIV)))
+    raise TypeError(p)
 
 
 def translate_ctx(ctx: Context) -> FContext:
@@ -596,8 +552,6 @@ def translate_ctx(ctx: Context) -> FContext:
 
 def translate_term(d: Derivation) -> FTerm:
     """Translate a typing derivation into an F term of the translated type."""
-    from .syntax import CLam, Case, Inj, Proj, Var
-
     t = d.subject
     match d.rule:
         case "Ax":
@@ -820,14 +774,12 @@ def print_ftype(t: FType, env: tuple[str, ...] = ()) -> str:
                 ds = f"({ds})"
             return f"{ds} -> {print_ftype(c, env)}"
         case Forall(b, hint):
-            from .syntax import fresh_name
             name = fresh_name(hint or "a", set(env) | set(ftype_vars(b)))
             return f"forall {name}. {print_ftype(b, (name,) + env)}"
     raise TypeError(t)
 
 
 def print_fterm(t: FTerm, env: tuple[str, ...] = (), tyenv: tuple[str, ...] = ()) -> str:
-    from .syntax import fresh_name
     match t:
         case FVar(n):
             return n

@@ -18,10 +18,11 @@ from .errors import (AnnotationMismatchError, CannotInferError,
                      NoSuchAssumptionError, NotClassicalError, NotStrongError,
                      SignMismatchError, TypeMismatchError, TypingError,
                      TypesNotOppositeError, UnboundVariableError)
-from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, Abs, And, Bound, CApp,
-                     CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
-                     Proj, PureProp, Term, Var, clam, case as mk_case,
-                     fresh_name, fv, open_binder, opposite, truncate)
+from .syntax import (CLASSICAL, INJECTED, MINUS, PAIRED, PLUS, STANCE, STRONG,
+                     Abs, Bound, CApp, CLam, Case, Inj, MProp, Mode, Neg,
+                     NegE, NegI, Or, Pair, Proj, PureProp, Term, Var, clam,
+                     case as mk_case, flip, fresh_name, fv, open_binder,
+                     opposite, prop_dual, strong_noun, term_dual, truncate)
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +126,22 @@ def infer_type(ctx: Context, t: Term) -> Derivation:
         case Pair(sign, left, right):
             dl = infer_type(ctx, left)
             dr = infer_type(ctx, right)
-            if sign == PLUS:
-                _expect_mode(dl.conclusion, CLASSICAL, PLUS, "pair+ left component")
-                _expect_mode(dr.conclusion, CLASSICAL, PLUS, "pair+ right component")
-                concl = MProp(And(dl.conclusion.base, dr.conclusion.base), Mode(STRONG, PLUS))
-                return Derivation("IAnd+", ctx, t, concl, (dl, dr))
-            _expect_mode(dl.conclusion, CLASSICAL, MINUS, "pair- left component")
-            _expect_mode(dr.conclusion, CLASSICAL, MINUS, "pair- right component")
-            concl = MProp(Or(dl.conclusion.base, dr.conclusion.base), Mode(STRONG, MINUS))
-            return Derivation("IOr-", ctx, t, concl, (dl, dr))
+            _expect_mode(dl.conclusion, CLASSICAL, sign, f"pair{sign} left component")
+            _expect_mode(dr.conclusion, CLASSICAL, sign, f"pair{sign} right component")
+            conn = PAIRED[sign]
+            concl = MProp(conn(dl.conclusion.base, dr.conclusion.base), Mode(STRONG, sign))
+            return Derivation(f"I{conn.__name__}{sign}", ctx, t, concl, (dl, dr))
 
         case Proj(sign, index, body):
             db = infer_type(ctx, body)
             p = db.conclusion
-            if sign == PLUS:
-                if not (isinstance(p.base, And) and p.mode == Mode(STRONG, PLUS)):
-                    raise ModeMismatchError(f"proj{index}+ needs a strong conjunction, found {p}")
-                comp = p.base.left if index == 1 else p.base.right
-                return Derivation("EAnd+", ctx, t, MProp(comp, Mode(CLASSICAL, PLUS)), (db,))
-            if not (isinstance(p.base, Or) and p.mode == Mode(STRONG, MINUS)):
-                raise ModeMismatchError(f"proj{index}- needs a strong disjunction denial, found {p}")
+            conn = PAIRED[sign]
+            if not (isinstance(p.base, conn) and p.mode == Mode(STRONG, sign)):
+                raise ModeMismatchError(
+                    f"proj{index}{sign} needs a {strong_noun(conn, sign)}, found {p}")
             comp = p.base.left if index == 1 else p.base.right
-            return Derivation("EOr-", ctx, t, MProp(comp, Mode(CLASSICAL, MINUS)), (db,))
+            return Derivation(f"E{conn.__name__}{sign}", ctx, t,
+                              MProp(comp, Mode(CLASSICAL, sign)), (db,))
 
         case Inj(_, _, _):
             raise CannotInferError(
@@ -158,51 +153,32 @@ def infer_type(ctx: Context, t: Term) -> Derivation:
         case NegI(sign, body):
             db = infer_type(ctx, body)
             p = db.conclusion
-            if sign == PLUS:
-                _expect_mode(p, CLASSICAL, MINUS, "negi+ premise")
-                return Derivation("INeg+", ctx, t, MProp(Neg(p.base), Mode(STRONG, PLUS)), (db,))
-            _expect_mode(p, CLASSICAL, PLUS, "negi- premise")
-            return Derivation("INeg-", ctx, t, MProp(Neg(p.base), Mode(STRONG, MINUS)), (db,))
+            _expect_mode(p, CLASSICAL, flip(sign), f"negi{sign} premise")
+            return Derivation(f"INeg{sign}", ctx, t, MProp(Neg(p.base), Mode(STRONG, sign)), (db,))
 
         case NegE(sign, body):
             db = infer_type(ctx, body)
             p = db.conclusion
             if not (isinstance(p.base, Neg) and p.mode == Mode(STRONG, sign)):
                 raise ModeMismatchError(f"nege{sign} needs a strong negation, found {p}")
-            inner = p.base.inner
-            mode = Mode(CLASSICAL, MINUS if sign == PLUS else PLUS)
-            rule = "ENeg+" if sign == PLUS else "ENeg-"
-            return Derivation(rule, ctx, t, MProp(inner, mode), (db,))
+            concl = MProp(p.base.inner, Mode(CLASSICAL, flip(sign)))
+            return Derivation(f"ENeg{sign}", ctx, t, concl, (db,))
 
         case CLam(sign, annot, body, hint):
-            if sign == PLUS:
-                if annot.mode != Mode(CLASSICAL, MINUS):
-                    raise AnnotationMismatchError(
-                        f"clam+ binder must assume a classical denial, found {annot}")
-                goal = MProp(annot.base, Mode(STRONG, PLUS))
-                concl = MProp(annot.base, Mode(CLASSICAL, PLUS))
-                rule = "IC+"
-            else:
-                if annot.mode != Mode(CLASSICAL, PLUS):
-                    raise AnnotationMismatchError(
-                        f"clam- binder must assume a classical affirmation, found {annot}")
-                goal = MProp(annot.base, Mode(STRONG, MINUS))
-                concl = MProp(annot.base, Mode(CLASSICAL, MINUS))
-                rule = "IC-"
+            if annot.mode != Mode(CLASSICAL, flip(sign)):
+                raise AnnotationMismatchError(f"clam{sign} binder must assume a classical "
+                                              f"{STANCE[flip(sign)]}, found {annot}")
             x = _fresh(hint, ctx, body)
-            db = check_type(ctx.extend(x, annot), open_binder(body, x), goal)
-            return Derivation(rule, ctx, t, concl, (db,))
+            db = check_type(ctx.extend(x, annot), open_binder(body, x),
+                            MProp(annot.base, Mode(STRONG, sign)))
+            return Derivation(f"IC{sign}", ctx, t, MProp(annot.base, Mode(CLASSICAL, sign)), (db,))
 
         case CApp(sign, fun, arg):
             df = infer_type(ctx, fun)
             p = df.conclusion
-            if sign == PLUS:
-                _expect_mode(p, CLASSICAL, PLUS, "capp+ function")
-                da = check_type(ctx, arg, MProp(p.base, Mode(CLASSICAL, MINUS)))
-                return Derivation("EC+", ctx, t, MProp(p.base, Mode(STRONG, PLUS)), (df, da))
-            _expect_mode(p, CLASSICAL, MINUS, "capp- function")
-            da = check_type(ctx, arg, MProp(p.base, Mode(CLASSICAL, PLUS)))
-            return Derivation("EC-", ctx, t, MProp(p.base, Mode(STRONG, MINUS)), (df, da))
+            _expect_mode(p, CLASSICAL, sign, f"capp{sign} function")
+            da = check_type(ctx, arg, MProp(p.base, Mode(CLASSICAL, flip(sign))))
+            return Derivation(f"EC{sign}", ctx, t, MProp(p.base, Mode(STRONG, sign)), (df, da))
 
     raise TypeError(t)
 
@@ -210,20 +186,13 @@ def infer_type(ctx: Context, t: Term) -> Derivation:
 def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivation:
     sign = t.sign
     p1, p2 = t.annot1, t.annot2
-    if sign == PLUS:
-        for which, p in (("first", p1), ("second", p2)):
-            if p.mode != Mode(CLASSICAL, PLUS):
-                raise AnnotationMismatchError(
-                    f"case+ {which} binder must assume a classical affirmation, found {p}")
-        scrut_ty = MProp(Or(p1.base, p2.base), Mode(STRONG, PLUS))
-        rule = "EOr+"
-    else:
-        for which, p in (("first", p1), ("second", p2)):
-            if p.mode != Mode(CLASSICAL, MINUS):
-                raise AnnotationMismatchError(
-                    f"case- {which} binder must assume a classical denial, found {p}")
-        scrut_ty = MProp(And(p1.base, p2.base), Mode(STRONG, MINUS))
-        rule = "EAnd-"
+    for which, p in (("first", p1), ("second", p2)):
+        if p.mode != Mode(CLASSICAL, sign):
+            raise AnnotationMismatchError(f"case{sign} {which} binder must assume a "
+                                          f"classical {STANCE[sign]}, found {p}")
+    conn = INJECTED[sign]
+    scrut_ty = MProp(conn(p1.base, p2.base), Mode(STRONG, sign))
+    rule = f"E{conn.__name__}{sign}"
 
     try:
         dsc = infer_type(ctx, t.scrutinee)
@@ -262,40 +231,29 @@ def check_type(ctx: Context, t: Term, expected: MProp) -> Derivation:
     match t:
         case Inj(sign, index, body):
             base = expected.base
-            if sign == PLUS:
-                if not (isinstance(base, Or) and expected.mode == Mode(STRONG, PLUS)):
-                    raise TypeMismatchError(f"in{index}+ builds a strong disjunction, "
-                                            f"cannot have type {expected}")
-                comp = base.left if index == 1 else base.right
-                db = check_type(ctx, body, MProp(comp, Mode(CLASSICAL, PLUS)))
-                return Derivation("IOr+", ctx, t, expected, (db,))
-            if not (isinstance(base, And) and expected.mode == Mode(STRONG, MINUS)):
-                raise TypeMismatchError(f"in{index}- builds a strong conjunction denial, "
+            conn = INJECTED[sign]
+            if not (isinstance(base, conn) and expected.mode == Mode(STRONG, sign)):
+                raise TypeMismatchError(f"in{index}{sign} builds a {strong_noun(conn, sign)}, "
                                         f"cannot have type {expected}")
             comp = base.left if index == 1 else base.right
-            db = check_type(ctx, body, MProp(comp, Mode(CLASSICAL, MINUS)))
-            return Derivation("IAnd-", ctx, t, expected, (db,))
+            db = check_type(ctx, body, MProp(comp, Mode(CLASSICAL, sign)))
+            return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (db,))
 
         case Pair(sign, left, right):
             base = expected.base
-            if sign == PLUS and isinstance(base, And) and expected.mode == Mode(STRONG, PLUS):
-                dl = check_type(ctx, left, MProp(base.left, Mode(CLASSICAL, PLUS)))
-                dr = check_type(ctx, right, MProp(base.right, Mode(CLASSICAL, PLUS)))
-                return Derivation("IAnd+", ctx, t, expected, (dl, dr))
-            if sign == MINUS and isinstance(base, Or) and expected.mode == Mode(STRONG, MINUS):
-                dl = check_type(ctx, left, MProp(base.left, Mode(CLASSICAL, MINUS)))
-                dr = check_type(ctx, right, MProp(base.right, Mode(CLASSICAL, MINUS)))
-                return Derivation("IOr-", ctx, t, expected, (dl, dr))
-            raise TypeMismatchError(f"pair{sign} cannot have type {expected}")
+            conn = PAIRED[sign]
+            if not (isinstance(base, conn) and expected.mode == Mode(STRONG, sign)):
+                raise TypeMismatchError(f"pair{sign} cannot have type {expected}")
+            dl = check_type(ctx, left, MProp(base.left, Mode(CLASSICAL, sign)))
+            dr = check_type(ctx, right, MProp(base.right, Mode(CLASSICAL, sign)))
+            return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (dl, dr))
 
         case NegI(sign, body):
             base = expected.base
             if not (isinstance(base, Neg) and expected.mode == Mode(STRONG, sign)):
                 raise TypeMismatchError(f"negi{sign} cannot have type {expected}")
-            inner_mode = Mode(CLASSICAL, MINUS if sign == PLUS else PLUS)
-            db = check_type(ctx, body, MProp(base.inner, inner_mode))
-            rule = "INeg+" if sign == PLUS else "INeg-"
-            return Derivation(rule, ctx, t, expected, (db,))
+            db = check_type(ctx, body, MProp(base.inner, Mode(CLASSICAL, flip(sign))))
+            return Derivation(f"INeg{sign}", ctx, t, expected, (db,))
 
         case Case(_, _, _, _, _, _):
             d = _case_derivation(ctx, t, expected=expected)
@@ -330,9 +288,7 @@ def abs_general_at(q: MProp, t: Term, s: Term, p: MProp) -> Term:
     """Generalized absurdity abs{q}(t, s) where t : p and s : opposite(p)."""
     if p.is_strong:
         return Abs(q, t, s)
-    if p.sign == PLUS:
-        return Abs(q, CApp(PLUS, t, s), CApp(MINUS, s, t))
-    return Abs(q, CApp(MINUS, t, s), CApp(PLUS, s, t))
+    return Abs(q, CApp(p.sign, t, s), CApp(flip(p.sign), s, t))
 
 
 def mk_abs_general(ctx: Context, q: MProp, t: Term, s: Term) -> Term:
@@ -353,11 +309,8 @@ def contrapose_at(x: str, p: MProp, y: str, t: Term, q: MProp) -> Term:
     of opposite(p) under the assumption y : opposite(q)."""
     if not p.is_classical:
         raise NotClassicalError(f"contraposition needs a classical assumption, found {p}")
-    if p.sign == PLUS:
-        body = abs_general_at(MProp(p.base, Mode(STRONG, MINUS)), t, Var(y), q)
-        return clam(MINUS, x, p, body)
-    body = abs_general_at(MProp(p.base, Mode(STRONG, PLUS)), t, Var(y), q)
-    return clam(PLUS, x, p, body)
+    body = abs_general_at(MProp(p.base, Mode(STRONG, flip(p.sign))), t, Var(y), q)
+    return clam(flip(p.sign), x, p, body)
 
 
 def mk_contrapose(ctx: Context, x: str, y: str, t: Term) -> Term:
@@ -373,34 +326,22 @@ def mk_contrapose(ctx: Context, x: str, y: str, t: Term) -> Term:
 
 def mk_lem(a: PureProp, sign: str) -> Term:
     """Closed witnesses of the classical excluded middle (sign +, type
-    (a | ~a)^c+) and non-contradiction (sign -, type (a & ~a)^c-)."""
-    if sign == PLUS:
-        disj = Or(a, Neg(a))
-        d_cm = MProp(disj, Mode(CLASSICAL, MINUS))
-        na_cm = MProp(Neg(a), Mode(CLASSICAL, MINUS))
-        a_cm = MProp(a, Mode(CLASSICAL, MINUS))
-        inner = clam(PLUS, "w", d_cm,
-                     Inj(PLUS, 1, clam(PLUS, "z", a_cm,
-                         abs_general_at(MProp(a, Mode(STRONG, PLUS)),
-                                        Var("y"),
-                                        clam(PLUS, "v", na_cm, NegI(PLUS, Var("z"))),
-                                        na_cm))))
-        return clam(PLUS, "x", d_cm,
-                    Inj(PLUS, 2, clam(PLUS, "y", na_cm,
-                        NegI(PLUS, Proj(MINUS, 1, CApp(MINUS, Var("x"), inner))))))
-    conj = And(a, Neg(a))
-    c_cp = MProp(conj, Mode(CLASSICAL, PLUS))
-    na_cp = MProp(Neg(a), Mode(CLASSICAL, PLUS))
-    a_cp = MProp(a, Mode(CLASSICAL, PLUS))
-    inner = clam(MINUS, "w", c_cp,
-                 Inj(MINUS, 1, clam(MINUS, "z", a_cp,
-                     abs_general_at(MProp(a, Mode(STRONG, MINUS)),
+    (a | ~a)^c+) and non-contradiction (sign -, type (a & ~a)^c-); the
+    second is the dual of the first."""
+    if sign == MINUS:
+        return term_dual(mk_lem(prop_dual(a), PLUS))
+    d_cm = MProp(Or(a, Neg(a)), Mode(CLASSICAL, MINUS))
+    na_cm = MProp(Neg(a), Mode(CLASSICAL, MINUS))
+    a_cm = MProp(a, Mode(CLASSICAL, MINUS))
+    inner = clam(PLUS, "w", d_cm,
+                 Inj(PLUS, 1, clam(PLUS, "z", a_cm,
+                     abs_general_at(MProp(a, Mode(STRONG, PLUS)),
                                     Var("y"),
-                                    clam(MINUS, "v", na_cp, NegI(MINUS, Var("z"))),
-                                    na_cp))))
-    return clam(MINUS, "x", c_cp,
-                Inj(MINUS, 2, clam(MINUS, "y", na_cp,
-                    NegI(MINUS, Proj(PLUS, 1, CApp(PLUS, Var("x"), inner))))))
+                                    clam(PLUS, "v", na_cm, NegI(PLUS, Var("z"))),
+                                    na_cm))))
+    return clam(PLUS, "x", d_cm,
+                Inj(PLUS, 2, clam(PLUS, "y", na_cm,
+                    NegI(PLUS, Proj(MINUS, 1, CApp(MINUS, Var("x"), inner))))))
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +353,14 @@ def pc_term(t: Term, p: MProp, taken: frozenset[str] | set[str]) -> Term:
     if p.is_classical:
         return t
     z = fresh_name("w", set(taken) | fv(t))
-    if p.sign == PLUS:
-        return clam(PLUS, z, MProp(p.base, Mode(CLASSICAL, MINUS)), t)
-    return clam(MINUS, z, MProp(p.base, Mode(CLASSICAL, PLUS)), t)
+    return clam(p.sign, z, MProp(p.base, Mode(CLASSICAL, flip(p.sign))), t)
 
 
 def cs_term(name: str, t: Term, p: MProp) -> Term:
     """Classical strengthening: discharge name : opposite(p) around t : p."""
     if not p.is_classical:
         raise NotClassicalError(f"classical strengthening needs a classical type, found {p}")
-    if p.sign == PLUS:
-        return clam(PLUS, name, opposite(p), CApp(PLUS, t, Var(name)))
-    return clam(MINUS, name, opposite(p), CApp(MINUS, t, Var(name)))
+    return clam(p.sign, name, opposite(p), CApp(p.sign, t, Var(name)))
 
 
 def project_derivation(d: Derivation, target: str) -> Derivation:
@@ -461,8 +398,9 @@ def _project(d: Derivation, target: str) -> Term:
 
         case "IAnd+" | "IOr-":
             dl, dr = d.premises
-            sign = PLUS if d.rule == "IAnd+" else MINUS
-            return pc_term(Pair(sign, _project(dl, target), _project(dr, target)), q, taken)
+            assert isinstance(d.subject, Pair)
+            return pc_term(Pair(d.subject.sign, _project(dl, target), _project(dr, target)),
+                           q, taken)
 
         case "IOr+" | "IAnd-":
             (db,) = d.premises
@@ -477,13 +415,9 @@ def _project(d: Derivation, target: str) -> Term:
             pair_p = truncate(db.conclusion)
             z = fresh_name("z", set(taken) | fv(t0))
             w = fresh_name("w", set(taken) | fv(t0) | {z})
-            if sign == PLUS:
-                # cs( proj_i+( capp+(t0, clam-(w. in_i-(z))) ) ) at A_i^c+
-                arg = clam(MINUS, w, pair_p, Inj(MINUS, index, Var(z)))
-                body = Proj(PLUS, index, CApp(PLUS, t0, arg))
-            else:
-                arg = clam(PLUS, w, pair_p, Inj(PLUS, index, Var(z)))
-                body = Proj(MINUS, index, CApp(MINUS, t0, arg))
+            # cs( proj_i+( capp+(t0, clam-(w. in_i-(z))) ) ) at A_i^c+, and its dual
+            arg = clam(flip(sign), w, pair_p, Inj(flip(sign), index, Var(z)))
+            body = Proj(sign, index, CApp(sign, t0, arg))
             return cs_term(z, body, q)
 
         case "EOr+" | "EAnd-":
@@ -502,12 +436,8 @@ def _project(d: Derivation, target: str) -> Term:
             contra2 = contrapose_at(n2, p2, ystar, s2, tq)
             scrut_p = truncate(dsc.conclusion)
             w = fresh_name("w", set(taken) | fv(sc) | {ystar})
-            if sign == PLUS:
-                refut = clam(MINUS, w, scrut_p, Pair(MINUS, contra1, contra2))
-                scrut = CApp(PLUS, sc, refut)
-            else:
-                refut = clam(PLUS, w, scrut_p, Pair(PLUS, contra1, contra2))
-                scrut = CApp(MINUS, sc, refut)
+            refut = clam(flip(sign), w, scrut_p, Pair(flip(sign), contra1, contra2))
+            scrut = CApp(sign, sc, refut)
             body = mk_case(sign, scrut, (n1, p1, s1), (n2, p2, s2))
             return cs_term(ystar, body, tq)
 
@@ -524,12 +454,8 @@ def _project(d: Derivation, target: str) -> Term:
             neg_p = truncate(db.conclusion)
             z = fresh_name("z", set(taken) | fv(t0))
             w = fresh_name("w", set(taken) | fv(t0) | {z})
-            if sign == PLUS:
-                arg = clam(MINUS, w, neg_p, NegI(MINUS, Var(z)))
-                body = NegE(PLUS, CApp(PLUS, t0, arg))
-            else:
-                arg = clam(PLUS, w, neg_p, NegI(PLUS, Var(z)))
-                body = NegE(MINUS, CApp(MINUS, t0, arg))
+            arg = clam(flip(sign), w, neg_p, NegI(flip(sign), Var(z)))
+            body = NegE(sign, CApp(sign, t0, arg))
             return cs_term(z, body, q)
 
         case "IC+" | "IC-":

@@ -5,7 +5,7 @@ from prk.kripke import (KripkeModel, counter_model_lem, countermodel_search,
                         enumerate_models, entails_in_model, forces,
                         parse_model, print_model, validate_model)
 from prk.surface import parse_mprop
-from prk.syntax import MProp, Mode, opposite
+from prk.syntax import MODES, MProp, Mode, mprop_dual, opposite
 
 
 def mp(src):
@@ -120,6 +120,20 @@ def test_rule_of_classical_forcing(models_1var):
                 rhs = all(forces(m, v, minus_s)
                           for v in m.above(w) if forces(m, v, plus_c))
                 assert lhs == rhs
+
+
+def test_forcing_duality(models_1var, models_2var):
+    # swapping the positive and negative valuations mirrors forcing: a
+    # world forces p in m iff it forces the dual of p in the swapped model
+    from prk.gen import all_pure_props
+    for models, atoms in ((models_1var, ("a",)), (models_2var, ("a", "b"))):
+        props = [MProp(base, mode) for base in all_pure_props(atoms, 2) for mode in MODES]
+        for m in models:
+            swapped = KripkeModel(m.alphabet, m.worlds, m.leq, m.vminus, m.vplus)
+            assert validate_model(swapped).valid
+            for w in m.worlds:
+                for p in props:
+                    assert forces(m, w, p) == forces(swapped, w, mprop_dual(p))
 
 
 # -- soundness spot-check -----------------------------------------------------------

@@ -2,8 +2,8 @@ import pytest
 
 from prk.errors import (AnnotationMismatchError, CannotInferError,
                         ModeMismatchError, NoSuchAssumptionError,
-                        NotClassicalError, NotStrongError, TypingError,
-                        UnboundVariableError)
+                        NotClassicalError, NotStrongError, SignMismatchError,
+                        TypeMismatchError, TypingError, UnboundVariableError)
 from prk.surface import parse_mprop, parse_term
 from prk.syntax import (And, MProp, Mode, Neg, Or, PVar, Pair, Var, dual,
                         fv, opposite, substitute, truncate)
@@ -46,7 +46,6 @@ def test_unbound_variable():
 
 
 def test_sign_mismatch():
-    from prk.errors import SignMismatchError
     ctx = ctx_of(("x", "a^c-"), ("y", "b^c+"))
     with pytest.raises(SignMismatchError):
         infer_type(ctx, Pair("+", Var("x"), Var("y")))
@@ -155,13 +154,163 @@ def test_cut(term_gen, rng):
         assert check_type(ctx, substitute(t, x, s), goal).conclusion == goal
 
 
+# Each mirrored rule once per sign: (context, term, expected type or None
+# for inference, exception class, exact message).  The `-` rows are the
+# duals of the `+` rows; the CLI prints these messages as `ill-typed: ...`.
+MIRRORED_ERRORS = {
+    "+": [
+        ((("x", "a^c-"), ("y", "b^c+")), "pair+(x, y)", None, SignMismatchError,
+         "pair+ left component: expected sign +, found a^c-"),
+        ((("x", "a^c+"), ("y", "b^s+")), "pair+(x, y)", None, ModeMismatchError,
+         "pair+ right component: expected c+ mode, found b^s+"),
+        ((("x", "(a | b)^s+"),), "proj1+(x)", None, ModeMismatchError,
+         "proj1+ needs a strong conjunction, found (a | b)^s+"),
+        ((("x", "(a & b)^s-"),), "proj2+(x)", None, ModeMismatchError,
+         "proj2+ needs a strong conjunction, found (a & b)^s-"),
+        ((("x", "(a | b)^s+"), ("u", "c^c+")), "case+(x, y : a^c-. u, z : b^c+. u)", None,
+         AnnotationMismatchError,
+         "case+ first binder must assume a classical affirmation, found a^c-"),
+        ((("x", "(a | b)^s+"), ("u", "c^c+")), "case+(x, y : a^c+. u, z : b^s+. u)", None,
+         AnnotationMismatchError,
+         "case+ second binder must assume a classical affirmation, found b^s+"),
+        ((("x", "(a & b)^s+"), ("u", "c^c+")), "case+(x, y : a^c+. u, z : b^c+. u)", None,
+         AnnotationMismatchError,
+         "case binder annotations require scrutinee type (a | b)^s+, found (a & b)^s+"),
+        ((("x", "a^s+"),), "clam+(k : a^c+. x)", None, AnnotationMismatchError,
+         "clam+ binder must assume a classical denial, found a^c+"),
+        ((("f", "a^c-"), ("x", "a^c-")), "capp+(f, x)", None, SignMismatchError,
+         "capp+ function: expected sign +, found a^c-"),
+        ((("f", "a^s+"), ("x", "a^c-")), "capp+(f, x)", None, ModeMismatchError,
+         "capp+ function: expected c+ mode, found a^s+"),
+        ((("x", "a^c+"),), "negi+(x)", None, SignMismatchError,
+         "negi+ premise: expected sign -, found a^c+"),
+        ((("x", "~a^s-"),), "nege+(x)", None, ModeMismatchError,
+         "nege+ needs a strong negation, found ~a^s-"),
+        ((("x", "a^c+"),), "in1+(x)", "(a & b)^s+", TypeMismatchError,
+         "in1+ builds a strong disjunction, cannot have type (a & b)^s+"),
+        ((("x", "a^c+"),), "in2+(x)", "(a | b)^s-", TypeMismatchError,
+         "in2+ builds a strong disjunction, cannot have type (a | b)^s-"),
+        ((("x", "a^c+"), ("y", "b^c+")), "pair+(x, y)", "(a | b)^s+", TypeMismatchError,
+         "pair+ cannot have type (a | b)^s+"),
+        ((("x", "a^c-"),), "negi+(x)", "~a^s-", TypeMismatchError,
+         "negi+ cannot have type ~a^s-"),
+    ],
+    "-": [
+        ((("x", "a^c+"), ("y", "b^c-")), "pair-(x, y)", None, SignMismatchError,
+         "pair- left component: expected sign -, found a^c+"),
+        ((("x", "a^c-"), ("y", "b^s-")), "pair-(x, y)", None, ModeMismatchError,
+         "pair- right component: expected c- mode, found b^s-"),
+        ((("x", "(a & b)^s-"),), "proj1-(x)", None, ModeMismatchError,
+         "proj1- needs a strong disjunction denial, found (a & b)^s-"),
+        ((("x", "(a | b)^s+"),), "proj2-(x)", None, ModeMismatchError,
+         "proj2- needs a strong disjunction denial, found (a | b)^s+"),
+        ((("x", "(a & b)^s-"), ("u", "c^c-")), "case-(x, y : a^c+. u, z : b^c-. u)", None,
+         AnnotationMismatchError,
+         "case- first binder must assume a classical denial, found a^c+"),
+        ((("x", "(a & b)^s-"), ("u", "c^c-")), "case-(x, y : a^c-. u, z : b^s-. u)", None,
+         AnnotationMismatchError,
+         "case- second binder must assume a classical denial, found b^s-"),
+        ((("x", "(a | b)^s-"), ("u", "c^c-")), "case-(x, y : a^c-. u, z : b^c-. u)", None,
+         AnnotationMismatchError,
+         "case binder annotations require scrutinee type (a & b)^s-, found (a | b)^s-"),
+        ((("x", "a^s-"),), "clam-(k : a^c-. x)", None, AnnotationMismatchError,
+         "clam- binder must assume a classical affirmation, found a^c-"),
+        ((("f", "a^c+"), ("x", "a^c+")), "capp-(f, x)", None, SignMismatchError,
+         "capp- function: expected sign -, found a^c+"),
+        ((("f", "a^s-"), ("x", "a^c+")), "capp-(f, x)", None, ModeMismatchError,
+         "capp- function: expected c- mode, found a^s-"),
+        ((("x", "a^c-"),), "negi-(x)", None, SignMismatchError,
+         "negi- premise: expected sign +, found a^c-"),
+        ((("x", "~a^s+"),), "nege-(x)", None, ModeMismatchError,
+         "nege- needs a strong negation, found ~a^s+"),
+        ((("x", "a^c-"),), "in1-(x)", "(a | b)^s-", TypeMismatchError,
+         "in1- builds a strong conjunction denial, cannot have type (a | b)^s-"),
+        ((("x", "a^c-"),), "in2-(x)", "(a & b)^s+", TypeMismatchError,
+         "in2- builds a strong conjunction denial, cannot have type (a & b)^s+"),
+        ((("x", "a^c-"), ("y", "b^c-")), "pair-(x, y)", "(a & b)^s-", TypeMismatchError,
+         "pair- cannot have type (a & b)^s-"),
+        ((("x", "a^c+"),), "negi-(x)", "~a^s+", TypeMismatchError,
+         "negi- cannot have type ~a^s+"),
+    ],
+}
+
+# Well-typed instances of the same rules: (context, term, expected type or
+# None, rule name of the root).
+MIRRORED_RULES = {
+    "+": [
+        ((("x", "a^c+"), ("y", "b^c+")), "pair+(x, y)", None, "IAnd+"),
+        ((("x", "a^c+"), ("y", "b^c+")), "pair+(x, y)", "(a & b)^s+", "IAnd+"),
+        ((("x", "(a & b)^s+"),), "proj2+(x)", None, "EAnd+"),
+        ((("x", "a^c+"),), "in1+(x)", "(a | b)^s+", "IOr+"),
+        ((("x", "(a | b)^s+"), ("u", "c^c+")), "case+(x, y : a^c+. u, z : b^c+. u)", None,
+         "EOr+"),
+        ((("x", "(a | b)^s+"), ("u", "c^c+")), "case+(x, y : a^c+. u, z : b^c+. u)", "c^c+",
+         "EOr+"),
+        ((("x", "a^c-"),), "negi+(x)", None, "INeg+"),
+        ((("x", "a^c-"),), "negi+(x)", "~a^s+", "INeg+"),
+        ((("x", "~a^s+"),), "nege+(x)", None, "ENeg+"),
+        ((("x", "a^s+"),), "clam+(k : a^c-. x)", None, "IC+"),
+        ((("f", "a^c+"), ("x", "a^c-")), "capp+(f, x)", None, "EC+"),
+    ],
+    "-": [
+        ((("x", "a^c-"), ("y", "b^c-")), "pair-(x, y)", None, "IOr-"),
+        ((("x", "a^c-"), ("y", "b^c-")), "pair-(x, y)", "(a | b)^s-", "IOr-"),
+        ((("x", "(a | b)^s-"),), "proj2-(x)", None, "EOr-"),
+        ((("x", "a^c-"),), "in1-(x)", "(a & b)^s-", "IAnd-"),
+        ((("x", "(a & b)^s-"), ("u", "c^c-")), "case-(x, y : a^c-. u, z : b^c-. u)", None,
+         "EAnd-"),
+        ((("x", "(a & b)^s-"), ("u", "c^c-")), "case-(x, y : a^c-. u, z : b^c-. u)", "c^c-",
+         "EAnd-"),
+        ((("x", "a^c+"),), "negi-(x)", None, "INeg-"),
+        ((("x", "a^c+"),), "negi-(x)", "~a^s-", "INeg-"),
+        ((("x", "~a^s-"),), "nege-(x)", None, "ENeg-"),
+        ((("x", "a^s-"),), "clam-(k : a^c+. x)", None, "IC-"),
+        ((("f", "a^c-"), ("x", "a^c+")), "capp-(f, x)", None, "EC-"),
+    ],
+}
+
+
+def _judge(ctx, src, expected):
+    ctx, t = ctx_of(*ctx), parse_term(src)
+    if expected is None:
+        return infer_type(ctx, t)
+    return check_type(ctx, t, parse_mprop(expected))
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_mirrored_rules_messages_and_names(sign):
+    for ctx, src, expected, error, message in MIRRORED_ERRORS[sign]:
+        with pytest.raises(error) as info:
+            _judge(ctx, src, expected)
+        assert type(info.value) is error and str(info.value) == message, src
+    for ctx, src, expected, rule in MIRRORED_RULES[sign]:
+        assert _judge(ctx, src, expected).rule == rule, src
+
+
+_MIRROR = {"IAnd+": "IOr-", "IOr+": "IAnd-", "EAnd+": "EOr-", "EOr+": "EAnd-"}
+_MIRROR.update({v: k for k, v in _MIRROR.items()})
+
+
+def _mirror_rule(rule):
+    if rule in ("Ax", "Abs"):
+        return rule
+    return _MIRROR.get(rule) or rule[:-1] + ("-" if rule[-1] == "+" else "+")
+
+
+def _rules(d):
+    return [d.rule] + [r for p in d.premises for r in _rules(p)]
+
+
 def test_duality_of_typing(term_gen):
-    for _ in range(60):
+    for _ in range(300):
         ctx = term_gen.base_context()
         goal = term_gen.props.mprop(2)
         t = term_gen.term(ctx, goal, 3)
         dctx = Context(tuple((n, dual(p)) for n, p in ctx))
-        assert check_type(dctx, dual(t), dual(goal)).conclusion == dual(goal)
+        d = check_type(ctx, t, goal)
+        dd = check_type(dctx, dual(t), dual(goal))
+        assert dd.conclusion == dual(goal)
+        assert _rules(dd) == [_mirror_rule(r) for r in _rules(d)]
 
 
 # -- combinators ---------------------------------------------------------------
@@ -229,6 +378,7 @@ def test_mk_lem_dual(prop_gen):
         t = dual(mk_lem(base, "+"))
         expected = dual(MProp(Or(base, Neg(base)), CP))
         assert infer_type(Context(), t).conclusion == expected
+        assert mk_lem(base, "-") == dual(mk_lem(dual(base), "+"))
 
 
 # -- projection --------------------------------------------------------------
