@@ -194,6 +194,16 @@ def test_positive_counts_accepted(capsys, tmp_path):
     assert code == 0 and "inconclusive" in out
 
 
+def test_fuel_allows_exactly_n_contractions(capsys, tmp_path):
+    judgment = tmp_path / "chain2.prk"
+    judgment.write_text("x : a^c+\n|- nege-(negi-(nege-(negi-(x))))\n")
+    code, out, _ = run(capsys, "normalize", "--fuel", "2", str(judgment))
+    assert code == 0 and out.strip() == "x"
+    code, out, err = run(capsys, "normalize", "--fuel", "1", str(judgment))
+    assert code == 1 and out == ""
+    assert err.strip() == "error: no normal form within 1 steps (this signals a bug for typed terms)"
+
+
 def test_kripke_eval_unknown_world_is_usage_error(capsys):
     code, out, err = run(capsys, "kripke", "eval", str(GOLDEN / "lem3.model"),
                          "w9", "a^s+")

@@ -1,10 +1,15 @@
+import sys
+
 import pytest
 
+from prk import rewrite
 from prk.errors import DerivationMismatchError, FuelExhaustedError
-from prk.rewrite import (ETA, PLAIN, classify, is_neutral, is_normal,
-                         normalize, replay, step)
+from prk.gen import TypedEnumerator
+from prk.rewrite import (ETA, PLAIN, all_redexes, apply_at, classify,
+                         is_neutral, is_normal, normalize, replay, step,
+                         subterm_at)
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import Var
+from prk.syntax import NegE, NegI, Pair, Proj, PVar, Var
 from prk.typecheck import Context, check_type, infer_type
 
 
@@ -102,6 +107,111 @@ def test_fuel_exhaustion_signalled():
     with pytest.raises(FuelExhaustedError):
         normalize(looping, fuel=50)
     assert omega_half is not None
+
+
+def chain(family, n):
+    """nege-(negi-(...x)) or proj1+(pair+(..., y)): n redexes, all at the root."""
+    t = Var("x")
+    for _ in range(n):
+        t = NegE("-", NegI("-", t)) if family == "neg" else Proj("+", 1, Pair("+", t, Var("y")))
+    return t
+
+
+@pytest.mark.parametrize("strategy", ["lo", "ri"])
+def test_fuel_counts_contractions(strategy):
+    # fuel n allows n contractions; it runs out only if a redex remains
+    for n in (1, 2, 5):
+        nf, trace = normalize(chain("neg", n), fuel=n, strategy=strategy)
+        assert nf == Var("x") and len(trace) == n
+        if n > 1:
+            with pytest.raises(FuelExhaustedError, match=f"within {n - 1} steps"):
+                normalize(chain("neg", n), fuel=n - 1, strategy=strategy)
+
+
+def test_trace_order_outer_before_inner():
+    # the case reduct puts the outer proj over a pair holding an inner proj
+    t = t_("proj1+(case+(in1+(u), x : a^c+. pair+(x, proj1+(pair+(v, w))), "
+           "y : b^c+. pair+(y, y)))")
+    nf, trace = normalize(t)
+    assert [(s.position, s.rule) for s in trace] == [((0,), "case"), ((), "proj")]
+    assert nf == Var("u")
+
+
+def test_trace_order_eta_enclosing_clam():
+    # contracting inside the function drops its use of x, making the clam an eta redex
+    t = t_("clam+(x : a^c-. capp+(proj1+(pair+(u, x)), x))")
+    nf, trace = normalize(t, ETA)
+    assert [(s.position, s.rule) for s in trace] == [((0, 0), "proj"), ((), "eta")]
+    assert nf == Var("u")
+    # here the parent becomes a neg redex too, but the outer clam comes first
+    t = t_("clam+(x : a^c-. capp+(nege+(proj1+(pair+(negi+(u), x))), x))")
+    nf, trace = normalize(t, ETA)
+    assert [(s.position, s.rule) for s in trace] == \
+        [((0, 0, 0), "proj"), ((), "eta"), ((), "neg")]
+    assert nf == Var("u")
+
+
+@pytest.mark.parametrize("family", ["neg", "proj"])
+def test_deep_chain_at_default_recursion_limit(family):
+    assert sys.getrecursionlimit() <= 10_000
+    nf, trace = normalize(chain(family, 50_000))
+    assert nf == Var("x") and len(trace) == 50_000
+
+
+@pytest.mark.parametrize("family", ["neg", "proj"])
+def test_normalize_matches_linearly(family, monkeypatch):
+    calls = 0
+    original = rewrite.match_redex
+
+    def counting(t, mode):
+        nonlocal calls
+        calls += 1
+        return original(t, mode)
+
+    monkeypatch.setattr(rewrite, "match_redex", counting)
+    normalize(chain(family, 100))
+    small, calls = calls, 0
+    normalize(chain(family, 3200))
+    assert calls <= 40 * small
+
+
+def _step_loop(t, mode):
+    """The leftmost-outermost reference: repeat `step` until it stops."""
+    trace = []
+    while (nxt := step(t, mode)) is not None:
+        rule, pos, new = nxt
+        trace.append((pos, rule, subterm_at(t, pos), subterm_at(new, pos)))
+        t = new
+    return t, trace
+
+
+def _assert_walk_matches_step_loop(t):
+    for mode in (PLAIN, ETA):
+        nf, trace = normalize(t, mode)
+        assert (nf, [(s.position, s.rule, s.redex, s.reduct) for s in trace]) == \
+            _step_loop(t, mode)
+
+
+@pytest.mark.parametrize("context", ["base", "classical"])
+def test_walk_matches_step_loop_on_corpora(term_gen, rng, context):
+    make_ctx = term_gen.base_context if context == "base" else term_gen.classical_context
+    peaks = 0
+    for _ in range(750):  # c02, c03 and c04 draw their terms so, 500 + 250 in all
+        t = term_gen.sized_term(make_ctx(), term_gen.props.mprop(2), 4)
+        _assert_walk_matches_step_loop(t)
+        redexes = all_redexes(t)
+        if len(redexes) >= 2 and peaks < 200:
+            for pos, _ in rng.sample(redexes, 2):
+                _assert_walk_matches_step_loop(apply_at(t, pos)[1])
+            peaks += 1
+    assert peaks > 20
+
+
+def test_walk_matches_step_loop_on_exhaustive_terms():
+    for ctx in (Context.of(("x", parse_mprop("a^s+")), ("y", parse_mprop("a^s-"))),
+                Context.of(("x", parse_mprop("a^c+")), ("y", parse_mprop("a^c-")))):
+        for t in TypedEnumerator(ctx, (PVar("a"), PVar("b"))).terms(7):
+            _assert_walk_matches_step_loop(t)
 
 
 def test_trace_replays(term_gen):
