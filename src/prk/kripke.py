@@ -52,7 +52,7 @@ class KripkeModel:
         return tuple(v for v in self.worlds if (w, v) in order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     rel = {(w, w) for w in worlds} | set(leq)
     changed = True

@@ -26,7 +26,8 @@ table, so no `-` rule is written out beside its `+` mirror.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Iterator, Sequence, Union
 
 
@@ -56,19 +57,23 @@ def cache_hash(cls):
 # root; deeper(depth, k) adds a table entry k to it.
 
 def make_map(children, rebuild, binders, deeper=operator.add, top=0):
-    """map(t, leaf, depth=top) replaces every leaf u of t by leaf(u, d), d
-    the depth of u.  A node whose children all come back unchanged is
-    returned itself, so a map that changes nothing allocates nothing."""
+    """map(t, leaf, depth=top, keep=None) replaces every leaf u of t by
+    leaf(u, d), d the depth of u; a subtree u with keep(u, d) true is
+    returned as it is, unvisited.  A node whose children all come back
+    unchanged is returned itself, so a map that changes nothing allocates
+    nothing."""
 
-    def tree_map(t, leaf, depth=top):
+    def tree_map(t, leaf, depth=top, keep=None):
+        if keep is not None and keep(t, depth):
+            return t
         kids = children(t)
         if not kids:
             return leaf(t, depth)
         under = binders.get(type(t))
         if under is None:
-            new = [tree_map(c, leaf, depth) for c in kids]
+            new = [tree_map(c, leaf, depth, keep) for c in kids]
         else:
-            new = [tree_map(c, leaf, deeper(depth, k)) for c, k in zip(kids, under)]
+            new = [tree_map(c, leaf, deeper(depth, k), keep) for c, k in zip(kids, under)]
         return t if all(map(operator.is_, new, kids)) else rebuild(t, new)
 
     return tree_map
@@ -108,9 +113,16 @@ def preorder(fold, t) -> list:
     return out
 
 
-def make_debruijn(tree_map, Bound, Free):
+def make_debruijn(tree_map, Bound, Free, free=None):
     """Shifting, substitution and closing for a tree with one kind of
-    binder, built on its map; Bound(i) is an index leaf, Free(n) a name."""
+    binder, built on its map; Bound(i) is an index leaf, Free(n) a name.
+    If given, free(u) starts with u's bound on free indices (largest + 1)
+    and its free names, and each walk skips the subtrees it cannot change."""
+
+    def unchanged(above: int, name=None):
+        """The keep test of a walk that changes only indices >= above + depth and `name`."""
+        return None if free is None else (
+            lambda u, d: (f := free(u))[0] <= above + d and name not in f[1])
 
     def shift(t, amount: int, cutoff: int = 0):
         """Add `amount` to every index >= cutoff (indices below are untouched)."""
@@ -122,7 +134,7 @@ def make_debruijn(tree_map, Bound, Free):
                 return Bound(u.index + amount)
             return u
 
-        return tree_map(t, leaf, cutoff)
+        return tree_map(t, leaf, cutoff, keep=unchanged(0))
 
     def subst(t, j: int, s, depth: int = 0):
         """Substitute s for index j, removing that binder level: indices
@@ -138,7 +150,7 @@ def make_debruijn(tree_map, Bound, Free):
                     return Bound(u.index - 1)
             return u
 
-        return tree_map(t, leaf, depth)
+        return tree_map(t, leaf, depth, keep=unchanged(j))
 
     def close(t, name: str, depth: int = 0):
         """Abstract the free variable `name` as index `depth` (inverse of
@@ -149,7 +161,7 @@ def make_debruijn(tree_map, Bound, Free):
                 return Bound(d) if u.name == name else u
             return Bound(u.index + 1) if u.index >= d else u
 
-        return tree_map(t, leaf, depth)
+        return tree_map(t, leaf, depth, keep=unchanged(0, name))
 
     return shift, subst, close
 
@@ -524,19 +536,19 @@ def case(sign: Sign, scrutinee: Term, b1: tuple[str, MProp, Term],
                 hint1=x, hint2=y)
 
 
-# The dual of a node flips its sign and dualizes its annotations.
-_DUAL_FIELDS = {"sign": flip, "annot": mprop_dual, "annot1": mprop_dual,
-                "annot2": mprop_dual}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in Term.__subclasses__()}
 
 
 def term_dual(t: Term) -> Term:
     """Flip every sign and dualize every proposition annotation."""
-    kids = children(t)
-    if not kids:
-        return t
-    u = rebuild(t, [term_dual(c) for c in kids])
-    return replace(u, **{f: dual_of(getattr(u, f))
-                         for f, dual_of in _DUAL_FIELDS.items() if hasattr(u, f)})
+    done: dict[int, Term] = {}  # id of a node -> its dual
+    annot = cache(mprop_dual)  # each distinct annotation is dualized once
+    for u in reversed(preorder(term_fold, t)):  # every node after its children
+        done[id(u)] = type(u)(*[
+            done[id(v)] if isinstance(v, Term) else annot(v) if isinstance(v, MProp)
+            else flip(v) if f == "sign" else v
+            for f in _FIELDS[type(u)] for v in [getattr(u, f)]])
+    return done[id(t)]
 
 
 Dualizable = Union[PureProp, MProp, Term]

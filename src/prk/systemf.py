@@ -17,6 +17,13 @@ depth counts term and type binders separately.  Every walk over either
 tree (shifting, substitution, closing, free variables, complexity,
 polarity, reduction positions) is built on that shape with the generic
 map and fold of syntax (`make_map`, `make_fold`, `make_debruijn`).
+
+Every node carries `free`, a summary built with it from its children's:
+(bound on its free type indices, free type names, bound on its free term
+indices, free term names), a bound being the largest free index + 1.
+Shifting, substitution and closing return a subtree unvisited when its
+summary shows they cannot change it, so on the shared and mostly closed
+translations they cost the size of the graph, not that of the tree.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ class DomainMismatchError(TypingError):
 
 class FType:
     __slots__ = ()
+
+    def __post_init__(self) -> None:
+        self.__dict__["free"] = _summary(self)
 
 
 @dataclass(frozen=True)
@@ -117,13 +127,46 @@ def ftype_rebuild(t: FType, kids: Sequence[FType]) -> FType:
 
 FTYPE_BINDERS = {Forall: (1,)}  # binders over each child
 
+_NONE: frozenset[str] = frozenset()
+# (term, type) binders over each child of a binding constructor, in both trees
+_UNDER = {cls: tuple((0, k) for k in ks) for cls, ks in FTYPE_BINDERS.items()}
+_FLAT = ((0, 0), (0, 0))
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    return a if b <= a else b if a <= b else a | b
+
+
+def _summary(t: FType | FTerm) -> tuple[int, frozenset[str], int, frozenset[str]]:
+    match t:
+        case TVar(name):
+            return 0, frozenset((name,)), 0, _NONE
+        case TBound(i):
+            return i + 1, _NONE, 0, _NONE
+        case FType():
+            kids = ftype_children(t)
+        case FVar(name):
+            return 0, _NONE, 0, frozenset((name,))
+        case FBound(i):
+            return 0, _NONE, i + 1, _NONE
+        case _:
+            kids = fterm_children(t)
+    ty_b, ty_n, tm_b, tm_n = 0, _NONE, 0, _NONE
+    for c, (k_tm, k_ty) in zip(kids, _UNDER.get(type(t), _FLAT)):
+        c_ty_b, c_ty_n, c_tm_b, c_tm_n = c.free
+        ty_b, ty_n = max(ty_b, c_ty_b - k_ty), _union(ty_n, c_ty_n)
+        tm_b, tm_n = max(tm_b, c_tm_b - k_tm), _union(tm_n, c_tm_n)
+    return ty_b, ty_n, tm_b, tm_n
+
+
 ftype_map = make_map(ftype_children, ftype_rebuild, FTYPE_BINDERS)
 ftype_fold = make_fold(ftype_children, FTYPE_BINDERS)
-shift_type, subst_type, close_type = make_debruijn(ftype_map, TBound, TVar)
+shift_type, subst_type, close_type = make_debruijn(ftype_map, TBound, TVar,
+                                                   operator.attrgetter("free"))
 
 
 def ftype_vars(t: FType) -> frozenset[str]:
-    return frozenset(u.name for u in preorder(ftype_fold, t) if isinstance(u, TVar))
+    return t.free[1]
 
 
 def forall(name: str, body: FType) -> Forall:
@@ -192,6 +235,9 @@ def ftype_equiv(a: FType, b: FType) -> bool:
 
 class FTerm:
     __slots__ = ()
+
+    def __post_init__(self) -> None:
+        self.__dict__["free"] = _summary(self)
 
 
 @dataclass(frozen=True)
@@ -263,6 +309,7 @@ def fterm_rebuild(t: FTerm, kids: Sequence[FTerm | FType]) -> FTerm:
 
 
 FTERM_BINDERS = {FLam: ((0, 0), (1, 0)), TyLam: ((0, 1),)}  # (term, type) binders
+_UNDER.update(FTERM_BINDERS)
 
 
 def _deeper(depth: tuple[int, int], k: tuple[int, int]) -> tuple[int, int]:
@@ -283,7 +330,8 @@ def shift_fterm(t: FTerm, d_term: int, d_type: int, c_term: int = 0, c_type: int
             return shift_type(u, d_type, cut[1])
         return u
 
-    return fterm_map(t, leaf, (c_term, c_type))
+    return fterm_map(t, leaf, (c_term, c_type), keep=lambda u, cut: (
+        (not d_term or u.free[2] <= cut[0]) and (not d_type or u.free[0] <= cut[1])))
 
 
 def subst_fterm(t: FTerm, j: int, s: FTerm) -> FTerm:
@@ -299,14 +347,15 @@ def subst_fterm(t: FTerm, j: int, s: FTerm) -> FTerm:
                 return FBound(u.index - 1)
         return u
 
-    return fterm_map(t, leaf)
+    return fterm_map(t, leaf, keep=lambda u, d: u.free[2] <= j + d[0])
 
 
 def subst_type_in_fterm(t: FTerm, j: int, a: FType) -> FTerm:
     """Substitute a for type index j throughout a term (beta for type
     application)."""
     return fterm_map(t, lambda u, d: subst_type(u, j, a, d[1])
-                     if isinstance(u, FType) else u)
+                     if isinstance(u, FType) else u,
+                     keep=lambda u, d: u.free[0] <= j + d[1])
 
 
 def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
@@ -317,22 +366,23 @@ def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
             return FBound(u.index + 1) if u.index >= d[0] else u
         return u
 
-    return fterm_map(t, leaf, (depth, 0))
+    return fterm_map(t, leaf, (depth, 0),
+                     keep=lambda u, d: u.free[2] <= d[0] and name not in u.free[3])
 
 
 def close_tyvar_in_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
     return fterm_map(t, lambda u, d: close_type(u, name, d[1])
-                     if isinstance(u, FType) else u, (0, depth))
+                     if isinstance(u, FType) else u, (0, depth),
+                     keep=lambda u, d: u.free[0] <= d[1] and name not in u.free[1])
 
 
 def fterm_fv(t: FTerm) -> frozenset[str]:
-    return frozenset(u.name for u in preorder(fterm_fold, t) if isinstance(u, FVar))
+    return t.free[3]
 
 
 def fterm_ftv(t: FTerm) -> frozenset[str]:
     """Free (named) type variables occurring in annotations and type arguments."""
-    return frozenset().union(*(ftype_vars(u) for u in preorder(fterm_fold, t)
-                               if isinstance(u, FType)))
+    return t.free[1]
 
 
 def flam(name: str, annot: FType, body: FTerm) -> FLam:
@@ -418,9 +468,7 @@ def f_infer(ctx: FContext, t: FTerm) -> FType:
                     f"argument type {print_ftype(ta)} does not match domain {print_ftype(dom)}")
             return cod
         case TyLam(body, hint):
-            taken = set(fterm_ftv(body))
-            for _, ty in ctx:
-                taken |= ftype_vars(ty)
+            taken = fterm_ftv(body).union(*(ftype_vars(ty) for _, ty in ctx))
             beta = fresh_name(hint or "a", taken)
             inner = f_infer(ctx, subst_type_in_fterm(body, 0, TVar(beta)))
             return Forall(close_type(inner, beta), hint=beta)
@@ -483,7 +531,7 @@ def f_normalize(t: FTerm, fuel: int = 100_000) -> FTerm:
 # ---------------------------------------------------------------------------
 # Translation from proof terms
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def translate_prop(p: MProp) -> FType:
     """Measure-recursive translation of a moded proposition to an F type."""
     base, sign = p.base, p.sign
@@ -504,7 +552,7 @@ def translate_prop(p: MProp) -> FType:
     raise TypeError(p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def funabs(p: MProp, q: MProp) -> FTerm:
     """The closed absurdity interpreter, typed T(p) -> T(opposite p) -> T(q)
     for the proposition translation T, defined by recursion on measure(p)."""

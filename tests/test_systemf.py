@@ -1,17 +1,22 @@
+import sys
+
 import pytest
 
 from prk.rewrite import step
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import MProp, Mode
-from prk.systemf import (ONE, TRIV, ZERO, Arrow, DomainMismatchError, FApp,
-                         FLam, FNeg, FPos, FVar, Forall, NotAForallError,
-                         NotAnArrowError, TBound, TVar, TyApp, TyLam,
-                         check_simulation, f_all_steps, f_infer, f_normalize,
-                         f_step, flam, ftype_equiv, funabs, in_f, pair_f,
-                         plus, polarity, print_fterm, print_ftype,
-                         proj_f, times, translate_ctx, translate_prop,
-                         translate_term, tylam)
-from prk.typecheck import Context, check_type, infer_type
+from prk.syntax import And, MProp, Mode, Neg, Or, PVar, preorder
+from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
+                         DomainMismatchError, FApp, FBound, FLam, FNeg, FPos,
+                         FType, FVar, Forall, NotAForallError, NotAnArrowError,
+                         TBound, TVar, TyApp, TyLam, check_simulation, close_fterm,
+                         close_type, close_tyvar_in_fterm, f_all_steps, f_infer,
+                         f_normalize, f_step, flam, fterm_children, fterm_fold,
+                         fterm_rebuild, ftype_children, ftype_equiv, ftype_fold,
+                         ftype_rebuild, funabs, in_f, pair_f, plus, polarity,
+                         print_fterm, print_ftype, proj_f, shift_fterm, shift_type,
+                         subst_fterm, subst_type, subst_type_in_fterm, times,
+                         translate_ctx, translate_prop, translate_term, tylam)
+from prk.typecheck import Context, check_type, infer_type, mk_lem
 
 A, B = TVar("A"), TVar("B")
 alpha, beta = TVar("alpha"), TVar("beta")
@@ -427,3 +432,256 @@ def test_print_terms():
     assert print_fterm(flam("x", A, FVar("x"))) == "fun (x : A) -> x"
     assert print_fterm(tylam("c", FVar("x"))) == "tfun c -> x"
     assert print_fterm(TyApp(FVar("x"), A)) == "x [A]"
+
+
+# -- the pruned walks ---------------------------------------------------------------
+# Shift, substitution and closing skip every subtree whose cached summary
+# shows they cannot change it.  The reference below walks every node over
+# the tree shape and knows nothing of the summaries.
+
+def _ref_map(t, leaf, depth):
+    """Replace every leaf u of t by leaf(u, d); an int depth walks a type, a
+    (term, type) pair a term, whose type fields are leaves."""
+    if isinstance(depth, int):
+        kids, under = ftype_children(t), FTYPE_BINDERS.get(type(t))
+        deeper = [depth + k for k in under] if under else [depth] * len(kids)
+        rebuild = ftype_rebuild
+    else:
+        kids, under = fterm_children(t), FTERM_BINDERS.get(type(t))
+        deeper = [(depth[0] + k[0], depth[1] + k[1]) for k in under] if under \
+            else [depth] * len(kids)
+        rebuild = fterm_rebuild
+    if not kids:
+        return leaf(t, depth)
+    return rebuild(t, [_ref_map(c, leaf, d) for c, d in zip(kids, deeper)])
+
+
+def _ref_shift_type(t, amount, cutoff=0):
+    def leaf(u, c):
+        if isinstance(u, TBound) and u.index >= c:
+            if u.index + amount < c:
+                raise ValueError("dangling")
+            return TBound(u.index + amount)
+        return u
+    return _ref_map(t, leaf, cutoff)
+
+
+def _ref_subst_type(t, j, s, depth=0):
+    def leaf(u, d):
+        if isinstance(u, TBound) and u.index == j + d:
+            return _ref_shift_type(s, d)
+        return TBound(u.index - 1) if isinstance(u, TBound) and u.index > j + d else u
+    return _ref_map(t, leaf, depth)
+
+
+def _ref_close_type(t, name, depth=0):
+    def leaf(u, d):
+        if isinstance(u, TVar):
+            return TBound(d) if u.name == name else u
+        return TBound(u.index + 1) if u.index >= d else u
+    return _ref_map(t, leaf, depth)
+
+
+def _ref_shift_fterm(t, d_term, d_type, c_term=0, c_type=0):
+    def leaf(u, c):
+        if isinstance(u, FBound):
+            return FBound(u.index + d_term) if u.index >= c[0] else u
+        return _ref_shift_type(u, d_type, c[1]) if isinstance(u, FType) else u
+    return _ref_map(t, leaf, (c_term, c_type))
+
+
+def _ref_subst_fterm(t, j, s):
+    def leaf(u, d):
+        if isinstance(u, FBound) and u.index == j + d[0]:
+            return _ref_shift_fterm(s, d[0], d[1])
+        return FBound(u.index - 1) if isinstance(u, FBound) and u.index > j + d[0] else u
+    return _ref_map(t, leaf, (0, 0))
+
+
+def _ref_subst_type_in_fterm(t, j, a):
+    return _ref_map(t, lambda u, d: _ref_subst_type(u, j, a, d[1])
+                    if isinstance(u, FType) else u, (0, 0))
+
+
+def _ref_close_fterm(t, name, depth=0):
+    def leaf(u, d):
+        if isinstance(u, FVar):
+            return FBound(d[0]) if u.name == name else u
+        return FBound(u.index + 1) if isinstance(u, FBound) and u.index >= d[0] else u
+    return _ref_map(t, leaf, (depth, 0))
+
+
+def _ref_close_tyvar_in_fterm(t, name, depth=0):
+    return _ref_map(t, lambda u, d: _ref_close_type(u, name, d[1])
+                    if isinstance(u, FType) else u, (0, depth))
+
+
+def _scan(t):
+    """t's summary by brute force: every free index and name in the tree."""
+    ty_b, ty_n, tm_b, tm_n = [0], set(), [0], set()
+
+    def visit_type(u, d):
+        if isinstance(u, TBound) and u.index >= d:
+            ty_b[0] = max(ty_b[0], u.index - d + 1)
+        if isinstance(u, TVar):
+            ty_n.add(u.name)
+
+    def visit_term(u, d):
+        if isinstance(u, FType):
+            ftype_fold(u, visit_type, d[1])
+        if isinstance(u, FBound) and u.index >= d[0]:
+            tm_b[0] = max(tm_b[0], u.index - d[0] + 1)
+        if isinstance(u, FVar):
+            tm_n.add(u.name)
+
+    if isinstance(t, FType):
+        ftype_fold(t, visit_type)
+    else:
+        fterm_fold(t, visit_term)
+    return ty_b[0], frozenset(ty_n), tm_b[0], frozenset(tm_n)
+
+
+def _random_type(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return TBound(rng.randrange(4)) if rng.random() < 0.5 else TVar(rng.choice("ab"))
+    kind = rng.randrange(4)
+    if kind == 3:
+        return Forall(_random_type(rng, depth - 1), hint=rng.choice("rs"))
+    return (Arrow, FPos, FNeg)[kind](_random_type(rng, depth - 1), _random_type(rng, depth - 1))
+
+
+def _random_fterm(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return FBound(rng.randrange(4)) if rng.random() < 0.5 else FVar(rng.choice("xy"))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return FLam(_random_type(rng, 2), _random_fterm(rng, depth - 1), hint=rng.choice("uv"))
+    if kind == 1:
+        return FApp(_random_fterm(rng, depth - 1), _random_fterm(rng, depth - 1))
+    if kind == 2:
+        return TyLam(_random_fterm(rng, depth - 1), hint=rng.choice("rs"))
+    return TyApp(_random_fterm(rng, depth - 1), _random_type(rng, 2))
+
+
+def _same(lib, ref):
+    """Equal answers, or the same error; hints compared too."""
+    try:
+        want = repr(ref())
+    except ValueError:
+        with pytest.raises(ValueError):
+            lib()
+        return
+    assert repr(lib()) == want
+
+
+def _assert_type_walks(t, s, cutoffs=range(5), names="abc"):
+    for c in cutoffs:
+        for amount in (-1, 1, 2):
+            _same(lambda: shift_type(t, amount, c), lambda: _ref_shift_type(t, amount, c))
+        for j in (0, 1):
+            _same(lambda: subst_type(t, j, s, c), lambda: _ref_subst_type(t, j, s, c))
+        for name in names:
+            _same(lambda: close_type(t, name, c), lambda: _ref_close_type(t, name, c))
+
+
+def _assert_term_walks(t, s, a, cutoffs=range(5), names="xyz", tyvars="abc"):
+    for c in cutoffs:
+        for d_term, d_type in ((1, 0), (0, 1), (2, 1)):
+            _same(lambda: shift_fterm(t, d_term, d_type, c, c),
+                  lambda: _ref_shift_fterm(t, d_term, d_type, c, c))
+            _same(lambda: shift_fterm(t, d_term, d_type, c, 0),
+                  lambda: _ref_shift_fterm(t, d_term, d_type, c, 0))
+        _same(lambda: subst_fterm(t, c, s), lambda: _ref_subst_fterm(t, c, s))
+        _same(lambda: subst_type_in_fterm(t, c, a), lambda: _ref_subst_type_in_fterm(t, c, a))
+        for name in names:
+            _same(lambda: close_fterm(t, name, c), lambda: _ref_close_fterm(t, name, c))
+        for name in tyvars:
+            _same(lambda: close_tyvar_in_fterm(t, name, c),
+                  lambda: _ref_close_tyvar_in_fterm(t, name, c))
+
+
+def _assert_summaries(t):
+    terms = [t] if isinstance(t, FType) else preorder(fterm_fold, t)
+    for u in terms:
+        for v in preorder(ftype_fold, u) if isinstance(u, FType) else [u]:
+            assert v.free == _scan(v)
+
+
+def test_pruned_walks_match_reference_on_random_open_trees(rng):
+    for _ in range(150):
+        t, s = _random_type(rng, 4), _random_type(rng, 2)
+        _assert_summaries(t)
+        _assert_type_walks(t, s)
+        ft, fs = _random_fterm(rng, 4), _random_fterm(rng, 2)
+        _assert_summaries(ft)
+        _assert_term_walks(ft, fs, s)
+
+
+def test_pruned_walks_match_reference_on_translations(term_gen, rng):
+    fterms = []
+    for depth in (1, 2):
+        lem = mk_lem(term_gen.props.pure(depth), rng.choice("+-"))
+        fterms.append(translate_term(infer_type(Context(), lem)))
+    for _ in range(6):
+        ctx = term_gen.classical_context()
+        goal = term_gen.props.mprop(2)
+        fterms.append(translate_term(check_type(ctx, term_gen.sized_term(ctx, goal, 3,
+                                                                         max_size=16), goal)))
+    s, a = _random_fterm(rng, 2), _random_type(rng, 2)
+    for ft in fterms:
+        _assert_summaries(ft)
+        nodes = preorder(fterm_fold, ft)
+        bodies = [ft] + [u.body for u in nodes if isinstance(u, (FLam, TyLam))]
+        for b in bodies:
+            _assert_term_walks(b, s, a, cutoffs=(0, 1), names="xyz", tyvars="ab")
+        fields = {u for u in nodes if isinstance(u, FType)}
+        foralls = {v for u in fields for v in preorder(ftype_fold, u) if isinstance(v, Forall)}
+        for t in fields | {v.body for v in foralls}:
+            _assert_type_walks(t, a, cutoffs=(0, 1), names="ab")
+
+
+# -- the translation is linear --------------------------------------------------------
+
+def _lem_chain(k):
+    a = PVar("abc"[(k - 1) % 3])
+    for i in range(k - 2, -1, -1):
+        a = And(PVar("abc"[i % 3]), a)
+    return mk_lem(a, "+"), MProp(Or(a, Neg(a)), Mode("c", "+"))
+
+
+def _translate_and_check(k):
+    lem, goal = _lem_chain(k)
+    inferred = f_infer((), translate_term(infer_type(Context(), lem)))
+    return ftype_equiv(inferred, translate_prop(goal))
+
+
+def _shape_calls(k, budget):
+    """Calls to ftype_children and fterm_children while translating and
+    re-checking the k-conjunct LEM; stops with a failure past the budget."""
+    translate_prop.cache_clear()
+    funabs.cache_clear()
+    shapes = {ftype_children.__code__, fterm_children.__code__}
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in shapes:
+            calls += 1
+            assert calls <= budget, f"{k} conjuncts take more than {budget} shape calls"
+
+    sys.setprofile(count)
+    try:
+        assert _translate_and_check(k)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_translation_walks_linearly():
+    # the tree of T(A^c+) doubles with each conjunct; the walks must not
+    small = _shape_calls(4, budget=10 ** 6)
+    _shape_calls(8, budget=3 * small)
+
+
+def test_translation_of_32_conjuncts():
+    assert _translate_and_check(32)
