@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
-from .surface import _Tokens, _parse_pure
+from .surface import _Tokens, _parse_pure, content_lines
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
                      Term, Var, case, clam, fresh_name, fv, prop_vars,
@@ -421,10 +421,7 @@ def parse_nk(text: str) -> NKProof:
     lem[a], impi[a](p), impe(p,q)."""
     hyps: list[PureProp] = []
     proof_src = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("hyp"):
             _, _, rest = line.partition(":")
             tk = _Tokens(rest)
@@ -439,9 +436,7 @@ def parse_nk(text: str) -> NKProof:
         raise InvalidNKProofError("no proof line ('|- ...') found")
     tk = _Tokens(proof_src)
     proof = _parse_nk_node(tk, tuple(hyps))
-    if tk.peek()[0] != "eof":
-        kind, val, line, col = tk.peek()
-        raise ParseError(f"trailing input {val!r}", line, col)
+    tk.end()
     return proof
 
 

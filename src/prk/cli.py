@@ -1,21 +1,22 @@
 """Command-line interface.
 
 Exit codes: 0 success / valid / provable; 1 well-formed negative answer
-(ill-typed, countermodel found, invalid sequent); 2 usage or parse error,
-including a non-positive --fuel or --max-worlds and an unknown world.
+(ill-typed, countermodel found, invalid sequent); 2 usage or parse error
+(a non-positive count, an unknown world, an unreadable or too deep input).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 
 from .errors import (CannotInferError, ParseError, PrkError, TypingError,
                      UnknownWorldError, WrongModeError)
 from .kripke import (countermodel_search, forces, parse_model, print_model,
                      validate_model)
 from .rewrite import ETA, PLAIN, binder_names_at, classify, normalize, replay
-from .surface import parse_mprop, parse_term, print_mprop, print_term
+from .surface import content_lines, parse_mprop, parse_term, print_mprop, print_term
 from .syntax import MProp, Term, dual, mprop_dual
 from .typecheck import Context, infer_type
 from .systemf import f_infer, print_fterm, print_ftype, translate_ctx, translate_prop, translate_term
@@ -31,10 +32,7 @@ def parse_judgment(text: str) -> tuple[Context, Term]:
     """Judgment files: lines 'x : prop' then '|- term'."""
     ctx = Context()
     term = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("|-"):
             term = parse_term(line[2:])
         elif ":" in line:
@@ -51,10 +49,7 @@ def parse_sequent(text: str) -> tuple[list[MProp], MProp]:
     """Sequent files: hypothesis props one per line, then '|- prop'."""
     hyps: list[MProp] = []
     goal = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line in content_lines(text):
         if line.startswith("|-"):
             goal = parse_mprop(line[2:])
         else:
@@ -270,14 +265,33 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    out = Output(machine=args.format == "machine")
+    # Typing, translation and equality recurse once per constructor, so the
+    # command runs on a thread whose 1 GiB stack outlasts a 400,000 limit.
+    codes: list[int] = []
+    limit, size = sys.getrecursionlimit(), threading.stack_size(1 << 30)
+    sys.setrecursionlimit(400_000)
     try:
-        return args.fn(args, out)
+        worker = threading.Thread(target=lambda: codes.append(_run(args)), daemon=True)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    return codes[0] if codes else 1
+
+
+def _run(args) -> int:
+    """Run the command args.fn and map its failures to exit codes."""
+    try:
+        return args.fn(args, Output(machine=args.format == "machine"))
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, UnknownWorldError) as e:
+    except (OSError, UnicodeDecodeError, UnknownWorldError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError):
+        print("error: input too deep", file=sys.stderr)
         return 2
     except TypingError as e:
         print(f"ill-typed: {e}", file=sys.stderr)

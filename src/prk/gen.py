@@ -10,7 +10,7 @@ import random
 from .syntax import (CLASSICAL, INJECTED, MINUS, PAIRED, PLUS, STRONG, Abs, And,
                      CApp, MProp, Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj,
                      Inj, PureProp, Term, Var, case, clam, flip, fresh_name,
-                     opposite, prop_depth, prop_vars, term_size)
+                     opposite, prop_depth, prop_vars, term_size, truncate)
 from .typecheck import Context, abs_general_at, mk_lem
 
 DEFAULT_SEED = 20250807
@@ -66,14 +66,8 @@ class TermGen:
         return ctx
 
     def classical_context(self, extra: int = 2) -> Context:
-        ctx = Context()
-        for a in self.atoms:
-            ctx = ctx.extend(f"p_{a}", MProp(PVar(a), Mode(CLASSICAL, PLUS)))
-            ctx = ctx.extend(f"n_{a}", MProp(PVar(a), Mode(CLASSICAL, MINUS)))
-        for i in range(extra):
-            p = self.props.mprop(2)
-            ctx = ctx.extend(f"g{i}", MProp(p.base, Mode(CLASSICAL, p.sign)))
-        return ctx
+        """base_context with every assumption made classical."""
+        return Context(tuple((n, truncate(p)) for n, p in self.base_context(extra)))
 
     def _fresh(self, ctx: Context) -> str:
         self._counter += 1

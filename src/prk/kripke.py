@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
+from .surface import content_lines
 from .syntax import (CLASSICAL, PAIRED, PLUS, STRONG, And, MProp, Mode, Neg, Or,
                      PVar, flip, prop_vars)
 
@@ -281,10 +282,7 @@ def parse_model(text: str) -> KripkeModel:
     leq: set[tuple[str, str]] = set()
     vplus: dict[str, set[str]] = {}
     vminus: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if ":" not in line:
             raise ParseError("expected 'key: values'", lineno, 1)
         head, rest = line.split(":", 1)

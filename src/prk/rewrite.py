@@ -7,6 +7,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import DerivationMismatchError, FuelExhaustedError
+from .surface import BINDER_HINTS
 from .syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
                      Proj, Term, Var, children, flip, fv, rebuild, shift,
                      subst_bound, uses_index)
@@ -59,13 +60,9 @@ def binder_names_at(t: Term, pos: Position) -> tuple[str, ...]:
     subterm; display only, no freshening."""
     env: tuple[str, ...] = ()
     for i in pos:
-        match t, i:
-            case CLam(_, _, _, hint), 0:
-                env = (hint,) + env
-            case Case(_, _, _, _, _, _, h1, _), 1:
-                env = (h1,) + env
-            case Case(_, _, _, _, _, _, _, h2), 2:
-                env = (h2,) + env
+        hint = BINDER_HINTS[type(t)][i]
+        if hint:
+            env = (getattr(t, hint),) + env
         t = children(t)[i]
     return env
 

@@ -6,12 +6,7 @@ Grammar (fully parenthesized):
     pure ::= ident | "(" pure "&" pure ")" | "(" pure "|" pure ")" | "~" pure
     mode ::= "^s+" | "^s-" | "^c+" | "^c-"
 
-    term ::= ident
-           | "abs[" prop "](" term "," term ")"
-           | ("pair" | "capp") sign "(" term "," term ")"
-           | ("proj1"|"proj2"|"in1"|"in2"|"negi"|"nege") sign "(" term ")"
-           | "case" sign "(" term "," ident ":" prop "." term "," ident ":" prop "." term ")"
-           | "clam" sign "(" ident ":" prop "." term ")"
+    term ::= ident | one of the templates in SYNTAX, below
 
 Identifiers are ASCII, start with a letter.  `_bot0` (the reserved
 falsity variable) is only accepted with allow_reserved=True.
@@ -20,16 +15,16 @@ falsity variable) is only accepted with allow_reserved=True.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
+from string import Formatter
+from typing import Iterator
 
 from .errors import ParseError
 from .syntax import (And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
                      NegE, NegI, Or, PVar, Pair, Proj, PureProp, Term, Var,
-                     case, clam, fresh_name, fv, prop_vars)
+                     fresh_name, fv, prop_vars)
 
 RESERVED_FALSITY = "_bot0"
-
-_KEYWORDS = {"abs", "pair", "proj1", "proj2", "in1", "in2", "case",
-             "negi", "nege", "clam", "capp"}
 
 _TOKEN_RE = re.compile(r"""
       (?P<ws>\s+|\#[^\n]*)
@@ -38,13 +33,12 @@ _TOKEN_RE = re.compile(r"""
     | (?P<sym>[()\[\],.:^&|~+-])
 """, re.VERBOSE)
 
-_BAD_PROJ_RE = re.compile(r"proj[0-9]+$")
-_BAD_INJ_RE = re.compile(r"in[0-9]+$")
+_INDEXED = {"proj": "projection", "in": "injection"}
+_BAD_INDEX_RE = re.compile(r"(proj|in)[0-9]+$")
 
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.toks: list[tuple[str, str, int, int]] = []
         line, col = 1, 1
         pos = 0
@@ -65,6 +59,11 @@ class _Tokens:
             pos = m.end()
         self.toks.append(("eof", "", line, col))
         self.i = 0
+
+    def end(self) -> None:
+        kind, val, line, col = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {val!r}", line, col)
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.toks[self.i]
@@ -144,140 +143,140 @@ def _parse_mprop(tk: _Tokens, allow_reserved: bool = False) -> MProp:
     return MProp(a, mode)
 
 
-def _parse_sign(tk: _Tokens) -> str:
-    kind, val, line, col = tk.next()
-    if val not in ("+", "-"):
-        raise ParseError(f"expected sign '+' or '-', found {val!r}", line, col)
-    return val
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line not blank once its '#' comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
-def _parse_binder(tk: _Tokens, allow_reserved: bool) -> tuple[str, MProp, Term]:
-    kind, name, line, col = tk.next()
-    if kind != "ident" or name in _KEYWORDS:
-        raise ParseError(f"expected a binder name, found {name!r}", line, col)
-    if name == RESERVED_FALSITY and not allow_reserved:
-        raise ParseError(f"{RESERVED_FALSITY!r} is reserved", line, col)
-    tk.expect(":")
-    p = _parse_mprop(tk, allow_reserved)
-    tk.expect(".")
-    body = _parse_term_inner(tk, allow_reserved)
-    return name, p, body
+# ---------------------------------------------------------------------------
+# Terms.  SYNTAX is the one statement of each constructor's concrete syntax,
+# a template over its fields that parse_term and print_term both read.  A
+# hint field names the binder over the next term field.
+
+SYNTAX = {
+    Abs: "abs[{annot}]({left}, {right})",
+    Pair: "pair{sign}({left}, {right})",
+    Proj: "proj{index}{sign}({body})",
+    Inj: "in{index}{sign}({body})",
+    Case: "case{sign}({scrutinee}, {hint1} : {annot1}. {branch1}, {hint2} : {annot2}. {branch2})",
+    NegI: "negi{sign}({body})",
+    NegE: "nege{sign}({body})",
+    CLam: "clam{sign}({hint} : {annot}. {body})",
+    CApp: "capp{sign}({fun}, {arg})",
+}
 
 
-def _parse_term_inner(tk: _Tokens, allow_reserved: bool) -> Term:
-    kind, val, line, col = tk.next()
-    if kind != "ident":
-        raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
-    if val not in _KEYWORDS:
-        if _BAD_PROJ_RE.match(val):
-            raise ParseError("projection index must be 1 or 2", line, col)
-        if _BAD_INJ_RE.match(val):
-            raise ParseError("injection index must be 1 or 2", line, col)
-        if val == RESERVED_FALSITY and not allow_reserved:
-            raise ParseError(f"{RESERVED_FALSITY!r} is reserved", line, col)
-        return Var(val)
+def _steps(cls: type, template: str) -> list[tuple]:
+    """(literal, its tokens, field, field type, hint of the binder over it)"""
+    types, steps, hint = {f.name: f.type for f in fields(cls)}, [], None
+    for literal, name, _, _ in Formatter().parse(template):
+        kind = types.get(name)
+        steps.append((literal, literal.replace(" ", ""), name, kind, kind == "Term" and hint))
+        hint = name if kind == "str" else None if kind == "Term" else hint
+    return steps
 
-    head = val
-    if head == "abs":
-        tk.expect("[")
-        q = _parse_mprop(tk, allow_reserved)
-        tk.expect("]")
-        tk.expect("(")
-        left = _parse_term_inner(tk, allow_reserved)
-        tk.expect(",")
-        right = _parse_term_inner(tk, allow_reserved)
-        tk.expect(")")
-        return Abs(q, left, right)
 
-    sign = _parse_sign(tk)
-    tk.expect("(")
-    if head in ("pair", "capp"):
-        left = _parse_term_inner(tk, allow_reserved)
-        tk.expect(",")
-        right = _parse_term_inner(tk, allow_reserved)
-        tk.expect(")")
-        return Pair(sign, left, right) if head == "pair" else CApp(sign, left, right)
-    if head in ("proj1", "proj2", "in1", "in2"):
-        body = _parse_term_inner(tk, allow_reserved)
-        tk.expect(")")
-        index = int(head[-1])
-        return Proj(sign, index, body) if head.startswith("proj") else Inj(sign, index, body)
-    if head in ("negi", "nege"):
-        body = _parse_term_inner(tk, allow_reserved)
-        tk.expect(")")
-        return NegI(sign, body) if head == "negi" else NegE(sign, body)
-    if head == "clam":
-        x, p, body = _parse_binder(tk, allow_reserved)
-        tk.expect(")")
-        return clam(sign, x, p, body)
-    if head == "case":
-        scrut = _parse_term_inner(tk, allow_reserved)
-        tk.expect(",")
-        b1 = _parse_binder(tk, allow_reserved)
-        tk.expect(",")
-        b2 = _parse_binder(tk, allow_reserved)
-        tk.expect(")")
-        return case(sign, scrut, b1, b2)
-    raise ParseError(f"unknown construct {head!r}", line, col)
+_PRINT = {cls: _steps(cls, template) for cls, template in SYNTAX.items()}
+_KEYWORDS = {}  # keyword -> (class, the fields it fixes, the steps after it)
+for _cls, (_first, *_rest) in _PRINT.items():
+    _head = re.match("[a-z]+", _first[0]).group()
+    if _first[2] == "index":  # proj1, proj2, in1, in2
+        _KEYWORDS.update({f"{_head}{i}": (_cls, {"index": i}, _rest) for i in (1, 2)})
+    else:
+        _KEYWORDS[_head] = (_cls, {}, [("", _first[1][len(_head):], *_first[2:])] + _rest)
+BINDER_HINTS = {cls: tuple(s[4] for s in steps if s[3] == "Term") for cls, steps in _PRINT.items()}
 
 
 def parse_term(text: str, allow_reserved: bool = False) -> Term:
+    """A shift/reduce loop over SYNTAX; each name is resolved against the
+    binders open where it is read."""
     tk = _Tokens(text)
-    t = _parse_term_inner(tk, allow_reserved)
-    kind, val, line, col = tk.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {val!r}", line, col)
-    return t
+    stack = []  # open constructors: (class, fixed fields, steps, fields read, step, scope size)
+    scope: list[str] = []  # names of the open binders, innermost last
+    while True:
+        kind, val, line, col = tk.next()  # a term starts here
+        if kind != "ident":
+            raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+        if val in _KEYWORDS:
+            stack.append((*_KEYWORDS[val], {}, 0, len(scope)))
+        elif bad := _BAD_INDEX_RE.match(val):
+            raise ParseError(f"{_INDEXED[bad[1]]} index must be 1 or 2", line, col)
+        elif val == RESERVED_FALSITY and not allow_reserved:
+            raise ParseError(f"{RESERVED_FALSITY!r} is reserved", line, col)
+        else:
+            t = Bound(scope[::-1].index(val)) if val in scope else Var(val)
+        while stack:
+            cls, fixed, steps, got, i, bound = stack.pop()
+            if i:  # t is the term field of step i - 1
+                got[steps[i - 1][2]] = t
+            for _, tokens, name, kind, _ in steps[i:]:
+                i += 1
+                for token in tokens:
+                    tk.expect(token)
+                if kind == "Term":
+                    stack.append((cls, fixed, steps, got, i, bound))
+                    break
+                if kind == "MProp":
+                    got[name] = _parse_mprop(tk, allow_reserved)
+                elif name:
+                    token, val, line, col = tk.next()
+                    if kind == "Sign" and val not in ("+", "-"):
+                        raise ParseError(f"expected sign '+' or '-', found {val!r}", line, col)
+                    if kind == "str":  # a binder's name, in scope for the next term field
+                        if token != "ident" or val in _KEYWORDS:
+                            raise ParseError(f"expected a binder name, found {val!r}", line, col)
+                        if val == RESERVED_FALSITY and not allow_reserved:
+                            raise ParseError(f"{RESERVED_FALSITY!r} is reserved", line, col)
+                        scope[bound:] = [val]
+                    got[name] = val
+            else:
+                del scope[bound:]
+                t = cls(**fixed, **got)
+                continue
+            break
+        else:
+            tk.end()
+            return t
 
 
 # ---------------------------------------------------------------------------
 # Printing
-
-def print_pure(a: PureProp) -> str:
-    return str(a)
-
 
 def print_mprop(p: MProp) -> str:
     return str(p)
 
 
 def print_term(t: Term, env: tuple[str, ...] = ()) -> str:
-    """Render a term, choosing binder names from hints, avoiding capture.
-
-    env maps de Bruijn indices (innermost first) to display names.
-    """
-
-    def bind(hint: str, body: Term, env: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
-        taken = set(fv(body)) | set(env) | _KEYWORDS
-        name = fresh_name(hint if hint else "x", taken)
-        return name, (name,) + env
-
-    match t:
-        case Var(name):
-            return name
-        case Bound(i):
-            return env[i] if i < len(env) else f"#{i}"
-        case Abs(q, l, r):
-            return f"abs[{q}]({print_term(l, env)}, {print_term(r, env)})"
-        case Pair(sg, l, r):
-            return f"pair{sg}({print_term(l, env)}, {print_term(r, env)})"
-        case Proj(sg, i, b):
-            return f"proj{i}{sg}({print_term(b, env)})"
-        case Inj(sg, i, b):
-            return f"in{i}{sg}({print_term(b, env)})"
-        case NegI(sg, b):
-            return f"negi{sg}({print_term(b, env)})"
-        case NegE(sg, b):
-            return f"nege{sg}({print_term(b, env)})"
-        case CLam(sg, p, b, hint):
-            name, env2 = bind(hint, b, env)
-            return f"clam{sg}({name} : {p}. {print_term(b, env2)})"
-        case CApp(sg, f, a):
-            return f"capp{sg}({print_term(f, env)}, {print_term(a, env)})"
-        case Case(sg, sc, p1, b1, p2, b2, h1, h2):
-            n1, env1 = bind(h1, b1, env)
-            n2, env2 = bind(h2, b2, env)
-            return (f"case{sg}({print_term(sc, env)}, "
-                    f"{n1} : {p1}. {print_term(b1, env1)}, "
-                    f"{n2} : {p2}. {print_term(b2, env2)})")
-    raise TypeError(t)
+    """Render a term through SYNTAX, naming each binder after its hint
+    without capture; env names the indices free in t, innermost first."""
+    out: list[str] = []
+    todo = [(t, env, 0)]  # (term, env, the step of its template to go on from)
+    taken = fv(t) | _KEYWORDS.keys()  # holds the free names of every body
+    while todo:
+        u, env, i = todo.pop()
+        if type(u) is Var:
+            out.append(u.name)
+        elif type(u) is Bound:
+            out.append(env[u.index] if u.index < len(env) else f"#{u.index}")
+        else:
+            for literal, _, name, kind, binder in _PRINT[type(u)][i:]:
+                i += 1
+                out.append(literal)
+                if kind == "Term":
+                    inner, body = env, getattr(u, name)
+                    if binder:
+                        x = getattr(u, binder) or "x"
+                        if x in env or x in taken:
+                            x = fresh_name(x, set(fv(body)) | set(env) | _KEYWORDS.keys())
+                        out[named], inner = x, (x,) + env
+                    todo += [(u, env, i), (body, inner, 0)]
+                    break
+                if kind == "str":  # a binder's name, chosen with its body
+                    named = len(out)
+                    out.append("")
+                elif name:
+                    out.append(str(getattr(u, name)))
+    return "".join(out)

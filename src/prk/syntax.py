@@ -61,20 +61,31 @@ def make_map(children, rebuild, binders, deeper=operator.add, top=0):
     leaf(u, d), d the depth of u; a subtree u with keep(u, d) true is
     returned as it is, unvisited.  A node whose children all come back
     unchanged is returned itself, so a map that changes nothing allocates
-    nothing."""
+    nothing.  It keeps an explicit stack, so no tree is too deep for it."""
 
     def tree_map(t, leaf, depth=top, keep=None):
-        if keep is not None and keep(t, depth):
-            return t
-        kids = children(t)
-        if not kids:
-            return leaf(t, depth)
-        under = binders.get(type(t))
-        if under is None:
-            new = [tree_map(c, leaf, depth, keep) for c in kids]
-        else:
-            new = [tree_map(c, leaf, deeper(depth, k), keep) for c, k in zip(kids, under)]
-        return t if all(map(operator.is_, new, kids)) else rebuild(t, new)
+        done = []  # results, each node's after its children's
+        stack = [(t, depth, None)]  # (node, depth, its children once visited)
+        while stack:
+            u, d, kids = stack.pop()
+            if kids is not None:  # the results of kids are on top of done
+                new = done[-len(kids):]
+                del done[-len(kids):]
+                done.append(u if all(map(operator.is_, new, kids)) else rebuild(u, new))
+            elif keep is not None and keep(u, d):
+                done.append(u)
+            elif not (kids := children(u)):
+                done.append(leaf(u, d))
+            else:
+                stack.append((u, d, kids))
+                under = binders.get(type(u))
+                if under is None:
+                    for c in reversed(kids):
+                        stack.append((c, d, None))
+                else:
+                    for c, k in zip(reversed(kids), reversed(under)):
+                        stack.append((c, deeper(d, k), None))
+        return done[0]
 
     return tree_map
 
@@ -323,10 +334,6 @@ class MProp:
     @property
     def is_classical(self) -> bool:
         return self.mode.strength == CLASSICAL
-
-
-def mk(base: PureProp, strength: str, sign: str) -> MProp:
-    return MProp(base, Mode(strength, sign))
 
 
 def opposite(p: MProp) -> MProp:

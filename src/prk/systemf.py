@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
@@ -492,30 +492,25 @@ def f_match_redex(t: FTerm) -> FTerm | None:
     return None
 
 
-def f_step(t: FTerm) -> FTerm | None:
-    """Leftmost-outermost beta step (term or type), or None."""
+def f_reducts(t: FTerm) -> Iterator[FTerm]:
+    """The one-step reducts of t (term or type beta), redexes in pre-order."""
     red = f_match_redex(t)
     if red is not None:
-        return red
+        yield red
     kids = fterm_children(t)
     for i, c in enumerate(kids):
-        stepped = f_step(c)
-        if stepped is not None:
-            return fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
-    return None
+        for stepped in f_reducts(c):
+            yield fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
+
+
+def f_step(t: FTerm) -> FTerm | None:
+    """Leftmost-outermost beta step (term or type), or None."""
+    return next(f_reducts(t), None)
 
 
 def f_all_steps(t: FTerm) -> list[FTerm]:
     """All one-step reducts (every redex position)."""
-    out: list[FTerm] = []
-    red = f_match_redex(t)
-    if red is not None:
-        out.append(red)
-    kids = fterm_children(t)
-    for i, c in enumerate(kids):
-        for stepped in f_all_steps(c):
-            out.append(fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:]))
-    return out
+    return list(f_reducts(t))
 
 
 def f_normalize(t: FTerm, fuel: int = 100_000) -> FTerm:

@@ -1,5 +1,12 @@
+import contextlib
+import io
 import pathlib
+import sys
+import threading
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from prk import cli
 from prk.cli import main, parse_judgment
 from prk.surface import parse_term, print_term
 from prk.typecheck import infer_type
@@ -210,3 +217,59 @@ def test_kripke_eval_unknown_world_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: unknown world 'w9'"
+
+
+def test_unreadable_files_are_usage_errors(capsys, tmp_path):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    binary = tmp_path / "latin1.prk"
+    binary.write_bytes("x : a^c+\n|- x # caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "check", str(binary))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+def test_recursion_and_memory_errors_are_too_deep(capsys, monkeypatch):
+    for error in (RecursionError, MemoryError):
+        def fail(*_):
+            raise error
+        monkeypatch.setattr(cli, "infer_type", fail)
+        assert run(capsys, "check", str(GOLDEN / "lem.prk")) == \
+            (2, "", "error: input too deep\n")
+
+
+def test_deep_terms_pass_and_limits_are_restored(capsys, tmp_path):
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+    for n, commands in ((50_000, [("check", "a^c+"), ("normalize", "x"), ("dual", None),
+                                  ("classify", None)]),  # 10^5 constructors
+                        (1_200, [("translate", None)])):
+        judgment = tmp_path / f"deep{n}.prk"
+        judgment.write_text("x : a^c+\n|- " + "nege-(negi-(" * n + "x" + "))" * n + "\n")
+        for command, answer in commands:
+            code, out, err = run(capsys, command, str(judgment))
+            assert (code, err) == (0, "")
+            assert answer is None or out == answer + "\n"
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+
+
+_PIECES = ["x", "y", " : ", "a", "b", "^s+", "^c-", "^c+", "(", ")", " & ", " | ", "~", "\n",
+           "|- ", "pair+(", "proj1-(", "in2+(", "case+(", "negi-(", "nege+(", "clam-(",
+           "capp+(", "abs[", "]", ", ", ". ", "#", "_bot0", "proj3+(", "\xe9"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["check", "normalize", "classify", "translate", "dual"]),
+       st.one_of(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+                 st.text(max_size=30),
+                 st.integers(1, 3_000).map(
+                     lambda n: "x : a^c+\n|- " + "nege-(negi-(" * n + "x" + "))" * n)))
+def test_random_judgments_end_in_an_exit_code(tmp_path, command, text):
+    judgment = tmp_path / "random.prk"
+    judgment.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(judgment)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

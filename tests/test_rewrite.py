@@ -9,7 +9,8 @@ from prk.rewrite import (ETA, PLAIN, all_redexes, apply_at, classify,
                          is_neutral, is_normal, normalize, replay, step,
                          subterm_at)
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import NegE, NegI, Pair, Proj, PVar, Var
+from prk.syntax import (Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair, Proj,
+                        PVar, Var)
 from prk.typecheck import Context, check_type, infer_type
 
 
@@ -156,6 +157,26 @@ def test_deep_chain_at_default_recursion_limit(family):
     assert sys.getrecursionlimit() <= 10_000
     nf, trace = normalize(chain(family, 50_000))
     assert nf == Var("x") and len(trace) == 50_000
+
+
+def test_beta_and_case_substitute_into_deep_bodies():
+    # the contraction's substitution walks the whole body
+    assert sys.getrecursionlimit() <= 10_000
+    p = parse_mprop("a^c-")
+    body = Bound(0)
+    for _ in range(10_000):
+        body = NegE("-", NegI("-", body))
+    nf, trace = normalize(CApp("+", CLam("+", p, body), Var("u")))
+    assert nf == Var("u") and len(trace) == 10_001
+    t = Var("w")
+    for _ in range(1_000):  # case, pair, case, ...: 2,000 constructors deep
+        t = Case("+", Inj("+", 1, Var("v")), p, Pair("+", Bound(0), t), p, Bound(0))
+    nf, trace = normalize(t)
+    assert len(trace) == 1_000
+    for _ in range(1_000):
+        assert type(nf) is Pair and nf.left == Var("v")
+        nf = nf.right
+    assert nf == Var("w")
 
 
 @pytest.mark.parametrize("family", ["neg", "proj"])

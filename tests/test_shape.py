@@ -11,7 +11,7 @@ from prk.syntax import (BINDERS, Abs, Bound, CApp, CLam, Case, Inj, MProp, Mode,
                         uses_index)
 from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, Arrow, FApp, FBound, FLam,
                          FNeg, FPos, FTerm, FType, FVar, Forall, TBound, TVar,
-                         TyApp, TyLam, complexity, fterm_children, fterm_fold,
+                         TyApp, TyLam, complexity, shift_type, fterm_children, fterm_fold,
                          fterm_fv, fterm_map, fterm_rebuild, ftype_children,
                          ftype_fold, ftype_map, ftype_rebuild, ftype_vars)
 
@@ -102,3 +102,14 @@ def test_type_and_fterm_folds_need_no_recursion():
     assert ftype_vars(ty) == {f"a{i}" for i in range(7)}
     assert complexity(ty) == 2 * DEEP - 1
     assert fterm_fv(ft) == {f"x{i}" for i in range(5)}
+
+
+def test_type_map_needs_no_recursion():
+    ty = TBound(0)  # a free index at the bottom, so shifting visits every node
+    for i in range(DEEP):
+        ty = Arrow(TVar(f"a{i % 7}"), ty)
+    out = shift_type(ty, 2)
+    for _ in range(DEEP):
+        assert type(out) is Arrow
+        out = out.cod
+    assert out == TBound(2)

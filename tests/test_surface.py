@@ -1,0 +1,281 @@
+"""The concrete term syntax, pinned: every parse error with its message and
+position, the printed text of a fixed corpus, round trips of deep terms at
+the default recursion limit, and random text."""
+
+import hashlib
+import random
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prk.classical import (embed_nk, nk_and_e, nk_and_i, nk_hyp, nk_imp_e,
+                           nk_imp_i, nk_lem, nk_or_i, parse_nk)
+from prk.cli import parse_judgment
+from prk.errors import ParseError
+from prk.gen import PropGen, TermGen
+from prk.rewrite import ETA, PLAIN, binder_names_at, normalize, replay
+from prk.surface import parse_term, print_term
+from prk.syntax import (And, Bound, CApp, CLam, Case, MProp, Mode, Neg, NegE,
+                        NegI, Or, PVar, Pair, Term, Var, dual)
+from prk.typecheck import mk_lem
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+# (text, message, line, column) of every error branch of parse_term
+ERRORS = [
+    ('', "expected a term, found 'end of input'", 1, 1),
+    ('   ', "expected a term, found 'end of input'", 1, 4),
+    ('(x)', "expected a term, found '('", 1, 1),
+    ('1', "expected a term, found '1'", 1, 1),
+    (')', "expected a term, found ')'", 1, 1),
+    ('proj3+(x)', 'projection index must be 1 or 2', 1, 1),
+    ('proj0+(x)', 'projection index must be 1 or 2', 1, 1),
+    ('proj12-(x)', 'projection index must be 1 or 2', 1, 1),
+    ('in0+(x)', 'injection index must be 1 or 2', 1, 1),
+    ('in3-(x)', 'injection index must be 1 or 2', 1, 1),
+    ('_bot0', "'_bot0' is reserved", 1, 1),
+    ('clam+(x : a^c-. _bot0)', "'_bot0' is reserved", 1, 17),
+    ('pair(x, y)', "expected sign '+' or '-', found '('", 1, 5),
+    ('negi', "expected sign '+' or '-', found ''", 1, 5),
+    ('proj1(x)', "expected sign '+' or '-', found '('", 1, 6),
+    ('capp*(x, y)', "unexpected character '*'", 1, 5),
+    ('abs+[a^s+](x, y)', "expected '[', found '+'", 1, 4),
+    ('pair+ x, y)', "expected '(', found 'x'", 1, 7),
+    ('pair+(x y)', "expected ',', found 'y'", 1, 9),
+    ('pair+(x, y', "expected ')', found 'end of input'", 1, 11),
+    ('pair+(x, y))', "trailing input ')'", 1, 12),
+    ('x y', "trailing input 'y'", 1, 3),
+    ('clam+(pair : a^c-. x)', "expected a binder name, found 'pair'", 1, 7),
+    ('clam+((x) : a^c-. x)', "expected a binder name, found '('", 1, 7),
+    ('clam+(_bot0 : a^c-. x)', "'_bot0' is reserved", 1, 7),
+    ('clam+(1 : a^c-. x)', "expected a binder name, found '1'", 1, 7),
+    ('clam+(x a^c-. x)', "expected ':', found 'a'", 1, 9),
+    ('clam+(x : a^c- x)', "expected '.', found 'x'", 1, 16),
+    ('clam+(x : a. x)', "expected a mode annotation '^', found '.'", 1, 12),
+    ('clam+(x : (a^s+)^c-. x)', 'modes cannot be nested', 1, 13),
+    ('clam+(x : a^s+^c-. x)', "expected '.', found '^'", 1, 15),
+    ('clam+(x : a^q-. x)', "expected strength 's' or 'c', found 'q'", 1, 13),
+    ('clam+(x : a^s. x)', "expected sign '+' or '-', found '.'", 1, 14),
+    ('clam+(x : case^s+. x)', "'case' is a reserved word", 1, 11),
+    ('abs(x, y)', "expected '[', found '('", 1, 4),
+    ('abs[a^s+(x, y)', "expected ']', found '('", 1, 9),
+    ('abs[a^s+]x, y)', "expected '(', found 'x'", 1, 10),
+    ('abs[a^s+](x y)', "expected ',', found 'y'", 1, 13),
+    ('abs[a^s+](x, y', "expected ')', found 'end of input'", 1, 15),
+    ('abs[_bot0^s+](x, y)', "'_bot0' is reserved for the falsity encoding", 1, 10),
+    ('abs[(a & _bot0)^s+](x, y)', "'_bot0' is reserved for the falsity encoding", 1, 16),
+    ('abs[(a % b)^s+](x, y)', "unexpected character '%'", 1, 8),
+    ('abs[(a ^ b)^s+](x, y)', 'modes cannot be nested', 1, 8),
+    ('case+(x y : a^c+. y, z : b^c+. z)', "expected ',', found 'y'", 1, 9),
+    ('case+(x, y : a^c+. y z : b^c+. z)', "expected ',', found 'z'", 1, 22),
+    ('case+(x, y : a^c+. y, z : b^c+. z', "expected ')', found 'end of input'", 1, 34),
+    ('case+(x, y : a^c+. y, z : b^c+. z) w', "trailing input 'w'", 1, 36),
+    ('case+(x, nege : a^c+. y, z : b^c+. z)', "expected a binder name, found 'nege'", 1, 10),
+    ('case+(x, y : a^c+. y, in1 : b^c+. z)', "expected a binder name, found 'in1'", 1, 23),
+    ('abs', "expected '[', found 'end of input'", 1, 4),
+    ('abs[', "expected a pure proposition, found 'end of input'", 1, 5),
+    ('abs[a', "expected a mode annotation '^', found 'end of input'", 1, 6),
+    ('abs[a^', "expected strength 's' or 'c', found ''", 1, 7),
+    ('abs[a^s', "expected sign '+' or '-', found ''", 1, 8),
+    ('abs[a^s+', "expected ']', found 'end of input'", 1, 9),
+    ('abs[a^s+]', "expected '(', found 'end of input'", 1, 10),
+    ('abs[a^s+](', "expected a term, found 'end of input'", 1, 11),
+    ('abs[a^s+](x', "expected ',', found 'end of input'", 1, 12),
+    ('abs[a^s+](x,', "expected a term, found 'end of input'", 1, 13),
+    ('abs[a^s+](x, y', "expected ')', found 'end of input'", 1, 15),
+    ('case+', "expected '(', found 'end of input'", 1, 6),
+    ('case+(', "expected a term, found 'end of input'", 1, 7),
+    ('case+(x', "expected ',', found 'end of input'", 1, 8),
+    ('case+(x,', "expected a binder name, found ''", 1, 9),
+    ('case+(x, y', "expected ':', found 'end of input'", 1, 11),
+    ('case+(x, y :', "expected a pure proposition, found 'end of input'", 1, 13),
+    ('case+(x, y : a^c+', "expected '.', found 'end of input'", 1, 18),
+    ('case+(x, y : a^c+.', "expected a term, found 'end of input'", 1, 19),
+    ('case+(x, y : a^c+. y', "expected ',', found 'end of input'", 1, 21),
+    ('case+(x, y : a^c+. y,', "expected a binder name, found ''", 1, 22),
+    ('case+(x, y : a^c+. y, z : b^c+. z', "expected ')', found 'end of input'", 1, 34),
+    ('clam+(', "expected a binder name, found ''", 1, 7),
+    ('clam+(x', "expected ':', found 'end of input'", 1, 8),
+    ('clam+(x :', "expected a pure proposition, found 'end of input'", 1, 10),
+    ('clam+(x : a^c-', "expected '.', found 'end of input'", 1, 15),
+    ('clam+(x : a^c-.', "expected a term, found 'end of input'", 1, 16),
+    ('clam+(x : a^c-. x', "expected ')', found 'end of input'", 1, 18),
+    ('proj1+', "expected '(', found 'end of input'", 1, 7),
+    ('proj1+(', "expected a term, found 'end of input'", 1, 8),
+    ('proj1+(x', "expected ')', found 'end of input'", 1, 9),
+    ('nege-(', "expected a term, found 'end of input'", 1, 7),
+    ('capp+(f,', "expected a term, found 'end of input'", 1, 9),
+    ('in2-(x', "expected ')', found 'end of input'", 1, 7),
+    ('pair+(x, $)', "unexpected character '$'", 1, 10),
+    ('pair+(x,\n  proj3+(y))', 'projection index must be 1 or 2', 2, 3),
+    ('clam+(x : a^c-.\n\n   )', "expected a term, found ')'", 3, 4),
+    ('pair+(x, y) # c\n z', "trailing input 'z'", 2, 2),
+    ('negi+(x))', "trailing input ')'", 1, 9),
+    ('pair-(x, y, z)', "expected ')', found ','", 1, 11),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", ERRORS)
+def test_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_term(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}", line, col)
+
+
+def test_prefixes_of_keywords_are_variables():
+    assert parse_term("proj") == Var("proj")
+    assert parse_term("in") == Var("in")
+    assert parse_term("proj1x") == Var("proj1x")
+    t = parse_term("clam+(proj : a^c-. pair+(proj, in))")
+    assert t == CLam("+", MProp(PVar("a"), Mode("c", "-")), Pair("+", Bound(0), Var("in")))
+    assert t.hint == "proj"
+    assert parse_term("clam+(_bot0 : a^c-. _bot0)", allow_reserved=True).body == Bound(0)
+
+
+# -- the printed text of a fixed corpus --------------------------------------
+
+def _nk_proofs(rng, props):
+    """Small NK proofs over the NK rules that need no refutation."""
+    def proof(hyps, depth):
+        kind = rng.choice(["lem", "hyp"] if depth == 0 or not hyps else
+                          ["lem", "hyp", "andi", "ande", "ori", "impi", "impe"])
+        if kind == "hyp" and hyps:
+            return nk_hyp(hyps, rng.randrange(len(hyps)))
+        if kind in ("lem", "hyp"):
+            return nk_lem(hyps, props.pure(2))
+        if kind == "andi":
+            return nk_and_i(proof(hyps, depth - 1), proof(hyps, depth - 1))
+        if kind == "ande":
+            return nk_and_e(rng.choice((1, 2)), nk_and_i(proof(hyps, depth - 1),
+                                                         proof(hyps, depth - 1)))
+        if kind == "ori":
+            return nk_or_i(rng.choice((1, 2)), props.pure(2), proof(hyps, depth - 1))
+        x = props.pure(1)
+        a = Or(x, Neg(x))
+        fun = nk_imp_i(a, proof(hyps + (a,), depth - 1))
+        return fun if kind == "impi" else nk_imp_e(fun, nk_lem(hyps, x))
+
+    for _ in range(40):
+        hyps = tuple(props.pure(2) for _ in range(rng.randrange(3)))
+        yield proof(hyps, rng.randrange(4))
+
+
+def _printed(t: Term, mode: str) -> list[str]:
+    """The term, its dual, its normal form and its trace as the CLI prints them."""
+    nf, trace = normalize(t, mode=mode)
+    lines = [print_term(t), print_term(dual(t)), print_term(nf)]
+    current = t
+    for entry in trace:
+        env = binder_names_at(current, entry.position)
+        lines.append(f"{entry.position} {entry.rule} {print_term(entry.redex, env)} ==> "
+                     f"{print_term(entry.reduct, env)} | {print_term(entry.redex)}")
+        current = replay(current, (entry,))
+    return lines
+
+
+def _corpus() -> list[str]:
+    rng = random.Random(20211)
+    gen = TermGen(rng)
+    terms = []
+    for make_ctx in (gen.base_context, gen.classical_context):
+        for _ in range(120):
+            ctx = make_ctx()
+            terms.append(gen.sized_term(ctx, gen.props.mprop(2), 4, max_size=60))
+    atoms = [PVar(n) for n in "abcdef"]
+    for k in range(1, 7):
+        conj = atoms[k - 1]
+        for a in reversed(atoms[:k - 1]):
+            conj = And(a, conj)
+        terms += [mk_lem(conj, "+"), mk_lem(conj, "-")]
+    terms += [embed_nk(p) for p in _nk_proofs(rng, PropGen(rng))]
+    terms.append(embed_nk(parse_nk((GOLDEN / "andcomm.nk").read_text())))
+    terms += [parse_judgment(path.read_text())[1] for path in sorted(GOLDEN.glob("*.prk"))]
+    # hints that collide with a free variable, a keyword or an outer binder,
+    # empty hints, and indices that point out of the term
+    p = MProp(PVar("a"), Mode("c", "-"))
+    terms += [
+        CLam("+", p, CApp("+", Var("x"), Bound(0)), hint="x"),
+        CLam("+", p, CLam("-", p, Pair("+", Bound(0), Bound(1)), hint="x"), hint="x"),
+        CLam("+", p, Bound(0), hint="pair"),
+        CLam("-", p, Var("x2"), hint=""),
+        Case("+", Var("x"), p, Pair("-", Bound(0), Var("y")), p, Bound(1), hint1="x", hint2="y"),
+        NegE("-", NegI("-", Bound(3))),
+    ]
+    lines = []
+    for t in terms:
+        lines += _printed(t, PLAIN) + _printed(t, ETA)
+    return lines
+
+
+def test_printed_corpus_is_pinned():
+    text = "\n".join(_corpus()).encode()
+    assert hashlib.sha256(text).hexdigest() == "3b49e7527de2373e2b5b429f47f3707c106a02501ef51fec6ac1e3a08c26b7e8"
+
+
+# -- deep terms at the default recursion limit --------------------------------
+
+def _same_tree(s: Term, t: Term) -> bool:
+    """Structural equality, hints included, on an explicit stack (dataclass
+    == recurses once per node)."""
+    stack = [(s, t)]
+    while stack:
+        u, v = stack.pop()
+        if type(u) is not type(v):
+            return False
+        for f in fields(u):
+            a, b = getattr(u, f.name), getattr(v, f.name)
+            if isinstance(a, Term):
+                stack.append((a, b))
+            elif a != b:
+                return False
+    return True
+
+
+def test_round_trip_of_a_deep_negation_chain():
+    n = 50_000  # 10^5 constructors
+    text = "nege-(negi-(" * n + "x" + "))" * n
+    expected = Var("x")
+    for _ in range(n):
+        expected = NegE("-", NegI("-", expected))
+    t = parse_term(text)
+    assert _same_tree(t, expected)
+    assert print_term(t) == text
+
+
+def test_round_trip_of_deep_binder_nests():
+    n = 2_000
+    p, q = "a^c-", "(a | b)^c+"
+    clams = "".join(f"clam+(x{k} : {p}. " for k in range(n)) + "pair+(x0, x1999)" + ")" * n
+    cases = ("".join(f"case+(s{k}, x{k} : {q}. " for k in range(n)) + "pair-(x0, s0)"
+             + "".join(f", y{k} : {q}. y{k})" for k in reversed(range(n))))
+    pa, pq = MProp(PVar("a"), Mode("c", "-")), MProp(Or(PVar("a"), PVar("b")), Mode("c", "+"))
+    clam_tree = Pair("+", Bound(n - 1), Bound(0))
+    case_tree = Pair("-", Bound(n - 1), Var("s0"))
+    for k in reversed(range(n)):
+        clam_tree = CLam("+", pa, clam_tree, hint=f"x{k}")
+        case_tree = Case("+", Var(f"s{k}"), pq, case_tree, pq, Bound(0),
+                         hint1=f"x{k}", hint2=f"y{k}")
+    for text, expected in ((clams, clam_tree), (cases, case_tree)):
+        t = parse_term(text)
+        assert _same_tree(t, expected)
+        assert print_term(t) == text
+
+
+# -- random text -------------------------------------------------------------
+
+_PIECES = ["abs", "pair", "proj1", "proj3", "in2", "case", "negi", "nege", "clam",
+           "capp", "x", "y", "proj", "_bot0", "a", "b", "(", ")", "[", "]", ",", ".",
+           ":", "^", "s", "c", "+", "-", "&", "|", "~", " ", "\n", "#", "1", "$"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40),
+                 st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)))
+def test_random_text_raises_only_parse_errors(text):
+    try:
+        t = parse_term(text)
+    except ParseError:
+        return
+    assert parse_term(print_term(t)) == t
