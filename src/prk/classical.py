@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
-from .surface import _Tokens, _parse_pure, content_lines
+from .surface import _Tokens, _parse_pure, content_lines, located
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
                      Term, Var, case, clam, fresh_name, fv, prop_vars,
@@ -421,22 +421,24 @@ def parse_nk(text: str) -> NKProof:
     lem[a], impi[a](p), impe(p,q)."""
     hyps: list[PureProp] = []
     proof_src = None
-    for lineno, line in content_lines(text):
+    for lineno, col, line in content_lines(text):
         if line.startswith("hyp"):
-            _, _, rest = line.partition(":")
-            tk = _Tokens(rest)
-            hyps.append(_parse_pure(tk))
-            if tk.peek()[0] != "eof":
-                raise ParseError("trailing input after hypothesis", lineno, 1)
+            head, _, rest = line.partition(":")
+            with located(lineno, col + len(head) + 1):
+                tk = _Tokens(rest)
+                hyps.append(_parse_pure(tk))
+                if tk.peek()[0] != "eof":
+                    raise tk.error("trailing input after hypothesis")
         elif line.startswith("|-"):
-            proof_src = line[2:]
+            proof_src, proof_at = line[2:], (lineno, col + 2)
         else:
-            raise ParseError("expected 'hyp : <prop>' or '|- <proof>'", lineno, 1)
+            raise ParseError("expected 'hyp : <prop>' or '|- <proof>'", lineno, col)
     if proof_src is None:
         raise InvalidNKProofError("no proof line ('|- ...') found")
-    tk = _Tokens(proof_src)
-    proof = _parse_nk_node(tk, tuple(hyps))
-    tk.end()
+    with located(*proof_at):
+        tk = _Tokens(proof_src)
+        proof = _parse_nk_node(tk, tuple(hyps))
+        tk.end()
     return proof
 
 

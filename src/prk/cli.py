@@ -16,7 +16,7 @@ from .errors import (CannotInferError, ParseError, PrkError, TypingError,
 from .kripke import (countermodel_search, forces, parse_model, print_model,
                      validate_model)
 from .rewrite import ETA, PLAIN, binder_names_at, classify, normalize, replay
-from .surface import content_lines, parse_mprop, parse_term, print_mprop, print_term
+from .surface import content_lines, located, parse_mprop, parse_term, print_mprop, print_term
 from .syntax import MProp, Term, dual, mprop_dual
 from .typecheck import Context, infer_type
 from .systemf import f_infer, print_fterm, print_ftype, translate_ctx, translate_prop, translate_term
@@ -32,14 +32,16 @@ def parse_judgment(text: str) -> tuple[Context, Term]:
     """Judgment files: lines 'x : prop' then '|- term'."""
     ctx = Context()
     term = None
-    for lineno, line in content_lines(text):
+    for lineno, col, line in content_lines(text):
         if line.startswith("|-"):
-            term = parse_term(line[2:])
+            with located(lineno, col + 2):
+                term = parse_term(line[2:])
         elif ":" in line:
             name, _, prop_src = line.partition(":")
-            ctx = ctx.extend(name.strip(), parse_mprop(prop_src))
+            with located(lineno, col + len(name) + 1):
+                ctx = ctx.extend(name.strip(), parse_mprop(prop_src))
         else:
-            raise ParseError("expected 'x : prop' or '|- term'", lineno, 1)
+            raise ParseError("expected 'x : prop' or '|- term'", lineno, col)
     if term is None:
         raise ParseError("no term line ('|- ...') found", 1, 1)
     return ctx, term
@@ -49,11 +51,13 @@ def parse_sequent(text: str) -> tuple[list[MProp], MProp]:
     """Sequent files: hypothesis props one per line, then '|- prop'."""
     hyps: list[MProp] = []
     goal = None
-    for _, line in content_lines(text):
+    for lineno, col, line in content_lines(text):
         if line.startswith("|-"):
-            goal = parse_mprop(line[2:])
+            with located(lineno, col + 2):
+                goal = parse_mprop(line[2:])
         else:
-            hyps.append(parse_mprop(line))
+            with located(lineno, col):
+                hyps.append(parse_mprop(line))
     if goal is None:
         raise ParseError("no goal line ('|- ...') found", 1, 1)
     return hyps, goal

@@ -8,6 +8,7 @@ class PrkError(Exception):
 class ParseError(PrkError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -282,7 +282,7 @@ def parse_model(text: str) -> KripkeModel:
     leq: set[tuple[str, str]] = set()
     vplus: dict[str, set[str]] = {}
     vminus: dict[str, set[str]] = {}
-    for lineno, line in content_lines(text):
+    for lineno, _, line in content_lines(text):
         if ":" not in line:
             raise ParseError("expected 'key: values'", lineno, 1)
         head, rest = line.split(":", 1)

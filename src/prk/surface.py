@@ -15,14 +15,17 @@ falsity variable) is only accepted with allow_reserved=True.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 from string import Formatter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ParseError
 from .syntax import (And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
                      NegE, NegI, Or, PVar, Pair, Proj, PureProp, Term, Var,
-                     fresh_name, fv, prop_vars)
+                     fv, prop_vars)
 
 RESERVED_FALSITY = "_bot0"
 
@@ -143,12 +146,23 @@ def _parse_mprop(tk: _Tokens, allow_reserved: bool = False) -> MProp:
     return MProp(a, mode)
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line not blank once its '#' comment is cut."""
+def content_lines(text: str) -> Iterator[tuple[int, int, str]]:
+    """(line number, column, line) for each line not blank once its '#'
+    comment is cut; the column is where the line's text starts."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        line = raw.split("#", 1)[0]
+        if content := line.strip():
+            yield lineno, len(line) - len(line.lstrip()) + 1, content
+
+
+@contextmanager
+def located(line: int, col: int) -> Iterator[None]:
+    """Inside, a parse error in a one-line text that starts at line:col of
+    a file gives its position in the file."""
+    try:
+        yield
+    except ParseError as e:
+        raise ParseError(e.message, line, col + e.col - 1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +202,7 @@ for _cls, (_first, *_rest) in _PRINT.items():
     else:
         _KEYWORDS[_head] = (_cls, {}, [("", _first[1][len(_head):], *_first[2:])] + _rest)
 BINDER_HINTS = {cls: tuple(s[4] for s in steps if s[3] == "Term") for cls, steps in _PRINT.items()}
+_BODIES = {cls: {s[4]: s[2] for s in steps if s[4]} for cls, steps in _PRINT.items()}  # hint -> body
 
 
 def parse_term(text: str, allow_reserved: bool = False) -> Term:
@@ -245,38 +260,83 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 
+
+class Scope:
+    """The names of the binders open at a point of a printed tree.
+    push(hint, *taken) opens a binder named fresh_name(hint, the open names
+    | each of taken), and pop() closes the innermost.  push starts its
+    search after the names of the hint that it knows to be open, so a nest
+    of binders with one hint costs constant time per binder."""
+
+    def __init__(self, env: Sequence[str] = ()):
+        self.names = list(reversed(env))  # innermost last
+        self.count = Counter(env)
+        self.known: dict[str, int] = {}  # hint -> k: its first k - 1 names are open
+        self.undo: list[tuple[str, int]] = []  # (hint, its known k) before each push
+
+    def name(self, i: int) -> str:
+        """The name of index i, counted from the innermost binder."""
+        return self.names[-1 - i] if i < len(self.names) else f"#{i}"
+
+    def push(self, hint: str, *taken) -> str:
+        k = start = self.known.get(hint, 1)
+        while self.count[x := hint if k == 1 else f"{hint}{k}"] or any(x in s for s in taken):
+            k += 1
+        self.undo.append((hint, start))
+        if k == start:
+            self.known[hint] = k + 1
+        self.names.append(x)
+        self.count[x] += 1
+        return x
+
+    def pop(self) -> None:
+        self.count[self.names.pop()] -= 1
+        hint, start = self.undo.pop()
+        self.known[hint] = start
+
+
 def print_mprop(p: MProp) -> str:
     return str(p)
+
+
+def print_tree(t, layout) -> str:
+    """The text of t.  layout(u) lists the parts of a node u: text, a
+    subtree, or a function, run when it is reached, that returns text or
+    None, such as opening or closing a binder's scope.  The parts wait on an
+    explicit stack, so no tree is too deep for it."""
+    out: list[str] = []
+    todo = [t]
+    while todo:
+        part = todo.pop()
+        if isinstance(part, str):
+            out.append(part)
+        elif callable(part):
+            out.append(part() or "")
+        else:
+            todo += reversed(layout(part))
+    return "".join(out)
 
 
 def print_term(t: Term, env: tuple[str, ...] = ()) -> str:
     """Render a term through SYNTAX, naming each binder after its hint
     without capture; env names the indices free in t, innermost first."""
-    out: list[str] = []
-    todo = [(t, env, 0)]  # (term, env, the step of its template to go on from)
-    taken = fv(t) | _KEYWORDS.keys()  # holds the free names of every body
-    while todo:
-        u, env, i = todo.pop()
+    scope = Scope(env)
+
+    def layout(u: Term) -> list:
         if type(u) is Var:
-            out.append(u.name)
-        elif type(u) is Bound:
-            out.append(env[u.index] if u.index < len(env) else f"#{u.index}")
-        else:
-            for literal, _, name, kind, binder in _PRINT[type(u)][i:]:
-                i += 1
-                out.append(literal)
-                if kind == "Term":
-                    inner, body = env, getattr(u, name)
-                    if binder:
-                        x = getattr(u, binder) or "x"
-                        if x in env or x in taken:
-                            x = fresh_name(x, set(fv(body)) | set(env) | _KEYWORDS.keys())
-                        out[named], inner = x, (x,) + env
-                    todo += [(u, env, i), (body, inner, 0)]
-                    break
-                if kind == "str":  # a binder's name, chosen with its body
-                    named = len(out)
-                    out.append("")
-                elif name:
-                    out.append(str(getattr(u, name)))
-    return "".join(out)
+            return [u.name]
+        if type(u) is Bound:
+            return [scope.name(u.index)]
+        parts: list = []
+        for literal, _, name, kind, binder in _PRINT[type(u)]:
+            parts.append(literal)
+            if kind == "Term":
+                parts += [getattr(u, name), scope.pop] if binder else [getattr(u, name)]
+            elif kind == "str":  # a binder's name, chosen when it is reached
+                body = getattr(u, _BODIES[type(u)][name])
+                parts.append(partial(scope.push, getattr(u, name) or "x", fv(body), _KEYWORDS))
+            elif name:
+                parts.append(str(getattr(u, name)))
+        return parts
+
+    return print_tree(t, layout)

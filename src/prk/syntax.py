@@ -5,14 +5,22 @@ variables, so structural equality of terms *is* alpha-equivalence
 (binder name hints are carried for printing but excluded from
 comparison).  All values are immutable.
 
-The shape of the term tree lives in one place: `children`, `rebuild` and
-the binder table `BINDERS`.  Every walk over terms (size, free variables,
+Each tree's shape is read off its dataclass fields by `make_shape`: a
+field holds a child when its annotation names the tree, so `children`
+and `rebuild` are derived, and one binder table (`BINDERS` for terms)
+says how many binders sit over each child.  Every walk over terms (size,
 shifting, substitution, closing, duality, subterm iteration) is built on
 that shape through the generic walks defined here: `make_map`, a
 binder-aware map that keeps unchanged nodes, and `make_fold`, an
 iterative pre-order walk; `make_debruijn` derives shifting, substitution
 and closing from a map.  systemf builds its type and term walks on the
 same helpers.
+
+Every proof term, System F type and System F term carries `free`, a
+summary of its free variables that `summarize` builds with the node from
+its children's: per sort of variable, the bound on its free indices and
+its free names.  So `fv` takes constant time, and shifting, substitution
+and closing return unvisited every subtree they cannot change.
 
 The calculus is symmetric between affirmation (sign +) and denial (sign
 -), and that duality is written down once, in the table below the
@@ -27,8 +35,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from functools import cache
-from typing import Iterator, Sequence, Union
+from functools import cache, lru_cache, partial
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterator, Union
 
 
 def cache_hash(cls):
@@ -56,14 +66,122 @@ def cache_hash(cls):
 # binders each child sits under.  A depth counts binders from `top` at the
 # root; deeper(depth, k) adds a table entry k to it.
 
+def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
+    """children(t) and rebuild(t, kids) for the tree whose nodes are the
+    dataclass subclasses of base, read off their fields: a field holds a
+    child when its annotation names base or a class in leaves, and a node
+    of a leaves class is a leaf of this tree.
+
+    Given sorts, each node of base's tree gets its summary `free` when it is
+    built: sorts lists, per sort of variable in summary order, its index
+    class and its name class, and under maps an entry of the binder table
+    to the binders of each sort that it puts over a child."""
+    kinds = {cls.__name__ for cls in (base, *leaves)}
+    getters = {cls: _getter([]) for leaf in leaves for cls in leaf.__subclasses__()}
+    builders = {}
+    slots = {cls: 2 * s + k for s, pair in enumerate(sorts) for k, cls in enumerate(pair)}
+    for cls in base.__subclasses__():
+        names = [f.name for f in fields(cls)]
+        at = [i for i, f in enumerate(fields(cls)) if f.type in kinds]
+        getters[cls] = _getter([names[i] for i in at])
+        builders[cls] = partial(_build, cls, names, at)
+        if cls in slots:
+            _SUMMARY[cls] = partial(_variable, len(sorts), slots[cls], attrgetter(names[0]))
+        elif sorts:
+            entry = binders.get(cls)
+            unders = repeat(None) if entry is None else [u if any(u) else None for u in map(under, entry)]
+            _SUMMARY[cls] = partial(summarize, getters[cls], unders)
+
+    def children(t) -> tuple:
+        """The children of t, in field order (none for a leaf)."""
+        return getters[type(t)](t)
+
+    def rebuild(t, kids):
+        """t with its children replaced by kids, in field order."""
+        return builders[type(t)](t, kids) if kids else t
+
+    return children, rebuild
+
+
+def _getter(names):
+    """The function from a node to its fields `names`, as a tuple."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda t: (get(t),)
+    return attrgetter(*names) if names else lambda t: ()
+
+
+def _build(cls, names, at, t, kids):
+    """A copy of t, a cls node, with kids for its fields at positions `at`."""
+    args = [getattr(t, name) for name in names]
+    for i, kid in zip(at, kids):
+        args[i] = kid
+    return cls(*args)
+
+
+# Free-variable summaries.  A summary holds, per sort of variable, the
+# bound on a node's free indices (the largest + 1, 0 if none) and the set of
+# its free names, flattened into one tuple.  make_shape fills _SUMMARY.
+
+_NO_NAMES: frozenset[str] = frozenset()
+_SUMMARY: dict[type, object] = {}  # node class -> the function that builds its nodes' free
+
+
+class Summarized:
+    """A tree node that carries `free`, its summary, built with it."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        self.__dict__["free"] = _SUMMARY[type(self)](self)
+
+
+def summarize(children, unders, t) -> tuple:
+    """The summary of a node t from its children's; unders[i], unless None,
+    counts the binders of each sort over child i.  Where it equals a
+    child's summary, it is that child's tuple."""
+    free = None
+    for c, under in zip(children(t), unders):
+        f = c.free
+        if under is not None:  # f as seen from above the binders
+            lowered = list(f)
+            for s, k in enumerate(under):
+                lowered[2 * s] = max(f[2 * s] - k, 0)
+            f = f if tuple(lowered) == f else tuple(lowered)
+        if free is None:
+            free = f
+        elif f != free:
+            joined = list(free)
+            for j in range(0, len(f), 2):
+                v, w = free[j + 1], f[j + 1]
+                joined[j] = max(free[j], f[j])
+                joined[j + 1] = v if w <= v else w if v <= w else v | w
+            joined = tuple(joined)
+            free = free if joined == free else f if joined == f else joined
+    return free
+
+
+def _variable(sorts: int, slot: int, field, t) -> tuple:
+    """The summary of a variable t: its index or name fills the slot of its
+    sort.  Equal ones are shared, through a bounded table."""
+    return _shared_leaf(sorts, slot, field(t))
+
+
+@lru_cache(maxsize=1 << 12)
+def _shared_leaf(sorts: int, slot: int, value) -> tuple:
+    free: list = [0, _NO_NAMES] * sorts
+    free[slot] = value + 1 if slot % 2 == 0 else frozenset((value,))
+    return tuple(free)
+
+
 def make_map(children, rebuild, binders, deeper=operator.add, top=0):
-    """map(t, leaf, depth=top, keep=None) replaces every leaf u of t by
+    """map(t, leaf, depth=top, keep=never) replaces every leaf u of t by
     leaf(u, d), d the depth of u; a subtree u with keep(u, d) true is
     returned as it is, unvisited.  A node whose children all come back
     unchanged is returned itself, so a map that changes nothing allocates
     nothing.  It keeps an explicit stack, so no tree is too deep for it."""
 
-    def tree_map(t, leaf, depth=top, keep=None):
+    def tree_map(t, leaf, depth=top, keep=lambda u, d: False):
         done = []  # results, each node's after its children's
         stack = [(t, depth, None)]  # (node, depth, its children once visited)
         while stack:
@@ -72,7 +190,7 @@ def make_map(children, rebuild, binders, deeper=operator.add, top=0):
                 new = done[-len(kids):]
                 del done[-len(kids):]
                 done.append(u if all(map(operator.is_, new, kids)) else rebuild(u, new))
-            elif keep is not None and keep(u, d):
+            elif keep(u, d):
                 done.append(u)
             elif not (kids := children(u)):
                 done.append(leaf(u, d))
@@ -124,26 +242,23 @@ def preorder(fold, t) -> list:
     return out
 
 
-def make_debruijn(tree_map, Bound, Free, free=None):
+def make_debruijn(tree_map, Bound, Free):
     """Shifting, substitution and closing for a tree with one kind of
     binder, built on its map; Bound(i) is an index leaf, Free(n) a name.
-    If given, free(u) starts with u's bound on free indices (largest + 1)
-    and its free names, and each walk skips the subtrees it cannot change."""
+    The first sort of each node's summary `free` is that binder's: each walk
+    skips the subtrees it cannot change, so every leaf it visits changes."""
 
     def unchanged(above: int, name=None):
         """The keep test of a walk that changes only indices >= above + depth and `name`."""
-        return None if free is None else (
-            lambda u, d: (f := free(u))[0] <= above + d and name not in f[1])
+        return lambda u, d: (f := u.free)[0] <= above + d and name not in f[1]
 
     def shift(t, amount: int, cutoff: int = 0):
         """Add `amount` to every index >= cutoff (indices below are untouched)."""
 
-        def leaf(u, cut):
-            if isinstance(u, Bound) and u.index >= cut:
-                if u.index + amount < cut:
-                    raise ValueError("shift would produce a dangling index")
-                return Bound(u.index + amount)
-            return u
+        def leaf(u, cut):  # an index >= cut
+            if u.index + amount < cut:
+                raise ValueError("shift would produce a dangling index")
+            return Bound(u.index + amount)
 
         return tree_map(t, leaf, cutoff, keep=unchanged(0))
 
@@ -153,13 +268,10 @@ def make_debruijn(tree_map, Bound, Free, free=None):
         on the way in.  depth counts binders already crossed between s's
         home level and t."""
 
-        def leaf(u, d):
-            if isinstance(u, Bound):
-                if u.index == j + d:
-                    return shift(s, d) if d else s
-                if u.index > j + d:
-                    return Bound(u.index - 1)
-            return u
+        def leaf(u, d):  # an index >= j + d
+            if u.index > j + d:
+                return Bound(u.index - 1)
+            return shift(s, d) if d else s
 
         return tree_map(t, leaf, depth, keep=unchanged(j))
 
@@ -167,10 +279,8 @@ def make_debruijn(tree_map, Bound, Free, free=None):
         """Abstract the free variable `name` as index `depth` (inverse of
         substituting Free(name) for that index)."""
 
-        def leaf(u, d):
-            if isinstance(u, Free):
-                return Bound(d) if u.name == name else u
-            return Bound(u.index + 1) if u.index >= d else u
+        def leaf(u, d):  # `name` or an index >= d
+            return Bound(d) if isinstance(u, Free) else Bound(u.index + 1)
 
         return tree_map(t, leaf, depth, keep=unchanged(0, name))
 
@@ -220,53 +330,33 @@ class Neg(PureProp):
         return f"~{self.inner}"
 
 
+prop_children, prop_rebuild = make_shape(PureProp)
+prop_fold = make_fold(prop_children, {})
+# every child sits one level below its parent, so a node's depth is its level
+_levels = make_fold(prop_children, {And: (1, 1), Or: (1, 1), Neg: (1,)})
+
+
 def prop_size(a: PureProp) -> int:
     """Number of symbols: every variable and connective counts one."""
-    match a:
-        case PVar(_):
-            return 1
-        case And(l, r) | Or(l, r):
-            return 1 + prop_size(l) + prop_size(r)
-        case Neg(inner):
-            return 1 + prop_size(inner)
-    raise TypeError(a)
+    return len(preorder(prop_fold, a))
 
 
 def prop_vars(a: PureProp) -> frozenset[str]:
-    match a:
-        case PVar(name):
-            return frozenset((name,))
-        case And(l, r) | Or(l, r):
-            return prop_vars(l) | prop_vars(r)
-        case Neg(inner):
-            return prop_vars(inner)
-    raise TypeError(a)
+    return frozenset(u.name for u in preorder(prop_fold, a) if isinstance(u, PVar))
 
 
 def prop_dual(a: PureProp) -> PureProp:
     """Swap conjunction/disjunction, push through negation, fix variables."""
-    match a:
-        case PVar(_):
-            return a
-        case And(l, r):
-            return Or(prop_dual(l), prop_dual(r))
-        case Or(l, r):
-            return And(prop_dual(l), prop_dual(r))
-        case Neg(inner):
-            return Neg(prop_dual(inner))
-    raise TypeError(a)
+    if isinstance(a, PVar):
+        return a
+    return {And: Or, Or: And, Neg: Neg}[type(a)](*map(prop_dual, prop_children(a)))
 
 
 def prop_depth(a: PureProp) -> int:
     """Formula height, counting a variable as depth 1."""
-    match a:
-        case PVar(_):
-            return 1
-        case And(l, r) | Or(l, r):
-            return 1 + max(prop_depth(l), prop_depth(r))
-        case Neg(inner):
-            return 1 + prop_depth(inner)
-    raise TypeError(a)
+    levels: list[int] = []
+    _levels(a, lambda _, level: levels.append(level))
+    return 1 + max(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +450,7 @@ def mprop_dual(p: MProp) -> MProp:
 # ---------------------------------------------------------------------------
 # Terms
 
-class Term:
+class Term(Summarized):
     __slots__ = ()
 
 
@@ -451,45 +541,12 @@ class CApp(Term):
     arg: Term
 
 
-# ---------------------------------------------------------------------------
-# The shape of the term tree: children, rebuild and BINDERS are the only
-# code that lists the term constructors for structural recursion.
-
-def children(t: Term) -> tuple[Term, ...]:
-    """Immediate subterms in field order (empty for a variable)."""
-    match t:
-        case Var() | Bound():
-            return ()
-        case CLam() | NegI() | NegE() | Proj() | Inj():
-            return (t.body,)
-        case CApp():
-            return (t.fun, t.arg)
-        case Pair() | Abs():
-            return (t.left, t.right)
-        case Case():
-            return (t.scrutinee, t.branch1, t.branch2)
-    raise TypeError(t)
-
-
-def rebuild(t: Term, kids: Sequence[Term]) -> Term:
-    """t with its immediate subterms replaced by kids, in field order."""
-    match t:
-        case Var() | Bound():
-            return t
-        case CLam():
-            return CLam(t.sign, t.annot, kids[0], t.hint)
-        case NegI() | NegE() | CApp() | Pair():
-            return type(t)(t.sign, *kids)
-        case Proj() | Inj():
-            return type(t)(t.sign, t.index, kids[0])
-        case Abs():
-            return Abs(t.annot, *kids)
-        case Case():
-            return Case(t.sign, kids[0], t.annot1, kids[1], t.annot2, kids[2], t.hint1, t.hint2)
-    raise TypeError(t)
-
+# The shape of the term tree, read off the fields above, and BINDERS, the
+# binders over each child.  A term's summary is (bound on its free indices,
+# its free names).
 
 BINDERS = {CLam: (1,), Case: (0, 1, 1)}  # binders over each child
+children, rebuild = make_shape(Term, binders=BINDERS, sorts=((Bound, Var),))
 
 term_map = make_map(children, rebuild, BINDERS)
 term_fold = make_fold(children, BINDERS)
@@ -507,7 +564,7 @@ def term_size(t: Term) -> int:
 
 def fv(t: Term) -> frozenset[str]:
     """Free (named) variables."""
-    return frozenset(u.name for u in preorder(term_fold, t) if isinstance(u, Var))
+    return t.free[1]
 
 
 def uses_index(t: Term, k: int) -> bool:
@@ -521,7 +578,8 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     Bound variables are indices, so s can never be captured; binder
     hints are refreshed lazily at print time.
     """
-    return term_map(t, lambda u, _: s if isinstance(u, Var) and u.name == x else u)
+    # the map skips every subtree without x, so each leaf it reaches is x
+    return term_map(t, lambda u, _: s, keep=lambda u, _: x not in u.free[1])
 
 
 def open_binder(body: Term, name: str) -> Term:

@@ -10,35 +10,37 @@ Pos<A,B> and Neg<A,B> are the constraint variables, subject to
 Bound variables (term and type) are de Bruijn indices; free variables
 are named, so structural equality is alpha-equivalence.
 
-Each tree's shape lives in one place: `ftype_children`, `ftype_rebuild`
-and `FTYPE_BINDERS` for types; `fterm_children`, `fterm_rebuild` and
+Each tree's shape is read off its dataclass fields by syntax's
+`make_shape`, plus one binder table: `FTYPE_BINDERS` for types and
 `FTERM_BINDERS` for terms, where type fields are leaves and a binder
 depth counts term and type binders separately.  Every walk over either
 tree (shifting, substitution, closing, free variables, complexity,
 polarity, reduction positions) is built on that shape with the generic
 map and fold of syntax (`make_map`, `make_fold`, `make_debruijn`).
 
-Every node carries `free`, a summary built with it from its children's:
-(bound on its free type indices, free type names, bound on its free term
-indices, free term names), a bound being the largest free index + 1.
-Shifting, substitution and closing return a subtree unvisited when its
-summary shows they cannot change it, so on the shared and mostly closed
-translations they cost the size of the graph, not that of the tree.
+Every node carries `free`, the summary syntax's `summarize` builds with it
+from its children's: (bound on its free type indices, free type names,
+bound on its free term indices, free term names), a bound being the
+largest free index + 1.  Shifting, substitution and closing return a
+subtree unvisited when its summary shows they cannot change it, so on the
+shared and mostly closed translations they cost the size of the graph,
+not that of the tree.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Iterator
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, And, CLam, Case,
-                     Inj, MProp, Mode, Neg, Or, Proj, PVar, Var, cache_hash,
-                     flip, fresh_name, make_debruijn, make_fold, make_map,
-                     opposite, preorder)
+                     Inj, MProp, Mode, Neg, Or, Proj, PVar, Summarized, Var,
+                     cache_hash, flip, fresh_name, make_debruijn, make_fold,
+                     make_map, make_shape, opposite, preorder)
+from .surface import Scope, print_tree
 from .typecheck import Context, Derivation, check_type
 
 
@@ -57,11 +59,8 @@ class DomainMismatchError(TypingError):
 # ---------------------------------------------------------------------------
 # Types
 
-class FType:
+class FType(Summarized):
     __slots__ = ()
-
-    def __post_init__(self) -> None:
-        self.__dict__["free"] = _summary(self)
 
 
 @dataclass(frozen=True)
@@ -98,71 +97,16 @@ class Forall(FType):
     hint: str = field(default="a", compare=False)
 
 
-# The shape of the type tree: ftype_children, ftype_rebuild and
-# FTYPE_BINDERS; every type walk below is built on ftype_map and ftype_fold.
-
-def ftype_children(t: FType) -> tuple[FType, ...]:
-    match t:
-        case TVar() | TBound():
-            return ()
-        case Arrow():
-            return (t.dom, t.cod)
-        case FPos() | FNeg():
-            return (t.a, t.b)
-        case Forall():
-            return (t.body,)
-    raise TypeError(t)
-
-
-def ftype_rebuild(t: FType, kids: Sequence[FType]) -> FType:
-    match t:
-        case TVar() | TBound():
-            return t
-        case Arrow() | FPos() | FNeg():
-            return type(t)(*kids)
-        case Forall():
-            return Forall(kids[0], t.hint)
-    raise TypeError(t)
-
+# The shape of the type tree, read off its fields, and FTYPE_BINDERS; every
+# type walk below is built on ftype_map and ftype_fold.  Types and terms
+# share one summary layout, type variables first; types hold no term ones.
 
 FTYPE_BINDERS = {Forall: (1,)}  # binders over each child
-
-_NONE: frozenset[str] = frozenset()
-# (term, type) binders over each child of a binding constructor, in both trees
-_UNDER = {cls: tuple((0, k) for k in ks) for cls, ks in FTYPE_BINDERS.items()}
-_FLAT = ((0, 0), (0, 0))
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    return a if b <= a else b if a <= b else a | b
-
-
-def _summary(t: FType | FTerm) -> tuple[int, frozenset[str], int, frozenset[str]]:
-    match t:
-        case TVar(name):
-            return 0, frozenset((name,)), 0, _NONE
-        case TBound(i):
-            return i + 1, _NONE, 0, _NONE
-        case FType():
-            kids = ftype_children(t)
-        case FVar(name):
-            return 0, _NONE, 0, frozenset((name,))
-        case FBound(i):
-            return 0, _NONE, i + 1, _NONE
-        case _:
-            kids = fterm_children(t)
-    ty_b, ty_n, tm_b, tm_n = 0, _NONE, 0, _NONE
-    for c, (k_tm, k_ty) in zip(kids, _UNDER.get(type(t), _FLAT)):
-        c_ty_b, c_ty_n, c_tm_b, c_tm_n = c.free
-        ty_b, ty_n = max(ty_b, c_ty_b - k_ty), _union(ty_n, c_ty_n)
-        tm_b, tm_n = max(tm_b, c_tm_b - k_tm), _union(tm_n, c_tm_n)
-    return ty_b, ty_n, tm_b, tm_n
-
-
+ftype_children, ftype_rebuild = make_shape(FType, binders=FTYPE_BINDERS,
+                                           sorts=((TBound, TVar), ()), under=lambda k: (k, 0))
 ftype_map = make_map(ftype_children, ftype_rebuild, FTYPE_BINDERS)
 ftype_fold = make_fold(ftype_children, FTYPE_BINDERS)
-shift_type, subst_type, close_type = make_debruijn(ftype_map, TBound, TVar,
-                                                   operator.attrgetter("free"))
+shift_type, subst_type, close_type = make_debruijn(ftype_map, TBound, TVar)
 
 
 def ftype_vars(t: FType) -> frozenset[str]:
@@ -233,11 +177,8 @@ def ftype_equiv(a: FType, b: FType) -> bool:
 # ---------------------------------------------------------------------------
 # Terms
 
-class FTerm:
+class FTerm(Summarized):
     __slots__ = ()
-
-    def __post_init__(self) -> None:
-        self.__dict__["free"] = _summary(self)
 
 
 @dataclass(frozen=True)
@@ -275,41 +216,13 @@ class TyApp(FTerm):
     ty: FType
 
 
-# The shape of the term tree: fterm_children, fterm_rebuild and
-# FTERM_BINDERS.  Type fields are leaves of the term tree, and a depth is
-# a pair (term binders, type binders); every term walk below is built on
-# fterm_map and fterm_fold.
-
-def fterm_children(t: FTerm) -> tuple[FTerm | FType, ...]:
-    match t:
-        case FVar() | FBound() | FType():
-            return ()
-        case FApp():
-            return (t.fun, t.arg)
-        case FLam():
-            return (t.annot, t.body)
-        case TyApp():
-            return (t.fun, t.ty)
-        case TyLam():
-            return (t.body,)
-    raise TypeError(t)
-
-
-def fterm_rebuild(t: FTerm, kids: Sequence[FTerm | FType]) -> FTerm:
-    match t:
-        case FVar() | FBound():
-            return t
-        case FApp() | TyApp():
-            return type(t)(*kids)
-        case FLam():
-            return FLam(kids[0], kids[1], t.hint)
-        case TyLam():
-            return TyLam(kids[0], t.hint)
-    raise TypeError(t)
-
+# The shape of the term tree, read off its fields, and FTERM_BINDERS.  Type
+# fields are leaves of the term tree, and a depth is a pair (term binders,
+# type binders); every term walk below is built on fterm_map and fterm_fold.
 
 FTERM_BINDERS = {FLam: ((0, 0), (1, 0)), TyLam: ((0, 1),)}  # (term, type) binders
-_UNDER.update(FTERM_BINDERS)
+fterm_children, fterm_rebuild = make_shape(FTerm, (FType,), FTERM_BINDERS,
+                                           ((TBound, TVar), (FBound, FVar)), lambda k: k[::-1])
 
 
 def _deeper(depth: tuple[int, int], k: tuple[int, int]) -> tuple[int, int]:
@@ -320,15 +233,16 @@ fterm_map = make_map(fterm_children, fterm_rebuild, FTERM_BINDERS, _deeper, (0, 
 fterm_fold = make_fold(fterm_children, FTERM_BINDERS, _deeper, (0, 0))
 
 
+# Each walk below skips the subtrees its keep test shows it cannot change, so
+# every leaf it visits is one it changes.
+
 def shift_fterm(t: FTerm, d_term: int, d_type: int, c_term: int = 0, c_type: int = 0) -> FTerm:
     """Shift term indices by d_term and type indices by d_type."""
 
-    def leaf(u, cut: tuple[int, int]):
+    def leaf(u, cut: tuple[int, int]):  # a term index >= cut[0], or a type
         if isinstance(u, FBound):
-            return FBound(u.index + d_term) if u.index >= cut[0] else u
-        if isinstance(u, FType) and d_type:
-            return shift_type(u, d_type, cut[1])
-        return u
+            return FBound(u.index + d_term)
+        return shift_type(u, d_type, cut[1])
 
     return fterm_map(t, leaf, (c_term, c_type), keep=lambda u, cut: (
         (not d_term or u.free[2] <= cut[0]) and (not d_type or u.free[0] <= cut[1])))
@@ -338,14 +252,11 @@ def subst_fterm(t: FTerm, j: int, s: FTerm) -> FTerm:
     """Substitute s for term index j (beta for term application); s is
     shifted by the term and type binders crossed on the way in."""
 
-    def leaf(u, depth: tuple[int, int]):
-        if isinstance(u, FBound):
-            d_term, d_type = depth
-            if u.index == j + d_term:
-                return shift_fterm(s, d_term, d_type) if (d_term or d_type) else s
-            if u.index > j + d_term:
-                return FBound(u.index - 1)
-        return u
+    def leaf(u, depth: tuple[int, int]):  # a term index >= j + depth[0]
+        d_term, d_type = depth
+        if u.index > j + d_term:
+            return FBound(u.index - 1)
+        return shift_fterm(s, d_term, d_type) if (d_term or d_type) else s
 
     return fterm_map(t, leaf, keep=lambda u, d: u.free[2] <= j + d[0])
 
@@ -353,26 +264,20 @@ def subst_fterm(t: FTerm, j: int, s: FTerm) -> FTerm:
 def subst_type_in_fterm(t: FTerm, j: int, a: FType) -> FTerm:
     """Substitute a for type index j throughout a term (beta for type
     application)."""
-    return fterm_map(t, lambda u, d: subst_type(u, j, a, d[1])
-                     if isinstance(u, FType) else u,
+    return fterm_map(t, lambda u, d: subst_type(u, j, a, d[1]),
                      keep=lambda u, d: u.free[0] <= j + d[1])
 
 
 def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
-    def leaf(u, d: tuple[int, int]):
-        if isinstance(u, FVar):
-            return FBound(d[0]) if u.name == name else u
-        if isinstance(u, FBound):
-            return FBound(u.index + 1) if u.index >= d[0] else u
-        return u
+    def leaf(u, d: tuple[int, int]):  # `name` or a term index >= d[0]
+        return FBound(d[0]) if isinstance(u, FVar) else FBound(u.index + 1)
 
     return fterm_map(t, leaf, (depth, 0),
                      keep=lambda u, d: u.free[2] <= d[0] and name not in u.free[3])
 
 
 def close_tyvar_in_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
-    return fterm_map(t, lambda u, d: close_type(u, name, d[1])
-                     if isinstance(u, FType) else u, (0, depth),
+    return fterm_map(t, lambda u, d: close_type(u, name, d[1]), (0, depth),
                      keep=lambda u, d: u.free[0] <= d[1] and name not in u.free[1])
 
 
@@ -776,10 +681,6 @@ def polarity(t: FType) -> Polarity:
 # ---------------------------------------------------------------------------
 # Printing
 
-def _mentions_bound0(t: FType, depth: int = 0) -> bool:
-    return bool(ftype_fold(t, lambda u, d: isinstance(u, TBound) and u.index == d, depth))
-
-
 def _unsugar_type(t: FType) -> tuple[str, FType, FType] | str | None:
     if t == ZERO:
         return "0"
@@ -787,64 +688,59 @@ def _unsugar_type(t: FType) -> tuple[str, FType, FType] | str | None:
         return "1"
     match t:
         case Forall(Arrow(Arrow(a, Arrow(b, TBound(0))), TBound(0)), _):
-            if not _mentions_bound0(a) and not _mentions_bound0(b):
-                return ("*", shift_type(a, -1), shift_type(b, -1))
+            op = "*"
         case Forall(Arrow(Arrow(a, TBound(0)), Arrow(Arrow(b, TBound(0)), TBound(0))), _):
-            if not _mentions_bound0(a) and not _mentions_bound0(b):
-                return ("+", shift_type(a, -1), shift_type(b, -1))
-    return None
+            op = "+"
+        case _:
+            return None
+    try:
+        return op, shift_type(a, -1), shift_type(b, -1)
+    except ValueError:  # a or b mentions the bound variable: no sugar
+        return None
 
 
 def print_ftype(t: FType, env: tuple[str, ...] = ()) -> str:
-    sugar = _unsugar_type(t)
-    if isinstance(sugar, str):
-        return sugar
-    if sugar is not None:
-        op, a, b = sugar
-        return f"({print_ftype(a, env)} {op} {print_ftype(b, env)})"
-    match t:
-        case TVar(n):
-            return n
-        case TBound(i):
-            return env[i] if i < len(env) else f"#{i}"
-        case FPos(a, b):
-            return f"Pos<{print_ftype(a, env)}, {print_ftype(b, env)}>"
-        case FNeg(a, b):
-            return f"Neg<{print_ftype(a, env)}, {print_ftype(b, env)}>"
-        case Arrow(d, c):
-            ds = print_ftype(d, env)
-            if isinstance(d, Arrow) and _unsugar_type(d) is None:
-                ds = f"({ds})"
-            return f"{ds} -> {print_ftype(c, env)}"
-        case Forall(b, hint):
-            name = fresh_name(hint or "a", set(env) | set(ftype_vars(b)))
-            return f"forall {name}. {print_ftype(b, (name,) + env)}"
-    raise TypeError(t)
+    return print_tree(t, partial(_layout, scope=Scope(), tyscope=Scope(env)))
 
 
 def print_fterm(t: FTerm, env: tuple[str, ...] = (), tyenv: tuple[str, ...] = ()) -> str:
+    return print_tree(t, partial(_layout, scope=Scope(env), tyscope=Scope(tyenv)))
+
+
+def _parens(t: FTerm, kinds: tuple[type, ...]) -> list:
+    return ["(", t, ")"] if isinstance(t, kinds) else [t]
+
+
+def _layout(t: FTerm | FType, scope: Scope, tyscope: Scope) -> list:
+    """The parts of t for print_tree; scope and tyscope name the open term
+    and type binders."""
+    sugar = _unsugar_type(t) if isinstance(t, FType) else None
+    if isinstance(sugar, str):
+        return [sugar]
+    if sugar is not None:
+        op, a, b = sugar
+        return ["(", a, f" {op} ", b, ")"]
     match t:
-        case FVar(n):
-            return n
+        case TVar(n) | FVar(n):
+            return [n]
+        case TBound(i):
+            return [tyscope.name(i)]
         case FBound(i):
-            return env[i] if i < len(env) else f"#{i}"
+            return [scope.name(i)]
+        case FPos(a, b) | FNeg(a, b):
+            return ["Pos<" if isinstance(t, FPos) else "Neg<", a, ", ", b, ">"]
+        case Arrow(d, c):
+            wrap = isinstance(d, Arrow) and _unsugar_type(d) is None
+            return (["(", d, ")"] if wrap else [d]) + [" -> ", c]
+        case Forall(b, hint):
+            return ["forall ", tyscope.push(hint or "a", ftype_vars(b)), ". ", b, tyscope.pop]
         case FLam(annot, body, hint):
-            x = fresh_name(hint or "x", set(env) | set(fterm_fv(body)))
-            return f"fun ({x} : {print_ftype(annot, tyenv)}) -> {print_fterm(body, (x,) + env, tyenv)}"
+            return ["fun (", scope.push(hint or "x", fterm_fv(body)), " : ", annot, ") -> ",
+                    body, scope.pop]
         case FApp(f, a):
-            fs = print_fterm(f, env, tyenv)
-            if isinstance(f, (FLam, TyLam)):
-                fs = f"({fs})"
-            args = print_fterm(a, env, tyenv)
-            if isinstance(a, (FLam, TyLam, FApp, TyApp)):
-                args = f"({args})"
-            return f"{fs} {args}"
+            return _parens(f, (FLam, TyLam)) + [" "] + _parens(a, (FLam, TyLam, FApp, TyApp))
         case TyLam(body, hint):
-            a = fresh_name(hint or "a", set(tyenv))
-            return f"tfun {a} -> {print_fterm(body, env, (a,) + tyenv)}"
+            return ["tfun ", tyscope.push(hint or "a"), " -> ", body, tyscope.pop]
         case TyApp(f, ty):
-            fs = print_fterm(f, env, tyenv)
-            if isinstance(f, (FLam, TyLam)):
-                fs = f"({fs})"
-            return f"{fs} [{print_ftype(ty, tyenv)}]"
+            return _parens(f, (FLam, TyLam)) + [" [", ty, "]"]
     raise TypeError(t)

@@ -86,10 +86,7 @@ class Derivation:
 
 
 def _fresh(hint: str, ctx: Context, *terms: Term) -> str:
-    taken = set(ctx.names())
-    for t in terms:
-        taken |= fv(t)
-    return fresh_name(hint or "x", taken)
+    return fresh_name(hint or "x", ctx.names().union(*map(fv, terms)))
 
 
 def _expect_mode(p: MProp, strength: str, sign: str, what: str) -> None:

@@ -4,6 +4,7 @@ import pathlib
 import sys
 import threading
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prk import cli
@@ -46,6 +47,28 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "projection index" in err
+
+
+# (command, file text, the error message, with its position in the file)
+FILE_ERRORS = [
+    ("check", "x : a^c+\ny : b^c+\n|- pair+(x, proj3+(y))\n",
+     "3:13: projection index must be 1 or 2"),
+    ("check", "x : a^c+\ny : (b ^c+\n|- x\n", "2:8: modes cannot be nested"),
+    ("check", "  x : a^c+   # indented\n\n    |- pair+(x,\n",
+     "3:16: expected a term, found 'end of input'"),
+    ("decide", "a^c+\n  |- (a | b)^q+\n", "2:14: expected strength 's' or 'c', found 'q'"),
+    ("embed", "hyp : (a & b)\n|- andi(ande3(hyp(0)), hyp(0))\n",
+     "2:9: unknown proof rule 'ande3'"),
+    ("embed", "hyp : (a & b) c\n|- hyp(0)\n", "1:15: trailing input after hypothesis"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", FILE_ERRORS)
+def test_parse_errors_give_positions_in_the_file(tmp_path, capsys, command, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, _, err = run(capsys, command, str(bad))
+    assert (code, err) == (2, f"parse error: {message}\n")
 
 
 def test_normalize_eta_golden(capsys):

@@ -1,14 +1,16 @@
-"""The tree shapes: one children/rebuild/binder table per AST, and the
-generic map and fold built on them."""
+"""The tree shapes: children/rebuild read off each AST's fields plus one
+binder table, the generic map and fold built on them, and the free-variable
+summary every proof term and F node carries."""
 
 import sys
 
 import pytest
 
+from prk.rewrite import normalize
 from prk.syntax import (BINDERS, Abs, Bound, CApp, CLam, Case, Inj, MProp, Mode,
-                        NegE, NegI, Pair, Proj, PVar, Term, Var, children, fv,
-                        rebuild, subterms, term_fold, term_map, term_size,
-                        uses_index)
+                        NegE, NegI, Pair, Proj, PVar, Term, Var, children,
+                        close_binder, fv, rebuild, shift, subst_bound, substitute,
+                        subterms, term_fold, term_map, term_size, uses_index)
 from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, Arrow, FApp, FBound, FLam,
                          FNeg, FPos, FTerm, FType, FVar, Forall, TBound, TVar,
                          TyApp, TyLam, complexity, shift_type, fterm_children, fterm_fold,
@@ -113,3 +115,167 @@ def test_type_map_needs_no_recursion():
         assert type(out) is Arrow
         out = out.cod
     assert out == TBound(2)
+
+
+def test_fterm_children_of_a_type_is_empty():
+    for t in FTYPES:
+        assert fterm_children(t) == ()
+
+
+# -- every proof term carries its free-variable summary ---------------------------
+# free is (bound on the free indices, the free names), a bound being the
+# largest free index + 1.  The scan below reads it off every leaf instead.
+
+def _scan(t):
+    bound, names = [0], set()
+
+    def visit(u, d):
+        if isinstance(u, Bound) and u.index >= d:
+            bound[0] = max(bound[0], u.index - d + 1)
+        elif isinstance(u, Var):
+            names.add(u.name)
+
+    term_fold(t, visit)
+    return bound[0], frozenset(names)
+
+
+def _random_open_term(rng, depth):
+    """Any constructor, with indices that may point past every binder."""
+    if depth == 0 or rng.random() < 0.2:
+        return Bound(rng.randrange(4)) if rng.random() < 0.5 else Var(rng.choice("xyz"))
+    sub = lambda: _random_open_term(rng, depth - 1)  # noqa: E731
+    sign = rng.choice("+-")
+    return rng.choice([
+        lambda: Abs(P, sub(), sub()), lambda: Pair(sign, sub(), sub()),
+        lambda: Proj(sign, 1, sub()), lambda: Inj(sign, 2, sub()),
+        lambda: Case(sign, sub(), P, sub(), P, sub(), "u", "v"),
+        lambda: NegI(sign, sub()), lambda: NegE(sign, sub()),
+        lambda: CLam(sign, P, sub(), "k"), lambda: CApp(sign, sub(), sub())])()
+
+
+def _corpus(term_gen, rng):
+    terms = [_random_open_term(rng, 5) for _ in range(120)]
+    for make_ctx in (term_gen.base_context, term_gen.classical_context):
+        terms += [term_gen.term(make_ctx(), term_gen.props.mprop(2), 3) for _ in range(60)]
+    return terms
+
+
+def test_every_node_carries_its_summary(term_gen, rng):
+    for t in _corpus(term_gen, rng):
+        for u in subterms(t):
+            assert u.free == _scan(u)
+            assert fv(u) == u.free[1]
+    t = Pair("+", Var("x"), Bound(3))
+    for i in range(DEEP // 2):
+        t = CLam("-", P, NegI("+", t)) if i % 1000 == 0 else NegE("-", NegI("-", t))
+    assert t.free == _scan(t) == (0, frozenset({"x"}))
+    # equal summaries are shared, not built again
+    assert Var("q").free is Var("q").free and NegI("+", t).free is t.free
+
+
+# A reference for the de Bruijn walks that visits every node: it recurses over
+# the shape and knows nothing of the summaries.
+
+def _ref_map(t, leaf, d):
+    kids = children(t)
+    if not kids:
+        return leaf(t, d)
+    under = BINDERS.get(type(t), (0,) * len(kids))
+    return rebuild(t, [_ref_map(c, leaf, d + k) for c, k in zip(kids, under)])
+
+
+def _ref_shift(t, amount, cutoff=0):
+    def leaf(u, c):
+        if isinstance(u, Bound) and u.index >= c:
+            if u.index + amount < c:
+                raise ValueError("dangling")
+            return Bound(u.index + amount)
+        return u
+    return _ref_map(t, leaf, cutoff)
+
+
+def _ref_subst(t, j, s, depth=0):
+    def leaf(u, d):
+        if isinstance(u, Bound) and u.index == j + d:
+            return _ref_shift(s, d)
+        return Bound(u.index - 1) if isinstance(u, Bound) and u.index > j + d else u
+    return _ref_map(t, leaf, depth)
+
+
+def _ref_close(t, name, depth=0):
+    def leaf(u, d):
+        if isinstance(u, Var):
+            return Bound(d) if u.name == name else u
+        return Bound(u.index + 1) if u.index >= d else u
+    return _ref_map(t, leaf, depth)
+
+
+def _same(lib, ref) -> bool:
+    """Equal answers, hints included, or both raise ValueError (then true)."""
+    try:
+        want = repr(ref())
+    except ValueError:
+        with pytest.raises(ValueError):
+            lib()
+        return True
+    assert repr(lib()) == want
+    return False
+
+
+def test_pruned_term_walks_match_reference(term_gen, rng):
+    raised = 0
+    for t in _corpus(term_gen, rng):
+        bodies = [t]
+        for u in subterms(t):
+            if isinstance(u, CLam):
+                bodies.append(u.body)
+            elif isinstance(u, Case):
+                bodies += [u.branch1, u.branch2]
+        s = _random_open_term(rng, 2)
+        for b in bodies:
+            for c in (0, 1, 2):
+                for amount in (-1, 1, 2):
+                    raised += _same(lambda: shift(b, amount, c), lambda: _ref_shift(b, amount, c))
+                for j in (0, 1):
+                    _same(lambda: subst_bound(b, j, s, c), lambda: _ref_subst(b, j, s, c))
+                for name in "xyz":
+                    _same(lambda: close_binder(b, name, c), lambda: _ref_close(b, name, c))
+            for name in "xyz":
+                _same(lambda: substitute(b, name, s),
+                      lambda: _ref_map(b, lambda u, _: s if u == Var(name) else u, 0))
+    assert raised > 100  # shifts by -1 that leave an index dangling
+    with pytest.raises(ValueError):
+        shift(CLam("+", P, Pair("+", Bound(0), Bound(1))), -1)
+
+
+# -- substitution skips what it cannot change, so normalizing is linear -------------
+
+def _visits(fn, *args):
+    """The number of nodes whose children fn(*args) reads: its work, counted
+    the same on every machine."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is children.__code__
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _case_nest(k):
+    """case+(in1+(v), x. pair+(x, ...), y. y), k cases deep: each contraction
+    substitutes into a body that holds the rest of the nest."""
+    t = Var("w")
+    for _ in range(k):
+        t = Case("+", Inj("+", 1, Var("v")), P, Pair("+", Bound(0), t), P, Bound(0))
+    return t
+
+
+def test_normalizing_a_case_nest_is_linear():
+    small = _visits(normalize, _case_nest(25))
+    assert _visits(normalize, _case_nest(200)) <= 10 * small

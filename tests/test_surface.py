@@ -1,6 +1,6 @@
 """The concrete term syntax, pinned: every parse error with its message and
 position, the printed text of a fixed corpus, round trips of deep terms at
-the default recursion limit, and random text."""
+the default recursion limit, random text, and the naming of binders."""
 
 import hashlib
 import random
@@ -16,9 +16,9 @@ from prk.cli import parse_judgment
 from prk.errors import ParseError
 from prk.gen import PropGen, TermGen
 from prk.rewrite import ETA, PLAIN, binder_names_at, normalize, replay
-from prk.surface import parse_term, print_term
+from prk.surface import Scope, parse_term, print_term
 from prk.syntax import (And, Bound, CApp, CLam, Case, MProp, Mode, Neg, NegE,
-                        NegI, Or, PVar, Pair, Term, Var, dual)
+                        NegI, Or, PVar, Pair, Term, Var, dual, fresh_name)
 from prk.typecheck import mk_lem
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -279,3 +279,25 @@ def test_random_text_raises_only_parse_errors(text):
     except ParseError:
         return
     assert parse_term(print_term(t)) == t
+
+
+# -- binder names ------------------------------------------------------------
+# The printers name binders through a Scope.  The reference keeps the open
+# names in a tuple and asks fresh_name, as the printers did before.
+
+def test_scope_names_as_fresh_name_does(rng):
+    hints = ["x", "x2", "x3", "u", "u2", "k"]
+    for _ in range(300):
+        env = tuple(rng.choice(hints) for _ in range(rng.randrange(4)))
+        scope, ref = Scope(env), env
+        for _ in range(rng.randrange(60)):
+            if ref[len(env):] and rng.random() < 0.4:
+                scope.pop()
+                ref = ref[1:]
+            else:
+                hint = rng.choice(hints)
+                taken = frozenset(rng.sample(hints + ["x4", "u3"], rng.randrange(3)))
+                name = fresh_name(hint, set(ref) | taken)
+                assert scope.push(hint, taken) == name
+                ref = (name,) + ref
+            assert [scope.name(i) for i in range(len(ref) + 1)] == [*ref, f"#{len(ref)}"]

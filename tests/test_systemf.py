@@ -685,3 +685,39 @@ def test_translation_walks_linearly():
 
 def test_translation_of_32_conjuncts():
     assert _translate_and_check(32)
+
+
+# -- printing is linear in the depth of binders -------------------------------------
+
+def _neg_chain(n):
+    """The translation of n nege-/negi- pairs: n nested binders, all hinted u."""
+    t = FVar("x")
+    for _ in range(n):
+        t = FApp(FLam(ONE, t, hint="u"), TRIV)
+    return t
+
+
+def _printed_lines(n):
+    """The Python lines print_fterm runs on _neg_chain(n): its work, counted
+    the same on every machine."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    t = _neg_chain(n)
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        text = print_fterm(t)
+    finally:
+        sys.settrace(old)
+    assert text.startswith("(fun (u : 1) -> (fun (u2 : 1) -> ") and f"(u{n} : 1) -> x)" in text
+    return lines
+
+
+def test_printing_deep_binders_is_linear():
+    assert _printed_lines(200) <= 2.2 * _printed_lines(100)
+    assert print_fterm(_neg_chain(20_000)).count("fun (u") == 20_000
