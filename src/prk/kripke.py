@@ -1,17 +1,17 @@
 """Finite Kripke models: validation, forcing, entailment in a model,
 exhaustive enumeration of small models, and bounded counter-model search.
-"""
+A counter-model found is rooted at the world it names (w0) and has the
+fewest worlds of any counter-model within the bound."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
 from .surface import content_lines
-from .syntax import (CLASSICAL, PAIRED, PLUS, STRONG, And, MProp, Mode, Neg, Or,
-                     PVar, flip, prop_vars)
+from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, And, MProp, Neg, Or, PVar, flip, prop_vars
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,8 @@ class KripkeModel:
 @lru_cache(maxsize=1 << 12)
 def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     rel = {(w, w) for w in worlds} | set(leq)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(rel), tuple(rel)):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
+    for k in {x for pair in rel for x in pair}:  # Warshall: paths through k
+        rel |= {(a, d) for a, b in rel if b == k for c, d in rel if c == k}
     return frozenset(rel)
 
 
@@ -126,28 +121,38 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
     missing = prop_vars(p.base) - m.alphabet
     if missing:
         raise UnknownVariableError(f"variables not in alphabet: {sorted(missing)}")
-    return _forces(m, w, p)
+    return _model_forcing(m)(w, p)
 
 
-@lru_cache(maxsize=1 << 20)
-def _forces(m: KripkeModel, w: str, p: MProp) -> bool:
-    base, sign = p.base, p.sign
-    if p.mode.strength == CLASSICAL:
-        strong_opp = MProp(base, Mode(STRONG, flip(sign)))
-        return all(not _forces(m, v, strong_opp) for v in m.above(w))
-    match base:
-        case PVar(name):
-            return name in (m.plus(w) if sign == PLUS else m.minus(w))
-        case And(l, r) | Or(l, r):
-            # both components for the connective a pair of this sign
-            # builds, either one for the connective an injection builds
-            c = Mode(CLASSICAL, sign)
-            if isinstance(base, PAIRED[sign]):
-                return _forces(m, w, MProp(l, c)) and _forces(m, w, MProp(r, c))
-            return _forces(m, w, MProp(l, c)) or _forces(m, w, MProp(r, c))
-        case Neg(inner):
-            return _forces(m, w, MProp(inner, Mode(CLASSICAL, flip(sign))))
-    raise TypeError(p)
+@lru_cache(maxsize=1 << 12)
+def _model_forcing(m: KripkeModel):
+    return _forcing({w: m.above(w) for w in m.worlds}, dict(m.vplus), dict(m.vminus))
+
+
+def _forcing(above, plus, minus):
+    """Forcing in one model, memoized: f(w, p) holds iff w forces p, where
+    above[w] lists the worlds at or above w and plus[w]/minus[w] are w's."""
+    def f(w, p: MProp) -> bool:
+        return g(w, p.base, p.mode.strength, p.sign)
+
+    @cache
+    def g(w, base, strength, sign) -> bool:
+        if strength == CLASSICAL:
+            return all(not g(v, base, STRONG, flip(sign)) for v in above[w])
+        match base:
+            case PVar(name):
+                return name in (plus[w] if sign == PLUS else minus[w])
+            case And(l, r) | Or(l, r):
+                # both components for the connective a pair of this sign
+                # builds, either one for the connective an injection builds
+                if isinstance(base, PAIRED[sign]):
+                    return g(w, l, CLASSICAL, sign) and g(w, r, CLASSICAL, sign)
+                return g(w, l, CLASSICAL, sign) or g(w, r, CLASSICAL, sign)
+            case Neg(inner):
+                return g(w, inner, CLASSICAL, flip(sign))
+        raise TypeError(base)
+
+    return f
 
 
 def entails_in_model(m: KripkeModel, hyps: list[MProp], p: MProp) -> bool:
@@ -247,21 +252,53 @@ def enumerate_models(alphabet: tuple[str, ...], max_worlds: int) -> list[KripkeM
     return out
 
 
+def _rooted_orders(n: int):
+    """The up-sets (world itself included) of each partial order on range(n)
+    where world 0 is least and i < j for every strict pair (i, j).  Every
+    rooted finite order has such a labelling; isomorphic ones repeat."""
+    pairs = list(itertools.combinations(range(1, n), 2))
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        strict = {p for p, b in zip(pairs, bits) if b}
+        if all((i, k) in strict for i, j in strict for j2, k in strict if j == j2):
+            yield [tuple(range(n))] + [(i, *(j for j in range(i + 1, n) if (i, j) in strict))
+                                       for i in range(1, n)]
+
+
+def _rooted_states(above, atoms: int, states=()):
+    """Each world's per-atom states (bit 1 vplus, bit 2 vminus), in index order:
+    monotone, and one bit per atom at a maximal world (stabilization)."""
+    i = len(states)
+    if i == len(above):
+        yield states
+        return
+    low = [0] * atoms
+    for j in range(i):
+        if i in above[j]:
+            low = [a | b for a, b in zip(low, states[j])]
+    codes = (1, 2) if len(above[i]) == 1 else range(4)
+    for s in itertools.product(*([c for c in codes if c & lo == lo] for lo in low)):
+        yield from _rooted_states(above, atoms, states + (s,))
+
+
 def countermodel_search(hyps: list[MProp], goal: MProp,
                         max_worlds: int = 3) -> tuple[KripkeModel, str] | None:
-    """First enumerated valid model and world forcing hyps but not goal.
-
+    """A model with the fewest worlds within the bound whose root w0 forces
+    hyps but not goal.  A world forces the same in its up-set, itself a
+    model with no more worlds, so no counter-model has fewer worlds.
     Absence within the bound is inconclusive: no finite model property is
-    claimed for this semantics.
-    """
-    variables = set()
-    for p in [goal, *hyps]:
-        variables |= prop_vars(p.base)
-    alphabet = tuple(sorted(variables)) or ("a",)
-    for m in enumerate_models(alphabet, max_worlds):
-        for w in m.worlds:
-            if all(forces(m, w, h) for h in hyps) and not forces(m, w, goal):
-                return m, w
+    claimed for this semantics."""
+    alpha = tuple(sorted(set().union(*(prop_vars(p.base) for p in [goal, *hyps])))) or ("a",)
+    for n in range(1, max_worlds + 1):
+        names = tuple(f"w{i}" for i in range(n))
+        for above in _rooted_orders(n):
+            for states in _rooted_states(above, len(alpha)):
+                plus, minus = ([frozenset(a for a, c in zip(alpha, st) if c & bit) for st in states]
+                               for bit in (1, 2))
+                f = _forcing(above, plus, minus)
+                if all(f(0, h) for h in hyps) and not f(0, goal):
+                    leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
+                    return KripkeModel.make(alpha, names, leq, dict(zip(names, plus)),
+                                            dict(zip(names, minus))), "w0"
     return None
 
 
@@ -282,9 +319,9 @@ def parse_model(text: str) -> KripkeModel:
     leq: set[tuple[str, str]] = set()
     vplus: dict[str, set[str]] = {}
     vminus: dict[str, set[str]] = {}
-    for lineno, _, line in content_lines(text):
+    for lineno, col, line in content_lines(text):
         if ":" not in line:
-            raise ParseError("expected 'key: values'", lineno, 1)
+            raise ParseError("expected 'key: values'", lineno, col)
         head, rest = line.split(":", 1)
         head = head.strip()
         items = rest.split()
@@ -293,21 +330,22 @@ def parse_model(text: str) -> KripkeModel:
         elif head == "worlds":
             worlds.extend(items)
         elif head == "leq":
+            start = col + line.index(":") + 1  # the column of rest[0]
             for pair in rest.split(","):
-                parts = pair.split()
-                if not parts:
-                    continue
-                if len(parts) != 2:
-                    raise ParseError(f"leq pair needs two worlds: {pair.strip()!r}", lineno, 1)
-                leq.add((parts[0], parts[1]))
+                if len(parts := pair.split()) == 2:
+                    leq.add((parts[0], parts[1]))
+                elif parts:
+                    raise ParseError(f"leq pair needs two worlds: {pair.strip()!r}", lineno,
+                                     start + len(pair) - len(pair.lstrip()))
+                start += len(pair) + 1
         elif head.startswith("vplus") or head.startswith("vminus"):
             fields = head.split()
             if len(fields) != 2:
-                raise ParseError(f"expected '{fields[0]} <world>:'", lineno, 1)
+                raise ParseError(f"expected '{fields[0]} <world>:'", lineno, col)
             target = vplus if fields[0] == "vplus" else vminus
             target.setdefault(fields[1], set()).update(items)
         else:
-            raise ParseError(f"unknown section {head!r}", lineno, 1)
+            raise ParseError(f"unknown section {head!r}", lineno, col)
     if not worlds:
         raise InvalidModelError("model declares no worlds")
     for w in list(vplus) + list(vminus):

@@ -71,6 +71,26 @@ def test_parse_errors_give_positions_in_the_file(tmp_path, capsys, command, text
     assert (code, err) == (2, f"parse error: {message}\n")
 
 
+# (model file text, the error message, with its position in the file)
+MODEL_ERRORS = [
+    ("alphabet: a\nworlds: w0 w1\n  leq: w0 w1, w1\n", "3:15: leq pair needs two worlds: 'w1'"),
+    ("alphabet: a\nworlds: w0 w1\nleq: w0 w1 w0, w0 w1\n",
+     "3:6: leq pair needs two worlds: 'w0 w1 w0'"),
+    ("alphabet: a\n   worlds w0\n", "2:4: expected 'key: values'"),
+    ("# a model\nworlds: w0\n    vplus: a\n", "3:5: expected 'vplus <world>:'"),
+    ("worlds: w0\n\t vminus w0 w1: a\n", "2:3: expected 'vminus <world>:'"),
+    ("  alpha: a\n", "1:3: unknown section 'alpha'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MODEL_ERRORS)
+def test_model_parse_errors_give_positions_in_the_file(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.model"
+    bad.write_text(text)
+    code, _, err = run(capsys, "kripke", "validate", str(bad))
+    assert (code, err) == (2, f"parse error: {message}\n")
+
+
 def test_normalize_eta_golden(capsys):
     code, out, _ = run(capsys, "normalize", "--eta", str(GOLDEN / "projc_pairc.prk"))
     assert code == 0
@@ -113,6 +133,16 @@ def test_kripke_countermodel(capsys):
                        str(GOLDEN / "lem_strong.seq"))
     assert code == 1
     assert "worlds:" in out
+
+
+def test_kripke_countermodel_prints_the_rooted_witness(capsys):
+    # the fewest worlds within the bound, rooted at the printed world
+    model = [line for line in (GOLDEN / "lem3.model").read_text().splitlines()
+             if not line.startswith("#")]
+    for argv, world in (([], "w0"), (["--format", "machine"], "world=w0")):
+        code, out, _ = run(capsys, *argv, "kripke", "countermodel",
+                           str(GOLDEN / "lem_strong.seq"))
+        assert (code, out.splitlines()) == (1, [world, *model])
 
 
 def test_kripke_countermodel_absent(capsys, tmp_path):

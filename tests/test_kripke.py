@@ -1,11 +1,15 @@
+import itertools
+from functools import lru_cache
+
 import pytest
 
 from prk.errors import UnknownVariableError, UnknownWorldError
-from prk.kripke import (KripkeModel, counter_model_lem, countermodel_search,
-                        enumerate_models, entails_in_model, forces,
+from prk.kripke import (KripkeModel, _partial_orders, _rooted_orders, counter_model_lem,
+                        countermodel_search, enumerate_models, entails_in_model, forces,
                         parse_model, print_model, validate_model)
+from prk.gen import PropGen, all_pure_props, provable_library
 from prk.surface import parse_mprop
-from prk.syntax import MODES, MProp, Mode, mprop_dual, opposite
+from prk.syntax import MODES, And, MProp, Mode, Neg, PVar, mprop_dual, opposite, prop_vars
 
 
 def mp(src):
@@ -31,6 +35,18 @@ def test_monotonicity_violation():
                          {"w0": {"a"}}, {"w1": {"a"}})
     report = validate_model(m)
     assert any(v.kind == "monotonicity" for v in report.violations)
+
+
+def test_order_is_the_reflexive_transitive_closure(rng):
+    # against a fixpoint that adds (a, d) for (a, b), (b, d) until nothing changes
+    for _ in range(300):
+        worlds = tuple(f"w{i}" for i in range(rng.randint(1, 5)))
+        names = worlds + ("x",)  # an undeclared world still links a path
+        leq = {(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 8))}
+        want = {(w, w) for w in worlds} | leq
+        while grown := {(a, d) for a, b in want for c, d in want if b == c} - want:
+            want |= grown
+        assert KripkeModel.make(("a",), worlds, leq, {}, {}).order() == want
 
 
 def test_antisymmetry_violation():
@@ -173,6 +189,110 @@ def test_countermodel_respects_hypotheses():
     model, world = found
     assert forces(model, world, mp("a^c+"))
     assert not forces(model, world, mp("a^s+"))
+
+
+# -- the rooted search against the unrooted reference ---------------------------------
+
+def reference_forces(m, w, p):
+    """Forcing read straight off the clauses, with no memo: a classical mode
+    holds where no world above forces the strong opposite; a strong pair
+    needs both classical components, an injection either; ~A flips."""
+    flipped = "-" if p.sign == "+" else "+"
+    if p.is_classical:
+        return all(not reference_forces(m, v, MProp(p.base, Mode("s", flipped)))
+                   for v in m.above(w))
+    base = p.base
+    if isinstance(base, PVar):
+        return base.name in (m.plus(w) if p.sign == "+" else m.minus(w))
+    if isinstance(base, Neg):
+        return reference_forces(m, w, MProp(base.inner, Mode("c", flipped)))
+    parts = [reference_forces(m, w, MProp(q, Mode("c", p.sign))) for q in (base.left, base.right)]
+    return all(parts) if isinstance(base, And) == (p.sign == "+") else any(parts)
+
+
+@lru_cache(maxsize=None)
+def _models(alphabet, max_worlds):
+    return enumerate_models(alphabet, max_worlds)
+
+
+def reference_search(hyps, goal, max_worlds):
+    """The search before rooting: every enumerated model, every world."""
+    alphabet = tuple(sorted(set().union(*(prop_vars(p.base) for p in [goal, *hyps])))) or ("a",)
+    for m in _models(alphabet, max_worlds):
+        for w in m.worlds:
+            if all(forces(m, w, h) for h in hyps) and not forces(m, w, goal):
+                return m, w
+    return None
+
+
+def assert_search_agrees(hyps, goal, max_worlds):
+    found = countermodel_search(hyps, goal, max_worlds)
+    expected = reference_search(hyps, goal, max_worlds)
+    assert (found is None) == (expected is None), (hyps, goal)
+    if found is not None:
+        model, world = found
+        assert world == "w0" and set(model.above(world)) == set(model.worlds)
+        assert validate_model(model).valid
+        assert len(model.worlds) == len(expected[0].worlds), (hyps, goal)
+        assert all(reference_forces(model, world, h) for h in hyps)
+        assert not reference_forces(model, world, goal)
+
+
+def test_forces_matches_reference(models_2var):
+    props = [MProp(base, mode) for base in all_pure_props(("a", "b"), 2) for mode in MODES]
+    for m in models_2var:
+        for w in m.worlds:
+            for p in props:
+                assert forces(m, w, p) == reference_forces(m, w, p), (m, w, p)
+
+
+def test_search_agrees_on_this_files_sequents():
+    cp = Mode("c", "+")
+    sequents = [([], mp("(a | ~a)^s+")), ([], mp("(a | ~a)^c+")),
+                ([mp("a^s+")], mp("a^s+")), ([mp("a^c+")], mp("a^s+"))]
+    sequents += [([], MProp(base, cp)) for base in all_pure_props(("a", "b"), 2)]
+    sequents += [([MProp(h, cp)], MProp(g, cp))
+                 for h in all_pure_props(("a",), 2) for g in all_pure_props(("a",), 2)]
+    for hyps, goal in sequents:
+        assert_search_agrees(hyps, goal, 3)
+
+
+def test_search_agrees_on_the_library():
+    for ctx, goal, _ in provable_library():
+        assert_search_agrees([p for _, p in ctx], goal, 3)
+
+
+@pytest.mark.parametrize("atoms, max_worlds, count", [(("a", "b"), 3, 500), (("a",), 4, 20)])
+def test_search_agrees_on_random_sequents(rng, atoms, max_worlds, count):
+    props = PropGen(rng, atoms)
+    for _ in range(count):
+        hyps = [props.mprop(rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+        assert_search_agrees(hyps, props.mprop(rng.randint(1, 3)), max_worlds)
+
+
+def _shape(n, rel):
+    return min(tuple(sorted((perm[a], perm[b]) for a, b in rel))
+               for perm in itertools.permutations(range(n)))
+
+
+def test_rooted_orders_give_every_rooted_order():
+    # every partial order with a least world has a labelling the search tries
+    for n in range(1, 5):
+        rooted = [{(i, j) for i in range(n) for j in ups[i]} for ups in _rooted_orders(n)]
+        for rel in rooted:
+            assert all((a, d) in rel for a, b in rel for c, d in rel if b == c)
+            assert all((0, j) in rel for j in range(n))
+            assert all(i <= j for i, j in rel)
+        least = [rel for rel in _partial_orders(n)
+                 if any(all((w, v) in rel for v in range(n)) for w in range(n))]
+        assert {_shape(n, rel) for rel in rooted} == {_shape(n, rel) for rel in least}
+
+
+def test_full_searches_scale():
+    # no counter-model exists, so every candidate within the bound is tried
+    assert countermodel_search([mp("a^c+"), mp("b^c+")], mp("(a & b)^s+"), 4) is None
+    assert countermodel_search([], mp("((a & b) | ~(a & b))^c+"), 4) is None
+    assert countermodel_search([], mp("(a | ~a)^c+"), 5) is None
 
 
 # -- model files ------------------------------------------------------------------------
