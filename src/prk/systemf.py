@@ -24,7 +24,8 @@ bound on its free term indices, free term names), a bound being the
 largest free index + 1.  Shifting, substitution and closing return a
 subtree unvisited when its summary shows they cannot change it, so on the
 shared and mostly closed translations they cost the size of the graph,
-not that of the tree.
+not that of the tree.  Typing opens no binder: `f_infer` reads a term
+index's type off its binder's annotation, so it walks each term once.
 """
 
 from __future__ import annotations
@@ -130,14 +131,21 @@ def plus(a: FType, b: FType) -> FType:
                   hint="r")
 
 
+def _expose_arrow(t: FType, show) -> tuple[FType, FType]:
+    """Domain and codomain of an arrow or a constraint variable's unfolding."""
+    match t:
+        case Arrow(d, c):
+            return d, c
+        case FPos(a, b):
+            return FNeg(a, b), a
+        case FNeg(a, b):
+            return FPos(a, b), b
+    raise NotAnArrowError(f"expected a function type, found {show(t)}")
+
+
 def unfold_constraint(t: FType) -> FType:
     """One unfolding of a constraint variable into its arrow form."""
-    match t:
-        case FPos(a, b):
-            return Arrow(FNeg(a, b), a)
-        case FNeg(a, b):
-            return Arrow(FPos(a, b), b)
-    raise ValueError("not a constraint variable")
+    return Arrow(*_expose_arrow(t, print_ftype))
 
 
 def ftype_equiv(a: FType, b: FType) -> bool:
@@ -285,11 +293,6 @@ def fterm_fv(t: FTerm) -> frozenset[str]:
     return t.free[3]
 
 
-def fterm_ftv(t: FTerm) -> frozenset[str]:
-    """Free (named) type variables occurring in annotations and type arguments."""
-    return t.free[1]
-
-
 def flam(name: str, annot: FType, body: FTerm) -> FLam:
     return FLam(annot, close_fterm(body, name), hint=name)
 
@@ -339,50 +342,57 @@ def case_f(t: FTerm, f1: FTerm, f2: FTerm, result: FType) -> FTerm:
 FContext = tuple[tuple[str, FType], ...]
 
 
-def _expose_arrow(t: FType) -> tuple[FType, FType]:
-    match t:
-        case Arrow(d, c):
-            return d, c
-        case FPos(a, b):
-            return FNeg(a, b), a
-        case FNeg(a, b):
-            return FPos(a, b), b
-    raise NotAnArrowError(f"expected a function type, found {print_ftype(t)}")
-
-
 def f_infer(ctx: FContext, t: FTerm) -> FType:
-    """Algorithmic typing; conversion (ftype_equiv) at application domains."""
-    match t:
-        case FVar(name):
-            for n, ty in reversed(ctx):
-                if n == name:
-                    return ty
-            raise UnboundVariableError(f"unbound variable {name!r}")
-        case FBound(i):
-            raise TypingError(f"dangling bound variable #{i}")
-        case FLam(annot, body, hint):
-            x = fresh_name(hint or "x", {n for n, _ in ctx} | set(fterm_fv(body)))
-            cod = f_infer(ctx + ((x, annot),), subst_fterm(body, 0, FVar(x)))
-            return Arrow(annot, cod)
-        case FApp(fun, arg):
-            tf = f_infer(ctx, fun)
-            dom, cod = _expose_arrow(tf)
-            ta = f_infer(ctx, arg)
-            if not ftype_equiv(ta, dom):
-                raise DomainMismatchError(
-                    f"argument type {print_ftype(ta)} does not match domain {print_ftype(dom)}")
-            return cod
-        case TyLam(body, hint):
-            taken = fterm_ftv(body).union(*(ftype_vars(ty) for _, ty in ctx))
-            beta = fresh_name(hint or "a", taken)
-            inner = f_infer(ctx, subst_type_in_fterm(body, 0, TVar(beta)))
-            return Forall(close_type(inner, beta), hint=beta)
-        case TyApp(fun, ty):
-            tf = f_infer(ctx, fun)
-            if not isinstance(tf, Forall):
-                raise NotAForallError(f"expected a polymorphic type, found {print_ftype(tf)}")
-            return subst_type(tf.body, 0, ty)
-    raise TypeError(t)
+    """Algorithmic typing against an environment, with conversion (ftype_equiv) at
+    applications: a name has its last type in ctx, a term index its FLam's annotation
+    shifted past the type binders crossed since.  No binder is opened."""
+    names = dict(ctx)
+    lams: list[tuple[FType, int]] = []  # (annotation, type depth at binding), innermost last
+    hints: list[str] = []  # the enclosing TyLams' hints, innermost last
+
+    def show(ty: FType) -> str:  # open type variables named apart from the free ones
+        scope, taken = Scope(), t.free[1].union(*map(ftype_vars, names.values()))
+        return print_ftype(ty, tuple(reversed([scope.push(h, taken) for h in hints])))
+
+    def lift(ty: FType, n: int) -> FType:  # ty, seen from n more type binders in
+        return shift_type(ty, n) if n and ty.free[0] else ty
+
+    def go(u: FTerm) -> FType:
+        match u:
+            case FVar(name):
+                if name in names:
+                    return lift(names[name], len(hints))
+                raise UnboundVariableError(f"unbound variable {name!r}")
+            case FBound(i):
+                if i >= len(lams):
+                    raise TypingError(f"dangling bound variable #{i - len(lams)}")
+                annot, depth = lams[-1 - i]
+                return lift(annot, len(hints) - depth)
+            case FLam(annot, body, _):
+                lams.append((annot, len(hints)))
+                cod = go(body)
+                lams.pop()
+                return Arrow(annot, cod)
+            case FApp(fun, arg):
+                dom, cod = _expose_arrow(go(fun), show)
+                ta = go(arg)
+                if not ftype_equiv(ta, dom):
+                    raise DomainMismatchError(
+                        f"argument type {show(ta)} does not match domain {show(dom)}")
+                return cod
+            case TyLam(body, hint):
+                hints.append(hint or "a")
+                inner = go(body)
+                hints.pop()
+                return Forall(inner, hint=hint)
+            case TyApp(fun, ty):
+                tf = go(fun)
+                if not isinstance(tf, Forall):
+                    raise NotAForallError(f"expected a polymorphic type, found {show(tf)}")
+                return subst_type(tf.body, 0, ty)
+        raise TypeError(u)
+
+    return go(t)
 
 
 # ---------------------------------------------------------------------------

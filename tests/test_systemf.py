@@ -1,23 +1,27 @@
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
+from prk.errors import TypingError, UnboundVariableError
 from prk.rewrite import step
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import And, MProp, Mode, Neg, Or, PVar, preorder
+from prk.syntax import And, MProp, Mode, Neg, Or, PVar, fresh_name, preorder
 from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          DomainMismatchError, FApp, FBound, FLam, FNeg, FPos,
                          FType, FVar, Forall, NotAForallError, NotAnArrowError,
                          TBound, TVar, TyApp, TyLam, check_simulation, close_fterm,
                          close_type, close_tyvar_in_fterm, f_all_steps, f_infer,
                          f_normalize, f_step, flam, fterm_children, fterm_fold,
-                         fterm_rebuild, ftype_children, ftype_equiv, ftype_fold,
-                         ftype_rebuild, funabs, in_f, pair_f, plus, polarity,
-                         print_fterm, print_ftype, proj_f, shift_fterm, shift_type,
-                         subst_fterm, subst_type, subst_type_in_fterm, times,
-                         translate_ctx, translate_prop, translate_term, tylam)
+                         fterm_fv, fterm_rebuild, ftype_children, ftype_equiv,
+                         ftype_fold, ftype_rebuild, ftype_vars, funabs, in_f, pair_f,
+                         plus, polarity, print_fterm, print_ftype, proj_f, shift_fterm,
+                         shift_type, subst_fterm, subst_type, subst_type_in_fterm,
+                         times, translate_ctx, translate_prop, translate_term, tylam)
 from prk.typecheck import Context, check_type, infer_type, mk_lem
 
+ROOT = Path(__file__).resolve().parent.parent
 A, B = TVar("A"), TVar("B")
 alpha, beta = TVar("alpha"), TVar("beta")
 
@@ -697,9 +701,9 @@ def _neg_chain(n):
     return t
 
 
-def _printed_lines(n):
-    """The Python lines print_fterm runs on _neg_chain(n): its work, counted
-    the same on every machine."""
+def _lines_run(f, *args):
+    """f(*args) and the Python lines it runs: its work, counted the same on
+    every machine."""
     lines = 0
 
     def trace(frame, event, arg):
@@ -707,13 +711,18 @@ def _printed_lines(n):
         lines += event == "line"
         return trace
 
-    t = _neg_chain(n)
     old = sys.gettrace()
     sys.settrace(trace)
     try:
-        text = print_fterm(t)
+        result = f(*args)
     finally:
         sys.settrace(old)
+    return result, lines
+
+
+def _printed_lines(n):
+    """The Python lines print_fterm runs on _neg_chain(n)."""
+    text, lines = _lines_run(print_fterm, _neg_chain(n))
     assert text.startswith("(fun (u : 1) -> (fun (u2 : 1) -> ") and f"(u{n} : 1) -> x)" in text
     return lines
 
@@ -721,3 +730,202 @@ def _printed_lines(n):
 def test_printing_deep_binders_is_linear():
     assert _printed_lines(200) <= 2.2 * _printed_lines(100)
     assert print_fterm(_neg_chain(20_000)).count("fun (u") == 20_000
+
+
+# -- typing is linear in the depth of binders ----------------------------------------
+
+def _inferred_lines(n):
+    """The Python lines f_infer runs on _neg_chain(n)."""
+    ty, lines = _lines_run(f_infer, (("x", A),), _neg_chain(n))
+    assert ty == A
+    return lines
+
+
+def test_typing_deep_binders_is_linear():
+    assert _inferred_lines(200) <= 2.2 * _inferred_lines(100)
+
+
+# -- typing against an environment matches typing by opening binders ------------------
+
+def _ref_f_infer(ctx, t):
+    """The reference for f_infer: it opens each FLam and TyLam body by
+    substituting a fresh named variable, then closes the type it infers."""
+    match t:
+        case FVar(name):
+            for n, ty in reversed(ctx):
+                if n == name:
+                    return ty
+            raise UnboundVariableError(f"unbound variable {name!r}")
+        case FBound(i):
+            raise TypingError(f"dangling bound variable #{i}")
+        case FLam(annot, body, hint):
+            x = fresh_name(hint or "x", {n for n, _ in ctx} | set(fterm_fv(body)))
+            return Arrow(annot, _ref_f_infer(ctx + ((x, annot),), subst_fterm(body, 0, FVar(x))))
+        case FApp(fun, arg):
+            tf = _ref_f_infer(ctx, fun)
+            match tf:
+                case Arrow(dom, cod):
+                    pass
+                case FPos(a, b):
+                    dom, cod = FNeg(a, b), a
+                case FNeg(a, b):
+                    dom, cod = FPos(a, b), b
+                case _:
+                    raise NotAnArrowError(f"expected a function type, found {print_ftype(tf)}")
+            ta = _ref_f_infer(ctx, arg)
+            if not ftype_equiv(ta, dom):
+                raise DomainMismatchError(
+                    f"argument type {print_ftype(ta)} does not match domain {print_ftype(dom)}")
+            return cod
+        case TyLam(body, hint):
+            taken = body.free[1].union(*(ftype_vars(ty) for _, ty in ctx))
+            beta = fresh_name(hint or "a", taken)
+            inner = _ref_f_infer(ctx, subst_type_in_fterm(body, 0, TVar(beta)))
+            return Forall(close_type(inner, beta), hint=beta)
+        case TyApp(fun, ty):
+            tf = _ref_f_infer(ctx, fun)
+            if not isinstance(tf, Forall):
+                raise NotAForallError(f"expected a polymorphic type, found {print_ftype(tf)}")
+            return subst_type(tf.body, 0, ty)
+    raise TypeError(t)
+
+
+def _typings(ctx, t):
+    """(type, printed type) or (error class, message) from f_infer and from
+    the reference."""
+    def run(infer):
+        try:
+            ty = infer(ctx, t)
+        except TypingError as e:
+            return type(e), str(e)
+        return ty, print_ftype(ty)
+
+    return run(f_infer), run(_ref_f_infer)
+
+
+def _assert_same_typing(ctx, t):
+    got, want = _typings(ctx, t)
+    assert got == want
+    return got
+
+
+def _translate_workload_ops(seed):
+    """Every operation of one block of the translate benchmark at a seed."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import Translate
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return Translate(str(ROOT), str(ROOT)).generate(random.Random(seed), 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_f_infer_matches_reference_on_translate_workload(seed):
+    ops = _translate_workload_ops(seed)
+    assert len(ops) > 60 and {op.kind for op in ops} == {"lem", "term"}
+    for op in ops:
+        d = infer_type(op.data["ctx"], op.data["term"])
+        ty, _ = _assert_same_typing(translate_ctx(op.data["ctx"]), translate_term(d))
+        assert ftype_equiv(ty, translate_prop(d.conclusion))
+
+
+def test_f_infer_matches_reference_on_lem_and_golden():
+    from prk.cli import parse_judgment
+    judgments = [parse_judgment((ROOT / "golden" / "lem.prk").read_text())]
+    for k in range(1, 9):
+        _, goal = _lem_chain(k)
+        judgments += [(Context(), mk_lem(goal.base.left, sign)) for sign in "+-"]
+    for ctx, t in judgments:
+        d = infer_type(ctx, t)
+        ty, _ = _assert_same_typing(translate_ctx(ctx), translate_term(d))
+        assert ftype_equiv(ty, translate_prop(d.conclusion))
+
+
+vr, va, vb = TVar("r"), TVar("a"), TVar("b")
+
+
+# (context, term, printed type): nested type binders whose hints clash with
+# each other, with the context's type names, and with the term's
+WELL_TYPED = [
+    ((), TyLam(TyLam(FLam(TBound(1), FLam(TBound(0), FBound(1), hint="y")), hint="r"), hint="r"),
+     "forall r. forall r2. r -> r2 -> r"),
+    ((), TyLam(TyLam(FLam(TBound(0), FLam(TBound(0), FBound(0))), hint="r"), hint="r"),
+     "forall r. forall r2. r2 -> r2 -> r2"),
+    ((("x", vr),), TyLam(FLam(TBound(0), FVar("x")), hint="r"), "forall r2. r2 -> r"),
+    ((), TyLam(FLam(TBound(0), TyLam(FLam(TBound(0), FBound(1), hint="y"), hint="b")), hint="a"),
+     "forall a. a -> forall b. b -> a"),
+    ((("x", vr),), pair_f(FVar("x"), FVar("x"), vr, vr), "(r * r)"),
+    ((("x", vr),), TyApp(TyLam(FLam(TBound(0), FBound(0)), hint="r"), vr), "r -> r"),
+    ((("y", va),), TyLam(FApp(FLam(ONE, FLam(TBound(0), FVar("y"))), TRIV), hint="a"),
+     "forall a2. a2 -> a"),
+    ((("y", va),), in_f(1, TRIV, ONE, va), "(1 + a)"),
+    ((("y", va),), TyLam(FApp(FLam(Arrow(va, ONE), FBound(0)), FLam(va, TRIV)), hint="a"),
+     "forall a2. a -> 1"),
+    ((("f", Forall(Arrow(TBound(0), vb), hint="b")),), TyLam(FVar("f"), hint="b"),
+     "forall b2. forall b3. b3 -> b"),
+    ((("f", Forall(Arrow(TBound(0), vb), hint="b")),), TyApp(FVar("f"), vb), "b -> b"),
+    ((("x", va), ("x", vb)), TyLam(FLam(TBound(0), FVar("x")), hint="b"), "forall b2. b2 -> b"),
+    ((("g", FPos(va, TBound(0))),), TyLam(FLam(TBound(0), FVar("g")), hint="a"),
+     "forall a2. a2 -> Pos<a, #1>"),
+]
+
+# (context, term, error class, message)
+ILL_TYPED = [
+    ((), FBound(0), TypingError, "dangling bound variable #0"),
+    ((), FLam(va, FLam(vb, FBound(3))), TypingError, "dangling bound variable #1"),
+    ((), TyLam(FLam(TBound(0), TyLam(FBound(2)))), TypingError, "dangling bound variable #1"),
+    ((), TyLam(FVar("z")), UnboundVariableError, "unbound variable 'z'"),
+    ((), TyLam(FLam(TBound(0), FApp(FLam(Arrow(TBound(0), TBound(0)), FBound(0)), FBound(0))),
+               hint="c"),
+     DomainMismatchError, "argument type c does not match domain c -> c"),
+    ((), TyLam(TyLam(FLam(TBound(1), FApp(FLam(TBound(0), FBound(0)), FBound(0))), hint="d"),
+               hint="c"),
+     DomainMismatchError, "argument type c does not match domain d"),
+    ((), TyLam(FLam(TBound(0), FApp(FLam(Forall(Arrow(TBound(0), TBound(1)), hint="c"),
+                                         FBound(0)), FBound(0))), hint="c"),
+     DomainMismatchError, "argument type c does not match domain forall c2. c2 -> c"),
+    ((("y", Arrow(va, va)),), FApp(flam("x", FPos(va, vb), FVar("x")), FVar("y")),
+     DomainMismatchError, "argument type a -> a does not match domain Pos<a, b>"),
+    ((), TyLam(FLam(TBound(0), FApp(FBound(0), FBound(0))), hint="c"),
+     NotAnArrowError, "expected a function type, found c"),
+    ((("x", vr),), TyLam(FLam(TBound(0), FApp(FBound(0), FVar("x"))), hint="r"),
+     NotAnArrowError, "expected a function type, found r2"),
+    ((), TyLam(FLam(TBound(0), FApp(FLam(vr, FBound(0)), FBound(0))), hint="r"),
+     DomainMismatchError, "argument type r2 does not match domain r"),
+    ((), TyLam(TyLam(FLam(TBound(1), FLam(TBound(0), FApp(FBound(0), FBound(1)))), hint="r"),
+               hint="r"),
+     NotAnArrowError, "expected a function type, found r2"),
+    ((), TyLam(FLam(TBound(0), TyApp(FBound(0), va)), hint="c"),
+     NotAForallError, "expected a polymorphic type, found c"),
+]
+
+
+@pytest.mark.parametrize("ctx, t, printed", WELL_TYPED)
+def test_f_infer_matches_reference_on_clashing_hints(ctx, t, printed):
+    assert _assert_same_typing(ctx, t)[1] == printed
+
+
+@pytest.mark.parametrize("ctx, t, error, message", ILL_TYPED)
+def test_f_infer_errors_match_reference(ctx, t, error, message):
+    assert _assert_same_typing(ctx, t) == (error, message)
+
+
+# (context, term, text, the reference's text): the only differences.  A TyLam's
+# type keeps the term's hint, which the printer renames only away from the names
+# that the type shows, where the reference renamed it away from every name of
+# the context and the term.  An error names the open type variables apart from
+# each other, where the reference left an inner r named r if its body did not
+# mention the outer one.
+RENAMED = [
+    ((("x", vr),), TyLam(FLam(TBound(0), FLam(TBound(0), FBound(1))), hint="r"),
+     "forall r. r -> r -> r", "forall r2. r2 -> r2 -> r2"),
+    ((("x", va),), TyLam(TyLam(FLam(TBound(0), FApp(FBound(0), FVar("x"))), hint="r"), hint="r"),
+     "expected a function type, found r2", "expected a function type, found r"),
+]
+
+
+@pytest.mark.parametrize("ctx, t, text, reference", RENAMED)
+def test_f_infer_differs_from_reference_only_in_names(ctx, t, text, reference):
+    got, want = _typings(ctx, t)
+    assert got[0] == want[0]  # the same type, hints aside, or the same error class
+    assert (got[1], want[1]) == (text, reference)
