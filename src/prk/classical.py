@@ -416,12 +416,14 @@ def run_classical_rule(kind: str, **pieces) -> RuleCheck:
 
 def parse_nk(text: str) -> NKProof:
     """Parse an NK proof file: hypothesis lines 'hyp : <pure>' followed by
-    '|- <proof>' where proofs use hyp(i), andi(p,q), ande1/2(p),
-    ori1/2[other](p), ore(p,q,r), negi[a](p), nege(p,q), expl[c](p),
-    lem[a], impi[a](p), impe(p,q)."""
+    '|- <proof>' as the last line, where proofs use hyp(i), andi(p,q),
+    ande1/2(p), ori1/2[other](p), ore(p,q,r), negi[a](p), nege(p,q),
+    expl[c](p), lem[a], impi[a](p), impe(p,q)."""
     hyps: list[PureProp] = []
     proof_src = None
     for lineno, col, line in content_lines(text):
+        if proof_src is not None:
+            raise ParseError("the '|- proof' line must be the last line", lineno, col)
         if line.startswith("hyp"):
             head, _, rest = line.partition(":")
             with located(lineno, col + len(head) + 1):

@@ -29,10 +29,12 @@ def _read(path: str) -> str:
 
 
 def parse_judgment(text: str) -> tuple[Context, Term]:
-    """Judgment files: lines 'x : prop' then '|- term'."""
+    """Judgment files: lines 'x : prop' then '|- term', which comes last."""
     ctx = Context()
     term = None
     for lineno, col, line in content_lines(text):
+        if term is not None:
+            raise ParseError("the '|- term' line must be the last line", lineno, col)
         if line.startswith("|-"):
             with located(lineno, col + 2):
                 term = parse_term(line[2:])
@@ -48,10 +50,13 @@ def parse_judgment(text: str) -> tuple[Context, Term]:
 
 
 def parse_sequent(text: str) -> tuple[list[MProp], MProp]:
-    """Sequent files: hypothesis props one per line, then '|- prop'."""
+    """Sequent files: hypothesis props one per line, then '|- prop', which
+    comes last."""
     hyps: list[MProp] = []
     goal = None
     for lineno, col, line in content_lines(text):
+        if goal is not None:
+            raise ParseError("the '|- prop' line must be the last line", lineno, col)
         if line.startswith("|-"):
             with located(lineno, col + 2):
                 goal = parse_mprop(line[2:])

@@ -1,13 +1,16 @@
 """Finite Kripke models: validation, forcing, entailment in a model,
 exhaustive enumeration of small models, and bounded counter-model search.
 A counter-model found is rooted at the world it names (w0) and has the
-fewest worlds of any counter-model within the bound."""
+fewest worlds of any counter-model within the bound.  Forcing is computed
+on bit-vectors, one bit per valuation, so the search forces every
+candidate valuation of an order in one pass."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from operator import and_, or_
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
 from .surface import content_lines
@@ -121,33 +124,36 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
     missing = prop_vars(p.base) - m.alphabet
     if missing:
         raise UnknownVariableError(f"variables not in alphabet: {sorted(missing)}")
-    return _model_forcing(m)(w, p)
+    return bool(_model_forcing(m)(w, p))
 
 
 @lru_cache(maxsize=1 << 12)
 def _model_forcing(m: KripkeModel):
-    return _forcing({w: m.above(w) for w in m.worlds}, dict(m.vplus), dict(m.vminus))
+    return _forcing({w: m.above(w) for w in m.worlds},
+                    *({w: dict.fromkeys(s, 1) for w, s in v} for v in (m.vplus, m.vminus)), 1)
 
 
-def _forcing(above, plus, minus):
-    """Forcing in one model, memoized: f(w, p) holds iff w forces p, where
-    above[w] lists the worlds at or above w and plus[w]/minus[w] are w's."""
-    def f(w, p: MProp) -> bool:
+def _forcing(above, plus, minus, full: int):
+    """Forcing under several valuations of one order at once, memoized: bit c
+    of f(w, p) is set iff w forces p under valuation c.  above[w] lists the
+    worlds at or above w, plus[w]/minus[w] map an atom to the valuations
+    holding it at w, and full has one bit per valuation (1 for one model)."""
+    def f(w, p: MProp) -> int:
         return g(w, p.base, p.mode.strength, p.sign)
 
     @cache
-    def g(w, base, strength, sign) -> bool:
-        if strength == CLASSICAL:
-            return all(not g(v, base, STRONG, flip(sign)) for v in above[w])
+    def g(w, base, strength, sign) -> int:
+        if strength == CLASSICAL:  # no world above forces the strong opposite
+            return full & ~reduce(or_, [g(v, base, STRONG, flip(sign)) for v in above[w]])
         match base:
             case PVar(name):
-                return name in (plus[w] if sign == PLUS else minus[w])
+                return (plus[w] if sign == PLUS else minus[w]).get(name, 0)
             case And(l, r) | Or(l, r):
                 # both components for the connective a pair of this sign
                 # builds, either one for the connective an injection builds
                 if isinstance(base, PAIRED[sign]):
-                    return g(w, l, CLASSICAL, sign) and g(w, r, CLASSICAL, sign)
-                return g(w, l, CLASSICAL, sign) or g(w, r, CLASSICAL, sign)
+                    return g(w, l, CLASSICAL, sign) & g(w, r, CLASSICAL, sign)
+                return g(w, l, CLASSICAL, sign) | g(w, r, CLASSICAL, sign)
             case Neg(inner):
                 return g(w, inner, CLASSICAL, flip(sign))
         raise TypeError(base)
@@ -280,25 +286,43 @@ def _rooted_states(above, atoms: int, states=()):
         yield from _rooted_states(above, atoms, states + (s,))
 
 
+@lru_cache(maxsize=16)
+def _order_tables(n: int, atoms: int) -> list:
+    """For each rooted order on n worlds: its up-sets, per world and atom the
+    masks of the candidates (bit c for the c-th valuation _rooted_states
+    yields) that put the atom in vplus and in vminus, and the all-candidates
+    mask.  Neither the formula nor the atom names enter."""
+    tables = []
+    for above in _rooted_orders(n):
+        states = list(_rooted_states(above, atoms))
+        plus, minus = ([[int("".join("1" if st[w][k] & bit else "0" for st in reversed(states)), 2)
+                         for k in range(atoms)] for w in range(n)] for bit in (1, 2))
+        tables.append((above, plus, minus, (1 << len(states)) - 1))
+    return tables
+
+
 def countermodel_search(hyps: list[MProp], goal: MProp,
                         max_worlds: int = 3) -> tuple[KripkeModel, str] | None:
     """A model with the fewest worlds within the bound whose root w0 forces
     hyps but not goal.  A world forces the same in its up-set, itself a
-    model with no more worlds, so no counter-model has fewer worlds.
+    model with no more worlds, so no counter-model has fewer worlds.  An
+    order's valuations are forced at once, and the first that refutes wins.
     Absence within the bound is inconclusive: no finite model property is
     claimed for this semantics."""
     alpha = tuple(sorted(set().union(*(prop_vars(p.base) for p in [goal, *hyps])))) or ("a",)
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
-        for above in _rooted_orders(n):
-            for states in _rooted_states(above, len(alpha)):
-                plus, minus = ([frozenset(a for a, c in zip(alpha, st) if c & bit) for st in states]
-                               for bit in (1, 2))
-                f = _forcing(above, plus, minus)
-                if all(f(0, h) for h in hyps) and not f(0, goal):
-                    leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
-                    return KripkeModel.make(alpha, names, leq, dict(zip(names, plus)),
-                                            dict(zip(names, minus))), "w0"
+        for above, plus, minus, full in _order_tables(n, len(alpha)):
+            vals = ([dict(zip(alpha, masks)) for masks in v] for v in (plus, minus))
+            f = _forcing(above, *vals, full)
+            refuted = reduce(and_, [f(0, h) for h in hyps], full & ~f(0, goal))
+            if refuted:
+                first = (refuted & -refuted).bit_length() - 1  # the lowest set bit
+                states = next(itertools.islice(_rooted_states(above, len(alpha)), first, None))
+                vplus, vminus = ({w: {a for a, c in zip(alpha, st) if c & bit}
+                                  for w, st in zip(names, states)} for bit in (1, 2))
+                leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
+                return KripkeModel.make(alpha, names, leq, vplus, vminus), "w0"
     return None
 
 

@@ -60,6 +60,11 @@ FILE_ERRORS = [
     ("embed", "hyp : (a & b)\n|- andi(ande3(hyp(0)), hyp(0))\n",
      "2:9: unknown proof rule 'ande3'"),
     ("embed", "hyp : (a & b) c\n|- hyp(0)\n", "1:15: trailing input after hypothesis"),
+    # the '|-' line comes last: a second one, or a hypothesis after it, is an error
+    ("check", "y : a^c+\n|- y\n  |- x\n", "3:3: the '|- term' line must be the last line"),
+    ("kripke countermodel", "|- a^s+\n|- b^s+\n", "2:1: the '|- prop' line must be the last line"),
+    ("decide", "|- a^c+\n b^c+\n", "2:2: the '|- prop' line must be the last line"),
+    ("embed", "hyp : a\n|- hyp(0)\nhyp : b\n", "3:1: the '|- proof' line must be the last line"),
 ]
 
 
@@ -67,7 +72,7 @@ FILE_ERRORS = [
 def test_parse_errors_give_positions_in_the_file(tmp_path, capsys, command, text, message):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
-    code, _, err = run(capsys, command, str(bad))
+    code, _, err = run(capsys, *command.split(), str(bad))
     assert (code, err) == (2, f"parse error: {message}\n")
 
 

@@ -4,9 +4,9 @@ from functools import lru_cache
 import pytest
 
 from prk.errors import UnknownVariableError, UnknownWorldError
-from prk.kripke import (KripkeModel, _partial_orders, _rooted_orders, counter_model_lem,
-                        countermodel_search, enumerate_models, entails_in_model, forces,
-                        parse_model, print_model, validate_model)
+from prk.kripke import (KripkeModel, _forcing, _order_tables, _partial_orders, _rooted_orders,
+                        _rooted_states, counter_model_lem, countermodel_search, enumerate_models,
+                        entails_in_model, forces, parse_model, print_model, validate_model)
 from prk.gen import PropGen, all_pure_props, provable_library
 from prk.surface import parse_mprop
 from prk.syntax import MODES, And, MProp, Mode, Neg, PVar, mprop_dual, opposite, prop_vars
@@ -246,14 +246,18 @@ def test_forces_matches_reference(models_2var):
                 assert forces(m, w, p) == reference_forces(m, w, p), (m, w, p)
 
 
-def test_search_agrees_on_this_files_sequents():
+def this_files_sequents():
     cp = Mode("c", "+")
     sequents = [([], mp("(a | ~a)^s+")), ([], mp("(a | ~a)^c+")),
                 ([mp("a^s+")], mp("a^s+")), ([mp("a^c+")], mp("a^s+"))]
     sequents += [([], MProp(base, cp)) for base in all_pure_props(("a", "b"), 2)]
     sequents += [([MProp(h, cp)], MProp(g, cp))
                  for h in all_pure_props(("a",), 2) for g in all_pure_props(("a",), 2)]
-    for hyps, goal in sequents:
+    return sequents
+
+
+def test_search_agrees_on_this_files_sequents():
+    for hyps, goal in this_files_sequents():
         assert_search_agrees(hyps, goal, 3)
 
 
@@ -268,6 +272,46 @@ def test_search_agrees_on_random_sequents(rng, atoms, max_worlds, count):
     for _ in range(count):
         hyps = [props.mprop(rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
         assert_search_agrees(hyps, props.mprop(rng.randint(1, 3)), max_worlds)
+
+
+def per_candidate_search(hyps, goal, max_worlds):
+    """The search before bit-parallel forcing: the same candidates in the
+    same order, each forced on its own through a one-bit _forcing."""
+    alpha = tuple(sorted(set().union(*(prop_vars(p.base) for p in [goal, *hyps])))) or ("a",)
+    for n in range(1, max_worlds + 1):
+        names = tuple(f"w{i}" for i in range(n))
+        for above in _rooted_orders(n):
+            for states in _rooted_states(above, len(alpha)):
+                plus, minus = ([frozenset(a for a, c in zip(alpha, st) if c & bit) for st in states]
+                               for bit in (1, 2))
+                f = _forcing(above, [dict.fromkeys(s, 1) for s in plus],
+                             [dict.fromkeys(s, 1) for s in minus], 1)
+                if all(f(0, h) for h in hyps) and not f(0, goal):
+                    leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
+                    return KripkeModel.make(alpha, names, leq, dict(zip(names, plus)),
+                                            dict(zip(names, minus))), "w0"
+    return None
+
+
+def test_witnesses_are_exact(rng):
+    # every answer, witness included, equals the per-candidate search's,
+    # with the order tables built during the run and with them warm
+    cases = [(hyps, goal, 3) for hyps, goal in this_files_sequents()]
+    cases += [([p for _, p in ctx], goal, 3) for ctx, goal, _ in provable_library()]
+    for atoms, max_worlds, count in ((("a", "b"), 3, 500), (("a",), 4, 20), (("a", "b", "c"), 3, 20)):
+        props = PropGen(rng, atoms)
+        for _ in range(count):
+            hyps = [props.mprop(rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+            cases.append((hyps, props.mprop(rng.randint(1, 3)), max_worlds))
+    expected = [per_candidate_search(*case) for case in cases]
+    assert any(found is not None for found in expected)
+    assert any(found is None for found in expected)
+    assert _order_tables.cache_info().maxsize is not None
+    _order_tables.cache_clear()
+    for _ in range(2):
+        for case, want in zip(cases, expected):
+            assert countermodel_search(*case) == want, case
+    assert _order_tables.cache_info().hits > 0
 
 
 def _shape(n, rel):
@@ -293,6 +337,7 @@ def test_full_searches_scale():
     assert countermodel_search([mp("a^c+"), mp("b^c+")], mp("(a & b)^s+"), 4) is None
     assert countermodel_search([], mp("((a & b) | ~(a & b))^c+"), 4) is None
     assert countermodel_search([], mp("(a | ~a)^c+"), 5) is None
+    assert countermodel_search([], mp("(((a & b) & c) | ~((a & b) & c))^c+"), 4) is None
 
 
 # -- model files ------------------------------------------------------------------------
