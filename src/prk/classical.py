@@ -10,14 +10,14 @@ from dataclasses import dataclass
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
-from .surface import _Tokens, _parse_pure, content_lines, located
+from .surface import RESERVED_FALSITY, _Tokens, _parse_pure, content_lines, located
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
                      Term, Var, case, clam, fresh_name, fv, prop_vars,
                      substitute)
 from .typecheck import Context, abs_general_at, contrapose_at, mk_lem
 
-FALSITY_VAR = "_bot0"
+FALSITY_VAR = RESERVED_FALSITY
 FALSITY: PureProp = And(PVar(FALSITY_VAR), Neg(PVar(FALSITY_VAR)))
 
 
@@ -424,8 +424,8 @@ def parse_nk(text: str) -> NKProof:
     for lineno, col, line in content_lines(text):
         if proof_src is not None:
             raise ParseError("the '|- proof' line must be the last line", lineno, col)
-        if line.startswith("hyp"):
-            head, _, rest = line.partition(":")
+        head, colon, rest = line.partition(":")
+        if head.rstrip() == "hyp" and colon:
             with located(lineno, col + len(head) + 1):
                 tk = _Tokens(rest)
                 hyps.append(_parse_pure(tk))

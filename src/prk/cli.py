@@ -16,7 +16,8 @@ from .errors import (CannotInferError, ParseError, PrkError, TypingError,
 from .kripke import (countermodel_search, forces, parse_model, print_model,
                      validate_model)
 from .rewrite import ETA, PLAIN, binder_names_at, classify, normalize, replay
-from .surface import content_lines, located, parse_mprop, parse_term, print_mprop, print_term
+from .surface import (content_lines, is_name, located, parse_mprop, parse_term, print_mprop,
+                      print_term)
 from .syntax import MProp, Term, dual, mprop_dual
 from .typecheck import Context, infer_type
 from .systemf import f_infer, print_fterm, print_ftype, translate_ctx, translate_prop, translate_term
@@ -39,9 +40,11 @@ def parse_judgment(text: str) -> tuple[Context, Term]:
             with located(lineno, col + 2):
                 term = parse_term(line[2:])
         elif ":" in line:
-            name, _, prop_src = line.partition(":")
-            with located(lineno, col + len(name) + 1):
-                ctx = ctx.extend(name.strip(), parse_mprop(prop_src))
+            head, _, prop_src = line.partition(":")
+            if not is_name(name := head.strip()):
+                raise ParseError(f"expected a hypothesis name, found {name!r}", lineno, col)
+            with located(lineno, col + len(head) + 1):
+                ctx = ctx.extend(name, parse_mprop(prop_src))
         else:
             raise ParseError("expected 'x : prop' or '|- term'", lineno, col)
     if term is None:

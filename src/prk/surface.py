@@ -29,9 +29,9 @@ from .syntax import (And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
 
 RESERVED_FALSITY = "_bot0"
 
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
       (?P<ws>\s+|\#[^\n]*)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*|_bot0)
+    | (?P<ident>[A-Za-z][A-Za-z0-9_]*|{re.escape(RESERVED_FALSITY)})
     | (?P<number>[0-9]+)
     | (?P<sym>[()\[\],.:^&|~+-])
 """, re.VERBOSE)
@@ -255,6 +255,14 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
         else:
             tk.end()
             return t
+
+
+def is_name(text: str) -> bool:
+    """Is text a variable's name, one that parse_term reads back as that variable?"""
+    try:
+        return parse_term(text) == Var(text)
+    except ParseError:
+        return False
 
 
 # ---------------------------------------------------------------------------

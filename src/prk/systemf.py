@@ -26,6 +26,7 @@ subtree unvisited when its summary shows they cannot change it, so on the
 shared and mostly closed translations they cost the size of the graph,
 not that of the tree.  Typing opens no binder: `f_infer` reads a term
 index's type off its binder's annotation, so it walks each term once.
+`translate_term` reads a derivation's rule off its subject's constructor.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from typing import Iterator
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
-from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, And, CLam, Case,
-                     Inj, MProp, Mode, Neg, Or, Proj, PVar, Summarized, Var,
-                     cache_hash, flip, fresh_name, make_debruijn, make_fold,
-                     make_map, make_shape, opposite, preorder)
+from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
+                     CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
+                     Proj, PVar, Summarized, Var, cache_hash, flip, fresh_name,
+                     make_debruijn, make_fold, make_map, make_shape, opposite,
+                     preorder)
 from .surface import Scope, print_tree
 from .typecheck import Context, Derivation, check_type
 
@@ -452,14 +454,20 @@ def translate_prop(p: MProp) -> FType:
     match base:
         case PVar(name):
             return TVar(name) if sign == PLUS else Arrow(TVar(name), ZERO)
-        case And(l, r) | Or(l, r):
+        case And() | Or():
             # a pair of this sign is a product, an injection a sum
-            c = Mode(CLASSICAL, sign)
             encode = times if isinstance(base, PAIRED[sign]) else plus
-            return encode(translate_prop(MProp(l, c)), translate_prop(MProp(r, c)))
+            return encode(*_halves(p))
         case Neg(inner):
             return Arrow(ONE, translate_prop(MProp(inner, Mode(CLASSICAL, flip(sign)))))
     raise TypeError(p)
+
+
+def _halves(p: MProp) -> tuple[FType, FType]:
+    """The translations of the two components of p, a strong pair or
+    injection type: classical, at p's sign."""
+    c = Mode(CLASSICAL, p.sign)
+    return translate_prop(MProp(p.base.left, c)), translate_prop(MProp(p.base.right, c))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -484,7 +492,7 @@ def funabs(p: MProp, q: MProp) -> FTerm:
             return wrap(abort_f(tq, FApp(y, x) if sign == PLUS else FApp(x, y)))
         case And(l, r) | Or(l, r) if isinstance(base, PAIRED[sign]):
             # x is a product, y a sum: split y, project x
-            tl, tr = translate_prop(MProp(l, c)), translate_prop(MProp(r, c))
+            tl, tr = _halves(p)
             b1 = flam("z", translate_prop(MProp(l, co)),
                       FApp(FApp(funabs(MProp(l, c), q), proj_f(1, x, tl, tr)), z))
             b2 = flam("z", translate_prop(MProp(r, co)),
@@ -492,7 +500,7 @@ def funabs(p: MProp, q: MProp) -> FTerm:
             return wrap(case_f(y, b1, b2, tq))
         case And(l, r) | Or(l, r):
             # x is a sum, y a product: split x, project y
-            tl, tr = translate_prop(MProp(l, co)), translate_prop(MProp(r, co))
+            tl, tr = _halves(opposite(p))
             b1 = flam("z", translate_prop(MProp(l, c)),
                       FApp(FApp(funabs(MProp(l, c), q), z), proj_f(1, y, tl, tr)))
             b2 = flam("z", translate_prop(MProp(r, c)),
@@ -510,59 +518,37 @@ def translate_ctx(ctx: Context) -> FContext:
 
 def translate_term(d: Derivation) -> FTerm:
     """Translate a typing derivation into an F term of the translated type."""
-    t = d.subject
-    match d.rule:
-        case "Ax":
-            assert isinstance(t, Var)
-            return FVar(t.name)
-        case "Abs":
+    match d.subject:
+        case Var(name):
+            return FVar(name)
+        case Abs():
             dl, dr = d.premises
             return FApp(FApp(funabs(dl.conclusion, d.conclusion),
                              translate_term(dl)), translate_term(dr))
-        case "IAnd+" | "IOr-":
+        case Pair():
             dl, dr = d.premises
-            return pair_f(translate_term(dl), translate_term(dr),
-                          translate_prop(dl.conclusion), translate_prop(dr.conclusion))
-        case "EAnd+" | "EOr-":
+            return pair_f(translate_term(dl), translate_term(dr), *_halves(d.conclusion))
+        case Proj(_, index):
             (db,) = d.premises
-            assert isinstance(t, Proj)
-            p = db.conclusion
-            comp_mode = Mode(CLASSICAL, p.sign)
-            ta = translate_prop(MProp(p.base.left, comp_mode))
-            tb = translate_prop(MProp(p.base.right, comp_mode))
-            return proj_f(t.index, translate_term(db), ta, tb)
-        case "IOr+" | "IAnd-":
+            return proj_f(index, translate_term(db), *_halves(db.conclusion))
+        case Inj(_, index):
             (db,) = d.premises
-            assert isinstance(t, Inj)
-            concl = d.conclusion
-            comp_mode = Mode(CLASSICAL, concl.sign)
-            ta = translate_prop(MProp(concl.base.left, comp_mode))
-            tb = translate_prop(MProp(concl.base.right, comp_mode))
-            return in_f(t.index, translate_term(db), ta, tb)
-        case "EOr+" | "EAnd-":
+            return in_f(index, translate_term(db), *_halves(d.conclusion))
+        case Case(_, _, annot1, _, annot2, _):
             dsc, d1, d2 = d.premises
-            assert isinstance(t, Case)
-            n1 = d1.ctx.entries[-1][0]
-            n2 = d2.ctx.entries[-1][0]
-            f1 = flam(n1, translate_prop(t.annot1), translate_term(d1))
-            f2 = flam(n2, translate_prop(t.annot2), translate_term(d2))
+            f1 = flam(d1.ctx.entries[-1][0], translate_prop(annot1), translate_term(d1))
+            f2 = flam(d2.ctx.entries[-1][0], translate_prop(annot2), translate_term(d2))
             return case_f(translate_term(dsc), f1, f2, translate_prop(d.conclusion))
-        case "INeg+" | "INeg-":
+        case NegI():
+            body = translate_term(d.premises[0])
+            return flam(fresh_name("u", set(fterm_fv(body))), ONE, body)
+        case NegE():
+            return FApp(translate_term(d.premises[0]), TRIV)
+        case CLam(_, annot):
             (db,) = d.premises
-            body = translate_term(db)
-            u = fresh_name("u", set(fterm_fv(body)))
-            return flam(u, ONE, body)
-        case "ENeg+" | "ENeg-":
-            (db,) = d.premises
-            return FApp(translate_term(db), TRIV)
-        case "IC+" | "IC-":
-            (db,) = d.premises
-            assert isinstance(t, CLam)
-            n = db.ctx.entries[-1][0]
-            return flam(n, translate_prop(t.annot), translate_term(db))
-        case "EC+" | "EC-":
-            df, da = d.premises
-            return FApp(translate_term(df), translate_term(da))
+            return flam(db.ctx.entries[-1][0], translate_prop(annot), translate_term(db))
+        case CApp():
+            return FApp(*map(translate_term, d.premises))
     raise InvalidDerivationError(f"unknown rule {d.rule}")
 
 

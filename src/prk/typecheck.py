@@ -6,7 +6,9 @@ Inference is syntax-directed and bidirectional: every term form is
 inferable except injections, whose missing component is not determined
 by the term; those are handled in checking mode against an expected
 type.  Case scrutinees are checked against the type reconstructed from
-the binder annotations.
+the binder annotations.  A derivation's rule is read off its subject's
+constructor: projection and every other walk over derivations match on
+the subject, and `Derivation.rule` only names the rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .syntax import (CLASSICAL, INJECTED, MINUS, PAIRED, PLUS, STANCE, STRONG,
                      Abs, Bound, CApp, CLam, Case, Inj, MProp, Mode, Neg,
                      NegE, NegI, Or, Pair, Proj, PureProp, Term, Var, clam,
                      case as mk_case, flip, fresh_name, fv, open_binder,
-                     opposite, prop_dual, strong_noun, term_dual, truncate)
+                     opposite, prop_dual, rebuild, strong_noun, term_dual,
+                     truncate)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +112,7 @@ def infer_type(ctx: Context, t: Term) -> Derivation:
             raise TypingError(f"dangling bound variable #{i}")
 
         case Abs(q, left, right):
-            try:
-                dl = infer_type(ctx, left)
-                dr = check_type(ctx, right, opposite(dl.conclusion))
-            except CannotInferError:
-                dr = infer_type(ctx, right)
-                dl = check_type(ctx, left, opposite(dr.conclusion))
+            dl, dr = _infer_either(opposite, (ctx, left), (ctx, right))
             p = dl.conclusion
             if not p.is_strong:
                 raise NotStrongError(f"absurdity premise must be strong, found {p}")
@@ -180,6 +178,19 @@ def infer_type(ctx: Context, t: Term) -> Derivation:
     raise TypeError(t)
 
 
+def _infer_either(relate, first, second) -> tuple[Derivation, Derivation]:
+    """Derivations of two (context, term) pairs whose types are related by
+    relate (an involution): infer the first and check the second against
+    relate of its type or, when either cannot infer, infer the second and
+    check the first against relate of that."""
+    try:
+        d1 = infer_type(*first)
+        return d1, check_type(*second, relate(d1.conclusion))
+    except CannotInferError:
+        d2 = infer_type(*second)
+        return check_type(*first, relate(d2.conclusion)), d2
+
+
 def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivation:
     sign = t.sign
     p1, p2 = t.annot1, t.annot2
@@ -205,21 +216,14 @@ def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivatio
 
     x1 = _fresh(t.hint1, ctx, t.branch1)
     x2 = _fresh(t.hint2, ctx, t.branch2)
-    ctx1 = ctx.extend(x1, p1)
-    ctx2 = ctx.extend(x2, p2)
-    b1 = open_binder(t.branch1, x1)
-    b2 = open_binder(t.branch2, x2)
+    branch1 = (ctx.extend(x1, p1), open_binder(t.branch1, x1))
+    branch2 = (ctx.extend(x2, p2), open_binder(t.branch2, x2))
 
     if expected is not None:
-        d1 = check_type(ctx1, b1, expected)
-        d2 = check_type(ctx2, b2, expected)
+        d1 = check_type(*branch1, expected)
+        d2 = check_type(*branch2, expected)
     else:
-        try:
-            d1 = infer_type(ctx1, b1)
-            d2 = check_type(ctx2, b2, d1.conclusion)
-        except CannotInferError:
-            d2 = infer_type(ctx2, b2)
-            d1 = check_type(ctx1, b1, d2.conclusion)
+        d1, d2 = _infer_either(lambda p: p, branch1, branch2)
     return Derivation(rule, ctx, t, d1.conclusion, (dsc, d1, d2))
 
 
@@ -253,8 +257,7 @@ def check_type(ctx: Context, t: Term, expected: MProp) -> Derivation:
             return Derivation(f"INeg{sign}", ctx, t, expected, (db,))
 
         case Case(_, _, _, _, _, _):
-            d = _case_derivation(ctx, t, expected=expected)
-            return d
+            return _case_derivation(ctx, t, expected=expected)
 
         case Abs(q, _, _):
             if q != expected:
@@ -377,93 +380,51 @@ def project_derivation(d: Derivation, target: str) -> Derivation:
 
 
 def _project(d: Derivation, target: str) -> Term:
-    ctx, q = d.ctx, d.conclusion
+    ctx, q, t = d.ctx, d.conclusion, d.subject
     taken = ctx.names()
 
-    match d.rule:
-        case "Ax":
-            assert isinstance(d.subject, Var)
-            if d.subject.name == target:
-                return d.subject
-            return pc_term(d.subject, q, taken)
+    match t:
+        case Var(name):
+            return t if name == target else pc_term(t, q, taken)
 
-        case "Abs":
-            dl, dr = d.premises
-            left = _project(dl, target)
-            right = _project(dr, target)
-            return abs_general_at(truncate(q), left, right, truncate(dl.conclusion))
+        case Abs():
+            left, right = (_project(p, target) for p in d.premises)
+            return abs_general_at(truncate(q), left, right, truncate(d.premises[0].conclusion))
 
-        case "IAnd+" | "IOr-":
-            dl, dr = d.premises
-            assert isinstance(d.subject, Pair)
-            return pc_term(Pair(d.subject.sign, _project(dl, target), _project(dr, target)),
-                           q, taken)
+        case Pair() | Inj() | NegI():
+            return pc_term(rebuild(t, [_project(p, target) for p in d.premises]), q, taken)
 
-        case "IOr+" | "IAnd-":
+        case Proj(sign) | NegE(sign):
+            # cs( proj_i+( capp+(t0, clam-(w. in_i-(z))) ) ) at A_i^c+, its dual, and
+            # the same with nege and negi in place of proj and in
             (db,) = d.premises
-            assert isinstance(d.subject, Inj)
-            return pc_term(Inj(d.subject.sign, d.subject.index, _project(db, target)), q, taken)
-
-        case "EAnd+" | "EOr-":
-            (db,) = d.premises
-            assert isinstance(d.subject, Proj)
-            sign, index = d.subject.sign, d.subject.index
             t0 = _project(db, target)
-            pair_p = truncate(db.conclusion)
             z = fresh_name("z", set(taken) | fv(t0))
             w = fresh_name("w", set(taken) | fv(t0) | {z})
-            # cs( proj_i+( capp+(t0, clam-(w. in_i-(z))) ) ) at A_i^c+, and its dual
-            arg = clam(flip(sign), w, pair_p, Inj(flip(sign), index, Var(z)))
-            body = Proj(sign, index, CApp(sign, t0, arg))
-            return cs_term(z, body, q)
+            intro = (NegI(flip(sign), Var(z)) if isinstance(t, NegE)
+                     else Inj(flip(sign), t.index, Var(z)))
+            arg = clam(flip(sign), w, truncate(db.conclusion), intro)
+            return cs_term(z, rebuild(t, [CApp(sign, t0, arg)]), q)
 
-        case "EOr+" | "EAnd-":
+        case Case(sign, _, p1, _, p2, _):
             dsc, d1, d2 = d.premises
-            assert isinstance(d.subject, Case)
-            sign = d.subject.sign
-            sc = _project(dsc, target)
-            s1 = _project(d1, target)
-            s2 = _project(d2, target)
-            n1 = d1.ctx.entries[-1][0]
-            n2 = d2.ctx.entries[-1][0]
-            p1, p2 = d.subject.annot1, d.subject.annot2
+            sc, s1, s2 = (_project(p, target) for p in d.premises)
+            n1, n2 = d1.ctx.entries[-1][0], d2.ctx.entries[-1][0]
             tq = truncate(q)
             ystar = fresh_name("k", set(taken) | fv(s1) | fv(s2) | {n1, n2})
             contra1 = contrapose_at(n1, p1, ystar, s1, tq)
             contra2 = contrapose_at(n2, p2, ystar, s2, tq)
-            scrut_p = truncate(dsc.conclusion)
             w = fresh_name("w", set(taken) | fv(sc) | {ystar})
-            refut = clam(flip(sign), w, scrut_p, Pair(flip(sign), contra1, contra2))
-            scrut = CApp(sign, sc, refut)
-            body = mk_case(sign, scrut, (n1, p1, s1), (n2, p2, s2))
+            refut = clam(flip(sign), w, truncate(dsc.conclusion),
+                         Pair(flip(sign), contra1, contra2))
+            body = mk_case(sign, CApp(sign, sc, refut), (n1, p1, s1), (n2, p2, s2))
             return cs_term(ystar, body, tq)
 
-        case "INeg+" | "INeg-":
+        case CLam():
             (db,) = d.premises
-            assert isinstance(d.subject, NegI)
-            return pc_term(NegI(d.subject.sign, _project(db, target)), q, taken)
+            return cs_term(db.ctx.entries[-1][0], _project(db, target), q)
 
-        case "ENeg+" | "ENeg-":
-            (db,) = d.premises
-            assert isinstance(d.subject, NegE)
-            sign = d.subject.sign
-            t0 = _project(db, target)
-            neg_p = truncate(db.conclusion)
-            z = fresh_name("z", set(taken) | fv(t0))
-            w = fresh_name("w", set(taken) | fv(t0) | {z})
-            arg = clam(flip(sign), w, neg_p, NegI(flip(sign), Var(z)))
-            body = NegE(sign, CApp(sign, t0, arg))
-            return cs_term(z, body, q)
-
-        case "IC+" | "IC-":
-            (db,) = d.premises
-            assert isinstance(d.subject, CLam)
-            n = db.ctx.entries[-1][0]
-            body = _project(db, target)
-            return cs_term(n, body, q)
-
-        case "EC+" | "EC-":
-            df, _ = d.premises
-            return _project(df, target)
+        case CApp():
+            return _project(d.premises[0], target)
 
     raise TypingError(f"unhandled rule {d.rule}")

@@ -65,6 +65,14 @@ FILE_ERRORS = [
     ("kripke countermodel", "|- a^s+\n|- b^s+\n", "2:1: the '|- prop' line must be the last line"),
     ("decide", "|- a^c+\n b^c+\n", "2:2: the '|- prop' line must be the last line"),
     ("embed", "hyp : a\n|- hyp(0)\nhyp : b\n", "3:1: the '|- proof' line must be the last line"),
+    # a hypothesis is named by a variable, and an NK hypothesis line starts with 'hyp :'
+    ("check", " : a^c+\n|- x\n", "1:2: expected a hypothesis name, found ''"),
+    ("check", "x y : a^c+\n|- x\n", "1:1: expected a hypothesis name, found 'x y'"),
+    ("dual", "  pair : a^c+\n|- x\n", "1:3: expected a hypothesis name, found 'pair'"),
+    ("translate", "proj3 : a^c+\n|- x\n", "1:1: expected a hypothesis name, found 'proj3'"),
+    ("normalize", "_bot0 : a^c+\n|- x\n", "1:1: expected a hypothesis name, found '_bot0'"),
+    ("embed", "hypothesis : a\n|- hyp(0)\n", "1:1: expected 'hyp : <prop>' or '|- <proof>'"),
+    ("embed", "hyp : a\n  hyp a\n|- hyp(0)\n", "2:3: expected 'hyp : <prop>' or '|- <proof>'"),
 ]
 
 

@@ -929,3 +929,69 @@ def test_f_infer_differs_from_reference_only_in_names(ctx, t, text, reference):
     got, want = _typings(ctx, t)
     assert got[0] == want[0]  # the same type, hints aside, or the same error class
     assert (got[1], want[1]) == (text, reference)
+
+
+# -- differential: translation by rule name --------------------------------------
+
+def ref_translate_term(d):
+    """The translation as it was when each rule was matched by its name."""
+    from prk.syntax import CLASSICAL
+    from prk.systemf import case_f
+    t = d.subject
+    match d.rule:
+        case "Ax":
+            return FVar(t.name)
+        case "Abs":
+            dl, dr = d.premises
+            return FApp(FApp(funabs(dl.conclusion, d.conclusion),
+                             ref_translate_term(dl)), ref_translate_term(dr))
+        case "IAnd+" | "IOr-":
+            dl, dr = d.premises
+            return pair_f(ref_translate_term(dl), ref_translate_term(dr),
+                          translate_prop(dl.conclusion), translate_prop(dr.conclusion))
+        case "EAnd+" | "EOr-":
+            (db,) = d.premises
+            p = db.conclusion
+            ta = translate_prop(MProp(p.base.left, Mode(CLASSICAL, p.sign)))
+            tb = translate_prop(MProp(p.base.right, Mode(CLASSICAL, p.sign)))
+            return proj_f(t.index, ref_translate_term(db), ta, tb)
+        case "IOr+" | "IAnd-":
+            (db,) = d.premises
+            concl = d.conclusion
+            ta = translate_prop(MProp(concl.base.left, Mode(CLASSICAL, concl.sign)))
+            tb = translate_prop(MProp(concl.base.right, Mode(CLASSICAL, concl.sign)))
+            return in_f(t.index, ref_translate_term(db), ta, tb)
+        case "EOr+" | "EAnd-":
+            dsc, d1, d2 = d.premises
+            f1 = flam(d1.ctx.entries[-1][0], translate_prop(t.annot1), ref_translate_term(d1))
+            f2 = flam(d2.ctx.entries[-1][0], translate_prop(t.annot2), ref_translate_term(d2))
+            return case_f(ref_translate_term(dsc), f1, f2, translate_prop(d.conclusion))
+        case "INeg+" | "INeg-":
+            (db,) = d.premises
+            body = ref_translate_term(db)
+            return flam(fresh_name("u", set(fterm_fv(body))), ONE, body)
+        case "ENeg+" | "ENeg-":
+            (db,) = d.premises
+            return FApp(ref_translate_term(db), TRIV)
+        case "IC+" | "IC-":
+            (db,) = d.premises
+            return flam(db.ctx.entries[-1][0], translate_prop(t.annot), ref_translate_term(db))
+        case "EC+" | "EC-":
+            df, da = d.premises
+            return FApp(ref_translate_term(df), ref_translate_term(da))
+    raise AssertionError(d.rule)
+
+
+def test_translation_matches_the_rule_name_reference():
+    from prk.gen import TermGen, provable_library
+    derivations = [check_type(ctx, t, goal) for ctx, goal, t in provable_library()]
+    for seed in range(8):
+        gen = TermGen(random.Random(seed))
+        for _ in range(30):
+            ctx = gen.base_context()
+            goal = gen.props.mprop(2)
+            derivations.append(check_type(ctx, gen.sized_term(ctx, goal, 4, max_size=40), goal))
+    for d in derivations:
+        translated, reference = translate_term(d), ref_translate_term(d)
+        assert translated == reference
+        assert print_fterm(translated) == print_fterm(reference)

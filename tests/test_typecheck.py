@@ -1,15 +1,24 @@
+import dataclasses
+import random
+
 import pytest
 
 from prk.errors import (AnnotationMismatchError, CannotInferError,
                         ModeMismatchError, NoSuchAssumptionError,
                         NotClassicalError, NotStrongError, SignMismatchError,
                         TypeMismatchError, TypingError, UnboundVariableError)
+from prk.gen import PropGen, TermGen, provable_library
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import (And, MProp, Mode, Neg, Or, PVar, Pair, Var, dual,
-                        fv, opposite, substitute, truncate)
-from prk.typecheck import (Context, check_type, infer_type, mk_abs_general,
-                           mk_contrapose, mk_lem, project_derivation,
-                           validate_derivation)
+from prk.syntax import (CLASSICAL, INJECTED, PAIRED, STANCE, STRONG, Abs, And,
+                        Bound, CApp, CLam, Case, Inj, MProp, Mode, Neg, NegE,
+                        NegI, Or, PVar, Pair, Proj, Var, case as mk_case,
+                        children, clam, dual, flip, fresh_name, fv,
+                        open_binder, opposite, rebuild, strong_noun,
+                        substitute, subterms, truncate)
+from prk.typecheck import (Context, Derivation, _project, abs_general_at,
+                           check_type, contrapose_at, cs_term, infer_type,
+                           mk_abs_general, mk_contrapose, mk_lem, pc_term,
+                           project_derivation, validate_derivation)
 
 a, b = PVar("a"), PVar("b")
 CP, CM, SP, SM = Mode("c", "+"), Mode("c", "-"), Mode("s", "+"), Mode("s", "-")
@@ -451,3 +460,346 @@ def test_project_injection_conclusion():
                    parse_mprop("(a & b)^s-"))
     pd = project_derivation(d, "x")
     assert pd.conclusion == parse_mprop("(a & b)^c-")
+
+
+# -- differential: the rule-string projection and the two-site typing fallback --
+#
+# Test-local copies of the typechecker and of `_project` as they were when
+# each rule was matched by its name; the library must give `==` answers.
+
+def _ref_fresh(hint, ctx, *terms):
+    return fresh_name(hint or "x", ctx.names().union(*map(fv, terms)))
+
+
+def _ref_expect_mode(p, strength, sign, what):
+    if p.mode.strength != strength:
+        raise ModeMismatchError(f"{what}: expected {strength}{sign} mode, found {p}")
+    if p.sign != sign:
+        raise SignMismatchError(f"{what}: expected sign {sign}, found {p}")
+
+
+def ref_infer_type(ctx, t):
+    match t:
+        case Var(name):
+            p = ctx.lookup(name)
+            if p is None:
+                raise UnboundVariableError(f"unbound variable {name!r}")
+            return Derivation("Ax", ctx, t, p)
+        case Bound(i):
+            raise TypingError(f"dangling bound variable #{i}")
+        case Abs(q, left, right):
+            try:
+                dl = ref_infer_type(ctx, left)
+                dr = ref_check_type(ctx, right, opposite(dl.conclusion))
+            except CannotInferError:
+                dr = ref_infer_type(ctx, right)
+                dl = ref_check_type(ctx, left, opposite(dr.conclusion))
+            p = dl.conclusion
+            if not p.is_strong:
+                raise NotStrongError(f"absurdity premise must be strong, found {p}")
+            return Derivation("Abs", ctx, t, q, (dl, dr))
+        case Pair(sign, left, right):
+            dl = ref_infer_type(ctx, left)
+            dr = ref_infer_type(ctx, right)
+            _ref_expect_mode(dl.conclusion, CLASSICAL, sign, f"pair{sign} left component")
+            _ref_expect_mode(dr.conclusion, CLASSICAL, sign, f"pair{sign} right component")
+            conn = PAIRED[sign]
+            concl = MProp(conn(dl.conclusion.base, dr.conclusion.base), Mode(STRONG, sign))
+            return Derivation(f"I{conn.__name__}{sign}", ctx, t, concl, (dl, dr))
+        case Proj(sign, index, body):
+            db = ref_infer_type(ctx, body)
+            p = db.conclusion
+            conn = PAIRED[sign]
+            if not (isinstance(p.base, conn) and p.mode == Mode(STRONG, sign)):
+                raise ModeMismatchError(
+                    f"proj{index}{sign} needs a {strong_noun(conn, sign)}, found {p}")
+            comp = p.base.left if index == 1 else p.base.right
+            return Derivation(f"E{conn.__name__}{sign}", ctx, t,
+                              MProp(comp, Mode(CLASSICAL, sign)), (db,))
+        case Inj(_, _, _):
+            raise CannotInferError(
+                "the type of an injection is not inferable; check it against an expected type")
+        case Case(_, _, _, _, _, _):
+            return _ref_case_derivation(ctx, t, expected=None)
+        case NegI(sign, body):
+            db = ref_infer_type(ctx, body)
+            p = db.conclusion
+            _ref_expect_mode(p, CLASSICAL, flip(sign), f"negi{sign} premise")
+            return Derivation(f"INeg{sign}", ctx, t, MProp(Neg(p.base), Mode(STRONG, sign)), (db,))
+        case NegE(sign, body):
+            db = ref_infer_type(ctx, body)
+            p = db.conclusion
+            if not (isinstance(p.base, Neg) and p.mode == Mode(STRONG, sign)):
+                raise ModeMismatchError(f"nege{sign} needs a strong negation, found {p}")
+            concl = MProp(p.base.inner, Mode(CLASSICAL, flip(sign)))
+            return Derivation(f"ENeg{sign}", ctx, t, concl, (db,))
+        case CLam(sign, annot, body, hint):
+            if annot.mode != Mode(CLASSICAL, flip(sign)):
+                raise AnnotationMismatchError(f"clam{sign} binder must assume a classical "
+                                              f"{STANCE[flip(sign)]}, found {annot}")
+            x = _ref_fresh(hint, ctx, body)
+            db = ref_check_type(ctx.extend(x, annot), open_binder(body, x),
+                                MProp(annot.base, Mode(STRONG, sign)))
+            return Derivation(f"IC{sign}", ctx, t, MProp(annot.base, Mode(CLASSICAL, sign)), (db,))
+        case CApp(sign, fun, arg):
+            df = ref_infer_type(ctx, fun)
+            p = df.conclusion
+            _ref_expect_mode(p, CLASSICAL, sign, f"capp{sign} function")
+            da = ref_check_type(ctx, arg, MProp(p.base, Mode(CLASSICAL, flip(sign))))
+            return Derivation(f"EC{sign}", ctx, t, MProp(p.base, Mode(STRONG, sign)), (df, da))
+    raise TypeError(t)
+
+
+def _ref_case_derivation(ctx, t, expected):
+    sign = t.sign
+    p1, p2 = t.annot1, t.annot2
+    for which, p in (("first", p1), ("second", p2)):
+        if p.mode != Mode(CLASSICAL, sign):
+            raise AnnotationMismatchError(f"case{sign} {which} binder must assume a "
+                                          f"classical {STANCE[sign]}, found {p}")
+    conn = INJECTED[sign]
+    scrut_ty = MProp(conn(p1.base, p2.base), Mode(STRONG, sign))
+    rule = f"E{conn.__name__}{sign}"
+    try:
+        dsc = ref_infer_type(ctx, t.scrutinee)
+        if dsc.conclusion != scrut_ty:
+            raise AnnotationMismatchError(
+                f"case binder annotations require scrutinee type {scrut_ty}, "
+                f"found {dsc.conclusion}")
+    except CannotInferError:
+        try:
+            dsc = ref_check_type(ctx, t.scrutinee, scrut_ty)
+        except TypeMismatchError as e:
+            raise AnnotationMismatchError(str(e)) from e
+    x1 = _ref_fresh(t.hint1, ctx, t.branch1)
+    x2 = _ref_fresh(t.hint2, ctx, t.branch2)
+    ctx1 = ctx.extend(x1, p1)
+    ctx2 = ctx.extend(x2, p2)
+    b1 = open_binder(t.branch1, x1)
+    b2 = open_binder(t.branch2, x2)
+    if expected is not None:
+        d1 = ref_check_type(ctx1, b1, expected)
+        d2 = ref_check_type(ctx2, b2, expected)
+    else:
+        try:
+            d1 = ref_infer_type(ctx1, b1)
+            d2 = ref_check_type(ctx2, b2, d1.conclusion)
+        except CannotInferError:
+            d2 = ref_infer_type(ctx2, b2)
+            d1 = ref_check_type(ctx1, b1, d2.conclusion)
+    return Derivation(rule, ctx, t, d1.conclusion, (dsc, d1, d2))
+
+
+def ref_check_type(ctx, t, expected):
+    match t:
+        case Inj(sign, index, body):
+            base = expected.base
+            conn = INJECTED[sign]
+            if not (isinstance(base, conn) and expected.mode == Mode(STRONG, sign)):
+                raise TypeMismatchError(f"in{index}{sign} builds a {strong_noun(conn, sign)}, "
+                                        f"cannot have type {expected}")
+            comp = base.left if index == 1 else base.right
+            db = ref_check_type(ctx, body, MProp(comp, Mode(CLASSICAL, sign)))
+            return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (db,))
+        case Pair(sign, left, right):
+            base = expected.base
+            conn = PAIRED[sign]
+            if not (isinstance(base, conn) and expected.mode == Mode(STRONG, sign)):
+                raise TypeMismatchError(f"pair{sign} cannot have type {expected}")
+            dl = ref_check_type(ctx, left, MProp(base.left, Mode(CLASSICAL, sign)))
+            dr = ref_check_type(ctx, right, MProp(base.right, Mode(CLASSICAL, sign)))
+            return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (dl, dr))
+        case NegI(sign, body):
+            base = expected.base
+            if not (isinstance(base, Neg) and expected.mode == Mode(STRONG, sign)):
+                raise TypeMismatchError(f"negi{sign} cannot have type {expected}")
+            db = ref_check_type(ctx, body, MProp(base.inner, Mode(CLASSICAL, flip(sign))))
+            return Derivation(f"INeg{sign}", ctx, t, expected, (db,))
+        case Case(_, _, _, _, _, _):
+            return _ref_case_derivation(ctx, t, expected=expected)
+        case Abs(q, _, _):
+            if q != expected:
+                raise TypeMismatchError(f"absurdity annotated {q}, expected {expected}")
+            return ref_infer_type(ctx, t)
+        case _:
+            d = ref_infer_type(ctx, t)
+            if d.conclusion != expected:
+                raise TypeMismatchError(
+                    f"term has type {d.conclusion}, expected {expected}")
+            return d
+
+
+def ref_project_derivation(d, target):
+    p = d.ctx.lookup(target)
+    new_ctx = d.ctx.replace(target, truncate(p))
+    if p.is_classical:
+        term = pc_term(d.subject, d.conclusion, new_ctx.names())
+    else:
+        term = ref_project(d, target)
+    return ref_check_type(new_ctx, term, truncate(d.conclusion))
+
+
+def ref_project(d, target):
+    ctx, q = d.ctx, d.conclusion
+    taken = ctx.names()
+    match d.rule:
+        case "Ax":
+            if d.subject.name == target:
+                return d.subject
+            return pc_term(d.subject, q, taken)
+        case "Abs":
+            dl, dr = d.premises
+            left = ref_project(dl, target)
+            right = ref_project(dr, target)
+            return abs_general_at(truncate(q), left, right, truncate(dl.conclusion))
+        case "IAnd+" | "IOr-":
+            dl, dr = d.premises
+            return pc_term(Pair(d.subject.sign, ref_project(dl, target),
+                                ref_project(dr, target)), q, taken)
+        case "IOr+" | "IAnd-":
+            (db,) = d.premises
+            return pc_term(Inj(d.subject.sign, d.subject.index, ref_project(db, target)),
+                           q, taken)
+        case "EAnd+" | "EOr-":
+            (db,) = d.premises
+            sign, index = d.subject.sign, d.subject.index
+            t0 = ref_project(db, target)
+            pair_p = truncate(db.conclusion)
+            z = fresh_name("z", set(taken) | fv(t0))
+            w = fresh_name("w", set(taken) | fv(t0) | {z})
+            arg = clam(flip(sign), w, pair_p, Inj(flip(sign), index, Var(z)))
+            return cs_term(z, Proj(sign, index, CApp(sign, t0, arg)), q)
+        case "EOr+" | "EAnd-":
+            dsc, d1, d2 = d.premises
+            sign = d.subject.sign
+            sc = ref_project(dsc, target)
+            s1 = ref_project(d1, target)
+            s2 = ref_project(d2, target)
+            n1 = d1.ctx.entries[-1][0]
+            n2 = d2.ctx.entries[-1][0]
+            p1, p2 = d.subject.annot1, d.subject.annot2
+            tq = truncate(q)
+            ystar = fresh_name("k", set(taken) | fv(s1) | fv(s2) | {n1, n2})
+            contra1 = contrapose_at(n1, p1, ystar, s1, tq)
+            contra2 = contrapose_at(n2, p2, ystar, s2, tq)
+            scrut_p = truncate(dsc.conclusion)
+            w = fresh_name("w", set(taken) | fv(sc) | {ystar})
+            refut = clam(flip(sign), w, scrut_p, Pair(flip(sign), contra1, contra2))
+            body = mk_case(sign, CApp(sign, sc, refut), (n1, p1, s1), (n2, p2, s2))
+            return cs_term(ystar, body, tq)
+        case "INeg+" | "INeg-":
+            (db,) = d.premises
+            return pc_term(NegI(d.subject.sign, ref_project(db, target)), q, taken)
+        case "ENeg+" | "ENeg-":
+            (db,) = d.premises
+            sign = d.subject.sign
+            t0 = ref_project(db, target)
+            neg_p = truncate(db.conclusion)
+            z = fresh_name("z", set(taken) | fv(t0))
+            w = fresh_name("w", set(taken) | fv(t0) | {z})
+            arg = clam(flip(sign), w, neg_p, NegI(flip(sign), Var(z)))
+            return cs_term(z, NegE(sign, CApp(sign, t0, arg)), q)
+        case "IC+" | "IC-":
+            (db,) = d.premises
+            return cs_term(db.ctx.entries[-1][0], ref_project(db, target), q)
+        case "EC+" | "EC-":
+            df, _ = d.premises
+            return ref_project(df, target)
+    raise TypingError(f"unhandled rule {d.rule}")
+
+
+def _outcome(f, *args):
+    """f's result, or the class and text of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 -- every answer is compared, errors included
+        return type(e), str(e)
+
+
+def _library_derivations():
+    return [check_type(ctx, t, goal) for ctx, goal, t in provable_library()]
+
+
+def _generated_derivations(seeds, per_seed):
+    out = []
+    for seed in seeds:
+        gen = TermGen(random.Random(seed))
+        for _ in range(per_seed):
+            ctx = gen.base_context()
+            goal = gen.props.mprop(2)
+            out.append(check_type(ctx, gen.sized_term(ctx, goal, 4, max_size=40), goal))
+    return out
+
+
+def test_projection_matches_the_rule_string_reference():
+    derivations = _library_derivations() + _generated_derivations(range(8), 30)
+    projected = 0
+    for d in derivations:
+        for x, _ in d.ctx:
+            assert _outcome(_project, d, x) == _outcome(ref_project, d, x)
+            assert _outcome(project_derivation, d, x) == _outcome(
+                ref_project_derivation, d, x)
+            projected += 1
+    assert projected > 1000
+
+
+def _paths(t, path=()):
+    yield path
+    for i, kid in enumerate(children(t)):
+        yield from _paths(kid, path + (i,))
+
+
+def _replace_at(t, path, f):
+    if not path:
+        return f(t)
+    kids = list(children(t))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], f)
+    return rebuild(t, kids)
+
+
+def _mutate(t, ctx, rng, props):
+    """t with one node changed: a sign or index flipped, an annotation
+    replaced, a node replaced by a variable (maybe unbound), by another
+    subterm or by an injection of itself."""
+    others = list(subterms(t))
+    names = [n for n, _ in ctx] + ["nowhere"]
+
+    def change(u):
+        options = [lambda: Var(rng.choice(names)), lambda: rng.choice(others),
+                   lambda: Inj(rng.choice("+-"), rng.choice((1, 2)), u), lambda: Bound(0)]
+        if hasattr(u, "sign"):
+            options.append(lambda: dataclasses.replace(u, sign=flip(u.sign)))
+        if hasattr(u, "index") and not isinstance(u, Bound):
+            options.append(lambda: dataclasses.replace(u, index=3 - u.index))
+        for field in ("annot", "annot1", "annot2"):
+            if hasattr(u, field):
+                options.append(lambda field=field: dataclasses.replace(
+                    u, **{field: props.mprop(2)}))
+        return rng.choice(options)()
+
+    return _replace_at(t, rng.choice(list(_paths(t))), change)
+
+
+def test_typing_matches_the_two_site_reference():
+    rng = random.Random(20)
+    props = PropGen(rng)
+    cases = [(ctx, t, goal) for ctx, goal, t in provable_library()]
+    for seed in range(20):
+        gen = TermGen(random.Random(seed))
+        for _ in range(40):
+            ctx = gen.base_context()
+            goal = gen.props.mprop(2)
+            t = gen.sized_term(ctx, goal, 4, max_size=40)
+            once = _mutate(t, ctx, rng, props)
+            twice = _mutate(once, ctx, rng, props)
+            cases += [(ctx, t, goal), (ctx, once, goal), (ctx, twice, goal)]
+    errors = set()
+    for ctx, t, goal in cases:
+        for expected in (goal, props.mprop(2)):
+            got = _outcome(check_type, ctx, t, expected)
+            assert got == _outcome(ref_check_type, ctx, t, expected)
+            errors.add(got[0] if isinstance(got, tuple) else None)
+        assert _outcome(infer_type, ctx, t) == _outcome(ref_infer_type, ctx, t)
+    # the corpus reaches every retry site's failure modes
+    assert {CannotInferError, TypeMismatchError, UnboundVariableError,
+            AnnotationMismatchError} <= errors
