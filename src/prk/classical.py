@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
@@ -289,6 +290,12 @@ def nk_context(p: NKProof, names: list[str] | None = None) -> tuple[Context, lis
     return ctx, names
 
 
+# The position of each NK rule's first premise that discharges a hypothesis
+# (both ore branches, the negi/impi body); 3 for a rule that discharges none.
+_DISCHARGES_FROM = {"OrE": 1, "NegI": 0, "ImpI": 0, **dict.fromkeys(
+    ("Hyp", "AndI", "AndE", "OrI", "NegE", "Explosion", "LEM", "ImpE"), 3)}
+
+
 def embed_nk(p: NKProof, names: list[str] | None = None) -> Term:
     """Compile an NK proof of A1,..,An |- B into a term typable as
     h1 : A1^c+, .., hn : An^c+ |- t : B^c+."""
@@ -296,52 +303,37 @@ def embed_nk(p: NKProof, names: list[str] | None = None) -> Term:
         names = [f"h{i}" for i in range(len(p.hyps))]
     if len(names) != len(p.hyps):
         raise InvalidNKProofError("one variable name is needed per hypothesis")
+    if (first := _DISCHARGES_FROM.get(p.rule)) is None:
+        raise InvalidNKProofError(f"unknown rule {p.rule}")
+    x = fresh_name("x", set(names)) if first < len(p.premises) else None
+    terms = [embed_nk(q, names + [x] if k >= first else names) for k, q in enumerate(p.premises)]
+    concls = [q.conclusion for q in p.premises]
 
     match p.rule:
         case "Hyp":
             return Var(names[p.index])
         case "AndI":
-            l, r = p.premises
-            return pairc(embed_nk(l, names), embed_nk(r, names),
-                         l.conclusion, r.conclusion)
+            return pairc(*terms, *concls)
         case "AndE":
-            (q,) = p.premises
-            return projic(p.index, embed_nk(q, names),
-                          q.conclusion.left, q.conclusion.right)
+            return projic(p.index, *terms, concls[0].left, concls[0].right)
         case "OrI":
-            (q,) = p.premises
-            return inic(p.index, embed_nk(q, names),
-                        p.conclusion.left, p.conclusion.right)
+            return inic(p.index, *terms, p.conclusion.left, p.conclusion.right)
         case "OrE":
-            q, r, s = p.premises
-            x = fresh_name("x", set(names))
-            tr = embed_nk(r, names + [x])
-            ts = embed_nk(s, names + [x])
-            return casec(embed_nk(q, names), x, tr, ts,
-                         q.conclusion.left, q.conclusion.right, p.conclusion)
+            return casec(terms[0], x, *terms[1:], concls[0].left, concls[0].right, p.conclusion)
         case "NegI":
-            (q,) = p.premises
-            x = fresh_name("x", set(names))
-            return neglamc(x, embed_nk(q, names + [x]), p.prop)
+            return neglamc(x, *terms, p.prop)
         case "NegE":
-            q, r = p.premises
-            return negapc(embed_nk(q, names), embed_nk(r, names), r.conclusion)
+            return negapc(*terms, concls[1])
         case "Explosion":
-            (q,) = p.premises
-            return explosionc(_cp(p.prop), embed_nk(q, names))
+            return explosionc(_cp(p.prop), *terms)
         case "LEM":
             return lemc(p.prop)
         case "ImpI":
-            (q,) = p.premises
-            x = fresh_name("x", set(names))
-            return lamc(x, embed_nk(q, names + [x]), p.prop, q.conclusion)
-        case "ImpE":
-            q, r = p.premises
-            match q.conclusion:
-                case Or(Neg(a), b):
-                    return appc(embed_nk(q, names), embed_nk(r, names), a, b)
-            raise InvalidNKProofError("malformed implication")
-    raise InvalidNKProofError(f"unknown rule {p.rule}")
+            return lamc(x, *terms, p.prop, *concls)
+    match concls[0]:  # ImpE
+        case Or(Neg(a), b):
+            return appc(*terms, a, b)
+    raise InvalidNKProofError("malformed implication")
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +408,8 @@ def run_classical_rule(kind: str, **pieces) -> RuleCheck:
 
 def parse_nk(text: str) -> NKProof:
     """Parse an NK proof file: hypothesis lines 'hyp : <pure>' followed by
-    '|- <proof>' as the last line, where proofs use hyp(i), andi(p,q),
-    ande1/2(p), ori1/2[other](p), ore(p,q,r), negi[a](p), nege(p,q),
-    expl[c](p), lem[a], impi[a](p), impe(p,q)."""
+    '|- <proof>' as the last line, where proofs use hyp(i) and the keywords
+    of _NK_RULES, e.g. andi(p,q), ori1[other](p), lem[a]."""
     hyps: list[PureProp] = []
     proof_src = None
     for lineno, col, line in content_lines(text):
@@ -444,25 +435,23 @@ def parse_nk(text: str) -> NKProof:
     return proof
 
 
+# Each proof keyword but hyp(i): its constructor, whether a [prop] parameter
+# comes first, and its premise count.  A rule without premises is given the
+# open hypotheses before its parameter.
+_NK_RULES = {
+    "andi": (nk_and_i, False, 2), "ande1": (partial(nk_and_e, 1), False, 1),
+    "ande2": (partial(nk_and_e, 2), False, 1), "ori1": (partial(nk_or_i, 1), True, 1),
+    "ori2": (partial(nk_or_i, 2), True, 1), "ore": (nk_or_e, False, 3),
+    "negi": (nk_neg_i, True, 1), "nege": (nk_neg_e, False, 2),
+    "expl": (nk_explosion, True, 1), "lem": (nk_lem, True, 0),
+    "impi": (nk_imp_i, True, 1), "impe": (nk_imp_e, False, 2),
+}
+
+
 def _parse_nk_node(tk, hyps: tuple[PureProp, ...]) -> NKProof:
     kind, head, line, col = tk.next()
     if kind != "ident":
         raise ParseError(f"expected a proof rule, found {head!r}", line, col)
-
-    def prop_param() -> PureProp:
-        tk.expect("[")
-        a = _parse_pure(tk)
-        tk.expect("]")
-        return a
-
-    def args(n: int, hyps_list) -> list[NKProof]:
-        tk.expect("(")
-        out = []
-        for k in range(n):
-            out.append(_parse_nk_node(tk, hyps_list[k]))
-            tk.expect("," if k < n - 1 else ")")
-        return out
-
     if head == "hyp":
         tk.expect("(")
         kind, num, line, col = tk.next()
@@ -470,50 +459,26 @@ def _parse_nk_node(tk, hyps: tuple[PureProp, ...]) -> NKProof:
             raise ParseError("hyp needs a numeric index", line, col)
         tk.expect(")")
         return nk_hyp(hyps, int(num))
-    if head == "andi":
-        p, q = args(2, [hyps, hyps])
-        return nk_and_i(p, q)
-    if head in ("ande1", "ande2"):
-        (p,) = args(1, [hyps])
-        return nk_and_e(int(head[-1]), p)
-    if head in ("ori1", "ori2"):
-        other = prop_param()
-        (p,) = args(1, [hyps])
-        return nk_or_i(int(head[-1]), other, p)
+    if head not in _NK_RULES:
+        raise ParseError(f"unknown proof rule {head!r}", line, col)
+    make, takes_prop, count = _NK_RULES[head]
+    params = ()
+    if takes_prop:
+        tk.expect("[")
+        params = (_parse_pure(tk),)
+        tk.expect("]")
+    if not count:
+        return make(hyps, *params)
+    tk.expect("(")
+    # negi and impi discharge their parameter; ore's branches, its disjuncts
+    premises = [_parse_nk_node(tk, hyps + params if head in ("negi", "impi") else hyps)]
+    under = [hyps] * (count - 1)
     if head == "ore":
-        tk.expect("(")
-        p = _parse_nk_node(tk, hyps)
-        if not isinstance(p.conclusion, Or):
+        if not isinstance(disj := premises[0].conclusion, Or):
             raise InvalidNKProofError("disjunction elimination needs a disjunction")
+        under = [hyps + (disj.left,), hyps + (disj.right,)]
+    for branch_hyps in under:
         tk.expect(",")
-        q = _parse_nk_node(tk, hyps + (p.conclusion.left,))
-        tk.expect(",")
-        r = _parse_nk_node(tk, hyps + (p.conclusion.right,))
-        tk.expect(")")
-        return nk_or_e(p, q, r)
-    if head == "negi":
-        a = prop_param()
-        tk.expect("(")
-        p = _parse_nk_node(tk, hyps + (a,))
-        tk.expect(")")
-        return nk_neg_i(a, p)
-    if head == "nege":
-        p, q = args(2, [hyps, hyps])
-        return nk_neg_e(p, q)
-    if head == "expl":
-        c = prop_param()
-        (p,) = args(1, [hyps])
-        return nk_explosion(c, p)
-    if head == "lem":
-        a = prop_param()
-        return nk_lem(hyps, a)
-    if head == "impi":
-        a = prop_param()
-        tk.expect("(")
-        p = _parse_nk_node(tk, hyps + (a,))
-        tk.expect(")")
-        return nk_imp_i(a, p)
-    if head == "impe":
-        p, q = args(2, [hyps, hyps])
-        return nk_imp_e(p, q)
-    raise ParseError(f"unknown proof rule {head!r}", line, col)
+        premises.append(_parse_nk_node(tk, branch_hyps))
+    tk.expect(")")
+    return make(*params, *premises)

@@ -43,6 +43,8 @@ def parse_judgment(text: str) -> tuple[Context, Term]:
             head, _, prop_src = line.partition(":")
             if not is_name(name := head.strip()):
                 raise ParseError(f"expected a hypothesis name, found {name!r}", lineno, col)
+            if ctx.lookup(name) is not None:
+                raise ParseError(f"duplicate hypothesis {name!r}", lineno, col)
             with located(lineno, col + len(head) + 1):
                 ctx = ctx.extend(name, parse_mprop(prop_src))
         else:

@@ -318,9 +318,8 @@ def countermodel_search(hyps: list[MProp], goal: MProp,
             refuted = reduce(and_, [f(0, h) for h in hyps], full & ~f(0, goal))
             if refuted:
                 first = (refuted & -refuted).bit_length() - 1  # the lowest set bit
-                states = next(itertools.islice(_rooted_states(above, len(alpha)), first, None))
-                vplus, vminus = ({w: {a for a, c in zip(alpha, st) if c & bit}
-                                  for w, st in zip(names, states)} for bit in (1, 2))
+                vplus, vminus = ({w: {a for a, m in zip(alpha, masks[i]) if m >> first & 1}
+                                  for i, w in enumerate(names)} for masks in (plus, minus))
                 leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
                 return KripkeModel.make(alpha, names, leq, vplus, vminus), "w0"
     return None

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import DerivationMismatchError, FuelExhaustedError
 from .surface import BINDER_HINTS
 from .syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
-                     Proj, Term, Var, children, flip, fv, rebuild, shift,
+                     Proj, Term, Var, children, flip, fv, make_fold, rebuild, shift,
                      subst_bound, uses_index)
 from .typecheck import Derivation
 
@@ -68,25 +68,24 @@ def binder_names_at(t: Term, pos: Position) -> tuple[str, ...]:
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    kids = list(children(t))
-    kids[pos[0]] = replace_at(kids[pos[0]], pos[1:], new)
-    return rebuild(t, kids)
+    spine = [t]
+    for i in pos:
+        spine.append(children(spine[-1])[i])
+    for parent, i in zip(reversed(spine[:-1]), reversed(pos)):
+        new = rebuild(parent, [new if k == i else c for k, c in enumerate(children(parent))])
+    return new
+
+
+# A fold whose depth is the position: child i of a node is at the node's position + (i,).
+_position_fold = make_fold(
+    children, {cls: tuple(range(len(hints))) for cls, hints in BINDER_HINTS.items()},
+    lambda pos, i: pos + (i,), ())
 
 
 def all_redexes(t: Term, mode: str = PLAIN) -> list[tuple[Position, str]]:
     """Redex positions with their rules, in pre-order (leftmost-outermost first)."""
     found: list[tuple[Position, str]] = []
-
-    def walk(t: Term, pos: Position) -> None:
-        m = match_redex(t, mode)
-        if m is not None:
-            found.append((pos, m[0]))
-        for i, c in enumerate(children(t)):
-            walk(c, pos + (i,))
-
-    walk(t, ())
+    _position_fold(t, lambda u, pos: (m := match_redex(u, mode)) and found.append((pos, m[0])))
     return found
 
 

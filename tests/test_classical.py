@@ -1,17 +1,19 @@
+import re
+
 import pytest
 
-from prk.classical import (FALSITY, FALSITY_VAR, classem, decide_oplus,
-                           embed_nk, explosionc, implies, lem_case_reduct,
-                           lemc, neglamc, negapc, nk_and_e, nk_and_i,
-                           nk_context, nk_explosion, nk_hyp, nk_imp_e,
-                           nk_imp_i, nk_lem, nk_neg_e, nk_neg_i, nk_or_e,
-                           nk_or_i, pairc, parse_nk,
+from prk.classical import (FALSITY, FALSITY_VAR, NKProof, appc, casec, classem,
+                           decide_oplus, embed_nk, explosionc, implies, inic,
+                           lamc, lem_case_reduct, lemc, neglamc, negapc,
+                           nk_and_e, nk_and_i, nk_context, nk_explosion,
+                           nk_hyp, nk_imp_e, nk_imp_i, nk_lem, nk_neg_e,
+                           nk_neg_i, nk_or_e, nk_or_i, pairc, parse_nk, projic,
                            run_classical_rule, tt_valid)
-from prk.errors import InvalidNKProofError, WrongModeError
+from prk.errors import InvalidNKProofError, ParseError, WrongModeError
 from prk.rewrite import all_redexes, apply_at
-from prk.surface import parse_mprop
+from prk.surface import _parse_pure, parse_mprop, print_term
 from prk.syntax import (Abs, And, CApp, MProp, Mode, Neg, Or, PVar, Var, clam,
-                        substitute)
+                        fresh_name, substitute)
 from prk.typecheck import Context, abs_general_at, infer_type, mk_lem
 
 a, b, c = PVar("a"), PVar("b"), PVar("c")
@@ -290,3 +292,223 @@ def test_invalid_nk_rejected():
         nk_neg_e(nk_hyp((a, b), 0), nk_hyp((a, b), 1))
     with pytest.raises(InvalidNKProofError):
         nk_hyp((a,), 3)
+
+
+# -- NK rules read off one table: a differential test against the per-arm code ----------
+
+def _per_arm_parse_nk_node(tk, hyps):
+    """_parse_nk_node as it was with one branch per keyword."""
+    kind, head, line, col = tk.next()
+    if kind != "ident":
+        raise ParseError(f"expected a proof rule, found {head!r}", line, col)
+
+    def prop_param():
+        tk.expect("[")
+        a = _parse_pure(tk)
+        tk.expect("]")
+        return a
+
+    def args(n, hyps_list):
+        tk.expect("(")
+        out = []
+        for k in range(n):
+            out.append(_per_arm_parse_nk_node(tk, hyps_list[k]))
+            tk.expect("," if k < n - 1 else ")")
+        return out
+
+    if head == "hyp":
+        tk.expect("(")
+        kind, num, line, col = tk.next()
+        if not num.isdigit():
+            raise ParseError("hyp needs a numeric index", line, col)
+        tk.expect(")")
+        return nk_hyp(hyps, int(num))
+    if head == "andi":
+        p, q = args(2, [hyps, hyps])
+        return nk_and_i(p, q)
+    if head in ("ande1", "ande2"):
+        (p,) = args(1, [hyps])
+        return nk_and_e(int(head[-1]), p)
+    if head in ("ori1", "ori2"):
+        other = prop_param()
+        (p,) = args(1, [hyps])
+        return nk_or_i(int(head[-1]), other, p)
+    if head == "ore":
+        tk.expect("(")
+        p = _per_arm_parse_nk_node(tk, hyps)
+        if not isinstance(p.conclusion, Or):
+            raise InvalidNKProofError("disjunction elimination needs a disjunction")
+        tk.expect(",")
+        q = _per_arm_parse_nk_node(tk, hyps + (p.conclusion.left,))
+        tk.expect(",")
+        r = _per_arm_parse_nk_node(tk, hyps + (p.conclusion.right,))
+        tk.expect(")")
+        return nk_or_e(p, q, r)
+    if head == "negi":
+        a = prop_param()
+        tk.expect("(")
+        p = _per_arm_parse_nk_node(tk, hyps + (a,))
+        tk.expect(")")
+        return nk_neg_i(a, p)
+    if head == "nege":
+        p, q = args(2, [hyps, hyps])
+        return nk_neg_e(p, q)
+    if head == "expl":
+        c = prop_param()
+        (p,) = args(1, [hyps])
+        return nk_explosion(c, p)
+    if head == "lem":
+        a = prop_param()
+        return nk_lem(hyps, a)
+    if head == "impi":
+        a = prop_param()
+        tk.expect("(")
+        p = _per_arm_parse_nk_node(tk, hyps + (a,))
+        tk.expect(")")
+        return nk_imp_i(a, p)
+    if head == "impe":
+        p, q = args(2, [hyps, hyps])
+        return nk_imp_e(p, q)
+    raise ParseError(f"unknown proof rule {head!r}", line, col)
+
+
+def _per_arm_embed_nk(p, names=None):
+    """embed_nk as it was, unpacking the premises in each rule's arm."""
+    if names is None:
+        names = [f"h{i}" for i in range(len(p.hyps))]
+    if len(names) != len(p.hyps):
+        raise InvalidNKProofError("one variable name is needed per hypothesis")
+    match p.rule:
+        case "Hyp":
+            return Var(names[p.index])
+        case "AndI":
+            l, r = p.premises
+            return pairc(_per_arm_embed_nk(l, names), _per_arm_embed_nk(r, names),
+                         l.conclusion, r.conclusion)
+        case "AndE":
+            (q,) = p.premises
+            return projic(p.index, _per_arm_embed_nk(q, names),
+                          q.conclusion.left, q.conclusion.right)
+        case "OrI":
+            (q,) = p.premises
+            return inic(p.index, _per_arm_embed_nk(q, names),
+                        p.conclusion.left, p.conclusion.right)
+        case "OrE":
+            q, r, s = p.premises
+            x = fresh_name("x", set(names))
+            tr = _per_arm_embed_nk(r, names + [x])
+            ts = _per_arm_embed_nk(s, names + [x])
+            return casec(_per_arm_embed_nk(q, names), x, tr, ts,
+                         q.conclusion.left, q.conclusion.right, p.conclusion)
+        case "NegI":
+            (q,) = p.premises
+            x = fresh_name("x", set(names))
+            return neglamc(x, _per_arm_embed_nk(q, names + [x]), p.prop)
+        case "NegE":
+            q, r = p.premises
+            return negapc(_per_arm_embed_nk(q, names), _per_arm_embed_nk(r, names),
+                          r.conclusion)
+        case "Explosion":
+            (q,) = p.premises
+            return explosionc(cp(p.prop), _per_arm_embed_nk(q, names))
+        case "LEM":
+            return lemc(p.prop)
+        case "ImpI":
+            (q,) = p.premises
+            x = fresh_name("x", set(names))
+            return lamc(x, _per_arm_embed_nk(q, names + [x]), p.prop, q.conclusion)
+        case "ImpE":
+            q, r = p.premises
+            match q.conclusion:
+                case Or(Neg(a), b):
+                    return appc(_per_arm_embed_nk(q, names), _per_arm_embed_nk(r, names), a, b)
+            raise InvalidNKProofError("malformed implication")
+    raise InvalidNKProofError(f"unknown rule {p.rule}")
+
+
+_NK_KEYWORDS = {"Hyp": "hyp", "AndI": "andi", "AndE": "ande", "OrI": "ori", "OrE": "ore",
+                "NegI": "negi", "NegE": "nege", "Explosion": "expl", "LEM": "lem",
+                "ImpI": "impi", "ImpE": "impe"}
+
+
+def _print_nk(p):
+    """The proof in the file syntax that parse_nk reads."""
+    if p.rule == "Hyp":
+        return f"hyp({p.index})"
+    text = _NK_KEYWORDS[p.rule] + (str(p.index) if p.index is not None else "")
+    if p.prop is not None:
+        text += f"[{p.prop}]"
+    if p.premises:
+        text += "(" + ", ".join(map(_print_nk, p.premises)) + ")"
+    return text
+
+
+def _nk_file(p):
+    return "".join(f"hyp : {h}\n" for h in p.hyps) + f"|- {_print_nk(p)}\n"
+
+
+_NK_VOCABULARY = ["(", ")", ",", "[", "]", "hyp", "andi", "ande1", "ande3", "ori2", "ore", "negi",
+                  "nege", "expl", "lem", "impi", "impe", "0", "1", "7", "a", "b", "~", "&", "|",
+                  "pair", "|-", ":"]
+
+
+def _mutate_nk_file(text, rng):
+    """text with one token deleted, replaced, inserted or swapped with another."""
+    toks = re.findall(r"\w+|\|-|\S|\n", text)
+    i, j = rng.randrange(len(toks)), rng.randrange(len(toks))
+    match rng.randrange(4):
+        case 0:
+            del toks[i]
+        case 1:
+            toks[i] = rng.choice(_NK_VOCABULARY)
+        case 2:
+            toks.insert(i, rng.choice(_NK_VOCABULARY))
+        case 3:
+            toks[i], toks[j] = toks[j], toks[i]
+    return " ".join(toks).replace(" \n ", "\n")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:  # the class and text are compared
+        return type(e), str(e)
+
+
+# files whose messages seeded proofs and their mutations rarely reach
+_NK_HAND_ROWS = [
+    "hyp : a\n|- ande1(hyp(0))\n",
+    "hyp : a\n|- ore(hyp(0) hyp(1))\n",  # checked before the ',' is read
+    "hyp : a\n|- negi[b](hyp(0))\n",
+    "hyp : a\n|- expl[b](hyp(0))\n",
+    "hyp : a\n",
+    "hyp : (a & b)\n|- ore(lem[a], andi(hyp(1), ande2(hyp(0))), expl[(a & b)](nege(hyp(1), ande1(hyp(0)))))\n",
+]
+
+
+def test_nk_rules_match_the_per_arm_reference(rng, monkeypatch):
+    from prk import classical
+    from prk.gen import PropGen
+    gen = PropGen(rng, atoms=("a", "b"))
+    proofs = [_random_nk(rng, gen, tuple(gen.pure(2) for _ in range(rng.randrange(3))),
+                         rng.choice((1, 2, 3)))
+              for _ in range(150)]
+    files = list(_NK_HAND_ROWS)
+    for proof in proofs:
+        files.append(_nk_file(proof))
+        assert parse_nk(files[-1]) == proof
+        files += [_mutate_nk_file(files[-1], rng) for _ in range(4)]
+    parsed = [_outcome(parse_nk, text) for text in files]
+    with monkeypatch.context() as patch:
+        patch.setattr(classical, "_parse_nk_node", _per_arm_parse_nk_node)
+        assert [_outcome(parse_nk, text) for text in files] == parsed
+    messages = {re.sub(r"\d+|'[^']*'", "_", out[1]) for out in parsed if isinstance(out, tuple)}
+    assert len(messages) >= 15, messages
+    # hand-built proofs with an unknown rule, one over a premise no name list fits
+    built = [NKProof("Cut", (), a), NKProof("Cut", (a,), a, (nk_hyp((a, b), 0),))]
+    for proof in proofs + [p for p in parsed if isinstance(p, NKProof)] + built:
+        term = _outcome(embed_nk, proof)
+        assert _outcome(_per_arm_embed_nk, proof) == term
+        if not isinstance(term, tuple):
+            assert print_term(term) == print_term(_per_arm_embed_nk(proof))
+    assert _outcome(embed_nk, built[1]) == (InvalidNKProofError, "unknown rule Cut")

@@ -159,6 +159,20 @@ def test_deep_chain_at_default_recursion_limit(family):
     assert nf == Var("x") and len(trace) == 50_000
 
 
+def test_redexes_and_steps_at_any_depth():
+    # a neg redex at the root and one under 12,000 negi- nodes
+    assert sys.getrecursionlimit() <= 10_000
+    t = NegE("+", NegI("+", Var("x")))
+    for _ in range(12_000):
+        t = NegI("-", t)
+    t, deep = NegE("-", t), (0,) * 12_001
+    assert all_redexes(t) == [((), "neg"), (deep, "neg")]
+    assert step(t)[:2] == ("neg", ())
+    rule, pos, new = step(t, strategy="ri")
+    assert (rule, pos) == ("neg", deep)
+    assert subterm_at(new, deep) == Var("x") and all_redexes(new) == [((), "neg")]
+
+
 def test_beta_and_case_substitute_into_deep_bodies():
     # the contraction's substitution walks the whole body
     assert sys.getrecursionlimit() <= 10_000
