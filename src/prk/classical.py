@@ -283,9 +283,9 @@ def nk_imp_e(p: NKProof, q: NKProof) -> NKProof:
     raise InvalidNKProofError("implication elimination needs A => B and A")
 
 
-def nk_context(p: NKProof, names: list[str] | None = None) -> tuple[Context, list[str]]:
+def nk_context(p: NKProof) -> tuple[Context, list[str]]:
     """The classical-affirmation context matching the proof's hypotheses."""
-    names = names or [f"h{i}" for i in range(len(p.hyps))]
+    names = [f"h{i}" for i in range(len(p.hyps))]
     ctx = Context.of(*((n, _cp(a)) for n, a in zip(names, p.hyps)))
     return ctx, names
 

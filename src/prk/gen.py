@@ -14,6 +14,7 @@ from .syntax import (CLASSICAL, INJECTED, MINUS, PAIRED, PLUS, STRONG, Abs, And,
 from .typecheck import Context, abs_general_at, mk_lem
 
 DEFAULT_SEED = 20250807
+SIZED_ATTEMPTS = 20  # draws sized_term makes before it falls back to _escape
 
 
 def seed_from_env() -> int:
@@ -170,10 +171,9 @@ class TermGen:
                          MProp(goal.base, Mode(STRONG, goal.sign)), depth - 1)
         return clam(goal.sign, x, annot, body)
 
-    def sized_term(self, ctx: Context, goal: MProp, depth: int,
-                   max_size: int = 40, attempts: int = 20) -> Term:
+    def sized_term(self, ctx: Context, goal: MProp, depth: int, max_size: int = 40) -> Term:
         """A generated term within a size bound (retries, then shrinks depth)."""
-        for k in range(attempts):
+        for k in range(SIZED_ATTEMPTS):
             t = self.term(ctx, goal, max(1, depth - k // 5))
             if term_size(t) <= max_size:
                 return t
@@ -214,16 +214,13 @@ class TypedEnumerator:
     every term over the pool's annotations, exhaustively per size.
     """
 
-    def __init__(self, ctx: Context, bases: tuple[PureProp, ...],
-                 goal_bases: tuple[PureProp, ...] | None = None):
+    def __init__(self, ctx: Context, bases: tuple[PureProp, ...]):
         self.ctx = ctx
         self.bases = bases
-        if goal_bases is None:
-            goal_bases = tuple(all_pure_props(bases_atoms(bases), 2))
-        self.goal_bases = goal_bases
+        self.goal_bases = tuple(all_pure_props(bases_atoms(bases), 2))
         # absurdity premises range over all pool-expressible strong types,
         # so the abs-family redexes (pair/inj/negi collisions) are covered
-        self.strong_pool = [MProp(b, Mode(STRONG, s)) for b in goal_bases
+        self.strong_pool = [MProp(b, Mode(STRONG, s)) for b in self.goal_bases
                             for s in (PLUS, MINUS)]
         self._memo: dict[tuple, tuple[Term, ...]] = {}
         self._abs_pairs: dict[tuple, tuple[tuple[Term, Term], ...]] = {}

@@ -394,13 +394,8 @@ def print_model(m: KripkeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def counter_model_lem(alphabet: tuple[str, ...] = ("a",)) -> KripkeModel:
-    """The three-world model refuting the strong excluded middle: a root
-    below one all-positive and one all-negative world."""
-    return KripkeModel.make(
-        alphabet,
-        ("w0", "w1", "w2"),
-        {("w0", "w1"), ("w0", "w2")},
-        {"w1": set(alphabet)},
-        {"w2": set(alphabet)},
-    )
+def counter_model_lem() -> KripkeModel:
+    """The three-world model refuting the strong excluded middle for `a`: a
+    root below a world where `a` holds and one where it is refuted."""
+    return KripkeModel.make(("a",), ("w0", "w1", "w2"), {("w0", "w1"), ("w0", "w2")},
+                            {"w1": {"a"}}, {"w2": {"a"}})

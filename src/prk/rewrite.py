@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DerivationMismatchError, FuelExhaustedError
 from .surface import BINDER_HINTS
 from .syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
-                     Proj, Term, Var, children, flip, fv, make_fold, rebuild, shift,
-                     subst_bound, uses_index)
+                     Proj, Term, Var, children, find_subterms, flip, fv, make_map,
+                     rebuild, replace_at, shift, subst_bound, subterm_at, uses_index)
 from .typecheck import Derivation
 
 PLAIN = "plain"
@@ -47,12 +48,6 @@ def match_redex(t: Term, mode: str) -> tuple[str, Term] | None:
     return None
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
-    for i in pos:
-        t = children(t)[i]
-    return t
-
-
 def binder_names_at(t: Term, pos: Position) -> tuple[str, ...]:
     """Hints of the binders enclosing a position, innermost first.
 
@@ -67,36 +62,17 @@ def binder_names_at(t: Term, pos: Position) -> tuple[str, ...]:
     return env
 
 
-def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    spine = [t]
-    for i in pos:
-        spine.append(children(spine[-1])[i])
-    for parent, i in zip(reversed(spine[:-1]), reversed(pos)):
-        new = rebuild(parent, [new if k == i else c for k, c in enumerate(children(parent))])
-    return new
-
-
-# A fold whose depth is the position: child i of a node is at the node's position + (i,).
-_position_fold = make_fold(
-    children, {cls: tuple(range(len(hints))) for cls, hints in BINDER_HINTS.items()},
-    lambda pos, i: pos + (i,), ())
-
-
 def all_redexes(t: Term, mode: str = PLAIN) -> list[tuple[Position, str]]:
     """Redex positions with their rules, in pre-order (leftmost-outermost first)."""
-    found: list[tuple[Position, str]] = []
-    _position_fold(t, lambda u, pos: (m := match_redex(u, mode)) and found.append((pos, m[0])))
-    return found
+    return [(pos, m[0]) for pos, m in find_subterms(t, lambda u: match_redex(u, mode))]
 
 
 def apply_at(t: Term, pos: Position, mode: str = PLAIN) -> tuple[str, Term]:
     """Contract the redex at pos; returns (rule, new whole term)."""
-    sub = subterm_at(t, pos)
-    m = match_redex(sub, mode)
+    m = match_redex(subterm_at(t, pos), mode)
     if m is None:
         raise ValueError(f"no redex at position {pos}")
-    rule, reduct = m
-    return rule, replace_at(t, pos, reduct)
+    return m[0], replace_at(t, pos, m[1])
 
 
 def step(t: Term, mode: str = PLAIN, strategy: str = "lo") -> tuple[str, Position, Term] | None:
@@ -105,17 +81,14 @@ def step(t: Term, mode: str = PLAIN, strategy: str = "lo") -> tuple[str, Positio
     strategy "lo" is leftmost-outermost (the default, used for traces);
     "ri" picks the rightmost-innermost redex instead.
     """
-    redexes = all_redexes(t, mode)
-    if not redexes:
+    hits = find_subterms(t, lambda u: match_redex(u, mode),
+                         "first" if strategy == "lo" else "last")
+    if not hits:
         return None
-    if strategy == "lo":
-        pos, rule = redexes[0]
-    elif strategy == "ri":
-        pos, rule = max(redexes, key=lambda pr: pr[0])
-    else:
+    if strategy not in ("lo", "ri"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    rule, new = apply_at(t, pos, mode)
-    return rule, pos, new
+    [(pos, (rule, reduct))] = hits
+    return rule, pos, replace_at(t, pos, reduct)
 
 
 @dataclass(frozen=True)
@@ -210,44 +183,36 @@ def replay(t: Term, trace: Trace) -> Term:
 # ---------------------------------------------------------------------------
 # Shape classification
 
+# The normal-form grammar, judged bottom-up: a node's (normal, neutral) from
+# its children's.  An elimination is neutral when the term it eliminates
+# (its first child, or either side of an abs) is neutral and its other parts
+# are normal; a term is normal when it is neutral or an introduction of
+# normal parts.  A variable is both.
+
+_INTRODUCTIONS = (Pair, Inj, NegI, CLam)
+
+
+def _judge(t: Term, flags: list[tuple[bool, bool]]) -> tuple[bool, bool]:
+    normal = all(n for n, _ in flags)
+    if isinstance(t, _INTRODUCTIONS):
+        return normal, False
+    neutral = normal and (flags[0][1] or isinstance(t, Abs) and flags[1][1])
+    return neutral, neutral
+
+
+_grammar = partial(make_map(children, _judge, {}), leaf=lambda u, d: (True, True))
+
+
 def is_neutral(t: Term) -> bool:
-    match t:
-        case Var(_) | Bound(_):
-            return True
-        case Proj(_, _, b) | NegE(_, b):
-            return is_neutral(b)
-        case Case(_, s, _, b1, _, b2):
-            return is_neutral(s) and is_normal(b1) and is_normal(b2)
-        case CApp(_, f, a):
-            return is_neutral(f) and is_normal(a)
-        case Abs(_, l, r):
-            return (is_neutral(l) and is_normal(r)) or (is_normal(l) and is_neutral(r))
-        case _:
-            return False
+    return _grammar(t)[1]
 
 
 def is_normal(t: Term) -> bool:
-    match t:
-        case Pair(_, l, r):
-            return is_normal(l) and is_normal(r)
-        case Inj(_, _, b) | NegI(_, b):
-            return is_normal(b)
-        case CLam(_, _, b):
-            return is_normal(b)
-        case _:
-            return is_neutral(t)
-
-
-def is_canonical(t: Term) -> bool:
-    return isinstance(t, (Pair, Inj, NegI, CLam))
-
-
-def is_explosion(t: Term) -> bool:
-    return isinstance(t, (Abs, CApp))
+    return _grammar(t)[0]
 
 
 def is_open_explosion(t: Term) -> bool:
-    return is_explosion(t) and bool(fv(t))
+    return isinstance(t, (Abs, CApp)) and bool(fv(t))
 
 
 def peel_case_context(t: Term) -> Term:
@@ -284,9 +249,8 @@ def classify(t: Term, d: Derivation | None = None) -> ShapeReport:
     if d is not None and d.subject != t:
         raise DerivationMismatchError("derivation subject differs from the classified term")
 
-    normal = is_normal(t)
-    neutral = is_neutral(t)
-    canonical = is_canonical(t)
+    normal, neutral = _grammar(t)  # computed once per call
+    canonical = isinstance(t, _INTRODUCTIONS)
     if d is None:
         return ShapeReport(normal, neutral, canonical)
 

@@ -34,15 +34,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterator
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
                      Proj, PVar, Summarized, Var, cache_hash, flip, fresh_name,
-                     make_debruijn, make_fold, make_map, make_shape, opposite,
-                     preorder)
+                     make_debruijn, make_fold, make_map, make_positions, make_shape,
+                     opposite, preorder)
 from .surface import Scope, print_tree
 from .typecheck import Context, Derivation, check_type
 
@@ -241,6 +240,7 @@ def _deeper(depth: tuple[int, int], k: tuple[int, int]) -> tuple[int, int]:
 
 fterm_map = make_map(fterm_children, fterm_rebuild, FTERM_BINDERS, _deeper, (0, 0))
 fterm_fold = make_fold(fterm_children, FTERM_BINDERS, _deeper, (0, 0))
+_find_fterms, _, _fterm_replace_at = make_positions(fterm_children, fterm_rebuild)
 
 
 # Each walk below skips the subtrees its keep test shows it cannot change, so
@@ -409,34 +409,22 @@ def f_match_redex(t: FTerm) -> FTerm | None:
     return None
 
 
-def f_reducts(t: FTerm) -> Iterator[FTerm]:
-    """The one-step reducts of t (term or type beta), redexes in pre-order."""
-    red = f_match_redex(t)
-    if red is not None:
-        yield red
-    kids = fterm_children(t)
-    for i, c in enumerate(kids):
-        for stepped in f_reducts(c):
-            yield fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
-
-
 def f_step(t: FTerm) -> FTerm | None:
     """Leftmost-outermost beta step (term or type), or None."""
-    return next(f_reducts(t), None)
+    hits = _find_fterms(t, f_match_redex, "first")
+    return _fterm_replace_at(t, *hits[0]) if hits else None
 
 
 def f_all_steps(t: FTerm) -> list[FTerm]:
-    """All one-step reducts (every redex position)."""
-    return list(f_reducts(t))
+    """All one-step reducts (every redex position), redexes in pre-order."""
+    return [_fterm_replace_at(t, pos, red) for pos, red in _find_fterms(t, f_match_redex)]
 
 
 def f_normalize(t: FTerm, fuel: int = 100_000) -> FTerm:
-    current = t
     for _ in range(fuel):
-        nxt = f_step(current)
-        if nxt is None:
-            return current
-        current = nxt
+        if (nxt := f_step(t)) is None:
+            return t
+        t = nxt
     raise FuelExhaustedError(f"no F normal form within {fuel} steps")
 
 
@@ -699,8 +687,8 @@ def print_ftype(t: FType, env: tuple[str, ...] = ()) -> str:
     return print_tree(t, partial(_layout, scope=Scope(), tyscope=Scope(env)))
 
 
-def print_fterm(t: FTerm, env: tuple[str, ...] = (), tyenv: tuple[str, ...] = ()) -> str:
-    return print_tree(t, partial(_layout, scope=Scope(env), tyscope=Scope(tyenv)))
+def print_fterm(t: FTerm) -> str:
+    return print_tree(t, partial(_layout, scope=Scope(), tyscope=Scope()))
 
 
 def _parens(t: FTerm, kinds: tuple[type, ...]) -> list:

@@ -1,16 +1,20 @@
+import dataclasses
+import random
 import sys
+import time
 
 import pytest
 
 from prk import rewrite
 from prk.errors import DerivationMismatchError, FuelExhaustedError
-from prk.gen import TypedEnumerator
+from prk.gen import TermGen, TypedEnumerator
 from prk.rewrite import (ETA, PLAIN, all_redexes, apply_at, classify,
-                         is_neutral, is_normal, normalize, replay, step,
-                         subterm_at)
+                         is_neutral, is_normal, match_redex, normalize, replay,
+                         step, subterm_at)
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import (Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair, Proj,
-                        PVar, Var)
+from prk.syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
+                        Proj, PVar, Var, children, flip, rebuild, subterms,
+                        term_size)
 from prk.typecheck import Context, check_type, infer_type
 
 
@@ -349,3 +353,190 @@ def test_neutral_terms_are_open(term_gen):
         t = term_gen.sized_term(ctx, term_gen.props.mprop(2), 3)
         if is_neutral(t):
             assert fv(t)
+
+
+# -- the grammar and the redex walk against recursive references ---------------
+
+def ref_is_neutral(t):
+    """The grammar as a top-down recursion: the reference for is_neutral."""
+    match t:
+        case Var(_) | Bound(_):
+            return True
+        case Proj(_, _, b) | NegE(_, b):
+            return ref_is_neutral(b)
+        case Case(_, s, _, b1, _, b2):
+            return ref_is_neutral(s) and ref_is_normal(b1) and ref_is_normal(b2)
+        case CApp(_, f, a):
+            return ref_is_neutral(f) and ref_is_normal(a)
+        case Abs(_, l, r):
+            return (ref_is_neutral(l) and ref_is_normal(r)) or (
+                ref_is_normal(l) and ref_is_neutral(r))
+        case _:
+            return False
+
+
+def ref_is_normal(t):
+    match t:
+        case Pair(_, l, r):
+            return ref_is_normal(l) and ref_is_normal(r)
+        case Inj(_, _, b) | NegI(_, b) | CLam(_, _, b):
+            return ref_is_normal(b)
+        case _:
+            return ref_is_neutral(t)
+
+
+def ref_redexes(t, mode, pos=()):
+    """Every redex position of t with its rule, in pre-order, by recursion."""
+    found = [(pos, m[0])] if (m := match_redex(t, mode)) else []
+    for i, kid in enumerate(children(t)):
+        found += ref_redexes(kid, mode, pos + (i,))
+    return found
+
+
+def ref_replace(t, pos, new):
+    if not pos:
+        return new
+    kids = list(children(t))
+    kids[pos[0]] = ref_replace(kids[pos[0]], pos[1:], new)
+    return rebuild(t, kids)
+
+
+def ref_step(t, mode, strategy):
+    """The reference for step: list every redex, then contract the first
+    ("lo") or the one at the greatest position ("ri")."""
+    redexes = ref_redexes(t, mode)
+    if not redexes:
+        return None
+    pos, _ = redexes[0] if strategy == "lo" else max(redexes)
+    u = t
+    for i in pos:
+        u = children(u)[i]
+    rule, reduct = match_redex(u, mode)
+    return rule, pos, ref_replace(t, pos, reduct)
+
+
+def _positions(t, pos=()):
+    yield pos
+    for i, kid in enumerate(children(t)):
+        yield from _positions(kid, pos + (i,))
+
+
+def _mutate(t, names, rng):
+    """t with one node changed: replaced by a variable, by another subterm or
+    by an injection of itself, or with its sign or index flipped."""
+    others = list(subterms(t))
+    pos = rng.choice(list(_positions(t)))
+
+    def change(u):
+        options = [lambda: Var(rng.choice(names)), lambda: rng.choice(others),
+                   lambda: Inj(rng.choice("+-"), rng.choice((1, 2)), u)]
+        if hasattr(u, "sign"):
+            options.append(lambda: dataclasses.replace(u, sign=flip(u.sign)))
+        if isinstance(u, (Proj, Inj)):
+            options.append(lambda: dataclasses.replace(u, index=3 - u.index))
+        return rng.choice(options)()
+
+    u = t
+    for i in pos:
+        u = children(u)[i]
+    return ref_replace(t, pos, change(u))
+
+
+C05_CONTEXTS = (Context.of(("x", parse_mprop("a^s+")), ("y", parse_mprop("a^s-"))),
+                Context.of(("x", parse_mprop("a^c+")), ("y", parse_mprop("a^c-"))))
+
+
+def _abs_nest(n):
+    """n nested abs[a^s+](..., proj1+(pair+(y, z))) over x: each right side is a redex."""
+    t = Var("x")
+    for _ in range(n):
+        t = Abs(parse_mprop("a^s+"), t, t_("proj1+(pair+(y, z))"))
+    return t
+
+
+def _generated_corpus():
+    """Seeded TermGen terms, each as it is, mutated once and mutated twice."""
+    rng = random.Random(13)
+    terms = []
+    for seed in range(10):
+        gen = TermGen(random.Random(seed))
+        for k in range(30):
+            ctx = gen.base_context() if k % 2 else gen.classical_context()
+            t = gen.sized_term(ctx, gen.props.mprop(2), 4)
+            names = [n for n, _ in ctx] + ["nowhere"]
+            once = _mutate(t, names, rng)
+            terms += [t, once, _mutate(once, names, rng)]
+    return terms
+
+
+def _assert_matches_references(t):
+    normal, neutral = ref_is_normal(t), ref_is_neutral(t)
+    assert (is_normal(t), is_neutral(t)) == (normal, neutral)
+    report = classify(t)
+    assert (report.normal, report.neutral) == (normal, neutral)
+    for mode in (PLAIN, ETA):
+        assert all_redexes(t, mode) == ref_redexes(t, mode)
+        for strategy in ("lo", "ri"):
+            assert step(t, mode, strategy) == ref_step(t, mode, strategy)
+
+
+def test_grammar_and_steps_match_the_references_exhaustively():
+    total = 0
+    for ctx in C05_CONTEXTS:
+        for t in TypedEnumerator(ctx, (PVar("a"), PVar("b"))).terms(7):
+            _assert_matches_references(t)
+            total += 1
+    assert total > 10_000
+
+
+def test_grammar_and_steps_match_the_references_on_generated_terms():
+    corpus = _generated_corpus() + [_abs_nest(n) for n in range(1, 13)]
+    for t in corpus:
+        _assert_matches_references(t)
+    # the corpus holds normal and non-normal terms, and neutral ones beyond variables
+    assert {ref_is_normal(t) for t in corpus} == {True, False}
+    assert any(ref_is_neutral(t) and not isinstance(t, (Var, Bound)) for t in corpus)
+
+
+# -- walks that take any depth, in time linear in the term ---------------------------
+
+@pytest.mark.parametrize("levels", [20, 200])
+def test_classify_judges_an_abs_nest_in_linear_time(levels):
+    # the recursive grammar judged each left side twice, 2^levels calls
+    t = _abs_nest(levels)
+    start = time.perf_counter()
+    report = classify(t)
+    assert time.perf_counter() - start < 0.5
+    assert not (report.normal or report.neutral or report.canonical)
+
+
+def test_grammar_judges_a_deep_negi_nest():
+    assert sys.getrecursionlimit() <= 10_000
+    t = Var("x")
+    for _ in range(100_000):
+        t = NegI("+", t)
+    assert is_normal(t) and not is_neutral(t)
+    report = classify(t)
+    assert report.normal and report.canonical and not report.neutral
+
+
+def test_leftmost_step_stops_at_the_first_redex():
+    # every position of the chain is a redex; "lo" contracts the root's at once
+    t = chain("neg", 3_000)
+    start = time.perf_counter()
+    rule, pos, new = step(t)
+    assert time.perf_counter() - start < 0.05
+    assert (rule, pos) == ("neg", ()) and new is t.body.body
+
+
+@pytest.mark.parametrize("strategy", ["lo", "ri"])
+def test_step_on_a_chain_of_100_000_constructors(strategy):
+    assert sys.getrecursionlimit() <= 10_000
+    t = chain("neg", 50_000)
+    rule, pos, new = step(t, strategy=strategy)
+    assert rule == "neg"
+    if strategy == "lo":
+        assert pos == () and new is t.body.body
+    else:  # the innermost pair
+        assert pos == (0,) * 99_998 and subterm_at(new, pos) == Var("x")
+        assert term_size(new) == 99_999

@@ -13,12 +13,13 @@ from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          FType, FVar, Forall, NotAForallError, NotAnArrowError,
                          TBound, TVar, TyApp, TyLam, check_simulation, close_fterm,
                          close_type, close_tyvar_in_fterm, f_all_steps, f_infer,
-                         f_normalize, f_step, flam, fterm_children, fterm_fold,
-                         fterm_fv, fterm_rebuild, ftype_children, ftype_equiv,
-                         ftype_fold, ftype_rebuild, ftype_vars, funabs, in_f, pair_f,
-                         plus, polarity, print_fterm, print_ftype, proj_f, shift_fterm,
-                         shift_type, subst_fterm, subst_type, subst_type_in_fterm,
-                         times, translate_ctx, translate_prop, translate_term, tylam)
+                         f_match_redex, f_normalize, f_step, flam, fterm_children,
+                         fterm_fold, fterm_fv, fterm_rebuild, ftype_children,
+                         ftype_equiv, ftype_fold, ftype_rebuild, ftype_vars, funabs,
+                         in_f, pair_f, plus, polarity, print_fterm, print_ftype, proj_f,
+                         shift_fterm, shift_type, subst_fterm, subst_type,
+                         subst_type_in_fterm, times, translate_ctx, translate_prop,
+                         translate_term, tylam)
 from prk.typecheck import Context, check_type, infer_type, mk_lem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -995,3 +996,51 @@ def test_translation_matches_the_rule_name_reference():
         translated, reference = translate_term(d), ref_translate_term(d)
         assert translated == reference
         assert print_fterm(translated) == print_fterm(reference)
+
+
+# -- reduction against the recursive reference ------------------------------------------
+
+def _ref_f_reducts(t):
+    """The one-step reducts of t, redexes in pre-order, by a recursive generator."""
+    red = f_match_redex(t)
+    if red is not None:
+        yield red
+    kids = fterm_children(t)
+    for i, c in enumerate(kids):
+        for stepped in _ref_f_reducts(c):
+            yield fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
+
+
+def test_f_steps_match_the_recursive_reference():
+    from prk.gen import TermGen, provable_library
+    derivations = [check_type(ctx, t, goal) for ctx, goal, t in provable_library()]
+    for seed in range(8):
+        gen = TermGen(random.Random(seed))
+        for _ in range(30):
+            ctx = gen.base_context()
+            goal = gen.props.mprop(2)
+            derivations.append(check_type(ctx, gen.sized_term(ctx, goal, 4, max_size=40), goal))
+    compared = 0
+    for d in derivations:
+        t = translate_term(d)
+        for _ in range(3):  # the translation and the first two terms on its leftmost path
+            steps = f_all_steps(t)
+            assert steps == list(_ref_f_reducts(t))
+            assert f_step(t) == next(iter(steps), None)
+            compared += len(steps)
+            if not steps:
+                break
+            t = steps[0]
+    assert compared > 1000
+
+
+def test_f_normalize_under_10_000_binders():
+    assert sys.getrecursionlimit() <= 10_000
+    t = FApp(flam("x", A, FVar("x")), FVar("s"))
+    for _ in range(10_000):
+        t = FLam(ONE, t, hint="u")
+    nf = f_normalize(t)
+    for _ in range(10_000):
+        assert type(nf) is FLam
+        nf = nf.body
+    assert nf == FVar("s")

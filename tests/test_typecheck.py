@@ -52,6 +52,11 @@ def test_proj_mode_mismatch():
 def test_unbound_variable():
     with pytest.raises(UnboundVariableError):
         infer_type(Context(), Var("nope"))
+    # the scrutinee is inferred first, so its unbound variable is the error;
+    # checking it against (a | a)^s+ instead would report the pair
+    ctx = ctx_of(("x", "a^c+"))
+    with pytest.raises(UnboundVariableError, match="^unbound variable 'nowhere'$"):
+        infer_type(ctx, parse_term("case+(pair+(nowhere, in1+(x)), u : a^c+. u, v : a^c+. v)"))
 
 
 def test_sign_mismatch():
