@@ -364,40 +364,27 @@ def lem_case_reduct(a: PureProp, x: str, s1: Term, s2: Term, c: PureProp) -> Ter
     return clam(PLUS, y, _cm(c), CApp(PLUS, substitute(s2, x, s1_star), Var(y)))
 
 
+# Each computation rule of the embedding: its pieces to (redex, stated reduct).
+_CLASSICAL_RULES = {
+    # projic_i(pairc(t1, t2)) ~> t_i
+    "proj": lambda i, t1, t2, a, b: (projic(i, pairc(t1, t2, a, b), a, b), t1 if i == 1 else t2),
+    # casec(inic_i(t), x.s1, x.s2) ~> s_i{x:=t}
+    "case": lambda i, t, x, s1, s2, a, b, c: (casec(inic(i, t, a, b), x, s1, s2, a, b, c),
+                                              substitute(s1 if i == 1 else s2, x, t)),
+    # appc(lamc x. t, s) ~> t{x:=s}
+    "app": lambda x, t, s, a, b: (appc(lamc(x, t, a, b), s, a, b), substitute(t, x, s)),
+    # casec(lemc a, x.s1, x.s2) ~> the s1* form (lem_case_reduct)
+    "lem": lambda a, x, s1, s2, c: (casec(lemc(a), x, s1, s2, a, Neg(a), c),
+                                    lem_case_reduct(a, x, s1, s2, c)),
+}
+
+
 def run_classical_rule(kind: str, **pieces) -> RuleCheck:
-    """Build the redex and stated reduct of one computation rule and
-    eta-normalize both sides.
-
-    kinds and pieces:
-      proj: i, t1, t2, a, b            -- projic_i(pairc(t1, t2)) ~> t_i
-      case: i, t, x, s1, s2, a, b, c   -- casec(inic_i(t), x.s1, x.s2) ~> s_i{x:=t}
-      app:  x, t, s, a, b              -- appc(lamc x. t, s) ~> t{x:=s}
-      lem:  a, x, s1, s2, c            -- casec(lemc a, x.s1, x.s2) ~> the s1* form
-    """
-    if kind == "proj":
-        i, t1, t2 = pieces["i"], pieces["t1"], pieces["t2"]
-        a, b = pieces["a"], pieces["b"]
-        redex = projic(i, pairc(t1, t2, a, b), a, b)
-        stated = t1 if i == 1 else t2
-    elif kind == "case":
-        i, t, x = pieces["i"], pieces["t"], pieces["x"]
-        s1, s2 = pieces["s1"], pieces["s2"]
-        a, b, c = pieces["a"], pieces["b"], pieces["c"]
-        redex = casec(inic(i, t, a, b), x, s1, s2, a, b, c)
-        stated = substitute(s1 if i == 1 else s2, x, t)
-    elif kind == "app":
-        x, t, s = pieces["x"], pieces["t"], pieces["s"]
-        a, b = pieces["a"], pieces["b"]
-        redex = appc(lamc(x, t, a, b), s, a, b)
-        stated = substitute(t, x, s)
-    elif kind == "lem":
-        a, x = pieces["a"], pieces["x"]
-        s1, s2, c = pieces["s1"], pieces["s2"], pieces["c"]
-        redex = casec(lemc(a), x, s1, s2, a, Neg(a), c)
-        stated = lem_case_reduct(a, x, s1, s2, c)
-    else:
+    """Build the redex and stated reduct of one computation rule, a kind of
+    _CLASSICAL_RULES given its pieces by name, and eta-normalize both sides."""
+    if kind not in _CLASSICAL_RULES:
         raise ValueError(f"unknown rule kind {kind!r}")
-
+    redex, stated = _CLASSICAL_RULES[kind](**pieces)
     redex_nf, trace = normalize(redex, mode=ETA)
     stated_nf, _ = normalize(stated, mode=ETA)
     return RuleCheck(redex, stated, redex_nf, stated_nf, trace)

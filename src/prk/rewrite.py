@@ -3,7 +3,6 @@ eta rule, normalization with traces, and shape classification."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -11,7 +10,8 @@ from .errors import DerivationMismatchError, FuelExhaustedError
 from .surface import BINDER_HINTS
 from .syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
                      Proj, Term, Var, children, find_subterms, flip, fv, make_map,
-                     rebuild, replace_at, shift, subst_bound, subterm_at, uses_index)
+                     make_normalize, rebuild, replace_at, shift, subst_bound, subterm_at,
+                     uses_index)
 from .typecheck import Derivation
 
 PLAIN = "plain"
@@ -100,17 +100,15 @@ class TraceStep:
 
 
 Trace = tuple[TraceStep, ...]
+_walk = make_normalize(children, rebuild)
 
 
 def normalize(t: Term, mode: str = PLAIN, fuel: int = 100_000,
               strategy: str = "lo") -> tuple[Term, Trace]:
     """Reduce to normal form, recording every step; FuelExhaustedError only
-    if a redex remains after `fuel` contractions.  "lo" (leftmost-outermost,
-    the default) is one pre-order walk on an explicit stack, linear in the
-    nodes visited plus the steps (and their positions).  Nodes before the
-    focus are redex-free; rules read a node and its children, and eta its
-    whole function, so a step can only make the parent or (eta) an enclosing
-    clam a redex, and only those are rechecked.  "ri" repeats `step`."""
+    if a redex remains after `fuel` contractions.  "lo" (the default) is
+    syntax's leftmost-outermost walk, which under ETA also rechecks an
+    enclosing clam, as eta reads its whole function.  "ri" repeats `step`."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     steps: list[TraceStep] = []
@@ -121,52 +119,16 @@ def normalize(t: Term, mode: str = PLAIN, fuel: int = 100_000,
                 f"no normal form within {fuel} steps (this signals a bug for typed terms)")
         steps.append(TraceStep(pos, rule, redex, reduct))
 
-    if strategy != "lo":
+    if strategy == "lo":
+        t = _walk(t, partial(match_redex, mode=mode),
+                  lambda frames, *m: record(tuple([f[2] for f in frames]), *m),
+                  (CLam,) if mode == ETA else ())
+    else:
         while (nxt := step(t, mode, strategy)) is not None:
             rule, pos, new = nxt
             record(pos, rule, subterm_at(t, pos), subterm_at(new, pos))
             t = new
-        return t, tuple(steps)
-    stack: list[list] = []  # frames [node, kids, i]: kids[i] leads to the focus
-    focus, m = t, match_redex(t, mode)
-    while True:
-        if m is not None:
-            record(tuple([f[2] for f in stack]), m[0], focus, m[1])
-            focus, m = _reopen(stack, m[1], mode)
-            continue
-        if kids := children(focus):
-            stack.append([focus, list(kids), 0])
-            focus = kids[0]
-        else:  # climb to the next right sibling, rebuilding changed parents
-            while stack:
-                node, kids, i = frame = stack[-1]
-                kids[i] = focus
-                if i + 1 < len(kids):
-                    frame[2], focus = i + 1, kids[i + 1]
-                    break
-                stack.pop()
-                focus = node if all(map(operator.is_, kids, children(node))) else rebuild(node, kids)
-            else:
-                return focus, tuple(steps)
-        m = match_redex(focus, mode)
-
-
-def _reopen(stack: list[list], reduct: Term, mode: str) -> tuple[Term, tuple[str, Term] | None]:
-    """The next focus and its match after a contraction left `reduct` under
-    `stack`: the outermost rechecked ancestor now a redex, else the reduct."""
-    top = max(len(stack) - 1, 0)
-    if mode == ETA:
-        top = next((k for k, f in enumerate(stack) if isinstance(f[0], CLam)), top)
-    hit, node = None, reduct
-    for k in reversed(range(top, len(stack))):
-        parent, kids, i = stack[k]
-        kids[i] = node
-        node = rebuild(parent, kids)
-        if (k == len(stack) - 1 or isinstance(node, CLam)) and (m := match_redex(node, mode)):
-            hit = k, node, m
-    k, node, m = hit or (len(stack), reduct, match_redex(reduct, mode))
-    del stack[k:]
-    return node, m
+    return t, tuple(steps)
 
 
 def replay(t: Term, trace: Trace) -> Term:

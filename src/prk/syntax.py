@@ -14,7 +14,8 @@ built on that shape through the generic walks defined here: `make_map`,
 a binder-aware map that keeps unchanged nodes, and `make_fold`, an
 iterative pre-order walk, which `make_positions` runs with positions for
 depths; `make_debruijn` derives shifting, substitution and closing from
-a map.  systemf builds its type and term walks on the same helpers.
+a map, and `make_normalize` is the one normalizing walk of both calculi.
+systemf builds its type and term walks on the same helpers.
 
 Every proof term, System F type and System F term carries `free`, a
 summary of its free variables that `summarize` builds with the node from
@@ -283,6 +284,54 @@ def _position(chain) -> tuple[int, ...]:
         chain, i = chain
         path.append(i)
     return tuple(reversed(path))
+
+
+def make_normalize(children, rebuild):
+    """normalize(t, match, before, recheck=()), t's leftmost-outermost normal
+    form, by one pre-order walk on an explicit stack that resumes after each
+    contraction: linear in the nodes visited plus the contractions.  match(u)
+    is None or (rule, reduct); before(frames, rule, redex, reduct) runs before
+    each contraction, frames [node, kids, i] leading from the root to the
+    redex through kids[i].  Nodes before the focus are redex-free and a rule
+    reads a node and its children, so a contraction can make a redex only of
+    its parent or of an enclosing node of a class in recheck."""
+
+    def normalize(t, match, before, recheck=()):
+        stack: list[list] = []
+        focus, m = t, match(t)
+        while True:
+            if m is not None:  # resume at the outermost rechecked node now a redex
+                before(stack, m[0], focus, m[1])
+                top = max(len(stack) - 1, 0)
+                if recheck:
+                    top = next((k for k, f in enumerate(stack) if isinstance(f[0], recheck)), top)
+                hit, node = None, m[1]
+                for k in reversed(range(top, len(stack))):
+                    parent, kids, i = stack[k]
+                    kids[i] = node
+                    node = rebuild(parent, kids)
+                    if (k == len(stack) - 1 or isinstance(node, recheck)) and (mk := match(node)):
+                        hit = k, node, mk
+                k, focus, m = hit or (len(stack), m[1], match(m[1]))  # else the reduct
+                del stack[k:]
+                continue
+            if kids := children(focus):
+                stack.append([focus, list(kids), 0])
+                focus = kids[0]
+            else:  # climb to the next right sibling, rebuilding changed parents
+                while stack:
+                    node, kids, i = frame = stack[-1]
+                    kids[i] = focus
+                    if i + 1 < len(kids):
+                        frame[2], focus = i + 1, kids[i + 1]
+                        break
+                    stack.pop()
+                    focus = node if all(map(operator.is_, kids, children(node))) else rebuild(node, kids)
+                else:
+                    return focus
+            m = match(focus)
+
+    return normalize
 
 
 def preorder(fold, t) -> list:

@@ -15,8 +15,9 @@ Each tree's shape is read off its dataclass fields by syntax's
 `FTERM_BINDERS` for terms, where type fields are leaves and a binder
 depth counts term and type binders separately.  Every walk over either
 tree (shifting, substitution, closing, free variables, complexity,
-polarity, reduction positions) is built on that shape with the generic
-map and fold of syntax (`make_map`, `make_fold`, `make_debruijn`).
+polarity, reduction positions, normalization) is built on that shape with
+the generic walks of syntax (`make_map`, `make_fold`, `make_debruijn`,
+`make_normalize`).
 
 Every node carries `free`, the summary syntax's `summarize` builds with it
 from its children's: (bound on its free type indices, free type names,
@@ -26,7 +27,7 @@ subtree unvisited when its summary shows they cannot change it, so on the
 shared and mostly closed translations they cost the size of the graph,
 not that of the tree.  Typing opens no binder: `f_infer` reads a term
 index's type off its binder's annotation, so it walks each term once.
-`translate_term` reads a derivation's rule off its subject's constructor.
+`translate_term` maps a derivation bottom-up, reading rules off subjects.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
 from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
                      Proj, PVar, Summarized, Var, cache_hash, flip, fresh_name,
-                     make_debruijn, make_fold, make_map, make_positions, make_shape,
-                     opposite, preorder)
+                     make_debruijn, make_fold, make_map, make_normalize, make_positions,
+                     make_shape, opposite, preorder)
 from .surface import Scope, print_tree
 from .typecheck import Context, Derivation, check_type
 
@@ -158,29 +159,25 @@ def ftype_equiv(a: FType, b: FType) -> bool:
     new constraint variables.
     """
     assumed: set[tuple[FType, FType]] = set()
-
-    def go(a: FType, b: FType) -> bool:
-        if a == b:
-            return True
-        key = (a, b)
-        if key in assumed:
-            return True
+    todo = [(a, b)]  # pairs still to compare, the next one last
+    while todo:
+        a, b = key = todo.pop()
+        if a == b or key in assumed:
+            continue
         assumed.add(key)
         match a, b:
-            case (FPos(a1, b1), FPos(a2, b2)) | (FNeg(a1, b1), FNeg(a2, b2)):
-                return go(a1, a2) and go(b1, b2)
+            case ((FPos(a1, b1), FPos(a2, b2)) | (FNeg(a1, b1), FNeg(a2, b2))
+                  | (Arrow(a1, b1), Arrow(a2, b2))):
+                todo += (b1, b2), (a1, a2)
             case (FPos(_, _) | FNeg(_, _), _):
-                return go(unfold_constraint(a), b)
+                todo.append((unfold_constraint(a), b))
             case (_, FPos(_, _) | FNeg(_, _)):
-                return go(a, unfold_constraint(b))
-            case (Arrow(d1, c1), Arrow(d2, c2)):
-                return go(d1, d2) and go(c1, c2)
+                todo.append((a, unfold_constraint(b)))
             case (Forall(b1, _), Forall(b2, _)):
-                return go(b1, b2)
+                todo.append((b1, b2))
             case _:
                 return False
-
-    return go(a, b)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +238,7 @@ def _deeper(depth: tuple[int, int], k: tuple[int, int]) -> tuple[int, int]:
 fterm_map = make_map(fterm_children, fterm_rebuild, FTERM_BINDERS, _deeper, (0, 0))
 fterm_fold = make_fold(fterm_children, FTERM_BINDERS, _deeper, (0, 0))
 _find_fterms, _, _fterm_replace_at = make_positions(fterm_children, fterm_rebuild)
+_fterm_normalize = make_normalize(fterm_children, fterm_rebuild)
 
 
 # Each walk below skips the subtrees its keep test shows it cannot change, so
@@ -421,11 +419,14 @@ def f_all_steps(t: FTerm) -> list[FTerm]:
 
 
 def f_normalize(t: FTerm, fuel: int = 100_000) -> FTerm:
-    for _ in range(fuel):
-        if (nxt := f_step(t)) is None:
-            return t
-        t = nxt
-    raise FuelExhaustedError(f"no F normal form within {fuel} steps")
+    """The leftmost-outermost normal form; fuel counts contractions, as in normalize."""
+    allowed = iter(range(fuel))
+
+    def count(*_) -> None:
+        if next(allowed, None) is None:
+            raise FuelExhaustedError(f"no F normal form within {fuel} steps")
+
+    return _fterm_normalize(t, lambda u: (r := f_match_redex(u)) and ("beta", r), count)
 
 
 # ---------------------------------------------------------------------------
@@ -506,49 +507,50 @@ def translate_ctx(ctx: Context) -> FContext:
 
 def translate_term(d: Derivation) -> FTerm:
     """Translate a typing derivation into an F term of the translated type."""
+    return _translate_premises(d, lambda u, _: _translate(u, []))
+
+
+def _translate(d: Derivation, fs: list[FTerm]) -> FTerm:
+    """The translation of d from fs, its premises' translations."""
     match d.subject:
         case Var(name):
             return FVar(name)
         case Abs():
-            dl, dr = d.premises
-            return FApp(FApp(funabs(dl.conclusion, d.conclusion),
-                             translate_term(dl)), translate_term(dr))
+            return FApp(FApp(funabs(d.premises[0].conclusion, d.conclusion), fs[0]), fs[1])
         case Pair():
-            dl, dr = d.premises
-            return pair_f(translate_term(dl), translate_term(dr), *_halves(d.conclusion))
+            return pair_f(*fs, *_halves(d.conclusion))
         case Proj(_, index):
-            (db,) = d.premises
-            return proj_f(index, translate_term(db), *_halves(db.conclusion))
+            return proj_f(index, *fs, *_halves(d.premises[0].conclusion))
         case Inj(_, index):
-            (db,) = d.premises
-            return in_f(index, translate_term(db), *_halves(d.conclusion))
+            return in_f(index, *fs, *_halves(d.conclusion))
         case Case(_, _, annot1, _, annot2, _):
-            dsc, d1, d2 = d.premises
-            f1 = flam(d1.ctx.entries[-1][0], translate_prop(annot1), translate_term(d1))
-            f2 = flam(d2.ctx.entries[-1][0], translate_prop(annot2), translate_term(d2))
-            return case_f(translate_term(dsc), f1, f2, translate_prop(d.conclusion))
+            (_, d1, d2), (fsc, fb1, fb2) = d.premises, fs
+            return case_f(fsc, flam(d1.ctx.entries[-1][0], translate_prop(annot1), fb1),
+                          flam(d2.ctx.entries[-1][0], translate_prop(annot2), fb2),
+                          translate_prop(d.conclusion))
         case NegI():
-            body = translate_term(d.premises[0])
-            return flam(fresh_name("u", set(fterm_fv(body))), ONE, body)
+            return flam(fresh_name("u", set(fterm_fv(fs[0]))), ONE, fs[0])
         case NegE():
-            return FApp(translate_term(d.premises[0]), TRIV)
+            return FApp(fs[0], TRIV)
         case CLam(_, annot):
-            (db,) = d.premises
-            return flam(db.ctx.entries[-1][0], translate_prop(annot), translate_term(db))
+            return flam(d.premises[0].ctx.entries[-1][0], translate_prop(annot), fs[0])
         case CApp():
-            return FApp(*map(translate_term, d.premises))
+            return FApp(*fs)
     raise InvalidDerivationError(f"unknown rule {d.rule}")
+
+
+_translate_premises = make_map(operator.attrgetter("premises"), _translate, {})
 
 
 def f_head_step(t: FTerm) -> FTerm | None:
     """Contract the head redex (leftmost redex on the application spine)."""
-    red = f_match_redex(t)
-    if red is not None:
-        return red
-    if isinstance(t, (FApp, TyApp)):
-        h = f_head_step(t.fun)
-        return None if h is None else fterm_rebuild(t, (h, fterm_children(t)[1]))
-    return None
+    spine = []  # the applications over the head, outermost first
+    while (red := f_match_redex(t)) is None and isinstance(t, (FApp, TyApp)):
+        spine.append(t)
+        t = t.fun
+    for u in reversed(spine) if red else ():
+        red = fterm_rebuild(u, (red, fterm_children(u)[1]))
+    return red
 
 
 def f_reaches(source: FTerm, target: FTerm) -> int | None:

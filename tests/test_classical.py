@@ -182,6 +182,15 @@ def test_rule_app():
     assert chk.holds and chk.redex_normal == Var("w")
 
 
+def test_rule_pieces_are_checked():
+    with pytest.raises(ValueError, match="unknown rule kind 'beta'"):
+        run_classical_rule("beta", x="x")
+    with pytest.raises(TypeError):  # b is missing
+        run_classical_rule("proj", i=1, t1=Var("t1"), t2=Var("t2"), a=a)
+    with pytest.raises(TypeError):  # c is not a piece of proj
+        run_classical_rule("proj", i=1, t1=Var("t1"), t2=Var("t2"), a=a, b=b, c=a)
+
+
 def test_rule_lem_exact_shape():
     chk = run_classical_rule("lem", a=a, x="x", s1=Var("u"), s2=Var("x"),
                              c=Neg(a))

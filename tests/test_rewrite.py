@@ -133,6 +133,21 @@ def test_fuel_counts_contractions(strategy):
                 normalize(chain("neg", n), fuel=n - 1, strategy=strategy)
 
 
+def test_f_fuel_counts_contractions():
+    # as for normalize: fuel k allows k contractions, and a normal term
+    # needs none, whatever the fuel
+    from prk.systemf import ONE, TRIV, FApp, FLam, FVar, f_normalize
+    for k in (1, 2, 5):
+        t = FVar("x")
+        for _ in range(k):
+            t = FApp(FLam(ONE, t, hint="u"), TRIV)
+        assert f_normalize(t, fuel=k) == FVar("x")
+        with pytest.raises(FuelExhaustedError, match=f"no F normal form within {k - 1} steps"):
+            f_normalize(t, fuel=k - 1)
+    for fuel in (0, -1):
+        assert f_normalize(FVar("x"), fuel=fuel) == FVar("x")
+
+
 def test_trace_order_outer_before_inner():
     # the case reduct puts the outer proj over a pair holding an inner proj
     t = t_("proj1+(case+(in1+(u), x : a^c+. pair+(x, proj1+(pair+(v, w))), "

@@ -1,26 +1,27 @@
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from prk.errors import TypingError, UnboundVariableError
+from prk.errors import FuelExhaustedError, TypingError, UnboundVariableError
 from prk.rewrite import step
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import And, MProp, Mode, Neg, Or, PVar, fresh_name, preorder
+from prk.syntax import MODES, And, MProp, Mode, Neg, Or, PVar, fresh_name, opposite, preorder
 from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          DomainMismatchError, FApp, FBound, FLam, FNeg, FPos,
                          FType, FVar, Forall, NotAForallError, NotAnArrowError,
                          TBound, TVar, TyApp, TyLam, check_simulation, close_fterm,
-                         close_type, close_tyvar_in_fterm, f_all_steps, f_infer,
-                         f_match_redex, f_normalize, f_step, flam, fterm_children,
+                         close_type, close_tyvar_in_fterm, f_all_steps, f_head_step,
+                         f_infer, f_match_redex, f_normalize, f_step, flam, fterm_children,
                          fterm_fold, fterm_fv, fterm_rebuild, ftype_children,
                          ftype_equiv, ftype_fold, ftype_rebuild, ftype_vars, funabs,
                          in_f, pair_f, plus, polarity, print_fterm, print_ftype, proj_f,
                          shift_fterm, shift_type, subst_fterm, subst_type,
                          subst_type_in_fterm, times, translate_ctx, translate_prop,
                          translate_term, tylam)
-from prk.typecheck import Context, check_type, infer_type, mk_lem
+from prk.typecheck import Context, Derivation, check_type, infer_type, mk_lem
 
 ROOT = Path(__file__).resolve().parent.parent
 A, B = TVar("A"), TVar("B")
@@ -1011,7 +1012,9 @@ def _ref_f_reducts(t):
             yield fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
 
 
-def test_f_steps_match_the_recursive_reference():
+def _reference_derivations():
+    """The provable library and the 240 TermGen derivations that the
+    rule-name reference test draws."""
     from prk.gen import TermGen, provable_library
     derivations = [check_type(ctx, t, goal) for ctx, goal, t in provable_library()]
     for seed in range(8):
@@ -1020,8 +1023,12 @@ def test_f_steps_match_the_recursive_reference():
             ctx = gen.base_context()
             goal = gen.props.mprop(2)
             derivations.append(check_type(ctx, gen.sized_term(ctx, goal, 4, max_size=40), goal))
+    return derivations
+
+
+def test_f_steps_match_the_recursive_reference():
     compared = 0
-    for d in derivations:
+    for d in _reference_derivations():
         t = translate_term(d)
         for _ in range(3):  # the translation and the first two terms on its leftmost path
             steps = f_all_steps(t)
@@ -1044,3 +1051,190 @@ def test_f_normalize_under_10_000_binders():
         assert type(nf) is FLam
         nf = nf.body
     assert nf == FVar("s")
+
+
+# -- normalization on the resuming walk against the f_step loop ---------------------------
+
+def _ref_f_normalize(t):
+    """The reference: f_step from the root until it stops; (normal form, contractions)."""
+    steps = 0
+    while (nxt := f_step(t)) is not None:
+        t, steps = nxt, steps + 1
+    return t, steps
+
+
+def _assert_normalizes_like_the_step_loop(t):
+    nf, steps = _ref_f_normalize(t)
+    assert f_normalize(t, fuel=steps) == nf
+    if steps:
+        with pytest.raises(FuelExhaustedError):
+            f_normalize(t, fuel=steps - 1)
+    return steps
+
+
+def test_f_normalize_matches_the_step_loop():
+    fterms = [translate_term(d) for d in _reference_derivations()]
+    fterms += [translate_term(infer_type(Context(), _lem_chain(k)[0])) for k in range(1, 7)]
+    steps = [_assert_normalizes_like_the_step_loop(t) for t in fterms]
+    assert len(steps) > 240 and sum(steps) > 1000
+
+
+def test_f_normalize_is_linear():
+    # n binders over n nested redexes; restarting from the root after each
+    # contraction made this quadratic
+    assert sys.getrecursionlimit() <= 10_000
+    n = 2_000
+    t = FVar("x")
+    for _ in range(n):
+        t = FApp(FLam(A, FBound(0), hint="y"), t)
+    for _ in range(n):
+        t = FLam(ONE, t, hint="u")
+    start = time.perf_counter()
+    nf = f_normalize(t, fuel=n)
+    assert time.perf_counter() - start < 0.5
+    for _ in range(n):
+        assert type(nf) is FLam
+        nf = nf.body
+    assert nf == FVar("x")
+
+
+# -- the translation takes any depth -------------------------------------------------------
+
+def _neg_pairs(n):
+    """A hand-built derivation of x : a^c- |- nege+(negi+(...x)) : a^c-, n pairs."""
+    from prk.syntax import NegE, NegI, Var
+    a_cm, neg_a = parse_mprop("a^c-"), parse_mprop("~a^s+")
+    ctx = Context.of(("x", a_cm))
+    d = Derivation("Ax", ctx, Var("x"), a_cm)
+    for _ in range(n):
+        d = Derivation("INeg+", ctx, NegI("+", d.subject), neg_a, (d,))
+        d = Derivation("ENeg+", ctx, NegE("+", d.subject), a_cm, (d,))
+    return d
+
+
+def test_translate_term_takes_any_depth():
+    assert sys.getrecursionlimit() <= 10_000
+    d = _neg_pairs(3)
+    assert check_type(d.ctx, d.subject, d.conclusion) == d  # as typing builds it
+    n = 50_000
+    t = translate_term(_neg_pairs(n))
+    for _ in range(n):
+        assert type(t) is FApp and t.arg is TRIV
+        assert type(t.fun) is FLam and t.fun.annot == ONE and t.fun.hint == "u"
+        t = t.fun.body
+    assert t == FVar("x")
+
+
+# -- type equivalence on a worklist against the recursive reference -------------------------
+
+def _ref_ftype_equiv(a, b):
+    """ftype_equiv as it was, recursive."""
+    from prk import systemf
+    assumed = set()
+
+    def go(a, b):
+        if a == b:
+            return True
+        key = (a, b)
+        if key in assumed:
+            return True
+        assumed.add(key)
+        match a, b:
+            case (FPos(a1, b1), FPos(a2, b2)) | (FNeg(a1, b1), FNeg(a2, b2)):
+                return go(a1, a2) and go(b1, b2)
+            case (FPos(_, _) | FNeg(_, _), _):
+                return go(systemf.unfold_constraint(a), b)
+            case (_, FPos(_, _) | FNeg(_, _)):
+                return go(a, systemf.unfold_constraint(b))
+            case (Arrow(d1, c1), Arrow(d2, c2)):
+                return go(d1, d2) and go(c1, c2)
+            case (Forall(b1, _), Forall(b2, _)):
+                return go(b1, b2)
+            case _:
+                return False
+
+    return go(a, b)
+
+
+def test_ftype_equiv_matches_the_recursive_reference(prop_gen, monkeypatch):
+    from prk import systemf
+    unfoldings = 0
+    unfold = systemf.unfold_constraint
+
+    def counting(t):
+        nonlocal unfoldings
+        unfoldings += 1
+        return unfold(t)
+
+    monkeypatch.setattr(systemf, "unfold_constraint", counting)
+    types = [translate_prop(MProp(prop_gen.pure(2), m)) for _ in range(16) for m in MODES]
+    pairs = [(a, b) for a in types for b in types]
+    for t in types:
+        for u in preorder(ftype_fold, t):
+            if isinstance(u, (FPos, FNeg)):
+                pairs += [(u, unfold(u)), (t, unfold(u)), (unfold(u), t)]
+    for d in _reference_derivations()[:120]:
+        inferred = f_infer(translate_ctx(d.ctx), translate_term(d))
+        pairs += [(inferred, translate_prop(d.conclusion)),
+                  (inferred, translate_prop(opposite(d.conclusion)))]
+    assert len(pairs) >= 2_000
+    verdicts = []
+    for a, b in pairs:
+        unfoldings = 0
+        verdicts.append(ftype_equiv(a, b))
+        mine, unfoldings = unfoldings, 0
+        assert _ref_ftype_equiv(a, b) == verdicts[-1] and unfoldings == mine
+    assert True in verdicts and False in verdicts
+
+
+# -- head steps down the application spine against the recursive reference ------------------
+
+def _ref_f_head_step(t):
+    """f_head_step as it was, recursive."""
+    red = f_match_redex(t)
+    if red is not None:
+        return red
+    if isinstance(t, (FApp, TyApp)):
+        h = _ref_f_head_step(t.fun)
+        return None if h is None else fterm_rebuild(t, (h, fterm_children(t)[1]))
+    return None
+
+
+def _simulation_sources():
+    """The translations whose head chains the simulation tests walk."""
+    judgments = [
+        (Context.of(("s", parse_mprop("a^c-")), ("u", parse_mprop("a^s+"))),
+         "capp+(clam+(x : a^c-. u), s)"),
+        (Context.of(("u", parse_mprop("a^c-")),), "nege+(negi+(u))"),
+        (Context.of(("t1", parse_mprop("a^c+")), ("t2", parse_mprop("b^c+")),
+                    ("s", parse_mprop("a^c-"))), "abs[c^s+](pair+(t1, t2), in1-(s))"),
+        (Context.of(("t", parse_mprop("a^c-")), ("s", parse_mprop("a^c+"))),
+         "abs[c^s+](negi+(t), negi-(s))"),
+    ]
+    sources = [translate_term(infer_type(ctx, parse_term(text))) for ctx, text in judgments]
+    return sources + [translate_term(d) for d in _reference_derivations()]
+
+
+def test_f_head_step_matches_the_recursive_reference():
+    heads = 0
+    for t in _simulation_sources():
+        for _ in range(50):
+            nxt = f_head_step(t)
+            assert nxt == _ref_f_head_step(t)
+            if nxt is None:
+                break
+            t, heads = nxt, heads + 1
+    assert heads > 300
+
+
+def test_f_head_step_down_a_deep_spine():
+    assert sys.getrecursionlimit() <= 10_000
+    n = 100_000
+    t = FApp(flam("x", A, FVar("x")), FVar("s"))
+    for i in range(n):
+        t = TyApp(t, A) if i % 2 else FApp(t, FVar("y"))
+    t = f_head_step(t)
+    for i in reversed(range(n)):
+        assert type(t) is (TyApp if i % 2 else FApp)
+        t = t.fun
+    assert t == FVar("s") and f_head_step(FApp(FVar("s"), FVar("y"))) is None
