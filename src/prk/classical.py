@@ -11,7 +11,7 @@ from functools import partial
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
-from .surface import RESERVED_FALSITY, _Tokens, _parse_pure, content_lines, located
+from .surface import RESERVED_FALSITY, _Tokens, _parse_base, content_lines, located
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
                      Term, Var, case, clam, fresh_name, fv, prop_vars,
@@ -119,9 +119,7 @@ def casec(t: Term, x: str, s: Term, u: Term, a: PureProp, b: PureProp,
 def neglamc(x: str, t: Term, a: PureProp) -> Term:
     """Negation introduction: from x : a^c+ |- t : bottom^c+ build (~a)^c+."""
     w = fresh_name("w", fv(t) | {x})
-    inner = clam(MINUS, x, _cp(a),
-                 abs_general_at(MProp(a, Mode(STRONG, MINUS)), t,
-                                mk_lem(PVar(FALSITY_VAR), MINUS), _cp(FALSITY)))
+    inner = clam(MINUS, x, _cp(a), explosionc(MProp(a, Mode(STRONG, MINUS)), t))
     return clam(PLUS, w, _cm(Neg(a)), NegI(PLUS, inner))
 
 
@@ -406,7 +404,7 @@ def parse_nk(text: str) -> NKProof:
         if head.rstrip() == "hyp" and colon:
             with located(lineno, col + len(head) + 1):
                 tk = _Tokens(rest)
-                hyps.append(_parse_pure(tk))
+                hyps.append(_parse_base(tk))
                 if tk.peek()[0] != "eof":
                     raise tk.error("trailing input after hypothesis")
         elif line.startswith("|-"):
@@ -414,7 +412,7 @@ def parse_nk(text: str) -> NKProof:
         else:
             raise ParseError("expected 'hyp : <prop>' or '|- <proof>'", lineno, col)
     if proof_src is None:
-        raise InvalidNKProofError("no proof line ('|- ...') found")
+        raise ParseError("no proof line ('|- ...') found", 1, 1)
     with located(*proof_at):
         tk = _Tokens(proof_src)
         proof = _parse_nk_node(tk, tuple(hyps))
@@ -436,23 +434,23 @@ _NK_RULES = {
 
 
 def _parse_nk_node(tk, hyps: tuple[PureProp, ...]) -> NKProof:
-    kind, head, line, col = tk.next()
+    kind, head, at = tk.next()
     if kind != "ident":
-        raise ParseError(f"expected a proof rule, found {head!r}", line, col)
+        raise tk.error(f"expected a proof rule, found {head!r}", at)
     if head == "hyp":
         tk.expect("(")
-        kind, num, line, col = tk.next()
+        _, num, at = tk.next()
         if not num.isdigit():
-            raise ParseError("hyp needs a numeric index", line, col)
+            raise tk.error("hyp needs a numeric index", at)
         tk.expect(")")
         return nk_hyp(hyps, int(num))
     if head not in _NK_RULES:
-        raise ParseError(f"unknown proof rule {head!r}", line, col)
+        raise tk.error(f"unknown proof rule {head!r}", at)
     make, takes_prop, count = _NK_RULES[head]
     params = ()
     if takes_prop:
         tk.expect("[")
-        params = (_parse_pure(tk),)
+        params = (_parse_base(tk),)
         tk.expect("]")
     if not count:
         return make(hyps, *params)

@@ -34,6 +34,7 @@ _TOKEN_RE = re.compile(rf"""
     | (?P<ident>[A-Za-z][A-Za-z0-9_]*|{re.escape(RESERVED_FALSITY)})
     | (?P<number>[0-9]+)
     | (?P<sym>[()\[\],.:^&|~+-])
+    | (?P<bad>.)
 """, re.VERBOSE)
 
 _INDEXED = {"proj": "projection", "in": "injection"}
@@ -41,109 +42,95 @@ _BAD_INDEX_RE = re.compile(r"(proj|in)[0-9]+$")
 
 
 class _Tokens:
+    """A text's tokens, each (kind, text, offset), and an "eof" one last."""
+
     def __init__(self, text: str):
-        self.toks: list[tuple[str, str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            val = m.group()
-            if kind != "ws":
-                self.toks.append((kind, val, line, col))
-            nl = val.count("\n")
-            if nl:
-                line += nl
-                col = len(val) - val.rfind("\n")
-            else:
-                col += len(val)
-            pos = m.end()
-        self.toks.append(("eof", "", line, col))
-        self.i = 0
+        self.text, self.i = text, 0
+        self.toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)
+                     if m.lastgroup != "ws"]
+        for kind, val, at in self.toks:
+            if kind == "bad":
+                raise self.error(f"unexpected character {val!r}", at)
+        self.toks.append(("eof", "", len(text)))
 
     def end(self) -> None:
-        kind, val, line, col = self.peek()
+        kind, val, _ = self.peek()
         if kind != "eof":
-            raise ParseError(f"trailing input {val!r}", line, col)
+            raise self.error(f"trailing input {val!r}")
 
-    def peek(self) -> tuple[str, str, int, int]:
+    def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
 
-    def next(self) -> tuple[str, str, int, int]:
+    def next(self) -> tuple[str, str, int]:
         t = self.toks[self.i]
         self.i += 1
         return t
 
     def expect(self, val: str) -> None:
-        kind, v, line, col = self.next()
+        _, v, at = self.next()
         if v != val:
-            raise ParseError(f"expected {val!r}, found {v or 'end of input'!r}", line, col)
+            raise self.error(f"expected {val!r}, found {v or 'end of input'!r}", at)
 
-    def error(self, message: str) -> ParseError:
-        _, _, line, col = self.peek()
-        return ParseError(message, line, col)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A parse error at line:col of offset at, by default the next token's."""
+        at = self.toks[self.i][2] if at is None else at
+        return ParseError(message, self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at))
 
 
 def _parse_pure(tk: _Tokens) -> PureProp:
-    kind, val, line, col = tk.next()
+    kind, val, at = tk.next()
     if kind == "ident":
         if val in _KEYWORDS:
-            raise ParseError(f"{val!r} is a reserved word", line, col)
+            raise tk.error(f"{val!r} is a reserved word", at)
         return PVar(val)
     if val == "~":
         return Neg(_parse_pure(tk))
     if val == "(":
         left = _parse_pure(tk)
-        kind2, op, line2, col2 = tk.next()
+        _, op, at = tk.next()
         if op == "^":
-            raise ParseError("modes cannot be nested", line2, col2)
+            raise tk.error("modes cannot be nested", at)
         if op not in ("&", "|"):
-            raise ParseError(f"expected '&' or '|', found {op!r}", line2, col2)
+            raise tk.error(f"expected '&' or '|', found {op!r}", at)
         right = _parse_pure(tk)
         tk.expect(")")
         return And(left, right) if op == "&" else Or(left, right)
-    raise ParseError(f"expected a pure proposition, found {val or 'end of input'!r}", line, col)
+    raise tk.error(f"expected a pure proposition, found {val or 'end of input'!r}", at)
 
 
 def _parse_mode(tk: _Tokens) -> Mode:
-    kind, val, line, col = tk.next()
+    _, val, at = tk.next()
     if val != "^":
-        raise ParseError(f"expected a mode annotation '^', found {val or 'end of input'!r}",
-                         line, col)
-    kind, st, line, col = tk.next()
+        raise tk.error(f"expected a mode annotation '^', found {val or 'end of input'!r}", at)
+    _, st, at = tk.next()
     if st not in ("s", "c"):
-        raise ParseError(f"expected strength 's' or 'c', found {st!r}", line, col)
-    kind, sg, line, col = tk.next()
+        raise tk.error(f"expected strength 's' or 'c', found {st!r}", at)
+    _, sg, at = tk.next()
     if sg not in ("+", "-"):
-        raise ParseError(f"expected sign '+' or '-', found {sg!r}", line, col)
+        raise tk.error(f"expected sign '+' or '-', found {sg!r}", at)
     return Mode(st, sg)
 
 
-def _check_reserved(a: PureProp, tk: _Tokens, allow_reserved: bool) -> None:
-    if allow_reserved:
-        return
-    if RESERVED_FALSITY in prop_vars(a):
+def _parse_base(tk: _Tokens, allow_reserved: bool = False) -> PureProp:
+    """A pure proposition, which must not name RESERVED_FALSITY unless
+    allow_reserved; the error is at the token after it."""
+    a = _parse_pure(tk)
+    if not allow_reserved and RESERVED_FALSITY in prop_vars(a):
         raise tk.error(f"{RESERVED_FALSITY!r} is reserved for the falsity encoding")
+    return a
 
 
 def parse_mprop(text: str, allow_reserved: bool = False) -> MProp:
     tk = _Tokens(text)
     p = _parse_mprop(tk, allow_reserved)
-    kind, val, line, col = tk.peek()
-    if kind != "eof":
-        if val == "^":
-            raise ParseError("modes cannot be nested", line, col)
-        raise ParseError(f"trailing input {val!r}", line, col)
+    if tk.peek()[1] == "^":
+        raise tk.error("modes cannot be nested")
+    tk.end()
     return p
 
 
 def _parse_mprop(tk: _Tokens, allow_reserved: bool = False) -> MProp:
-    a = _parse_pure(tk)
-    _check_reserved(a, tk, allow_reserved)
-    mode = _parse_mode(tk)
-    return MProp(a, mode)
+    return MProp(_parse_base(tk, allow_reserved), _parse_mode(tk))
 
 
 def content_lines(text: str) -> Iterator[tuple[int, int, str]]:
@@ -212,15 +199,15 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
     stack = []  # open constructors: (class, fixed fields, steps, fields read, step, scope size)
     scope: list[str] = []  # names of the open binders, innermost last
     while True:
-        kind, val, line, col = tk.next()  # a term starts here
+        kind, val, at = tk.next()  # a term starts here
         if kind != "ident":
-            raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+            raise tk.error(f"expected a term, found {val or 'end of input'!r}", at)
         if val in _KEYWORDS:
             stack.append((*_KEYWORDS[val], {}, 0, len(scope)))
         elif bad := _BAD_INDEX_RE.match(val):
-            raise ParseError(f"{_INDEXED[bad[1]]} index must be 1 or 2", line, col)
+            raise tk.error(f"{_INDEXED[bad[1]]} index must be 1 or 2", at)
         elif val == RESERVED_FALSITY and not allow_reserved:
-            raise ParseError(f"{RESERVED_FALSITY!r} is reserved", line, col)
+            raise tk.error(f"{RESERVED_FALSITY!r} is reserved", at)
         else:
             t = Bound(scope[::-1].index(val)) if val in scope else Var(val)
         while stack:
@@ -237,14 +224,14 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
                 if kind == "MProp":
                     got[name] = _parse_mprop(tk, allow_reserved)
                 elif name:
-                    token, val, line, col = tk.next()
+                    token, val, at = tk.next()
                     if kind == "Sign" and val not in ("+", "-"):
-                        raise ParseError(f"expected sign '+' or '-', found {val!r}", line, col)
+                        raise tk.error(f"expected sign '+' or '-', found {val!r}", at)
                     if kind == "str":  # a binder's name, in scope for the next term field
                         if token != "ident" or val in _KEYWORDS:
-                            raise ParseError(f"expected a binder name, found {val!r}", line, col)
+                            raise tk.error(f"expected a binder name, found {val!r}", at)
                         if val == RESERVED_FALSITY and not allow_reserved:
-                            raise ParseError(f"{RESERVED_FALSITY!r} is reserved", line, col)
+                            raise tk.error(f"{RESERVED_FALSITY!r} is reserved", at)
                         scope[bound:] = [val]
                     got[name] = val
             else:

@@ -479,22 +479,16 @@ def funabs(p: MProp, q: MProp) -> FTerm:
     match base:
         case PVar(_):
             return wrap(abort_f(tq, FApp(y, x) if sign == PLUS else FApp(x, y)))
-        case And(l, r) | Or(l, r) if isinstance(base, PAIRED[sign]):
-            # x is a product, y a sum: split y, project x
-            tl, tr = _halves(p)
-            b1 = flam("z", translate_prop(MProp(l, co)),
-                      FApp(FApp(funabs(MProp(l, c), q), proj_f(1, x, tl, tr)), z))
-            b2 = flam("z", translate_prop(MProp(r, co)),
-                      FApp(FApp(funabs(MProp(r, c), q), proj_f(2, x, tl, tr)), z))
-            return wrap(case_f(y, b1, b2, tq))
-        case And(l, r) | Or(l, r):
-            # x is a sum, y a product: split x, project y
-            tl, tr = _halves(opposite(p))
-            b1 = flam("z", translate_prop(MProp(l, c)),
-                      FApp(FApp(funabs(MProp(l, c), q), z), proj_f(1, y, tl, tr)))
-            b2 = flam("z", translate_prop(MProp(r, c)),
-                      FApp(FApp(funabs(MProp(r, c), q), z), proj_f(2, y, tl, tr)))
-            return wrap(case_f(x, b1, b2, tq))
+        case And() | Or():
+            # one of x, y is a sum, split into branches; each meets a projection of the other
+            paired = isinstance(base, PAIRED[sign])  # x is the product
+            tl, tr = _halves(p if paired else opposite(p))
+            branches = []
+            for i, part in ((1, base.left), (2, base.right)):
+                inner, proj = funabs(MProp(part, c), q), proj_f(i, x if paired else y, tl, tr)
+                body = FApp(FApp(inner, proj), z) if paired else FApp(FApp(inner, z), proj)
+                branches.append(flam("z", translate_prop(MProp(part, co if paired else c)), body))
+            return wrap(case_f(y if paired else x, *branches, tq))
         case Neg(inner):
             return wrap(FApp(FApp(funabs(MProp(inner, co), q), FApp(x, TRIV)),
                              FApp(y, TRIV)))

@@ -9,7 +9,7 @@ from prk.classical import (FALSITY, FALSITY_VAR, NKProof, appc, casec, classem,
                            nk_hyp, nk_imp_e, nk_imp_i, nk_lem, nk_neg_e,
                            nk_neg_i, nk_or_e, nk_or_i, pairc, parse_nk, projic,
                            run_classical_rule, tt_valid)
-from prk.errors import InvalidNKProofError, ParseError, WrongModeError
+from prk.errors import InvalidNKProofError, WrongModeError
 from prk.rewrite import all_redexes, apply_at
 from prk.surface import _parse_pure, parse_mprop, print_term
 from prk.syntax import (Abs, And, CApp, MProp, Mode, Neg, Or, PVar, Var, clam,
@@ -307,9 +307,9 @@ def test_invalid_nk_rejected():
 
 def _per_arm_parse_nk_node(tk, hyps):
     """_parse_nk_node as it was with one branch per keyword."""
-    kind, head, line, col = tk.next()
+    kind, head, at = tk.next()
     if kind != "ident":
-        raise ParseError(f"expected a proof rule, found {head!r}", line, col)
+        raise tk.error(f"expected a proof rule, found {head!r}", at)
 
     def prop_param():
         tk.expect("[")
@@ -327,9 +327,9 @@ def _per_arm_parse_nk_node(tk, hyps):
 
     if head == "hyp":
         tk.expect("(")
-        kind, num, line, col = tk.next()
+        kind, num, at = tk.next()
         if not num.isdigit():
-            raise ParseError("hyp needs a numeric index", line, col)
+            raise tk.error("hyp needs a numeric index", at)
         tk.expect(")")
         return nk_hyp(hyps, int(num))
     if head == "andi":
@@ -378,7 +378,7 @@ def _per_arm_parse_nk_node(tk, hyps):
     if head == "impe":
         p, q = args(2, [hyps, hyps])
         return nk_imp_e(p, q)
-    raise ParseError(f"unknown proof rule {head!r}", line, col)
+    raise tk.error(f"unknown proof rule {head!r}", at)
 
 
 def _per_arm_embed_nk(p, names=None):

@@ -73,6 +73,11 @@ FILE_ERRORS = [
     ("normalize", "_bot0 : a^c+\n|- x\n", "1:1: expected a hypothesis name, found '_bot0'"),
     ("embed", "hypothesis : a\n|- hyp(0)\n", "1:1: expected 'hyp : <prop>' or '|- <proof>'"),
     ("embed", "hyp : a\n  hyp a\n|- hyp(0)\n", "2:3: expected 'hyp : <prop>' or '|- <proof>'"),
+    # an NK proof file names no '_bot0' and has a '|-' line, as judgment files do
+    ("embed", "hyp : _bot0\n|- hyp(0)\n", "1:12: '_bot0' is reserved for the falsity encoding"),
+    ("embed", "hyp : a\n|- ori1[_bot0](hyp(0))\n",
+     "2:14: '_bot0' is reserved for the falsity encoding"),
+    ("embed", "hyp : a\n# no proof\n", "1:1: no proof line ('|- ...') found"),
     # a judgment names each hypothesis once
     ("check", "x : a^c+\nx : b^c+\n|- x\n", "2:1: duplicate hypothesis 'x'"),
     ("dual", "x : a^c+\ny : b^c+\n  x : (a & b)^s-\n|- y\n", "3:3: duplicate hypothesis 'x'"),

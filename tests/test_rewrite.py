@@ -169,6 +169,11 @@ def test_trace_order_eta_enclosing_clam():
     assert [(s.position, s.rule) for s in trace] == \
         [((0, 0, 0), "proj"), ((), "eta"), ((), "neg")]
     assert nf == Var("u")
+    # the clam's body is not capp(..., #0) until the neg step two levels below it
+    t = t_("clam+(x : a^c-. capp+(y, nege-(negi-(x))))")
+    nf, trace = normalize(t, ETA)
+    assert [(s.position, s.rule) for s in trace] == [((0, 1), "neg"), ((), "eta")]
+    assert nf == Var("y")
 
 
 @pytest.mark.parametrize("family", ["neg", "proj"])

@@ -4,6 +4,7 @@ the default recursion limit, random text, and the naming of binders."""
 
 import hashlib
 import random
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from prk.cli import parse_judgment
 from prk.errors import ParseError
 from prk.gen import PropGen, TermGen
 from prk.rewrite import ETA, PLAIN, binder_names_at, normalize, replay
-from prk.surface import Scope, parse_term, print_term
+from prk.surface import Scope, _Tokens, parse_term, print_term
 from prk.syntax import (And, Bound, CApp, CLam, Case, MProp, Mode, Neg, NegE,
                         NegI, Or, PVar, Pair, Term, Var, dual, fresh_name)
 from prk.typecheck import mk_lem
@@ -261,6 +262,80 @@ def test_round_trip_of_deep_binder_nests():
         t = parse_term(text)
         assert _same_tree(t, expected)
         assert print_term(t) == text
+
+
+# -- tokens ------------------------------------------------------------------
+# The tokenizer once kept a running line and column; now a token keeps its
+# offset, and a position is worked out only for a token an error names.
+
+_RUNNING_TOKEN_RE = re.compile(r"""
+      (?P<ws>\s+|\#[^\n]*)
+    | (?P<ident>[A-Za-z][A-Za-z0-9_]*|_bot0)
+    | (?P<number>[0-9]+)
+    | (?P<sym>[()\[\],.:^&|~+-])
+""", re.VERBOSE)
+
+
+def _running_tokens(text):
+    """The tokenizer as it was: (kind, text, line, col) for each token."""
+    toks, line, col, pos = [], 1, 1, 0
+    while pos < len(text):
+        m = _RUNNING_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, val = m.lastgroup, m.group()
+        if kind != "ws":
+            toks.append((kind, val, line, col))
+        nl = val.count("\n")
+        if nl:
+            line += nl
+            col = len(val) - val.rfind("\n")
+        else:
+            col += len(val)
+        pos = m.end()
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _tokens_as_the_running_reference(text) -> bool:
+    """Check that _Tokens gives the reference's tokens at its positions, or
+    its error, on text; return whether text tokenizes."""
+    try:
+        want = _running_tokens(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as err:
+            _Tokens(text)
+        assert (str(err.value), err.value.line, err.value.col) == (str(e), e.line, e.col)
+        return False
+    tk = _Tokens(text)
+    got = []
+    for kind, val, at in tk.toks:
+        e = tk.error("", at)
+        got.append((kind, val, e.line, e.col))
+    assert got == want, text
+    return True
+
+
+def test_tokens_match_the_running_reference():
+    from tests.test_classical import _NK_HAND_ROWS
+    from tests.test_cli import FILE_ERRORS, MODEL_ERRORS
+    golden = [path.read_text() for path in sorted(GOLDEN.iterdir())]
+    texts = [line for text in golden for line in text.splitlines()] + golden
+    texts += [text for text, *_ in ERRORS] + [text for _, text, _ in FILE_ERRORS]
+    texts += [text for text, _ in MODEL_ERRORS] + _NK_HAND_ROWS + ["", "x\x85y  z"]
+    texts.append("x : a^c+  # a hypothesis\r\n\t\r\n\n  |- pair+(x,\t# split\n\t\ty) # end\n")
+    for text in texts:
+        _tokens_as_the_running_reference(text)
+    # an unexpected character at the start, middle and end of a line, and after a newline
+    unexpected = ["$x", "pair+(x, @y)", "pair+(x, y)%", "x\n%y", "x : a^c+\r\n\t!|- x",
+                  "x\n\n\xe9", "(a & b)\n  # c\n\t?"]
+    assert not any(map(_tokens_as_the_running_reference, unexpected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab_1 \t\r\n#()^+-,.:~&|$\xe9"), max_size=40))
+def test_tokens_of_random_text_match_the_running_reference(text):
+    _tokens_as_the_running_reference(text)
 
 
 # -- random text -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import time
@@ -8,12 +9,13 @@ import pytest
 from prk.errors import FuelExhaustedError, TypingError, UnboundVariableError
 from prk.rewrite import step
 from prk.surface import parse_mprop, parse_term
-from prk.syntax import MODES, And, MProp, Mode, Neg, Or, PVar, fresh_name, opposite, preorder
+from prk.syntax import (CLASSICAL, MODES, PAIRED, STRONG, And, MProp, Mode, Neg, Or, PVar,
+                        flip, fresh_name, opposite, preorder)
 from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          DomainMismatchError, FApp, FBound, FLam, FNeg, FPos,
                          FType, FVar, Forall, NotAForallError, NotAnArrowError,
-                         TBound, TVar, TyApp, TyLam, check_simulation, close_fterm,
-                         close_type, close_tyvar_in_fterm, f_all_steps, f_head_step,
+                         TBound, TVar, TyApp, TyLam, abort_f, case_f, check_simulation,
+                         close_fterm, close_type, close_tyvar_in_fterm, f_all_steps, f_head_step,
                          f_infer, f_match_redex, f_normalize, f_step, flam, fterm_children,
                          fterm_fold, fterm_fv, fterm_rebuild, ftype_children,
                          ftype_equiv, ftype_fold, ftype_rebuild, ftype_vars, funabs,
@@ -175,6 +177,57 @@ def test_funabs_memoized():
     p = parse_mprop("(a & b)^c+")
     q = parse_mprop("a^s+")
     assert funabs(p, q) is funabs(p, q)
+
+
+@functools.lru_cache(maxsize=None)
+def _two_arm_funabs(p, q):
+    """funabs as it was, with its And/Or case stated once for x the product
+    and once for y the product."""
+    tq, tp, tpo = translate_prop(q), translate_prop(p), translate_prop(opposite(p))
+    x, y, z = FVar("x"), FVar("y"), FVar("z")
+
+    def wrap(body):
+        return flam("x", tp, flam("y", tpo, body))
+
+    base, sign = p.base, p.sign
+    if p.mode.strength == CLASSICAL:
+        inner = _two_arm_funabs(MProp(base, Mode(STRONG, sign)), q)
+        return wrap(FApp(FApp(inner, FApp(x, y)), FApp(y, x)))
+    c, co = Mode(CLASSICAL, sign), Mode(CLASSICAL, flip(sign))
+    match base:
+        case PVar(_):
+            return wrap(abort_f(tq, FApp(y, x) if sign == "+" else FApp(x, y)))
+        case And(l, r) | Or(l, r) if isinstance(base, PAIRED[sign]):
+            tl, tr = translate_prop(MProp(l, c)), translate_prop(MProp(r, c))
+            b1 = flam("z", translate_prop(MProp(l, co)),
+                      FApp(FApp(_two_arm_funabs(MProp(l, c), q), proj_f(1, x, tl, tr)), z))
+            b2 = flam("z", translate_prop(MProp(r, co)),
+                      FApp(FApp(_two_arm_funabs(MProp(r, c), q), proj_f(2, x, tl, tr)), z))
+            return wrap(case_f(y, b1, b2, tq))
+        case And(l, r) | Or(l, r):
+            tl, tr = translate_prop(MProp(l, co)), translate_prop(MProp(r, co))
+            b1 = flam("z", translate_prop(MProp(l, c)),
+                      FApp(FApp(_two_arm_funabs(MProp(l, c), q), z), proj_f(1, y, tl, tr)))
+            b2 = flam("z", translate_prop(MProp(r, c)),
+                      FApp(FApp(_two_arm_funabs(MProp(r, c), q), z), proj_f(2, y, tl, tr)))
+            return wrap(case_f(x, b1, b2, tq))
+        case Neg(inner):
+            return wrap(FApp(FApp(_two_arm_funabs(MProp(inner, co), q), FApp(x, TRIV)),
+                             FApp(y, TRIV)))
+
+
+def test_funabs_matches_the_two_arm_reference():
+    # every proposition over a, b of height at most 3, an atom's height being 1
+    props = [PVar("a"), PVar("b")]
+    for _ in range(2):
+        props = [PVar("a"), PVar("b"), *map(Neg, props),
+                 *(conn(l, r) for conn in (And, Or) for l in props for r in props)]
+    targets = [parse_mprop(q) for q in
+               ("a^s+", "b^c-", "(a & b)^s-", "~a^c+", "(a | ~b)^c-")]
+    pairs = [(MProp(base, mode), q) for base in props for mode in MODES for q in targets]
+    assert len(pairs) == 6_040
+    for p, q in pairs:
+        assert funabs(p, q) == _two_arm_funabs(p, q), (p, q)
 
 
 def test_translation_preserves_types(term_gen):
