@@ -11,7 +11,7 @@ from functools import partial
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
-from .surface import RESERVED_FALSITY, _Tokens, _parse_base, content_lines, located
+from .surface import RESERVED_FALSITY, _Tokens, _parse_base, located, read_entailment
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
                      Term, Var, case, clam, fresh_name, fv, prop_vars,
@@ -395,28 +395,25 @@ def parse_nk(text: str) -> NKProof:
     """Parse an NK proof file: hypothesis lines 'hyp : <pure>' followed by
     '|- <proof>' as the last line, where proofs use hyp(i) and the keywords
     of _NK_RULES, e.g. andi(p,q), ori1[other](p), lem[a]."""
-    hyps: list[PureProp] = []
-    proof_src = None
-    for lineno, col, line in content_lines(text):
-        if proof_src is not None:
-            raise ParseError("the '|- proof' line must be the last line", lineno, col)
-        head, colon, rest = line.partition(":")
-        if head.rstrip() == "hyp" and colon:
-            with located(lineno, col + len(head) + 1):
-                tk = _Tokens(rest)
-                hyps.append(_parse_base(tk))
-                if tk.peek()[0] != "eof":
-                    raise tk.error("trailing input after hypothesis")
-        elif line.startswith("|-"):
-            proof_src, proof_at = line[2:], (lineno, col + 2)
-        else:
-            raise ParseError("expected 'hyp : <prop>' or '|- <proof>'", lineno, col)
-    if proof_src is None:
-        raise ParseError("no proof line ('|- ...') found", 1, 1)
-    with located(*proof_at):
-        tk = _Tokens(proof_src)
-        proof = _parse_nk_node(tk, tuple(hyps))
-        tk.end()
+    return read_entailment(text, "proof", "proof", _nk_hypothesis, _nk_proof)[1]
+
+
+def _nk_hypothesis(line: str, _earlier) -> PureProp:
+    head, colon, rest = line.partition(":")
+    if head.rstrip() != "hyp" or not colon:
+        raise ParseError("expected 'hyp : <prop>' or '|- <proof>'", 1, 1)
+    with located(1, len(head) + 2):
+        tk = _Tokens(rest)
+        a = _parse_base(tk)
+        if tk.peek()[0] != "eof":
+            raise tk.error("trailing input after hypothesis")
+    return a
+
+
+def _nk_proof(src: str, hyps: list[PureProp]) -> NKProof:
+    tk = _Tokens(src)
+    proof = _parse_nk_node(tk, tuple(hyps))
+    tk.end()
     return proof
 
 

@@ -16,8 +16,8 @@ from .errors import (CannotInferError, ParseError, PrkError, TypingError,
 from .kripke import (countermodel_search, forces, parse_model, print_model,
                      validate_model)
 from .rewrite import ETA, PLAIN, binder_names_at, classify, normalize, replay
-from .surface import (content_lines, is_name, located, parse_mprop, parse_term, print_mprop,
-                      print_term)
+from .surface import (is_name, located, parse_mprop, parse_term, print_mprop, print_term,
+                      read_entailment)
 from .syntax import MProp, Term, dual, mprop_dual
 from .typecheck import Context, infer_type
 from .systemf import f_infer, print_fterm, print_ftype, translate_ctx, translate_prop, translate_term
@@ -29,48 +29,28 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _hypothesis(line: str, earlier: list[tuple[str, MProp]]) -> tuple[str, MProp]:
+    head, colon, prop_src = line.partition(":")
+    if not colon:
+        raise ParseError("expected 'x : prop' or '|- term'", 1, 1)
+    if not is_name(name := head.strip()):
+        raise ParseError(f"expected a hypothesis name, found {name!r}", 1, 1)
+    if any(name == n for n, _ in earlier):
+        raise ParseError(f"duplicate hypothesis {name!r}", 1, 1)
+    with located(1, len(head) + 2):
+        return name, parse_mprop(prop_src)
+
+
 def parse_judgment(text: str) -> tuple[Context, Term]:
     """Judgment files: lines 'x : prop' then '|- term', which comes last."""
-    ctx = Context()
-    term = None
-    for lineno, col, line in content_lines(text):
-        if term is not None:
-            raise ParseError("the '|- term' line must be the last line", lineno, col)
-        if line.startswith("|-"):
-            with located(lineno, col + 2):
-                term = parse_term(line[2:])
-        elif ":" in line:
-            head, _, prop_src = line.partition(":")
-            if not is_name(name := head.strip()):
-                raise ParseError(f"expected a hypothesis name, found {name!r}", lineno, col)
-            if ctx.lookup(name) is not None:
-                raise ParseError(f"duplicate hypothesis {name!r}", lineno, col)
-            with located(lineno, col + len(head) + 1):
-                ctx = ctx.extend(name, parse_mprop(prop_src))
-        else:
-            raise ParseError("expected 'x : prop' or '|- term'", lineno, col)
-    if term is None:
-        raise ParseError("no term line ('|- ...') found", 1, 1)
-    return ctx, term
+    hyps, term = read_entailment(text, "term", "term", _hypothesis, lambda src, _: parse_term(src))
+    return Context(tuple(hyps)), term
 
 
 def parse_sequent(text: str) -> tuple[list[MProp], MProp]:
-    """Sequent files: hypothesis props one per line, then '|- prop', which
-    comes last."""
-    hyps: list[MProp] = []
-    goal = None
-    for lineno, col, line in content_lines(text):
-        if goal is not None:
-            raise ParseError("the '|- prop' line must be the last line", lineno, col)
-        if line.startswith("|-"):
-            with located(lineno, col + 2):
-                goal = parse_mprop(line[2:])
-        else:
-            with located(lineno, col):
-                hyps.append(parse_mprop(line))
-    if goal is None:
-        raise ParseError("no goal line ('|- ...') found", 1, 1)
-    return hyps, goal
+    """Sequent files: hypothesis props one per line, then '|- prop', which comes last."""
+    return read_entailment(text, "prop", "goal", lambda line, _: parse_mprop(line),
+                           lambda src, _: parse_mprop(src))
 
 
 class Output:

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
 from string import Formatter
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ParseError
 from .syntax import (And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
@@ -135,11 +135,33 @@ def _parse_mprop(tk: _Tokens, allow_reserved: bool = False) -> MProp:
 
 def content_lines(text: str) -> Iterator[tuple[int, int, str]]:
     """(line number, column, line) for each line not blank once its '#'
-    comment is cut; the column is where the line's text starts."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    comment is cut; the column is where the line's text starts.  Only '\\n'
+    ends a line, as in _Tokens."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if content := line.strip():
             yield lineno, len(line) - len(line.lstrip()) + 1, content
+
+
+def read_entailment(text: str, what: str, noun: str, hypothesis: Callable,
+                    goal: Callable) -> tuple[list, Any]:
+    """([hypothesis(line, earlier) per line], goal(text, hypotheses)) for
+    lines of hypotheses then one '|- <what>' line, the last; the shape is
+    checked before the '|-' text is read.  Readers raise at line 1 of their text."""
+    hyps, goal_at = [], None
+    for lineno, col, line in content_lines(text):
+        if goal_at is not None:
+            raise ParseError(f"the '|- {what}' line must be the last line", lineno, col)
+        if line.startswith("|-"):
+            goal_at = lineno, col + 2, line[2:]
+        else:
+            with located(lineno, col):
+                hyps.append(hypothesis(line, hyps))
+    if goal_at is None:
+        raise ParseError(f"no {noun} line ('|- ...') found", 1, 1)
+    lineno, col, src = goal_at
+    with located(lineno, col):
+        return hyps, goal(src, hyps)
 
 
 @contextmanager

@@ -3,14 +3,17 @@ import io
 import pathlib
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prk import cli
-from prk.cli import main, parse_judgment
-from prk.surface import parse_term, print_term
-from prk.typecheck import infer_type
+from prk.classical import _parse_nk_node, parse_nk
+from prk.cli import main, parse_judgment, parse_sequent
+from prk.errors import ParseError
+from prk.surface import _Tokens, _parse_base, is_name, located, parse_mprop, parse_term, print_term
+from prk.typecheck import Context, infer_type
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
@@ -81,13 +84,31 @@ FILE_ERRORS = [
     # a judgment names each hypothesis once
     ("check", "x : a^c+\nx : b^c+\n|- x\n", "2:1: duplicate hypothesis 'x'"),
     ("dual", "x : a^c+\ny : b^c+\n  x : (a & b)^s-\n|- y\n", "3:3: duplicate hypothesis 'x'"),
+    # every file kind has a '|-' line
+    ("check", "x : a^c+\n# no term\n", "1:1: no term line ('|- ...') found"),
+    ("decide", "a^c+\n", "1:1: no goal line ('|- ...') found"),
+    # the shape of a file is checked before its '|-' text is read
+    ("check", "x : a^c+\n|- proj3+(x)\n|- x\n", "3:1: the '|- term' line must be the last line"),
+    ("decide", "|- (a ^c+\nb^c+\n", "2:1: the '|- prop' line must be the last line"),
+    ("embed", "hyp : a\n|- ande3(hyp(0))\n  hyp : b\n",
+     "3:3: the '|- proof' line must be the last line"),
+    # only '\n' ends a line, as in the tokenizer: each position is the one _Tokens gives
+    ("check", "x : a^c+\n\f|- proj3+(x)\n", "2:5: projection index must be 1 or 2"),
+    ("check", "x : a^c+\ny : b^c+\n|- pair+(x,\vproj3+(y))\n",
+     "3:13: projection index must be 1 or 2"),
+    ("decide", "a^c+\n|- (a |\x1c b)^q+\n", "2:13: expected strength 's' or 'c', found 'q'"),
+    ("embed", "hyp : a\n|-\x1d ande3(hyp(0))\n", "2:5: unknown proof rule 'ande3'"),
+    ("kripke countermodel", "b^s+\n|- (a\x1e& b)^c+ ^s+\n", "2:15: modes cannot be nested"),
+    ("normalize", "x : a^c+\n\x85 |- proj0-(x)\n", "2:6: projection index must be 1 or 2"),
+    ("dual", "x : a^c+\n|- negi+(\u2028in3+(x))\n", "2:11: injection index must be 1 or 2"),
+    ("translate", "x : a^c+\n|- \u2029pair+(x, x) x\n", "2:17: trailing input 'x'"),
 ]
 
 
 @pytest.mark.parametrize("command, text, message", FILE_ERRORS)
 def test_parse_errors_give_positions_in_the_file(tmp_path, capsys, command, text, message):
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     code, _, err = run(capsys, *command.split(), str(bad))
     assert (code, err) == (2, f"parse error: {message}\n")
 
@@ -101,6 +122,7 @@ MODEL_ERRORS = [
     ("# a model\nworlds: w0\n    vplus: a\n", "3:5: expected 'vplus <world>:'"),
     ("worlds: w0\n\t vminus w0 w1: a\n", "2:3: expected 'vminus <world>:'"),
     ("  alpha: a\n", "1:3: unknown section 'alpha'"),
+    ("alphabet: a\n\fworlds w0\n", "2:2: expected 'key: values'"),
 ]
 
 
@@ -110,6 +132,158 @@ def test_model_parse_errors_give_positions_in_the_file(tmp_path, capsys, text, m
     bad.write_text(text)
     code, _, err = run(capsys, "kripke", "validate", str(bad))
     assert (code, err) == (2, f"parse error: {message}\n")
+
+
+# -- the three '|-' file readers as they were, each with its own loop ----------
+# The old readers split lines with str.splitlines; split=_newlines splits
+# only at '\n', as read_entailment does.
+
+def _newlines(text):
+    return text.split("\n")
+
+
+def _old_content_lines(text, split):
+    for lineno, raw in enumerate(split(text), start=1):
+        line = raw.split("#", 1)[0]
+        if content := line.strip():
+            yield lineno, len(line) - len(line.lstrip()) + 1, content
+
+
+def _old_parse_judgment(text, split=str.splitlines):
+    ctx = Context()
+    term = None
+    for lineno, col, line in _old_content_lines(text, split):
+        if term is not None:
+            raise ParseError("the '|- term' line must be the last line", lineno, col)
+        if line.startswith("|-"):
+            with located(lineno, col + 2):
+                term = parse_term(line[2:])
+        elif ":" in line:
+            head, _, prop_src = line.partition(":")
+            if not is_name(name := head.strip()):
+                raise ParseError(f"expected a hypothesis name, found {name!r}", lineno, col)
+            if ctx.lookup(name) is not None:
+                raise ParseError(f"duplicate hypothesis {name!r}", lineno, col)
+            with located(lineno, col + len(head) + 1):
+                ctx = ctx.extend(name, parse_mprop(prop_src))
+        else:
+            raise ParseError("expected 'x : prop' or '|- term'", lineno, col)
+    if term is None:
+        raise ParseError("no term line ('|- ...') found", 1, 1)
+    return ctx, term
+
+
+def _old_parse_sequent(text, split=str.splitlines):
+    hyps = []
+    goal = None
+    for lineno, col, line in _old_content_lines(text, split):
+        if goal is not None:
+            raise ParseError("the '|- prop' line must be the last line", lineno, col)
+        if line.startswith("|-"):
+            with located(lineno, col + 2):
+                goal = parse_mprop(line[2:])
+        else:
+            with located(lineno, col):
+                hyps.append(parse_mprop(line))
+    if goal is None:
+        raise ParseError("no goal line ('|- ...') found", 1, 1)
+    return hyps, goal
+
+
+def _old_parse_nk(text, split=str.splitlines):
+    hyps = []
+    proof_src = None
+    for lineno, col, line in _old_content_lines(text, split):
+        if proof_src is not None:
+            raise ParseError("the '|- proof' line must be the last line", lineno, col)
+        head, colon, rest = line.partition(":")
+        if head.rstrip() == "hyp" and colon:
+            with located(lineno, col + len(head) + 1):
+                tk = _Tokens(rest)
+                hyps.append(_parse_base(tk))
+                if tk.peek()[0] != "eof":
+                    raise tk.error("trailing input after hypothesis")
+        elif line.startswith("|-"):
+            proof_src, proof_at = line[2:], (lineno, col + 2)
+        else:
+            raise ParseError("expected 'hyp : <prop>' or '|- <proof>'", lineno, col)
+    if proof_src is None:
+        raise ParseError("no proof line ('|- ...') found", 1, 1)
+    with located(*proof_at):
+        tk = _Tokens(proof_src)
+        proof = _parse_nk_node(tk, tuple(hyps))
+        tk.end()
+    return proof
+
+
+# (reader, the old one, what follows '|-', a good, an empty and malformed hypotheses)
+_READERS = [
+    (parse_judgment, _old_parse_judgment, "term", "z : b^s-",
+     ["x :", " : a^c+", "x y : a^c+", "x (a ^c+", "x : (a ^c+", "proj3 : a^c+", "x : $"]),
+    (parse_sequent, _old_parse_sequent, "prop", "b^s-",
+     ["^c+", "(a & b)^q+", "a^c+ ^s+", "(a $ b)^c+", "x : a^c+"]),
+    (parse_nk, _old_parse_nk, "proof", "hyp : ~a",
+     ["hyp :", "hyp a", "hypothesis : a", "hyp : (a &", "hyp : a b", "hyp : _bot0"]),
+]
+# the characters but '\n' at which str.splitlines breaks a line
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _mutate_lines(text, hyps, rng):
+    """text with one to three line-level changes: the '|-' line dropped,
+    duplicated or moved, a blank or comment line added, or a hypothesis
+    put before or after the '|-' line."""
+    lines = text.split("\n")
+    for _ in range(rng.randrange(1, 4)):
+        turnstiles = [i for i, line in enumerate(lines) if line.strip().startswith("|-")]
+        at = rng.choice(turnstiles) if turnstiles else rng.randrange(len(lines) + 1)
+        match rng.randrange(6):
+            case 0 if turnstiles:
+                del lines[at]
+            case 1 if turnstiles:
+                lines.insert(rng.randrange(len(lines) + 1), lines[at])
+            case 2 if turnstiles:
+                lines.insert(rng.randrange(len(lines)), lines.pop(at))
+            case 3:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "# c", "\t# |- x"]))
+            case _:
+                lines.insert(at + rng.randrange(2), rng.choice(hyps))
+    return "\n".join(lines)
+
+
+def _reader_outcome(read, text, **split):
+    try:
+        return read(text, **split)
+    except Exception as e:  # the class, message and position are compared
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+def test_one_reader_answers_as_the_three_it_replaced(rng):
+    texts = [path.read_text() for path in sorted(GOLDEN.iterdir())]
+    texts += [text for _, text, _ in FILE_ERRORS] + [text for text, _ in MODEL_ERRORS]
+    named = Counter()
+    for read, old, what, good, bad in _READERS:
+        hyps = [good, *bad]
+        corpus = texts + [_mutate_lines(text, hyps, rng) for text in texts for _ in range(12)]
+        for text in corpus:
+            want = _reader_outcome(old, text)
+            # named: only '\n' ends a line
+            if any(c in text for c in _OTHER_BREAKS):
+                now = _reader_outcome(old, text, split=_newlines)
+                named["breaks"] += now != want
+                want = now
+            # named: a '|-' line followed by another line is a shape error before its text is read
+            lines = list(_old_content_lines(text, _newlines))
+            first = next((i for i, (_, _, line) in enumerate(lines) if line.startswith("|-")), None)
+            if (first is not None and first + 1 < len(lines) and type(want) is tuple
+                    and want[0] is ParseError and want[2] == lines[first][0]):
+                lineno, col, _ = lines[first + 1]
+                message = f"the '|- {what}' line must be the last line"
+                want = ParseError, f"{lineno}:{col}: {message}", lineno, col
+                named[what] += 1
+            assert _reader_outcome(read, text) == want, text
+    # NK files read their '|-' text after the shape check already
+    assert min(named["breaks"], named["term"], named["prop"]) >= 10 and not named["proof"], named
 
 
 def test_normalize_eta_golden(capsys):
