@@ -8,12 +8,13 @@ candidate valuation of an order in one pass."""
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from operator import and_, or_
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
-from .surface import content_lines
+from .surface import content_lines, is_name
 from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, And, MProp, Neg, Or, PVar, flip, prop_vars
 
 
@@ -346,6 +347,7 @@ def parse_model(text: str) -> KripkeModel:
         if ":" not in line:
             raise ParseError("expected 'key: values'", lineno, col)
         head, rest = line.split(":", 1)
+        at = col + len(head) + 1  # the column of rest[0]
         head = head.strip()
         items = rest.split()
         if head == "alphabet":
@@ -353,14 +355,12 @@ def parse_model(text: str) -> KripkeModel:
         elif head == "worlds":
             worlds.extend(items)
         elif head == "leq":
-            start = col + line.index(":") + 1  # the column of rest[0]
-            for pair in rest.split(","):
-                if len(parts := pair.split()) == 2:
+            for pair in re.finditer(r"[^,\s][^,]*", rest):  # each pair from its first word
+                if len(parts := pair[0].split()) == 2:
                     leq.add((parts[0], parts[1]))
-                elif parts:
-                    raise ParseError(f"leq pair needs two worlds: {pair.strip()!r}", lineno,
-                                     start + len(pair) - len(pair.lstrip()))
-                start += len(pair) + 1
+                else:
+                    raise ParseError(f"leq pair needs two worlds: {pair[0].strip()!r}", lineno,
+                                     at + pair.start())
         elif head.startswith("vplus") or head.startswith("vminus"):
             fields = head.split()
             if len(fields) != 2:
@@ -369,6 +369,9 @@ def parse_model(text: str) -> KripkeModel:
             target.setdefault(fields[1], set()).update(items)
         else:
             raise ParseError(f"unknown section {head!r}", lineno, col)
+        for word in re.finditer(r"[^\s,]+" if head == "leq" else r"\S+", rest):
+            if not is_name(word[0]):
+                raise ParseError(f"expected a name, found {word[0]!r}", lineno, at + word.start())
     if not worlds:
         raise InvalidModelError("model declares no worlds")
     for w in list(vplus) + list(vminus):

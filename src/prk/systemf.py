@@ -27,7 +27,7 @@ subtree unvisited when its summary shows they cannot change it, so on the
 shared and mostly closed translations they cost the size of the graph,
 not that of the tree.  Typing opens no binder: `f_infer` reads a term
 index's type off its binder's annotation, so it walks each term once.
-`translate_term` maps a derivation bottom-up, reading rules off subjects.
+`translate_term` builds each term index in place, walking no binder to close it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
-                     Proj, PVar, Summarized, Var, cache_hash, flip, fresh_name,
+                     Proj, PVar, Summarized, Var, cache_hash, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_positions,
                      make_shape, opposite, preorder)
 from .surface import Scope, print_tree
@@ -316,9 +316,9 @@ def abort_f(ty: FType, t: FTerm) -> FTerm:
 
 
 def pair_f(t: FTerm, s: FTerm, a: FType, b: FType) -> FTerm:
+    """Pair t and s, which sit under a type and a term binder: their indices count them."""
     f = Arrow(a, Arrow(b, TBound(0)))
-    return TyLam(FLam(f, FApp(FApp(FBound(0), shift_fterm(t, 1, 1)),
-                              shift_fterm(s, 1, 1)), hint="f"), hint="r")
+    return TyLam(FLam(f, FApp(FApp(FBound(0), t), s), hint="f"), hint="r")
 
 
 def proj_f(i: int, t: FTerm, a: FType, b: FType) -> FTerm:
@@ -327,9 +327,9 @@ def proj_f(i: int, t: FTerm, a: FType, b: FType) -> FTerm:
 
 
 def in_f(i: int, t: FTerm, a: FType, b: FType) -> FTerm:
-    body = FApp(FBound(1 if i == 1 else 0), shift_fterm(t, 2, 1))
-    return TyLam(FLam(Arrow(a, TBound(0)), FLam(Arrow(b, TBound(0)), body, hint="g"),
-                      hint="f"), hint="r")
+    """Inject t, which sits under a type and two term binders: its indices count them."""
+    g = FLam(Arrow(b, TBound(0)), FApp(FBound(1 if i == 1 else 0), t), hint="g")
+    return TyLam(FLam(Arrow(a, TBound(0)), g, hint="f"), hint="r")
 
 
 def case_f(t: FTerm, f1: FTerm, f2: FTerm, result: FType) -> FTerm:
@@ -463,13 +463,11 @@ def _halves(p: MProp) -> tuple[FType, FType]:
 def funabs(p: MProp, q: MProp) -> FTerm:
     """The closed absurdity interpreter, typed T(p) -> T(opposite p) -> T(q)
     for the proposition translation T, defined by recursion on measure(p)."""
-    tq = translate_prop(q)
-    tp = translate_prop(p)
-    tpo = translate_prop(opposite(p))
-    x, y, z = FVar("x"), FVar("y"), FVar("z")
+    tq, tp, tpo = translate_prop(q), translate_prop(p), translate_prop(opposite(p))
+    x, y, z = FBound(1), FBound(0), FBound(0)  # in wrap's body; in a branch z is 0, x, y 2, 1
 
     def wrap(body: FTerm) -> FTerm:
-        return flam("x", tp, flam("y", tpo, body))
+        return FLam(tp, FLam(tpo, body, hint="y"), hint="x")
 
     base, sign = p.base, p.sign
     if p.mode.strength == CLASSICAL:
@@ -485,13 +483,13 @@ def funabs(p: MProp, q: MProp) -> FTerm:
             tl, tr = _halves(p if paired else opposite(p))
             branches = []
             for i, part in ((1, base.left), (2, base.right)):
-                inner, proj = funabs(MProp(part, c), q), proj_f(i, x if paired else y, tl, tr)
+                inner, proj = funabs(MProp(part, c), q), proj_f(i, FBound(1 + paired), tl, tr)
                 body = FApp(FApp(inner, proj), z) if paired else FApp(FApp(inner, z), proj)
-                branches.append(flam("z", translate_prop(MProp(part, co if paired else c)), body))
+                branches.append(FLam(translate_prop(MProp(part, co if paired else c)), body,
+                                     hint="z"))
             return wrap(case_f(y if paired else x, *branches, tq))
         case Neg(inner):
-            return wrap(FApp(FApp(funabs(MProp(inner, co), q), FApp(x, TRIV)),
-                             FApp(y, TRIV)))
+            return wrap(FApp(FApp(funabs(MProp(inner, co), q), FApp(x, TRIV)), FApp(y, TRIV)))
     raise TypeError(p)
 
 
@@ -499,16 +497,33 @@ def translate_ctx(ctx: Context) -> FContext:
     return tuple((name, translate_prop(p)) for name, p in ctx)
 
 
+# The F term binders over each premise's translation, by subject class; the others put none.
+_PREMISE_BINDERS = {Pair: (1, 1), Inj: (2,), Case: (0, 1, 1), NegI: (1,), CLam: (1,)}
+
+
 def translate_term(d: Derivation) -> FTerm:
     """Translate a typing derivation into an F term of the translated type."""
-    return _translate_premises(d, lambda u, _: _translate(u, []))
+    done: list[FTerm] = []  # results, each node's after its premises'
+    bodies: dict[str, int] = {}  # a bound name -> its body's depth (typing names binders apart)
+    stack: list = [(d, 0, None)]  # (node, depth or None once visited, the name it binds)
+    while stack:
+        d, depth, name = stack.pop()
+        if name is not None:
+            bodies[name] = depth
+        if depth is None:  # the translations of d's premises are on top of done
+            done.append(_translate(d, [done.pop() for _ in d.premises][::-1]))
+        elif type(u := d.subject) is Var:
+            done.append(FBound(depth - bodies[u.name]) if u.name in bodies else FVar(u.name))
+        else:  # a premise under a clam or case binder has its name last in its ctx
+            stack.append((d, None, None))
+            for p, k in zip(reversed(d.premises), reversed(_PREMISE_BINDERS.get(type(u), (0, 0)))):
+                stack.append((p, depth + k, p.ctx.entries[-1][0] if p.ctx != d.ctx else None))
+    return done[0]
 
 
 def _translate(d: Derivation, fs: list[FTerm]) -> FTerm:
     """The translation of d from fs, its premises' translations."""
     match d.subject:
-        case Var(name):
-            return FVar(name)
         case Abs():
             return FApp(FApp(funabs(d.premises[0].conclusion, d.conclusion), fs[0]), fs[1])
         case Pair():
@@ -519,21 +534,18 @@ def _translate(d: Derivation, fs: list[FTerm]) -> FTerm:
             return in_f(index, *fs, *_halves(d.conclusion))
         case Case(_, _, annot1, _, annot2, _):
             (_, d1, d2), (fsc, fb1, fb2) = d.premises, fs
-            return case_f(fsc, flam(d1.ctx.entries[-1][0], translate_prop(annot1), fb1),
-                          flam(d2.ctx.entries[-1][0], translate_prop(annot2), fb2),
+            return case_f(fsc, FLam(translate_prop(annot1), fb1, hint=d1.ctx.entries[-1][0]),
+                          FLam(translate_prop(annot2), fb2, hint=d2.ctx.entries[-1][0]),
                           translate_prop(d.conclusion))
         case NegI():
-            return flam(fresh_name("u", set(fterm_fv(fs[0]))), ONE, fs[0])
+            return FLam(ONE, fs[0], hint=fresh_name("u", fv(d.premises[0].subject)))
         case NegE():
             return FApp(fs[0], TRIV)
         case CLam(_, annot):
-            return flam(d.premises[0].ctx.entries[-1][0], translate_prop(annot), fs[0])
+            return FLam(translate_prop(annot), fs[0], hint=d.premises[0].ctx.entries[-1][0])
         case CApp():
             return FApp(*fs)
     raise InvalidDerivationError(f"unknown rule {d.rule}")
-
-
-_translate_premises = make_map(operator.attrgetter("premises"), _translate, {})
 
 
 def f_head_step(t: FTerm) -> FTerm | None:

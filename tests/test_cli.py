@@ -123,6 +123,10 @@ MODEL_ERRORS = [
     ("worlds: w0\n\t vminus w0 w1: a\n", "2:3: expected 'vminus <world>:'"),
     ("  alpha: a\n", "1:3: unknown section 'alpha'"),
     ("alphabet: a\n\fworlds w0\n", "2:2: expected 'key: values'"),
+    ("alphabet: a\nworlds: w0 vplus: a\n", "2:12: expected a name, found 'vplus:'"),
+    ("alphabet: a b,\nworlds: w0\n", "1:13: expected a name, found 'b,'"),
+    ("worlds: w0 w1\nleq: w0 w1,w1 abs\n", "2:15: expected a name, found 'abs'"),
+    ("worlds: w0\nvminus w0: a ~b\n", "2:14: expected a name, found '~b'"),
 ]
 
 

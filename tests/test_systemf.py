@@ -1079,6 +1079,103 @@ def _reference_derivations():
     return derivations
 
 
+# -- the translation with indices in place against the named one that closed each binder ----
+
+def _ref_halves(p):
+    c = Mode(CLASSICAL, p.sign)
+    return translate_prop(MProp(p.base.left, c)), translate_prop(MProp(p.base.right, c))
+
+
+def _named_translate(d, fs):
+    """The translation of d from fs, its premises' named translations, as it was:
+    a variable stays a name until flam closes its binder over it."""
+    from prk.syntax import Abs, CApp, Case, CLam, Inj, NegE, NegI, Pair, Proj, Var
+    match d.subject:
+        case Var(name):
+            return FVar(name)
+        case Abs():
+            funabs_f = _two_arm_funabs(d.premises[0].conclusion, d.conclusion)
+            return FApp(FApp(funabs_f, fs[0]), fs[1])
+        case Pair():
+            return pair_f(*fs, *_ref_halves(d.conclusion))
+        case Proj(_, index):
+            return proj_f(index, *fs, *_ref_halves(d.premises[0].conclusion))
+        case Inj(_, index):
+            return in_f(index, *fs, *_ref_halves(d.conclusion))
+        case Case(_, _, annot1, _, annot2, _):
+            (_, d1, d2), (fsc, fb1, fb2) = d.premises, fs
+            return case_f(fsc, flam(d1.ctx.entries[-1][0], translate_prop(annot1), fb1),
+                          flam(d2.ctx.entries[-1][0], translate_prop(annot2), fb2),
+                          translate_prop(d.conclusion))
+        case NegI():
+            return flam(fresh_name("u", set(fterm_fv(fs[0]))), ONE, fs[0])
+        case NegE():
+            return FApp(fs[0], TRIV)
+        case CLam(_, annot):
+            return flam(d.premises[0].ctx.entries[-1][0], translate_prop(annot), fs[0])
+        case CApp():
+            return FApp(*fs)
+    raise AssertionError(d.rule)
+
+
+def _named_translate_term(d):
+    """translate_term as it was: bottom-up, each node after its premises."""
+    import operator
+    from prk.syntax import make_map
+    walk = make_map(operator.attrgetter("premises"), _named_translate, {})
+    return walk(d, lambda u, _: _named_translate(u, []))
+
+
+def _hints(t):
+    """The hints of t's term and type binders, in pre-order: what == does not compare."""
+    return [u.hint for u in preorder(fterm_fold, t) if isinstance(u, (FLam, TyLam))]
+
+
+def _negi_under_u():
+    """A derivation whose negi body uses the enclosing clam's binder, named u: the
+    negi's own binder must be named apart from it, u2."""
+    ctx = Context.of(("s", parse_mprop("~a^c+")), ("r", parse_mprop("~a^s+")))
+    d = infer_type(ctx, parse_term("clam+(u : ~a^c-. negi+(abs[a^c-](capp-(u, s), r)))"))
+    assert d.premises[0].ctx.entries[-1][0] == "u"
+    return d
+
+
+def _scrutinee_rebinds_x():
+    """A derivation whose case scrutinee binds x one binder deeper than the first
+    branch does, and is translated before that branch."""
+    ctx = Context.of(("z", parse_mprop("a^c+")), ("s", parse_mprop("(a | b)^c-")))
+    d = infer_type(ctx, parse_term("case+(capp+(clam+(u : (a | b)^c-. capp+(clam+("
+                                   "x : (a | b)^c-. in1+(z)), u)), s), x : a^c+. x, y : b^c+. z)"))
+    assert d.premises[1].ctx.entries[-1][0] == "x"
+    return d
+
+
+def test_translation_with_indices_in_place_matches_the_named_one():
+    derivations = _reference_derivations() + [_scrutinee_rebinds_x(), _negi_under_u()]
+    assert len(derivations) > 240
+    for d in derivations:
+        translated, reference = translate_term(d), _named_translate_term(d)
+        assert translated == reference
+        assert print_fterm(translated) == print_fterm(reference)
+        assert _hints(translated) == _hints(reference)
+    assert _hints(translate_term(derivations[-1]))[:2] == ["u", "u2"]
+
+
+def test_translation_walks_no_binder_to_close_or_shift_it(monkeypatch):
+    from prk import systemf
+    derivations = _reference_derivations() + [_scrutinee_rebinds_x(), _negi_under_u()]
+    expected = [_named_translate_term(d) for d in derivations]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the translation walked a binder to close or shift it")
+
+    for name in ("close_fterm", "close_tyvar_in_fterm", "shift_fterm"):
+        monkeypatch.setattr(systemf, name, forbidden)
+    funabs.cache_clear()
+    translate_prop.cache_clear()
+    assert [translate_term(d) for d in derivations] == expected
+
+
 def test_f_steps_match_the_recursive_reference():
     compared = 0
     for d in _reference_derivations():
