@@ -70,7 +70,7 @@ def decide_oplus(hyps: list[MProp], goal: MProp) -> bool:
     """Provability of a classical-affirmation sequent, which coincides
     with classical validity of the erased sequent."""
     for p in [goal, *hyps]:
-        if p.mode != Mode(CLASSICAL, PLUS):
+        if p.mode is not Mode(CLASSICAL, PLUS):
             raise WrongModeError(
                 f"decide_oplus only covers classical affirmations, found {p}")
     return tt_valid([classem(h) for h in hyps], classem(goal))

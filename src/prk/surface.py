@@ -23,7 +23,7 @@ from string import Formatter
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ParseError
-from .syntax import (And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
+from .syntax import (MODE_OF, And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
                      NegE, NegI, Or, PVar, Pair, Proj, PureProp, Term, Var,
                      fv, prop_vars)
 
@@ -108,7 +108,7 @@ def _parse_mode(tk: _Tokens) -> Mode:
     _, sg, at = tk.next()
     if sg not in ("+", "-"):
         raise tk.error(f"expected sign '+' or '-', found {sg!r}", at)
-    return Mode(st, sg)
+    return MODE_OF[st, sg]
 
 
 def _parse_base(tk: _Tokens, allow_reserved: bool = False) -> PureProp:

@@ -30,6 +30,10 @@ sign work on, `INJECTED[sign]` the one an injection and a case work on,
 and negation flips the sign.  Typing, forcing, the System F translation
 and the generators state each rule once and read its `-` form off the
 table, so no `-` rule is written out beside its `+` mirror.
+
+The paper's four modes are built once, as `MODES`: `Mode(strength, sign)`
+returns the shared one (so does copying or unpickling one), `MODE_OF` maps
+each (strength, sign) to it, and `==` on modes is identity.
 """
 
 from __future__ import annotations
@@ -171,6 +175,8 @@ def _variable(sorts: int, slot: int, field, t) -> tuple:
 
 @lru_cache(maxsize=1 << 12)
 def _shared_leaf(sorts: int, slot: int, value) -> tuple:
+    if slot % 2 == 0 and value < 0:
+        raise ValueError(f"negative de Bruijn index {value}")
     free: list = [0, _NO_NAMES] * sorts
     free[slot] = value + 1 if slot % 2 == 0 else frozenset((value,))
     return tuple(free)
@@ -467,20 +473,31 @@ PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True)
-class Mode:
+class _Shared(type):
+    """Mode(strength, sign) returns the one mode built for that pair."""
+
+    def __call__(cls, strength, sign):
+        try:
+            return MODE_OF[strength, sign]
+        except (KeyError, TypeError):
+            raise ValueError(f"bad mode {strength!r}{sign!r}") from None
+
+
+@dataclass(frozen=True, eq=False, unsafe_hash=True)
+class Mode(metaclass=_Shared):
     strength: str  # "s" | "c"
     sign: str      # "+" | "-"
 
-    def __post_init__(self) -> None:
-        if self.strength not in (STRONG, CLASSICAL) or self.sign not in (PLUS, MINUS):
-            raise ValueError(f"bad mode {self.strength!r}{self.sign!r}")
+    def __reduce__(self):  # copies and pickles are the shared mode too
+        return Mode, (self.strength, self.sign)
 
     def __str__(self) -> str:
         return f"^{self.strength}{self.sign}"
 
 
-MODES = (Mode("s", "+"), Mode("s", "-"), Mode("c", "+"), Mode("c", "-"))
+# type.__call__ builds each mode with the dataclass __init__, which _Shared skips
+MODES = tuple(type.__call__(Mode, st, sg) for st in (STRONG, CLASSICAL) for sg in (PLUS, MINUS))
+MODE_OF = {(m.strength, m.sign): m for m in MODES}  # the mode of each (strength, sign)
 
 Sign = str  # "+" | "-"
 
@@ -527,12 +544,12 @@ class MProp:
 
 def opposite(p: MProp) -> MProp:
     """Flip the sign, preserve strength and base."""
-    return MProp(p.base, Mode(p.mode.strength, flip(p.sign)))
+    return MProp(p.base, MODE_OF[p.mode.strength, flip(p.sign)])
 
 
 def truncate(p: MProp) -> MProp:
     """Force the strength to classical, preserve sign and base."""
-    return MProp(p.base, Mode(CLASSICAL, p.sign))
+    return MProp(p.base, MODE_OF[CLASSICAL, p.sign])
 
 
 def measure(p: MProp) -> int:
@@ -543,7 +560,7 @@ def measure(p: MProp) -> int:
 
 def mprop_dual(p: MProp) -> MProp:
     """Dualize the base and flip the sign, keeping strength."""
-    return MProp(prop_dual(p.base), Mode(p.mode.strength, flip(p.sign)))
+    return MProp(prop_dual(p.base), MODE_OF[p.mode.strength, flip(p.sign)])
 
 
 # ---------------------------------------------------------------------------

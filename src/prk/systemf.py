@@ -517,7 +517,7 @@ def translate_term(d: Derivation) -> FTerm:
         else:  # a premise under a clam or case binder has its name last in its ctx
             stack.append((d, None, None))
             for p, k in zip(reversed(d.premises), reversed(_PREMISE_BINDERS.get(type(u), (0, 0)))):
-                stack.append((p, depth + k, p.ctx.entries[-1][0] if p.ctx != d.ctx else None))
+                stack.append((p, depth + k, p.ctx.name if p.ctx != d.ctx else None))
     return done[0]
 
 
@@ -534,15 +534,15 @@ def _translate(d: Derivation, fs: list[FTerm]) -> FTerm:
             return in_f(index, *fs, *_halves(d.conclusion))
         case Case(_, _, annot1, _, annot2, _):
             (_, d1, d2), (fsc, fb1, fb2) = d.premises, fs
-            return case_f(fsc, FLam(translate_prop(annot1), fb1, hint=d1.ctx.entries[-1][0]),
-                          FLam(translate_prop(annot2), fb2, hint=d2.ctx.entries[-1][0]),
+            return case_f(fsc, FLam(translate_prop(annot1), fb1, hint=d1.ctx.name),
+                          FLam(translate_prop(annot2), fb2, hint=d2.ctx.name),
                           translate_prop(d.conclusion))
         case NegI():
             return FLam(ONE, fs[0], hint=fresh_name("u", fv(d.premises[0].subject)))
         case NegE():
             return FApp(fs[0], TRIV)
         case CLam(_, annot):
-            return FLam(translate_prop(annot), fs[0], hint=d.premises[0].ctx.entries[-1][0])
+            return FLam(translate_prop(annot), fs[0], hint=d.premises[0].ctx.name)
         case CApp():
             return FApp(*fs)
     raise InvalidDerivationError(f"unknown rule {d.rule}")

@@ -9,10 +9,21 @@ type.  Case scrutinees are checked against the type reconstructed from
 the binder annotations.  A derivation's rule is read off its subject's
 constructor: projection and every other walk over derivations match on
 the subject, and `Derivation.rule` only names the rule.
+
+Typing takes linear time.  Inference that fails with `CannotInferError`
+is retried in checking mode (a case scrutinee, the sides of an absurdity,
+un-annotated case branches), so each top-level call keeps a memo, per
+thread: each inference and each check of a case, keyed on the context
+object, the node and the expected type, holds its derivation or typing
+error, and a binder's context and opened body are made once.  A
+`Context` is a persistent list, extended in O(1); names are looked up in
+a per-thread index that moves between neighbouring contexts in O(1).
 """
 
 from __future__ import annotations
 
+import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import (AnnotationMismatchError, CannotInferError,
@@ -20,8 +31,8 @@ from .errors import (AnnotationMismatchError, CannotInferError,
                      NoSuchAssumptionError, NotClassicalError, NotStrongError,
                      SignMismatchError, TypeMismatchError, TypingError,
                      TypesNotOppositeError, UnboundVariableError)
-from .syntax import (CLASSICAL, INJECTED, MINUS, PAIRED, PLUS, STANCE, STRONG,
-                     Abs, Bound, CApp, CLam, Case, Inj, MProp, Mode, Neg,
+from .syntax import (CLASSICAL, INJECTED, MINUS, MODE_OF, PAIRED, PLUS, STANCE, STRONG,
+                     Abs, Bound, CApp, CLam, Case, Inj, MProp, Neg,
                      NegE, NegI, Or, Pair, Proj, PureProp, Term, Var, clam,
                      case as mk_case, flip, fresh_name, fv, open_binder,
                      opposite, prop_dual, rebuild, strong_noun, term_dual,
@@ -31,37 +42,44 @@ from .syntax import (CLASSICAL, INJECTED, MINUS, PAIRED, PLUS, STANCE, STRONG,
 # ---------------------------------------------------------------------------
 # Contexts
 
-@dataclass(frozen=True)
 class Context:
-    """Ordered list of (variable, proposition) assumptions, names distinct."""
+    """Ordered list of (variable, proposition) assumptions, names distinct:
+    the last entry (`name`, `prop`) over `parent`, the entries before it."""
 
-    entries: tuple[tuple[str, MProp], ...] = ()
+    __slots__ = ("parent", "name", "prop", "size")
 
-    @staticmethod
-    def of(*pairs: tuple[str, MProp]) -> "Context":
-        ctx = Context()
-        for name, p in pairs:
+    def __new__(cls, entries=()) -> "Context":
+        ctx = object.__new__(cls)
+        ctx.parent, ctx.name, ctx.prop, ctx.size = None, None, None, 0
+        for name, p in entries:
             ctx = ctx.extend(name, p)
         return ctx
 
+    @staticmethod
+    def of(*pairs: tuple[str, MProp]) -> "Context":
+        return Context(pairs)
+
+    @property
+    def entries(self) -> tuple[tuple[str, MProp], ...]:
+        return tuple(_index(self).items())
+
     def lookup(self, name: str) -> MProp | None:
-        for n, p in self.entries:
-            if n == name:
-                return p
-        return None
+        return _index(self).get(name)
 
     def extend(self, name: str, p: MProp) -> "Context":
-        if self.lookup(name) is not None:
+        if name in _index(self):
             raise DuplicateAssumptionError(f"duplicate assumption {name!r}")
-        return Context(self.entries + ((name, p),))
+        child = object.__new__(Context)
+        child.parent, child.name, child.prop, child.size = self, name, p, self.size + 1
+        return child
 
     def replace(self, name: str, p: MProp) -> "Context":
         if self.lookup(name) is None:
             raise NoSuchAssumptionError(f"no assumption named {name!r}")
-        return Context(tuple((n, p if n == name else q) for n, q in self.entries))
+        return Context((n, p if n == name else q) for n, q in self.entries)
 
     def names(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.entries)
+        return frozenset(_index(self))
 
     def is_classical(self) -> bool:
         return all(p.is_classical for _, p in self.entries)
@@ -69,8 +87,48 @@ class Context:
     def __iter__(self):
         return iter(self.entries)
 
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Context) and self.size == other.size
+                                 and self.entries == other.entries)
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Context(entries={self.entries!r})"
+
     def __str__(self) -> str:
         return ", ".join(f"{n} : {p}" for n, p in self.entries)
+
+
+_MEMO: ContextVar[dict | None] = ContextVar("typing_memo", default=None)  # see _top_level
+_INDEX = threading.local()  # per thread, .state: [a context, the index of its names]
+
+
+def _index(ctx: Context) -> dict[str, MProp]:
+    """This thread's index of names, moved to ctx: the entries of its context
+    down to the one it shares with ctx are dropped, then ctx's added, so the
+    index holds ctx's entries in order."""
+    if (state := getattr(_INDEX, "state", None)) is None:
+        state = _INDEX.state = [Context(), {}]
+    here, index = state
+    if here is not ctx:
+        there, down = ctx, []
+        try:
+            while here is not there and (here.size or there.size):
+                if here.size >= there.size:
+                    del index[here.name]
+                    here = here.parent
+                else:
+                    down.append(there)
+                    there = there.parent
+            for c in reversed(down):
+                index[c.name] = c.prop
+        except BaseException:  # a move cut short, say by KeyboardInterrupt: start again empty
+            state[:] = Context(), {}
+            raise
+        state[0] = ctx
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +146,6 @@ class Derivation:
     premises: tuple["Derivation", ...] = ()
 
 
-def _fresh(hint: str, ctx: Context, *terms: Term) -> str:
-    return fresh_name(hint or "x", ctx.names().union(*map(fv, terms)))
-
-
 def _expect_mode(p: MProp, strength: str, sign: str, what: str) -> None:
     if p.mode.strength != strength:
         raise ModeMismatchError(f"{what}: expected {strength}{sign} mode, found {p}")
@@ -101,81 +155,121 @@ def _expect_mode(p: MProp, strength: str, sign: str, what: str) -> None:
 
 def infer_type(ctx: Context, t: Term) -> Derivation:
     """Infer the unique type of t under ctx, returning the derivation."""
-    match t:
-        case Var(name):
-            p = ctx.lookup(name)
-            if p is None:
-                raise UnboundVariableError(f"unbound variable {name!r}")
-            return Derivation("Ax", ctx, t, p)
+    if (memo := _MEMO.get()) is None:
+        return _top_level(infer_type, ctx, t)
+    if (key := (id(ctx), id(t))) in memo:
+        return _recall(memo[key])
+    try:
+        match t:
+            case Var(name):
+                p = ctx.lookup(name)
+                if p is None:
+                    raise UnboundVariableError(f"unbound variable {name!r}")
+                d = Derivation("Ax", ctx, t, p)
 
-        case Bound(i):
-            raise TypingError(f"dangling bound variable #{i}")
+            case Bound(i):
+                raise TypingError(f"dangling bound variable #{i}")
 
-        case Abs(q, left, right):
-            dl, dr = _infer_either(opposite, (ctx, left), (ctx, right))
-            p = dl.conclusion
-            if not p.is_strong:
-                raise NotStrongError(f"absurdity premise must be strong, found {p}")
-            return Derivation("Abs", ctx, t, q, (dl, dr))
+            case Abs(q, left, right):
+                dl, dr = _infer_either(opposite, (ctx, left), (ctx, right))
+                p = dl.conclusion
+                if not p.is_strong:
+                    raise NotStrongError(f"absurdity premise must be strong, found {p}")
+                d = Derivation("Abs", ctx, t, q, (dl, dr))
 
-        case Pair(sign, left, right):
-            dl = infer_type(ctx, left)
-            dr = infer_type(ctx, right)
-            _expect_mode(dl.conclusion, CLASSICAL, sign, f"pair{sign} left component")
-            _expect_mode(dr.conclusion, CLASSICAL, sign, f"pair{sign} right component")
-            conn = PAIRED[sign]
-            concl = MProp(conn(dl.conclusion.base, dr.conclusion.base), Mode(STRONG, sign))
-            return Derivation(f"I{conn.__name__}{sign}", ctx, t, concl, (dl, dr))
+            case Pair(sign, left, right):
+                dl = infer_type(ctx, left)
+                dr = infer_type(ctx, right)
+                _expect_mode(dl.conclusion, CLASSICAL, sign, f"pair{sign} left component")
+                _expect_mode(dr.conclusion, CLASSICAL, sign, f"pair{sign} right component")
+                conn = PAIRED[sign]
+                concl = MProp(conn(dl.conclusion.base, dr.conclusion.base), MODE_OF[STRONG, sign])
+                d = Derivation(f"I{conn.__name__}{sign}", ctx, t, concl, (dl, dr))
 
-        case Proj(sign, index, body):
-            db = infer_type(ctx, body)
-            p = db.conclusion
-            conn = PAIRED[sign]
-            if not (isinstance(p.base, conn) and p.mode == Mode(STRONG, sign)):
-                raise ModeMismatchError(
-                    f"proj{index}{sign} needs a {strong_noun(conn, sign)}, found {p}")
-            comp = p.base.left if index == 1 else p.base.right
-            return Derivation(f"E{conn.__name__}{sign}", ctx, t,
-                              MProp(comp, Mode(CLASSICAL, sign)), (db,))
+            case Proj(sign, index, body):
+                db = infer_type(ctx, body)
+                p = db.conclusion
+                conn = PAIRED[sign]
+                if not (isinstance(p.base, conn) and p.mode is MODE_OF[STRONG, sign]):
+                    raise ModeMismatchError(
+                        f"proj{index}{sign} needs a {strong_noun(conn, sign)}, found {p}")
+                comp = p.base.left if index == 1 else p.base.right
+                d = Derivation(f"E{conn.__name__}{sign}", ctx, t,
+                               MProp(comp, MODE_OF[CLASSICAL, sign]), (db,))
 
-        case Inj(_, _, _):
-            raise CannotInferError(
-                "the type of an injection is not inferable; check it against an expected type")
+            case Inj(_, _, _):
+                raise CannotInferError(
+                    "the type of an injection is not inferable; check it against an expected type")
 
-        case Case(_, _, _, _, _, _):
-            return _case_derivation(ctx, t, expected=None)
+            case Case(_, _, _, _, _, _):
+                d = _case_derivation(ctx, t, expected=None)
 
-        case NegI(sign, body):
-            db = infer_type(ctx, body)
-            p = db.conclusion
-            _expect_mode(p, CLASSICAL, flip(sign), f"negi{sign} premise")
-            return Derivation(f"INeg{sign}", ctx, t, MProp(Neg(p.base), Mode(STRONG, sign)), (db,))
+            case NegI(sign, body):
+                db = infer_type(ctx, body)
+                p = db.conclusion
+                _expect_mode(p, CLASSICAL, flip(sign), f"negi{sign} premise")
+                d = Derivation(f"INeg{sign}", ctx, t, MProp(Neg(p.base), MODE_OF[STRONG, sign]), (db,))
 
-        case NegE(sign, body):
-            db = infer_type(ctx, body)
-            p = db.conclusion
-            if not (isinstance(p.base, Neg) and p.mode == Mode(STRONG, sign)):
-                raise ModeMismatchError(f"nege{sign} needs a strong negation, found {p}")
-            concl = MProp(p.base.inner, Mode(CLASSICAL, flip(sign)))
-            return Derivation(f"ENeg{sign}", ctx, t, concl, (db,))
+            case NegE(sign, body):
+                db = infer_type(ctx, body)
+                p = db.conclusion
+                if not (isinstance(p.base, Neg) and p.mode is MODE_OF[STRONG, sign]):
+                    raise ModeMismatchError(f"nege{sign} needs a strong negation, found {p}")
+                concl = MProp(p.base.inner, MODE_OF[CLASSICAL, flip(sign)])
+                d = Derivation(f"ENeg{sign}", ctx, t, concl, (db,))
 
-        case CLam(sign, annot, body, hint):
-            if annot.mode != Mode(CLASSICAL, flip(sign)):
-                raise AnnotationMismatchError(f"clam{sign} binder must assume a classical "
-                                              f"{STANCE[flip(sign)]}, found {annot}")
-            x = _fresh(hint, ctx, body)
-            db = check_type(ctx.extend(x, annot), open_binder(body, x),
-                            MProp(annot.base, Mode(STRONG, sign)))
-            return Derivation(f"IC{sign}", ctx, t, MProp(annot.base, Mode(CLASSICAL, sign)), (db,))
+            case CLam(sign, annot, body, hint):
+                if annot.mode is not MODE_OF[CLASSICAL, flip(sign)]:
+                    raise AnnotationMismatchError(f"clam{sign} binder must assume a classical "
+                                                  f"{STANCE[flip(sign)]}, found {annot}")
+                db = check_type(*_opened(ctx, hint, annot, body),
+                                MProp(annot.base, MODE_OF[STRONG, sign]))
+                d = Derivation(f"IC{sign}", ctx, t, MProp(annot.base, MODE_OF[CLASSICAL, sign]), (db,))
 
-        case CApp(sign, fun, arg):
-            df = infer_type(ctx, fun)
-            p = df.conclusion
-            _expect_mode(p, CLASSICAL, sign, f"capp{sign} function")
-            da = check_type(ctx, arg, MProp(p.base, Mode(CLASSICAL, flip(sign))))
-            return Derivation(f"EC{sign}", ctx, t, MProp(p.base, Mode(STRONG, sign)), (df, da))
+            case CApp(sign, fun, arg):
+                df = infer_type(ctx, fun)
+                p = df.conclusion
+                _expect_mode(p, CLASSICAL, sign, f"capp{sign} function")
+                da = check_type(ctx, arg, MProp(p.base, MODE_OF[CLASSICAL, flip(sign)]))
+                d = Derivation(f"EC{sign}", ctx, t, MProp(p.base, MODE_OF[STRONG, sign]), (df, da))
 
-    raise TypeError(t)
+            case _:
+                raise TypeError(t)
+    except TypingError as e:
+        memo[key] = e
+        raise
+    memo[key] = d
+    return d
+
+
+def _top_level(typing, *args) -> Derivation:
+    """typing(*args) with a memo of its own (see the module docstring)."""
+    token = _MEMO.set(memo := {})
+    try:
+        return typing(*args)
+    finally:
+        _MEMO.reset(token)
+        memo.clear()  # kept errors' tracebacks hold frames that hold the memo
+
+
+def _recall(got: Derivation | TypingError) -> Derivation:
+    """A kept answer: the derivation, or its typing error raised again."""
+    if isinstance(got, TypingError):
+        raise got
+    return got
+
+
+def _opened(ctx: Context, hint: str, annot: MProp, body: Term) -> tuple[Context, Term]:
+    """ctx extended by a binder's annotation under a fresh name for its hint,
+    and its body opened with that name, made once per top-level call."""
+    key, memo = (id(ctx), id(annot), id(body), hint), _MEMO.get()
+    if key not in memo:
+        index, free, base, i = _index(ctx), fv(body), hint or "x", 2
+        x = base
+        while x in index or x in free:  # fresh_name(base, ctx.names() | fv(body))
+            x, i = f"{base}{i}", i + 1
+        memo[key] = ctx.extend(x, annot), open_binder(body, x)
+    return memo[key]
 
 
 def _infer_either(relate, first, second) -> tuple[Derivation, Derivation]:
@@ -195,11 +289,11 @@ def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivatio
     sign = t.sign
     p1, p2 = t.annot1, t.annot2
     for which, p in (("first", p1), ("second", p2)):
-        if p.mode != Mode(CLASSICAL, sign):
+        if p.mode is not MODE_OF[CLASSICAL, sign]:
             raise AnnotationMismatchError(f"case{sign} {which} binder must assume a "
                                           f"classical {STANCE[sign]}, found {p}")
     conn = INJECTED[sign]
-    scrut_ty = MProp(conn(p1.base, p2.base), Mode(STRONG, sign))
+    scrut_ty = MProp(conn(p1.base, p2.base), MODE_OF[STRONG, sign])
     rule = f"E{conn.__name__}{sign}"
 
     try:
@@ -214,10 +308,8 @@ def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivatio
         except TypeMismatchError as e:
             raise AnnotationMismatchError(str(e)) from e
 
-    x1 = _fresh(t.hint1, ctx, t.branch1)
-    x2 = _fresh(t.hint2, ctx, t.branch2)
-    branch1 = (ctx.extend(x1, p1), open_binder(t.branch1, x1))
-    branch2 = (ctx.extend(x2, p2), open_binder(t.branch2, x2))
+    branch1 = _opened(ctx, t.hint1, p1, t.branch1)
+    branch2 = _opened(ctx, t.hint2, p2, t.branch2)
 
     if expected is not None:
         d1 = check_type(*branch1, expected)
@@ -229,35 +321,43 @@ def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivatio
 
 def check_type(ctx: Context, t: Term, expected: MProp) -> Derivation:
     """Check t against an expected type, returning the derivation."""
+    if (memo := _MEMO.get()) is None:
+        return _top_level(check_type, ctx, t, expected)
     match t:
         case Inj(sign, index, body):
             base = expected.base
             conn = INJECTED[sign]
-            if not (isinstance(base, conn) and expected.mode == Mode(STRONG, sign)):
+            if not (isinstance(base, conn) and expected.mode is MODE_OF[STRONG, sign]):
                 raise TypeMismatchError(f"in{index}{sign} builds a {strong_noun(conn, sign)}, "
                                         f"cannot have type {expected}")
             comp = base.left if index == 1 else base.right
-            db = check_type(ctx, body, MProp(comp, Mode(CLASSICAL, sign)))
+            db = check_type(ctx, body, MProp(comp, MODE_OF[CLASSICAL, sign]))
             return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (db,))
 
         case Pair(sign, left, right):
             base = expected.base
             conn = PAIRED[sign]
-            if not (isinstance(base, conn) and expected.mode == Mode(STRONG, sign)):
+            if not (isinstance(base, conn) and expected.mode is MODE_OF[STRONG, sign]):
                 raise TypeMismatchError(f"pair{sign} cannot have type {expected}")
-            dl = check_type(ctx, left, MProp(base.left, Mode(CLASSICAL, sign)))
-            dr = check_type(ctx, right, MProp(base.right, Mode(CLASSICAL, sign)))
+            dl = check_type(ctx, left, MProp(base.left, MODE_OF[CLASSICAL, sign]))
+            dr = check_type(ctx, right, MProp(base.right, MODE_OF[CLASSICAL, sign]))
             return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (dl, dr))
 
         case NegI(sign, body):
             base = expected.base
-            if not (isinstance(base, Neg) and expected.mode == Mode(STRONG, sign)):
+            if not (isinstance(base, Neg) and expected.mode is MODE_OF[STRONG, sign]):
                 raise TypeMismatchError(f"negi{sign} cannot have type {expected}")
-            db = check_type(ctx, body, MProp(base.inner, Mode(CLASSICAL, flip(sign))))
+            db = check_type(ctx, body, MProp(base.inner, MODE_OF[CLASSICAL, flip(sign)]))
             return Derivation(f"INeg{sign}", ctx, t, expected, (db,))
 
         case Case(_, _, _, _, _, _):
-            return _case_derivation(ctx, t, expected=expected)
+            key = (id(ctx), id(t), expected)
+            if key not in memo:
+                try:
+                    memo[key] = _case_derivation(ctx, t, expected=expected)
+                except TypingError as e:
+                    memo[key] = e
+            return _recall(memo[key])
 
         case Abs(q, _, _):
             if q != expected:
@@ -309,7 +409,7 @@ def contrapose_at(x: str, p: MProp, y: str, t: Term, q: MProp) -> Term:
     of opposite(p) under the assumption y : opposite(q)."""
     if not p.is_classical:
         raise NotClassicalError(f"contraposition needs a classical assumption, found {p}")
-    body = abs_general_at(MProp(p.base, Mode(STRONG, flip(p.sign))), t, Var(y), q)
+    body = abs_general_at(MProp(p.base, MODE_OF[STRONG, flip(p.sign)]), t, Var(y), q)
     return clam(flip(p.sign), x, p, body)
 
 
@@ -330,12 +430,12 @@ def mk_lem(a: PureProp, sign: str) -> Term:
     second is the dual of the first."""
     if sign == MINUS:
         return term_dual(mk_lem(prop_dual(a), PLUS))
-    d_cm = MProp(Or(a, Neg(a)), Mode(CLASSICAL, MINUS))
-    na_cm = MProp(Neg(a), Mode(CLASSICAL, MINUS))
-    a_cm = MProp(a, Mode(CLASSICAL, MINUS))
+    d_cm = MProp(Or(a, Neg(a)), MODE_OF[CLASSICAL, MINUS])
+    na_cm = MProp(Neg(a), MODE_OF[CLASSICAL, MINUS])
+    a_cm = MProp(a, MODE_OF[CLASSICAL, MINUS])
     inner = clam(PLUS, "w", d_cm,
                  Inj(PLUS, 1, clam(PLUS, "z", a_cm,
-                     abs_general_at(MProp(a, Mode(STRONG, PLUS)),
+                     abs_general_at(MProp(a, MODE_OF[STRONG, PLUS]),
                                     Var("y"),
                                     clam(PLUS, "v", na_cm, NegI(PLUS, Var("z"))),
                                     na_cm))))
@@ -353,7 +453,7 @@ def pc_term(t: Term, p: MProp, taken: frozenset[str] | set[str]) -> Term:
     if p.is_classical:
         return t
     z = fresh_name("w", set(taken) | fv(t))
-    return clam(p.sign, z, MProp(p.base, Mode(CLASSICAL, flip(p.sign))), t)
+    return clam(p.sign, z, MProp(p.base, MODE_OF[CLASSICAL, flip(p.sign)]), t)
 
 
 def cs_term(name: str, t: Term, p: MProp) -> Term:
@@ -409,7 +509,7 @@ def _project(d: Derivation, target: str) -> Term:
         case Case(sign, _, p1, _, p2, _):
             dsc, d1, d2 = d.premises
             sc, s1, s2 = (_project(p, target) for p in d.premises)
-            n1, n2 = d1.ctx.entries[-1][0], d2.ctx.entries[-1][0]
+            n1, n2 = d1.ctx.name, d2.ctx.name
             tq = truncate(q)
             ystar = fresh_name("k", set(taken) | fv(s1) | fv(s2) | {n1, n2})
             contra1 = contrapose_at(n1, p1, ystar, s1, tq)
@@ -422,7 +522,7 @@ def _project(d: Derivation, target: str) -> Term:
 
         case CLam():
             (db,) = d.premises
-            return cs_term(db.ctx.entries[-1][0], _project(db, target), q)
+            return cs_term(db.ctx.name, _project(db, target), q)
 
         case CApp():
             return _project(d.premises[0], target)

@@ -240,3 +240,47 @@ def test_print_parse_corpus(term_gen):
         assert parse_mprop(print_mprop(p)) == p
         seen += 1
     assert seen == 1000
+
+
+# -- the four modes, each built once ---------------------------------------------------
+
+def test_each_mode_is_built_once():
+    import copy
+    import inspect
+    import pickle
+
+    from prk import typecheck
+    from prk.syntax import MODE_OF, MODES
+    assert [Mode(s, sign) for s in "sc" for sign in "+-"] == list(MODES)
+    for m in MODES:
+        assert Mode(m.strength, m.sign) is m is MODE_OF[m.strength, m.sign]
+        assert Mode(strength=m.strength, sign=m.sign) is m
+        assert copy.copy(m) is m and copy.deepcopy(m) is m
+        assert pickle.loads(pickle.dumps(m)) is m
+        assert dataclasses.replace(m) is m
+        assert dataclasses.replace(m, sign="-" if m.sign == "+" else "+") is Mode(
+            m.strength, "-" if m.sign == "+" else "+")
+    # hash, str and repr are those of the frozen dataclass the modes were
+    sp = Mode("s", "+")
+    assert hash(sp) == hash(("s", "+"))
+    assert (str(sp), repr(Mode("c", "-"))) == ("^s+", "Mode(strength='c', sign='-')")
+    assert hash(MProp(a, sp)) == hash((a, sp))
+    assert sp != Mode("s", "-") and sp != ("s", "+")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.sign = "-"
+    for bad in (("x", "+"), ("s", "*"), ([], "+")):
+        with pytest.raises(ValueError, match=r"^bad mode "):
+            Mode(*bad)
+    assert str(pytest.raises(ValueError, Mode, "x", "+").value) == "bad mode 'x''+'"
+    assert "Mode(" not in inspect.getsource(typecheck)
+
+
+# -- index leaves --------------------------------------------------------------------
+
+@pytest.mark.parametrize("leaf", ["Bound", "FBound", "TBound"])
+def test_a_negative_index_is_rejected(leaf):
+    from prk import syntax, systemf
+    cls = getattr(syntax, leaf, None) or getattr(systemf, leaf)
+    assert max(cls(3).free[0::2]) == 4  # free below index 4 of its sort
+    with pytest.raises(ValueError, match="^negative de Bruijn index -1$"):
+        cls(-1)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from prk.errors import (AnnotationMismatchError, CannotInferError,
+from prk.errors import (AnnotationMismatchError, CannotInferError, DuplicateAssumptionError,
                         ModeMismatchError, NoSuchAssumptionError,
                         NotClassicalError, NotStrongError, SignMismatchError,
                         TypeMismatchError, TypingError, UnboundVariableError)
@@ -808,3 +808,134 @@ def test_typing_matches_the_two_site_reference():
     # the corpus reaches every retry site's failure modes
     assert {CannotInferError, TypeMismatchError, UnboundVariableError,
             AnnotationMismatchError} <= errors
+
+
+# -- typing in linear time: the memo of retried inferences and the context index --
+
+def case_nest(n):
+    """n nested case+(C, u : a^c+. in1+(u), v : a^c+. in2+(v)) over in1+(x):
+    each case's scrutinee cannot infer, so it is checked again."""
+    t = Inj("+", 1, Var("x"))
+    for _ in range(n):
+        t = Case("+", t, MProp(a, CP), Inj("+", 1, Bound(0)), MProp(a, CP), Inj("+", 2, Bound(0)),
+                 hint1="u", hint2="v")
+    return t
+
+
+def clam_nest(n):
+    """clam+(x_n : a^c-. capp+(..., x_n)) n deep over p, all hints x."""
+    t = Var("p")
+    for _ in range(n):
+        t = CLam("+", MProp(a, CM), CApp("+", t, Bound(0)))
+    return t
+
+
+def abs_nest(n):
+    """abs[a^c+](capp+(A, y), r) n deep over in1+(x): each left side cannot
+    infer, so _infer_either infers the right and checks the left again."""
+    t = Inj("+", 1, Var("x"))
+    for _ in range(n):
+        t = Abs(MProp(a, CP), CApp("+", t, Var("y")), Var("r"))
+    return t
+
+
+def branch_nest(n):
+    """case+(w, u : a^c+. capp+(N, y), v : a^c+. v) n deep over in1+(x): the
+    first branch cannot infer, so it is checked against the second's type."""
+    t = Inj("+", 1, Var("x"))
+    for _ in range(n):
+        t = Case("+", Var("w"), MProp(a, CP), CApp("+", t, Var("y")), MProp(a, CP), Bound(0))
+    return t
+
+
+def scrutinee_in_branch_nest(n):
+    """case+(in1+(x), u : a^c+. case+(R, ...), v : a^c+. in2+(v)) n deep over
+    in1+(x): each level is checked after it fails to infer, and types the
+    level below in the context of its first branch, made once."""
+    t = Inj("+", 1, Var("x"))
+    for _ in range(n):
+        t = Case("+", Inj("+", 1, Var("x")), MProp(a, CP), Case(
+            "+", t, MProp(a, CP), Inj("+", 1, Bound(0)), MProp(a, CP), Inj("+", 2, Bound(0))),
+            MProp(a, CP), Inj("+", 2, Bound(0)))
+    return t
+
+
+NEST_CTX = ctx_of(("x", "a^c+"), ("y", "a^c-"), ("p", "a^c+"), ("r", "a^s-"), ("w", "(a | a)^s+"))
+A_OR_A = MProp(Or(a, a), SP)
+
+
+def _nk_derivation_inputs(count):
+    """count proofs of the benchmark's NK generator, embedded as terms."""
+    import importlib.util
+    import pathlib
+
+    from prk.classical import embed_nk, nk_context, parse_nk
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    rng = random.Random(18)
+    nkgen = ref.NKGen(rng, PropGen(rng, atoms=("a", "b")))
+    out = []
+    for _ in range(count):
+        hyps = tuple(nkgen.props.pure(2) for _ in range(rng.randrange(3)))
+        text, concl = nkgen.proof(hyps, rng.choice((2, 3)))
+        proof = parse_nk(ref.nk_file(hyps, text))
+        out.append((nk_context(proof)[0], embed_nk(proof), MProp(concl, CP)))
+    return out
+
+
+def test_memoized_typing_matches_the_reference():
+    cases = [(NEST_CTX, case_nest(n), A_OR_A) for n in range(9)]
+    cases += [(NEST_CTX, scrutinee_in_branch_nest(n), A_OR_A) for n in range(6)]
+    cases += [(NEST_CTX, clam_nest(n), MProp(a, CP)) for n in range(51)]
+    cases += [(NEST_CTX, nest(n), MProp(a, CP)) for nest in (abs_nest, branch_nest) for n in range(6)]
+    cases += [(ctx, t, goal) for ctx, goal, t in provable_library()]
+    cases += _nk_derivation_inputs(60)
+    for ctx, t, goal in cases:
+        for expected in (goal, opposite(goal)):
+            assert _outcome(check_type, ctx, t, expected) == _outcome(ref_check_type, ctx, t, expected)
+        assert _outcome(infer_type, ctx, t) == _outcome(ref_infer_type, ctx, t)
+    assert check_type(NEST_CTX, case_nest(8), A_OR_A).conclusion == A_OR_A
+    assert infer_type(NEST_CTX, clam_nest(50)).conclusion == MProp(a, CP)
+
+
+@pytest.mark.parametrize("nest, typing", [
+    (case_nest, lambda t: check_type(NEST_CTX, t, A_OR_A)),  # the case scrutinee
+    (abs_nest, lambda t: infer_type(NEST_CTX, t)),  # _infer_either for abs
+    (branch_nest, lambda t: infer_type(NEST_CTX, t)),  # un-annotated case branches
+    (scrutinee_in_branch_nest, lambda t: check_type(NEST_CTX, t, A_OR_A)),  # binder contexts
+])
+def test_each_retry_site_types_a_nest_in_linear_calls(nest, typing, monkeypatch):
+    from prk import typecheck
+    calls = [0]
+
+    def counting(f):
+        def counted(*args):
+            calls[0] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(typecheck, "infer_type", counting(typecheck.infer_type))
+    monkeypatch.setattr(typecheck, "check_type", counting(typecheck.check_type))
+    counts = []
+    for n in range(2, 15):
+        calls[0] = 0
+        _outcome(typing, nest(n))
+        counts.append(calls[0])
+    # each level adds the same number of calls, where a retry without the memo doubles them
+    assert len({later - earlier for earlier, later in zip(counts, counts[1:])}) == 1, counts
+
+
+def test_contexts_look_names_up_in_their_own_entries():
+    root = ctx_of(("x", "a^c+"))
+    left, right = root.extend("y", MProp(a, CP)), root.extend("y", MProp(b, CM))
+    deep = left.extend("z", MProp(b, SP))
+    for ctx, names in [(deep, "xyz"), (right, "xy"), (root, "x"), (left, "xy"), (deep, "xyz")]:
+        assert ctx.names() == set(names) and [n for n, _ in ctx] == list(names)
+        assert [ctx.lookup(n) for n in "yz"] == [dict(ctx.entries).get(n) for n in "yz"]
+        assert Context(ctx.entries) == ctx and Context.of(*ctx) == ctx and str(Context(ctx)) == str(ctx)
+    assert (left.lookup("y"), right.lookup("y"), right.lookup("z")) == (MProp(a, CP), MProp(b, CM), None)
+    assert left != right and hash(left) == hash(Context(left.entries))
+    with pytest.raises(DuplicateAssumptionError):
+        Context([("x", MProp(a, CP)), ("x", MProp(b, CP))])
