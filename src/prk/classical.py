@@ -81,7 +81,7 @@ def decide_oplus(hyps: list[MProp], goal: MProp) -> bool:
 
 def pairc(t: Term, s: Term, a: PureProp, b: PureProp) -> Term:
     """Conjunction introduction at (a & b)^c+."""
-    w = fresh_name("w", fv(t) | fv(s))
+    w = fresh_name("w", fv(t), fv(s))
     return clam(PLUS, w, _cm(And(a, b)), Pair(PLUS, t, s))
 
 
@@ -89,7 +89,7 @@ def projic(i: int, t: Term, a1: PureProp, a2: PureProp) -> Term:
     """Conjunction elimination from (a1 & a2)^c+ to the i-th component."""
     ai = a1 if i == 1 else a2
     x = fresh_name("x", fv(t))
-    w = fresh_name("w", fv(t) | {x})
+    w = fresh_name("w", fv(t), {x})
     refut = clam(MINUS, w, _cp(And(a1, a2)), Inj(MINUS, i, Var(x)))
     return clam(PLUS, x, _cm(ai), CApp(PLUS, Proj(PLUS, i, CApp(PLUS, t, refut)), Var(x)))
 
@@ -104,8 +104,8 @@ def casec(t: Term, x: str, s: Term, u: Term, a: PureProp, b: PureProp,
           c: PureProp) -> Term:
     """Disjunction elimination: branches s, u bind x at a^c+ resp. b^c+,
     both concluding c^c+."""
-    y = fresh_name("y", fv(t) | fv(s) | fv(u) | {x})
-    w = fresh_name("w", fv(s) | fv(u) | {x, y})
+    y = fresh_name("y", fv(t), fv(s), fv(u), {x})
+    w = fresh_name("w", fv(s), fv(u), {x, y})
     refut = clam(MINUS, w, _cp(Or(a, b)),
                  Pair(MINUS,
                       contrapose_at(x, _cp(a), y, s, _cp(c)),
@@ -118,7 +118,7 @@ def casec(t: Term, x: str, s: Term, u: Term, a: PureProp, b: PureProp,
 
 def neglamc(x: str, t: Term, a: PureProp) -> Term:
     """Negation introduction: from x : a^c+ |- t : bottom^c+ build (~a)^c+."""
-    w = fresh_name("w", fv(t) | {x})
+    w = fresh_name("w", fv(t), {x})
     inner = clam(MINUS, x, _cp(a), explosionc(MProp(a, Mode(STRONG, MINUS)), t))
     return clam(PLUS, w, _cm(Neg(a)), NegI(PLUS, inner))
 
@@ -160,18 +160,18 @@ def _x_aux(y: str, a: PureProp, b: PureProp) -> Term:
 def lamc(x: str, t: Term, a: PureProp, b: PureProp) -> Term:
     """Implication introduction: from x : a^c+ |- t : b^c+ build (a => b)^c+."""
     imp = implies(a, b)
-    y = fresh_name("y", fv(t) | {x})
+    y = fresh_name("y", fv(t), {x})
     return clam(PLUS, y, _cm(imp), Inj(PLUS, 2, substitute(t, x, _x_aux(y, a, b))))
 
 
 def appc(t: Term, s: Term, a: PureProp, b: PureProp) -> Term:
     """Implication elimination: t : (a => b)^c+ and s : a^c+ give b^c+."""
     imp = implies(a, b)
-    x = fresh_name("x", fv(t) | fv(s))
-    y = fresh_name("y", fv(s) | {x})
+    x = fresh_name("x", fv(t), fv(s))
+    y = fresh_name("y", fv(s), {x})
     z = fresh_name("z", {x, y})
-    w = fresh_name("w", fv(s) | {x, y, z})
-    v = fresh_name("v", fv(s) | {x, y, z, w})
+    w = fresh_name("w", fv(s), {x, y, z})
+    v = fresh_name("v", fv(s), {x, y, z, w})
     refut = clam(MINUS, w, _cp(imp),
                  Pair(MINUS,
                       clam(MINUS, v, _cp(Neg(a)), NegI(MINUS, s)),
@@ -353,8 +353,8 @@ class RuleCheck:
 def lem_case_reduct(a: PureProp, x: str, s1: Term, s2: Term, c: PureProp) -> Term:
     """The stated normal behaviour of case analysis on excluded middle:
     clam+(y. capp+(s2{x := s1*}, y)) with the blocked witness s1*."""
-    y = fresh_name("y", fv(s1) | fv(s2) | {x})
-    w = fresh_name("w", fv(s1) | {x, y})
+    y = fresh_name("y", fv(s1), fv(s2), {x})
+    w = fresh_name("w", fv(s1), {x, y})
     s1_star = clam(PLUS, w, _cm(Neg(a)),
                    NegI(PLUS, clam(MINUS, x, _cp(a),
                                    abs_general_at(MProp(a, Mode(STRONG, MINUS)),
@@ -398,7 +398,7 @@ def parse_nk(text: str) -> NKProof:
     return read_entailment(text, "proof", "proof", _nk_hypothesis, _nk_proof)[1]
 
 
-def _nk_hypothesis(line: str, _earlier) -> PureProp:
+def _nk_hypothesis(line: str) -> PureProp:
     head, colon, rest = line.partition(":")
     if head.rstrip() != "hyp" or not colon:
         raise ParseError("expected 'hyp : <prop>' or '|- <proof>'", 1, 1)

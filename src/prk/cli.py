@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / valid / provable; 1 well-formed negative answer
 (ill-typed, countermodel found, invalid sequent); 2 usage or parse error
-(a non-positive count, an unknown world, an unreadable or too deep input).
+(a non-positive count, an unknown world, a `decide` sequent outside its
+fragment, an unreadable or too deep input).
 """
 
 from __future__ import annotations
@@ -29,28 +30,30 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _hypothesis(line: str, earlier: list[tuple[str, MProp]]) -> tuple[str, MProp]:
-    head, colon, prop_src = line.partition(":")
-    if not colon:
-        raise ParseError("expected 'x : prop' or '|- term'", 1, 1)
-    if not is_name(name := head.strip()):
-        raise ParseError(f"expected a hypothesis name, found {name!r}", 1, 1)
-    if any(name == n for n, _ in earlier):
-        raise ParseError(f"duplicate hypothesis {name!r}", 1, 1)
-    with located(1, len(head) + 2):
-        return name, parse_mprop(prop_src)
-
-
 def parse_judgment(text: str) -> tuple[Context, Term]:
-    """Judgment files: lines 'x : prop' then '|- term', which comes last."""
-    hyps, term = read_entailment(text, "term", "term", _hypothesis, lambda src, _: parse_term(src))
-    return Context(tuple(hyps)), term
+    """Judgment files: lines 'x : prop' then '|- term', which comes last.
+    The context is extended line by line, a name tested before its prop is read."""
+    ctx = Context()
+
+    def hypothesis(line: str) -> None:
+        nonlocal ctx
+        head, colon, prop_src = line.partition(":")
+        if not colon:
+            raise ParseError("expected 'x : prop' or '|- term'", 1, 1)
+        if not is_name(name := head.strip()):
+            raise ParseError(f"expected a hypothesis name, found {name!r}", 1, 1)
+        if name in ctx:
+            raise ParseError(f"duplicate hypothesis {name!r}", 1, 1)
+        with located(1, len(head) + 2):
+            ctx = ctx.extend(name, parse_mprop(prop_src))
+
+    term = read_entailment(text, "term", "term", hypothesis, lambda src, _: parse_term(src))[1]
+    return ctx, term
 
 
 def parse_sequent(text: str) -> tuple[list[MProp], MProp]:
     """Sequent files: hypothesis props one per line, then '|- prop', which comes last."""
-    return read_entailment(text, "prop", "goal", lambda line, _: parse_mprop(line),
-                           lambda src, _: parse_mprop(src))
+    return read_entailment(text, "prop", "goal", parse_mprop, lambda src, _: parse_mprop(src))
 
 
 class Output:
@@ -168,12 +171,7 @@ def cmd_kripke(args, out: Output) -> int:
 
 
 def cmd_decide(args, out: Output) -> int:
-    hyps, goal = parse_sequent(_read(args.file))
-    try:
-        result = decide_oplus(hyps, goal)
-    except WrongModeError as e:
-        out.emit("error", str(e))
-        return 2
+    result = decide_oplus(*parse_sequent(_read(args.file)))
     out.emit("provable", str(result).lower())
     return 0 if result else 1
 
@@ -281,7 +279,7 @@ def _run(args) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, UnknownWorldError) as e:
+    except (OSError, UnicodeDecodeError, UnknownWorldError, WrongModeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError):

@@ -72,7 +72,7 @@ class TermGen:
 
     def _fresh(self, ctx: Context) -> str:
         self._counter += 1
-        return fresh_name(f"v{self._counter}", ctx.names())
+        return fresh_name(f"v{self._counter}", ctx)
 
     def _escape(self, ctx: Context, goal: MProp) -> Term:
         axioms = [n for n, p in ctx if p == goal]
@@ -111,11 +111,6 @@ class TermGen:
             x = self._fresh(ctx)
             fun = self.term(ctx, goal, depth - 1)
             return clam(goal.sign, x, opposite(goal), CApp(goal.sign, fun, Var(x)))
-        if choice == "capp" and goal.is_strong:
-            sg = goal.sign
-            fun = self.term(ctx, MProp(goal.base, Mode(CLASSICAL, sg)), depth - 1)
-            arg = self.term(ctx, MProp(goal.base, Mode(CLASSICAL, flip(sg))), depth - 1)
-            return CApp(sg, fun, arg)
         if choice == "absurd":
             a = self.props.pure(2)
             p = MProp(a, Mode(STRONG, self.rng.choice((PLUS, MINUS))))
@@ -133,7 +128,7 @@ class TermGen:
             y = self._fresh(ctx)
             b2 = self.term(ctx.extend(y, annots[1]), goal, depth - 1)
             return case(sg, scrut, (x, annots[0], b1), (y, annots[1], b2))
-        if choice == "elim" and goal.is_classical:
+        if choice == "elim":
             kind = self.rng.choice(("proj", "nege"))
             sg = goal.sign
             if kind == "proj":
@@ -145,10 +140,10 @@ class TermGen:
             inner = self.term(ctx, MProp(Neg(goal.base), Mode(STRONG, flip(sg))), depth - 1)
             return NegE(flip(sg), inner)
 
-        # intro dispatch on the goal's shape; falls back when it does not apply
+        # a strong goal: intro on its shape, or capp, the only intro of an atom
         base, sg = goal.base, goal.sign
-        if goal.is_strong:
-            c = Mode(CLASSICAL, sg)
+        c = Mode(CLASSICAL, sg)
+        if choice == "intro":
             match base:
                 case And(l, r) | Or(l, r) if isinstance(base, PAIRED[sg]):
                     return Pair(sg, self.term(ctx, MProp(l, c), depth - 1),
@@ -160,16 +155,9 @@ class TermGen:
                 case Neg(inner):
                     return NegI(sg, self.term(ctx, MProp(inner, Mode(CLASSICAL, flip(sg))),
                                               depth - 1))
-                case PVar(_):
-                    fun = self.term(ctx, MProp(base, c), depth - 1)
-                    arg = self.term(ctx, MProp(base, Mode(CLASSICAL, flip(sg))), depth - 1)
-                    return CApp(sg, fun, arg)
-        # classical goal fallback
-        x = self._fresh(ctx)
-        annot = opposite(goal)
-        body = self.term(ctx.extend(x, annot),
-                         MProp(goal.base, Mode(STRONG, goal.sign)), depth - 1)
-        return clam(goal.sign, x, annot, body)
+        fun = self.term(ctx, MProp(base, c), depth - 1)
+        arg = self.term(ctx, MProp(base, Mode(CLASSICAL, flip(sg))), depth - 1)
+        return CApp(sg, fun, arg)
 
     def sized_term(self, ctx: Context, goal: MProp, depth: int, max_size: int = 40) -> Term:
         """A generated term within a size bound (retries, then shrinks depth)."""

@@ -341,8 +341,7 @@ def parse_model(text: str) -> KripkeModel:
     alphabet: list[str] = []
     worlds: list[str] = []
     leq: set[tuple[str, str]] = set()
-    vplus: dict[str, set[str]] = {}
-    vminus: dict[str, set[str]] = {}
+    valuations: dict[str, dict[str, set[str]]] = {"vplus": {}, "vminus": {}}  # by line head
     for lineno, col, line in content_lines(text):
         if ":" not in line:
             raise ParseError("expected 'key: values'", lineno, col)
@@ -361,12 +360,10 @@ def parse_model(text: str) -> KripkeModel:
                 else:
                     raise ParseError(f"leq pair needs two worlds: {pair[0].strip()!r}", lineno,
                                      at + pair.start())
-        elif head.startswith("vplus") or head.startswith("vminus"):
-            fields = head.split()
+        elif (fields := head.split() or [""])[0] in valuations:
             if len(fields) != 2:
                 raise ParseError(f"expected '{fields[0]} <world>:'", lineno, col)
-            target = vplus if fields[0] == "vplus" else vminus
-            target.setdefault(fields[1], set()).update(items)
+            valuations[fields[0]].setdefault(fields[1], set()).update(items)
         else:
             raise ParseError(f"unknown section {head!r}", lineno, col)
         for word in re.finditer(r"[^\s,]+" if head == "leq" else r"\S+", rest):
@@ -374,10 +371,10 @@ def parse_model(text: str) -> KripkeModel:
                 raise ParseError(f"expected a name, found {word[0]!r}", lineno, at + word.start())
     if not worlds:
         raise InvalidModelError("model declares no worlds")
-    for w in list(vplus) + list(vminus):
+    for w in itertools.chain(*valuations.values()):
         if w not in worlds:
             raise InvalidModelError(f"valuation for unknown world {w!r}")
-    return KripkeModel.make(alphabet, worlds, leq, vplus, vminus)
+    return KripkeModel.make(alphabet, worlds, leq, **valuations)
 
 
 def print_model(m: KripkeModel) -> str:
@@ -388,12 +385,8 @@ def print_model(m: KripkeModel) -> str:
     gens = sorted((a, b) for a, b in m.leq if a != b)
     if gens:
         lines.append("leq: " + ", ".join(f"{a} {b}" for a, b in gens))
-    for w in m.worlds:
-        if m.plus(w):
-            lines.append(f"vplus {w}: " + " ".join(sorted(m.plus(w))))
-    for w in m.worlds:
-        if m.minus(w):
-            lines.append(f"vminus {w}: " + " ".join(sorted(m.minus(w))))
+    for head in ("vplus", "vminus"):  # each valuation line is headed by its field's name
+        lines += [f"{head} {w}: " + " ".join(sorted(v)) for w, v in getattr(m, head) if v]
     return "\n".join(lines) + "\n"
 
 

@@ -81,12 +81,12 @@ def step(t: Term, mode: str = PLAIN, strategy: str = "lo") -> tuple[str, Positio
     strategy "lo" is leftmost-outermost (the default, used for traces);
     "ri" picks the rightmost-innermost redex instead.
     """
+    if strategy not in ("lo", "ri"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     hits = find_subterms(t, lambda u: match_redex(u, mode),
                          "first" if strategy == "lo" else "last")
     if not hits:
         return None
-    if strategy not in ("lo", "ri"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     [(pos, (rule, reduct))] = hits
     return rule, pos, replace_at(t, pos, reduct)
 

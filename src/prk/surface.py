@@ -145,7 +145,7 @@ def content_lines(text: str) -> Iterator[tuple[int, int, str]]:
 
 def read_entailment(text: str, what: str, noun: str, hypothesis: Callable,
                     goal: Callable) -> tuple[list, Any]:
-    """([hypothesis(line, earlier) per line], goal(text, hypotheses)) for
+    """([hypothesis(line) per line], goal(text, hypotheses)) for
     lines of hypotheses then one '|- <what>' line, the last; the shape is
     checked before the '|-' text is read.  Readers raise at line 1 of their text."""
     hyps, goal_at = [], None
@@ -156,7 +156,7 @@ def read_entailment(text: str, what: str, noun: str, hypothesis: Callable,
             goal_at = lineno, col + 2, line[2:]
         else:
             with located(lineno, col):
-                hyps.append(hypothesis(line, hyps))
+                hyps.append(hypothesis(line))
     if goal_at is None:
         raise ParseError(f"no {noun} line ('|- ...') found", 1, 1)
     lineno, col, src = goal_at

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache, partial
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Container, Iterator, Union
 
 
 def cache_hash(cls):
@@ -747,13 +747,16 @@ def dual(x: Dualizable) -> Dualizable:
     raise TypeError(x)
 
 
-def fresh_name(base: str, taken: set[str] | frozenset[str]) -> str:
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
+def fresh_name(base: str, *taken: Container[str]) -> str:
+    """The first of base, base2, base3, ... found in none of taken."""
+    x, i = base, 2
+    while True:
+        for names in taken:  # a loop, not any(): a generator per probe costs twice as much
+            if x in names:
+                break
+        else:
+            return x
+        x, i = f"{base}{i}", i + 1
 
 
 for _cls in (PVar, And, Or, Neg, MProp, Var, Bound, Abs, Pair, Proj, Inj,

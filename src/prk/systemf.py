@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
-from .syntax import (CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
+from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
                      Proj, PVar, Summarized, Var, cache_hash, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_positions,
@@ -498,7 +498,8 @@ def translate_ctx(ctx: Context) -> FContext:
 
 
 # The F term binders over each premise's translation, by subject class; the others put none.
-_PREMISE_BINDERS = {Pair: (1, 1), Inj: (2,), Case: (0, 1, 1), NegI: (1,), CLam: (1,)}
+# A case or clam premise is under its term binders.
+_PREMISE_BINDERS = {Pair: (1, 1), Inj: (2,), NegI: (1,), **BINDERS}
 
 
 def translate_term(d: Derivation) -> FTerm:

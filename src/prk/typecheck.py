@@ -15,9 +15,10 @@ is retried in checking mode (a case scrutinee, the sides of an absurdity,
 un-annotated case branches), so each top-level call keeps a memo, per
 thread: each inference and each check of a case, keyed on the context
 object, the node and the expected type, holds its derivation or typing
-error, and a binder's context and opened body are made once.  A
-`Context` is a persistent list, extended in O(1); names are looked up in
-a per-thread index that moves between neighbouring contexts in O(1).
+error, and a binder's context and opened body, the binder named by
+`fresh_name`, are made once.  A `Context` is a persistent list, extended
+in O(1); names are looked up in a per-thread index that moves between
+neighbouring contexts in O(1).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Container
 
 from .errors import (AnnotationMismatchError, CannotInferError,
                      DuplicateAssumptionError, ModeMismatchError,
@@ -80,6 +82,9 @@ class Context:
 
     def names(self) -> frozenset[str]:
         return frozenset(_index(self))
+
+    def __contains__(self, name: str) -> bool:
+        return name in _index(self)
 
     def is_classical(self) -> bool:
         return all(p.is_classical for _, p in self.entries)
@@ -264,10 +269,7 @@ def _opened(ctx: Context, hint: str, annot: MProp, body: Term) -> tuple[Context,
     and its body opened with that name, made once per top-level call."""
     key, memo = (id(ctx), id(annot), id(body), hint), _MEMO.get()
     if key not in memo:
-        index, free, base, i = _index(ctx), fv(body), hint or "x", 2
-        x = base
-        while x in index or x in free:  # fresh_name(base, ctx.names() | fv(body))
-            x, i = f"{base}{i}", i + 1
+        x = fresh_name(hint or "x", _index(ctx), fv(body))
         memo[key] = ctx.extend(x, annot), open_binder(body, x)
     return memo[key]
 
@@ -394,14 +396,12 @@ def abs_general_at(q: MProp, t: Term, s: Term, p: MProp) -> Term:
 def mk_abs_general(ctx: Context, q: MProp, t: Term, s: Term) -> Term:
     """Generalized absurdity with the premise type inferred from ctx."""
     try:
-        p = infer_type(ctx, t).conclusion
-        check_type(ctx, s, opposite(p))
+        dt, _ = _infer_either(opposite, (ctx, t), (ctx, s))
     except CannotInferError:
-        p = opposite(infer_type(ctx, s).conclusion)
-        check_type(ctx, t, p)
+        raise
     except TypingError as e:
         raise TypesNotOppositeError(f"absurdity arguments are not opposite: {e}") from e
-    return abs_general_at(q, t, s, p)
+    return abs_general_at(q, t, s, dt.conclusion)
 
 
 def contrapose_at(x: str, p: MProp, y: str, t: Term, q: MProp) -> Term:
@@ -447,12 +447,12 @@ def mk_lem(a: PureProp, sign: str) -> Term:
 # ---------------------------------------------------------------------------
 # Projection of derivations
 
-def pc_term(t: Term, p: MProp, taken: frozenset[str] | set[str]) -> Term:
+def pc_term(t: Term, p: MProp, taken: Container[str]) -> Term:
     """Project the conclusion: wrap a strong-typed term so it types at
     truncate(p); classical conclusions are left alone."""
     if p.is_classical:
         return t
-    z = fresh_name("w", set(taken) | fv(t))
+    z = fresh_name("w", taken, fv(t))
     return clam(p.sign, z, MProp(p.base, MODE_OF[CLASSICAL, flip(p.sign)]), t)
 
 
@@ -473,7 +473,7 @@ def project_derivation(d: Derivation, target: str) -> Derivation:
     if p.is_classical:
         # The original derivation already lives in the truncated context;
         # only the conclusion needs projecting.
-        term = pc_term(d.subject, d.conclusion, new_ctx.names())
+        term = pc_term(d.subject, d.conclusion, new_ctx)
     else:
         term = _project(d, target)
     return check_type(new_ctx, term, truncate(d.conclusion))
@@ -481,26 +481,25 @@ def project_derivation(d: Derivation, target: str) -> Derivation:
 
 def _project(d: Derivation, target: str) -> Term:
     ctx, q, t = d.ctx, d.conclusion, d.subject
-    taken = ctx.names()
 
     match t:
         case Var(name):
-            return t if name == target else pc_term(t, q, taken)
+            return t if name == target else pc_term(t, q, ctx)
 
         case Abs():
             left, right = (_project(p, target) for p in d.premises)
             return abs_general_at(truncate(q), left, right, truncate(d.premises[0].conclusion))
 
         case Pair() | Inj() | NegI():
-            return pc_term(rebuild(t, [_project(p, target) for p in d.premises]), q, taken)
+            return pc_term(rebuild(t, [_project(p, target) for p in d.premises]), q, ctx)
 
         case Proj(sign) | NegE(sign):
             # cs( proj_i+( capp+(t0, clam-(w. in_i-(z))) ) ) at A_i^c+, its dual, and
             # the same with nege and negi in place of proj and in
             (db,) = d.premises
             t0 = _project(db, target)
-            z = fresh_name("z", set(taken) | fv(t0))
-            w = fresh_name("w", set(taken) | fv(t0) | {z})
+            z = fresh_name("z", ctx, fv(t0))
+            w = fresh_name("w", ctx, fv(t0), {z})
             intro = (NegI(flip(sign), Var(z)) if isinstance(t, NegE)
                      else Inj(flip(sign), t.index, Var(z)))
             arg = clam(flip(sign), w, truncate(db.conclusion), intro)
@@ -511,10 +510,10 @@ def _project(d: Derivation, target: str) -> Term:
             sc, s1, s2 = (_project(p, target) for p in d.premises)
             n1, n2 = d1.ctx.name, d2.ctx.name
             tq = truncate(q)
-            ystar = fresh_name("k", set(taken) | fv(s1) | fv(s2) | {n1, n2})
+            ystar = fresh_name("k", ctx, fv(s1), fv(s2), {n1, n2})
             contra1 = contrapose_at(n1, p1, ystar, s1, tq)
             contra2 = contrapose_at(n2, p2, ystar, s2, tq)
-            w = fresh_name("w", set(taken) | fv(sc) | {ystar})
+            w = fresh_name("w", ctx, fv(sc), {ystar})
             refut = clam(flip(sign), w, truncate(dsc.conclusion),
                          Pair(flip(sign), contra1, contra2))
             body = mk_case(sign, CApp(sign, sc, refut), (n1, p1, s1), (n2, p2, s2))

@@ -84,6 +84,8 @@ FILE_ERRORS = [
     # a judgment names each hypothesis once
     ("check", "x : a^c+\nx : b^c+\n|- x\n", "2:1: duplicate hypothesis 'x'"),
     ("dual", "x : a^c+\ny : b^c+\n  x : (a & b)^s-\n|- y\n", "3:3: duplicate hypothesis 'x'"),
+    # the name is tested before the proposition is read
+    ("check", "x : a^c+\n  x : (a ^c+\n|- x\n", "2:3: duplicate hypothesis 'x'"),
     # every file kind has a '|-' line
     ("check", "x : a^c+\n# no term\n", "1:1: no term line ('|- ...') found"),
     ("decide", "a^c+\n", "1:1: no goal line ('|- ...') found"),
@@ -127,6 +129,9 @@ MODEL_ERRORS = [
     ("alphabet: a b,\nworlds: w0\n", "1:13: expected a name, found 'b,'"),
     ("worlds: w0 w1\nleq: w0 w1,w1 abs\n", "2:15: expected a name, found 'abs'"),
     ("worlds: w0\nvminus w0: a ~b\n", "2:14: expected a name, found '~b'"),
+    # only vplus and vminus head a valuation line
+    ("alphabet: a\nworlds: w0\nvplusx w0: a\n", "3:1: unknown section 'vplusx w0'"),
+    ("alphabet: a\nworlds: w0\nvminusfoo w0: a\n", "3:1: unknown section 'vminusfoo w0'"),
 ]
 
 
@@ -362,6 +367,15 @@ def test_decide(capsys, tmp_path):
     seq.write_text("|- a^s+\n")
     code, _, _ = run(capsys, "decide", str(seq))
     assert code == 2
+
+
+def test_decide_outside_its_fragment_is_one_stderr_line(capsys, tmp_path):
+    seq = tmp_path / "strong.seq"
+    seq.write_text("a^s+\n|- a^c+\n")
+    for argv in ([], ["--format", "machine"]):
+        code, out, err = run(capsys, *argv, "decide", str(seq))
+        assert (code, out) == (2, "")
+        assert err == "error: decide_oplus only covers classical affirmations, found a^s+\n"
 
 
 def test_embed(capsys):

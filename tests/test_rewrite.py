@@ -148,6 +148,13 @@ def test_f_fuel_counts_contractions():
         assert f_normalize(FVar("x"), fuel=fuel) == FVar("x")
 
 
+@pytest.mark.parametrize("reduce", [step, normalize])
+def test_an_unknown_strategy_is_rejected_without_a_redex(reduce):
+    for t in (Var("x"), t_("proj1+(pair+(x, y))")):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            reduce(t, strategy="bogus")
+
+
 def test_trace_order_outer_before_inner():
     # the case reduct puts the outer proj over a pair holding an inner proj
     t = t_("proj1+(case+(in1+(u), x : a^c+. pair+(x, proj1+(pair+(v, w))), "

@@ -32,6 +32,21 @@ def mprops():
     return st.builds(MProp, pure_props(), modes)
 
 
+# -- fresh names -----------------------------------------------------------
+
+_NAMES = st.sampled_from(["x", "x2", "x3", "x5", "y", "y2", "w"])
+
+
+@given(st.sampled_from(["x", "y", "w", "z"]),
+       st.lists(st.lists(_NAMES, max_size=6), max_size=4),
+       st.sampled_from([set, frozenset, list, tuple, dict.fromkeys]))
+def test_fresh_name_over_several_containers_is_fresh_name_over_their_union(base, parts, kind):
+    union = set().union(*parts)
+    x = fresh_name(base, *map(kind, parts))
+    assert x == fresh_name(base, union)
+    assert x == next(y for y in [base, *(f"{base}{i}" for i in range(2, 9))] if y not in union)
+
+
 # -- parsing ---------------------------------------------------------------
 
 def test_parse_mprop_examples():

@@ -6,7 +6,8 @@ import pytest
 from prk.errors import (AnnotationMismatchError, CannotInferError, DuplicateAssumptionError,
                         ModeMismatchError, NoSuchAssumptionError,
                         NotClassicalError, NotStrongError, SignMismatchError,
-                        TypeMismatchError, TypingError, UnboundVariableError)
+                        TypeMismatchError, TypesNotOppositeError, TypingError,
+                        UnboundVariableError)
 from prk.gen import PropGen, TermGen, provable_library
 from prk.surface import parse_mprop, parse_term
 from prk.syntax import (CLASSICAL, INJECTED, PAIRED, STANCE, STRONG, Abs, And,
@@ -343,6 +344,18 @@ def test_mk_abs_general_classical_expansion():
     assert infer_type(ctx, t).conclusion == q
     t2 = mk_abs_general(ctx, q, Var("y"), Var("x"))
     assert t2 == parse_term("abs[b^s+](capp-(y, x), capp+(x, y))")
+
+
+def test_mk_abs_general_rejects_a_mismatch_in_either_order():
+    # y is inferable and in1+(x) only checkable: each order meets the same mismatch
+    ctx = ctx_of(("x", "a^c+"), ("y", "(a | b)^s+"))
+    q, inj = parse_mprop("b^c+"), parse_term("in1+(x)")
+    for left, right in ((Var("y"), inj), (inj, Var("y"))):
+        with pytest.raises(TypesNotOppositeError, match="in1\\+ builds a strong disjunction"):
+            mk_abs_general(ctx, q, left, right)
+    with pytest.raises(CannotInferError) as neither:
+        mk_abs_general(ctx, q, inj, parse_term("in2+(x)"))
+    assert type(neither.value) is CannotInferError
 
 
 def test_mk_abs_general_retypes(term_gen):
