@@ -341,7 +341,8 @@ def parse_model(text: str) -> KripkeModel:
     alphabet: list[str] = []
     worlds: list[str] = []
     leq: set[tuple[str, str]] = set()
-    valuations: dict[str, dict[str, set[str]]] = {"vplus": {}, "vminus": {}}  # by line head
+    vplus: dict[str, set[str]] = {}
+    vminus: dict[str, set[str]] = {}
     for lineno, col, line in content_lines(text):
         if ":" not in line:
             raise ParseError("expected 'key: values'", lineno, col)
@@ -360,10 +361,11 @@ def parse_model(text: str) -> KripkeModel:
                 else:
                     raise ParseError(f"leq pair needs two worlds: {pair[0].strip()!r}", lineno,
                                      at + pair.start())
-        elif (fields := head.split() or [""])[0] in valuations:
+        elif (fields := head.split() or [""])[0] in ("vplus", "vminus"):
             if len(fields) != 2:
                 raise ParseError(f"expected '{fields[0]} <world>:'", lineno, col)
-            valuations[fields[0]].setdefault(fields[1], set()).update(items)
+            target = vplus if fields[0] == "vplus" else vminus
+            target.setdefault(fields[1], set()).update(items)
         else:
             raise ParseError(f"unknown section {head!r}", lineno, col)
         for word in re.finditer(r"[^\s,]+" if head == "leq" else r"\S+", rest):
@@ -371,10 +373,10 @@ def parse_model(text: str) -> KripkeModel:
                 raise ParseError(f"expected a name, found {word[0]!r}", lineno, at + word.start())
     if not worlds:
         raise InvalidModelError("model declares no worlds")
-    for w in itertools.chain(*valuations.values()):
+    for w in list(vplus) + list(vminus):
         if w not in worlds:
             raise InvalidModelError(f"valuation for unknown world {w!r}")
-    return KripkeModel.make(alphabet, worlds, leq, **valuations)
+    return KripkeModel.make(alphabet, worlds, leq, vplus, vminus)
 
 
 def print_model(m: KripkeModel) -> str:
@@ -385,8 +387,12 @@ def print_model(m: KripkeModel) -> str:
     gens = sorted((a, b) for a, b in m.leq if a != b)
     if gens:
         lines.append("leq: " + ", ".join(f"{a} {b}" for a, b in gens))
-    for head in ("vplus", "vminus"):  # each valuation line is headed by its field's name
-        lines += [f"{head} {w}: " + " ".join(sorted(v)) for w, v in getattr(m, head) if v]
+    for w in m.worlds:
+        if m.plus(w):
+            lines.append(f"vplus {w}: " + " ".join(sorted(m.plus(w))))
+    for w in m.worlds:
+        if m.minus(w):
+            lines.append(f"vminus {w}: " + " ".join(sorted(m.minus(w))))
     return "\n".join(lines) + "\n"
 
 
