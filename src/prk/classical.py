@@ -11,7 +11,7 @@ from functools import partial
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
-from .surface import RESERVED_FALSITY, _Tokens, _parse_base, located, read_entailment
+from .surface import RESERVED_FALSITY, Scope, _Tokens, _parse_base, located, read_entailment
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
                      Term, Var, case, clam, fresh_name, fv, prop_vars,
@@ -299,17 +299,24 @@ def embed_nk(p: NKProof, names: list[str] | None = None) -> Term:
     h1 : A1^c+, .., hn : An^c+ |- t : B^c+."""
     if names is None:
         names = [f"h{i}" for i in range(len(p.hyps))]
-    if len(names) != len(p.hyps):
+    return _embed(p, Scope(names[::-1]))
+
+
+def _embed(p: NKProof, scope: Scope) -> Term:  # a Scope names each discharge in O(1)
+    if len(scope.names) != len(p.hyps):
         raise InvalidNKProofError("one variable name is needed per hypothesis")
     if (first := _DISCHARGES_FROM.get(p.rule)) is None:
         raise InvalidNKProofError(f"unknown rule {p.rule}")
-    x = fresh_name("x", set(names)) if first < len(p.premises) else None
-    terms = [embed_nk(q, names + [x] if k >= first else names) for k, q in enumerate(p.premises)]
+    terms, x = [_embed(q, scope) for q in p.premises[:first]], None
+    if first < len(p.premises):
+        x = scope.push("x")
+        terms += [_embed(q, scope) for q in p.premises[first:]]
+        scope.pop()
     concls = [q.conclusion for q in p.premises]
 
     match p.rule:
         case "Hyp":
-            return Var(names[p.index])
+            return Var(scope.names[p.index])
         case "AndI":
             return pairc(*terms, *concls)
         case "AndE":

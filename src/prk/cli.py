@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / valid / provable; 1 well-formed negative answer
 (ill-typed, countermodel found, invalid sequent); 2 usage or parse error
-(a non-positive count, an unknown world, a `decide` sequent outside its
-fragment, an unreadable or too deep input).
+(a non-positive count, an unknown world or atom in `kripke eval`, a
+`decide` sequent outside its fragment, an unreadable or too deep input).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 import threading
 
 from .errors import (CannotInferError, ParseError, PrkError, TypingError,
-                     UnknownWorldError, WrongModeError)
+                     UnknownVariableError, UnknownWorldError, WrongModeError)
 from .kripke import (countermodel_search, forces, parse_model, print_model,
                      validate_model)
 from .rewrite import ETA, PLAIN, binder_names_at, classify, normalize, replay
@@ -279,7 +279,8 @@ def _run(args) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, UnknownWorldError, WrongModeError) as e:
+    except (OSError, UnicodeDecodeError, UnknownVariableError, UnknownWorldError,
+            WrongModeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError):

@@ -8,8 +8,8 @@ Grammar (fully parenthesized):
 
     term ::= ident | one of the templates in SYNTAX, below
 
-Identifiers are ASCII, start with a letter.  `_bot0` (the reserved
-falsity variable) is only accepted with allow_reserved=True.
+A name is an ASCII identifier, from a letter, that is no keyword or malformed index
+(`proj3`); `_bot0` is one only with allow_reserved=True.  Every reader asks is_name.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from .syntax import (MODE_OF, And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mod
 
 RESERVED_FALSITY = "_bot0"
 
+_IDENT_RE = re.compile("[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(rf"""
       (?P<ws>\s+|\#[^\n]*)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*|{re.escape(RESERVED_FALSITY)})
+    | (?P<ident>{_IDENT_RE.pattern}|{re.escape(RESERVED_FALSITY)})
     | (?P<number>[0-9]+)
     | (?P<sym>[()\[\],.:^&|~+-])
     | (?P<bad>.)
@@ -80,7 +81,7 @@ class _Tokens:
 def _parse_pure(tk: _Tokens) -> PureProp:
     kind, val, at = tk.next()
     if kind == "ident":
-        if val in _KEYWORDS:
+        if not is_name(val, allow_reserved=True):  # _parse_base judges RESERVED_FALSITY
             raise tk.error(f"{val!r} is a reserved word", at)
         return PVar(val)
     if val == "~":
@@ -221,17 +222,17 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
     stack = []  # open constructors: (class, fixed fields, steps, fields read, step, scope size)
     scope: list[str] = []  # names of the open binders, innermost last
     while True:
-        kind, val, at = tk.next()  # a term starts here
-        if kind != "ident":
-            raise tk.error(f"expected a term, found {val or 'end of input'!r}", at)
+        _, val, at = tk.next()  # a term starts here
         if val in _KEYWORDS:
             stack.append((*_KEYWORDS[val], {}, 0, len(scope)))
+        elif is_name(val, allow_reserved):
+            t = Bound(scope[::-1].index(val)) if val in scope else Var(val)
         elif bad := _BAD_INDEX_RE.match(val):
             raise tk.error(f"{_INDEXED[bad[1]]} index must be 1 or 2", at)
-        elif val == RESERVED_FALSITY and not allow_reserved:
+        elif val == RESERVED_FALSITY:
             raise tk.error(f"{RESERVED_FALSITY!r} is reserved", at)
         else:
-            t = Bound(scope[::-1].index(val)) if val in scope else Var(val)
+            raise tk.error(f"expected a term, found {val or 'end of input'!r}", at)
         while stack:
             cls, fixed, steps, got, i, bound = stack.pop()
             if i:  # t is the term field of step i - 1
@@ -246,14 +247,13 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
                 if kind == "MProp":
                     got[name] = _parse_mprop(tk, allow_reserved)
                 elif name:
-                    token, val, at = tk.next()
+                    _, val, at = tk.next()
                     if kind == "Sign" and val not in ("+", "-"):
                         raise tk.error(f"expected sign '+' or '-', found {val!r}", at)
                     if kind == "str":  # a binder's name, in scope for the next term field
-                        if token != "ident" or val in _KEYWORDS:
-                            raise tk.error(f"expected a binder name, found {val!r}", at)
-                        if val == RESERVED_FALSITY and not allow_reserved:
-                            raise tk.error(f"{RESERVED_FALSITY!r} is reserved", at)
+                        if not is_name(val, allow_reserved):
+                            raise tk.error(f"{val!r} is reserved" if val == RESERVED_FALSITY else
+                                           f"expected a binder name, found {val!r}", at)
                         scope[bound:] = [val]
                     got[name] = val
             else:
@@ -266,12 +266,11 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
             return t
 
 
-def is_name(text: str) -> bool:
-    """Is text a variable's name, one that parse_term reads back as that variable?"""
-    try:
-        return parse_term(text) == Var(text)
-    except ParseError:
-        return False
+def is_name(text: str, allow_reserved: bool = False) -> bool:
+    """Is text a name, as the module docstring defines it?"""
+    if text == RESERVED_FALSITY:
+        return allow_reserved
+    return bool(_IDENT_RE.fullmatch(text)) and text not in _KEYWORDS and not _BAD_INDEX_RE.match(text)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +338,12 @@ def print_term(t: Term, env: tuple[str, ...] = ()) -> str:
     without capture; env names the indices free in t, innermost first."""
     scope = Scope(env)
 
+    def bind(hint: str, taken: frozenset[str]) -> str:  # a keyword hint numbers itself: pair2
+        if not is_name(x := scope.push(hint, taken, _KEYWORDS)):  # 'x y', proj3; proj once taken
+            scope.pop()
+            x = scope.push("x", taken)  # the text reads back only if every binder is a name
+        return x
+
     def layout(u: Term) -> list:
         if type(u) is Var:
             return [u.name]
@@ -351,7 +356,7 @@ def print_term(t: Term, env: tuple[str, ...] = ()) -> str:
                 parts += [getattr(u, name), scope.pop] if binder else [getattr(u, name)]
             elif kind == "str":  # a binder's name, chosen when it is reached
                 body = getattr(u, _BODIES[type(u)][name])
-                parts.append(partial(scope.push, getattr(u, name) or "x", fv(body), _KEYWORDS))
+                parts.append(partial(bind, getattr(u, name), fv(body)))
             elif name:
                 parts.append(str(getattr(u, name)))
         return parts

@@ -1,4 +1,7 @@
+import random
 import re
+import sys
+import timeit
 
 import pytest
 
@@ -521,3 +524,58 @@ def test_nk_rules_match_the_per_arm_reference(rng, monkeypatch):
         if not isinstance(term, tuple):
             assert print_term(term) == print_term(_per_arm_embed_nk(proof))
     assert _outcome(embed_nk, built[1]) == (InvalidNKProofError, "unknown rule Cut")
+
+
+# -- embed_nk names discharged hypotheses through a Scope ----------------------------
+# _per_arm_embed_nk copies the name list at each node and asks fresh_name, as
+# embed_nk did: the reference for the names and the terms.
+
+def _imp_nest(n):
+    """n nested impi[a] over hyp(0): each discharges one more hypothesis."""
+    p = nk_hyp((a,) * n, 0)
+    for _ in range(n):
+        p = nk_imp_i(a, p)
+    return p
+
+
+def test_scoped_embed_names_as_the_list_copying_reference(monkeypatch):
+    from perfbench.reference import NKGen
+    from prk import classical
+    from prk.gen import PropGen, provable_library
+    from tests.test_surface import _same_tree
+    library = provable_library()
+    with monkeypatch.context() as patch:
+        patch.setattr(classical, "embed_nk", _per_arm_embed_nk)
+        reference = provable_library()
+    assert all(_same_tree(t, u) for (_, _, t), (_, _, u) in zip(library, reference))
+    rng = random.Random(60)
+    nkgen = NKGen(rng, PropGen(rng))
+    proofs = []
+    for _ in range(60):
+        hyps = tuple(nkgen.props.pure(2) for _ in range(rng.randrange(3)))
+        text, _ = nkgen.proof(hyps, rng.randrange(1, 5))
+        proofs.append(parse_nk("".join(f"hyp : {h}\n" for h in hyps) + f"|- {text}\n"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        for p in proofs + [_imp_nest(n) for n in (1, 2, 30, 2000)]:
+            assert _same_tree(embed_nk(p), _per_arm_embed_nk(p))
+        names = ["x", "x2", "h0"]
+        p = nk_imp_i(a, nk_imp_i(a, nk_hyp((a,) * 5, 4)))
+        assert _same_tree(embed_nk(p, names), _per_arm_embed_nk(p, names))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_embed_of_nested_discharges_is_linear():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(40_000)
+    try:
+        times = {}
+        for n in (500, 4000):
+            p = _imp_nest(n)
+            times[n] = min(timeit.repeat(lambda: embed_nk(p), number=1, repeat=3))
+    finally:
+        sys.setrecursionlimit(limit)
+    # x2.0-2.2 per doubling here; copying the names at each node made it x3
+    assert times[4000] < 2.5 ** 3 * times[500], times

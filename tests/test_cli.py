@@ -104,6 +104,12 @@ FILE_ERRORS = [
     ("normalize", "x : a^c+\n\x85 |- proj0-(x)\n", "2:6: projection index must be 1 or 2"),
     ("dual", "x : a^c+\n|- negi+(\u2028in3+(x))\n", "2:11: injection index must be 1 or 2"),
     ("translate", "x : a^c+\n|- \u2029pair+(x, x) x\n", "2:17: trailing input 'x'"),
+    # a binder, and an atom in every file kind, is a name, as a hypothesis is
+    ("dual", "x : a^c+\n|- clam+(proj3 : a^c-. x)\n", "2:10: expected a binder name, found 'proj3'"),
+    ("check", "x : (proj3 | b)^c+\n|- x\n", "1:6: 'proj3' is a reserved word"),
+    ("kripke countermodel", "|- (proj3 | ~proj3)^s+\n", "1:5: 'proj3' is a reserved word"),
+    ("decide", "(a | in12)^c+\n|- a^c+\n", "1:6: 'in12' is a reserved word"),
+    ("embed", "hyp : a\n|- lem[(b & proj0)]\n", "2:13: 'proj0' is a reserved word"),
 ]
 
 
@@ -483,6 +489,11 @@ def test_kripke_eval_unknown_world_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: unknown world 'w9'"
+
+
+def test_kripke_eval_atom_missing_from_the_model_is_usage_error(capsys):
+    assert run(capsys, "kripke", "eval", str(GOLDEN / "lem3.model"), "w0", "b^s+") == \
+        (2, "", "error: variables not in alphabet: ['b']\n")
 
 
 def test_unreadable_files_are_usage_errors(capsys, tmp_path):

@@ -3,6 +3,7 @@ position, the printed text of a fixed corpus, round trips of deep terms at
 the default recursion limit, random text, and the naming of binders."""
 
 import hashlib
+import itertools
 import random
 import re
 from dataclasses import fields
@@ -17,7 +18,7 @@ from prk.cli import parse_judgment
 from prk.errors import ParseError
 from prk.gen import PropGen, TermGen
 from prk.rewrite import ETA, PLAIN, binder_names_at, normalize, replay
-from prk.surface import Scope, _Tokens, parse_term, print_term
+from prk.surface import Scope, _Tokens, is_name, parse_term, print_term
 from prk.syntax import (And, Bound, CApp, CLam, Case, MProp, Mode, Neg, NegE,
                         NegI, Or, PVar, Pair, Term, Var, dual, fresh_name)
 from prk.typecheck import mk_lem
@@ -75,6 +76,11 @@ ERRORS = [
     ('case+(x, y : a^c+. y, z : b^c+. z) w', "trailing input 'w'", 1, 36),
     ('case+(x, nege : a^c+. y, z : b^c+. z)', "expected a binder name, found 'nege'", 1, 10),
     ('case+(x, y : a^c+. y, in1 : b^c+. z)', "expected a binder name, found 'in1'", 1, 23),
+    # a binder is named as a variable is: no malformed index either
+    ('clam+(proj3 : a^c-. x)', "expected a binder name, found 'proj3'", 1, 7),
+    ('case+(x, in12 : a^c+. y, z : b^c+. z)', "expected a binder name, found 'in12'", 1, 10),
+    # and so is an atom
+    ('clam+(x : (proj3 | b)^c-. x)', "'proj3' is a reserved word", 1, 12),
     ('abs', "expected '[', found 'end of input'", 1, 4),
     ('abs[', "expected a pure proposition, found 'end of input'", 1, 5),
     ('abs[a', "expected a mode annotation '^', found 'end of input'", 1, 6),
@@ -213,6 +219,23 @@ def _corpus() -> list[str]:
 def test_printed_corpus_is_pinned():
     text = "\n".join(_corpus()).encode()
     assert hashlib.sha256(text).hexdigest() == "3b49e7527de2373e2b5b429f47f3707c106a02501ef51fec6ac1e3a08c26b7e8"
+
+
+def test_print_term_is_pinned_over_generated_terms():
+    from perfbench.reference import NKGen
+    rng = random.Random(2021)
+    gen = TermGen(rng)
+    terms = [gen.sized_term(gen.base_context(), gen.props.mprop(2), 4, max_size=60)
+             for _ in range(1000)]
+    nkgen = NKGen(rng, PropGen(rng))
+    for _ in range(60):
+        hyps = tuple(nkgen.props.pure(2) for _ in range(rng.randrange(3)))
+        text, _ = nkgen.proof(hyps, rng.randrange(1, 5))
+        terms.append(embed_nk(parse_nk("".join(f"hyp : {h}\n" for h in hyps) + f"|- {text}\n")))
+    terms.append(embed_nk(parse_nk((GOLDEN / "andcomm.nk").read_text())))
+    terms += [parse_judgment(path.read_text())[1] for path in sorted(GOLDEN.glob("*.prk"))]
+    text = "\n".join(map(print_term, terms)).encode()
+    assert hashlib.sha256(text).hexdigest() == "4011529036f3c3793786f9b8fb20f2ff235c5b2339b7b371d86979e82c27b184"
 
 
 # -- deep terms at the default recursion limit --------------------------------
@@ -376,3 +399,59 @@ def test_scope_names_as_fresh_name_does(rng):
                 assert scope.push(hint, taken) == name
                 ref = (name,) + ref
             assert [scope.name(i) for i in range(len(ref) + 1)] == [*ref, f"#{len(ref)}"]
+
+
+# -- names -------------------------------------------------------------------
+# is_name states the rule; it once parsed its text as a term instead.
+
+def _parses_as_itself(text):
+    try:
+        return parse_term(text) == Var(text)
+    except ParseError:
+        return False
+
+
+_NAME_PIECES = ["x", "A", "_", "0", "3", "12", "proj", "in", "pair", "case", "proj1", "in2",
+                "_bot0", " ", "\t", "\n", "#", "\xe9", "("]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(max_size=12),
+                 st.lists(st.sampled_from(_NAME_PIECES), max_size=4).map("".join)))
+def test_is_name_is_the_parse_based_rule(text):
+    assert is_name(text) == _parses_as_itself(text)
+
+
+def test_is_name_examples():
+    names = ["x", "x2", "X_1", "proj", "in", "proj1x", "inx", "pair2", "abs_"]
+    others = ["", "2x", "x y", " x", "x\n", "x#", "_x", "\xe9", "pair", "case", "proj1",
+              "in2", "proj3", "proj0", "in12", "_bot0"]
+    assert all(map(is_name, names)) and not any(map(is_name, others))
+    assert is_name("_bot0", allow_reserved=True)
+
+
+_HINTS = ["x", "proj", "in", "pair", "proj3", "in12", "_bot0", "x y", "2x", ""]
+
+
+def _nest(kinds, hint, free):
+    """Binders of kinds, outermost first, each named hint, over a body that
+    uses every bound index and every free name."""
+    body = Var(free[-1]) if free else Bound(0)
+    for k in range(len(kinds)):
+        body = Pair("+", Bound(k), body)
+    for name in free[:-1]:
+        body = Pair("-", Var(name), body)
+    p = MProp(PVar("a"), Mode("c", "-"))
+    for kind in reversed(kinds):
+        body = (CLam("+", p, body, hint=hint) if kind == "clam" else
+                Case("+", Var(free[0] if free else "s"), p, body, p, body, hint1=hint, hint2=hint))
+    return body
+
+
+def test_printed_binders_are_names_that_read_back():
+    for hint in _HINTS:
+        for depth in (1, 2, 3):
+            for kinds in itertools.product(("clam", "case"), repeat=depth):
+                for free in ((), ("x",), ("proj", "x2"), ("in", "x", "x2", "x3")):
+                    t = _nest(kinds, hint, free)
+                    assert parse_term(print_term(t)) == t, (hint, kinds, free)
