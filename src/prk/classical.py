@@ -11,10 +11,10 @@ from functools import partial
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
-from .surface import RESERVED_FALSITY, Scope, _Tokens, _parse_base, located, read_entailment
+from .surface import RESERVED_FALSITY, _Tokens, _parse_base, located, read_entailment
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
-                     Term, Var, case, clam, fresh_name, fv, prop_vars,
+                     Scope, Term, Var, case, clam, fresh_name, fv, prop_vars,
                      substitute)
 from .typecheck import Context, abs_general_at, contrapose_at, mk_lem
 

@@ -368,9 +368,9 @@ def parse_model(text: str) -> KripkeModel:
             target.setdefault(fields[1], set()).update(items)
         else:
             raise ParseError(f"unknown section {head!r}", lineno, col)
-        for word in re.finditer(r"[^\s,]+" if head == "leq" else r"\S+", rest):
-            if not is_name(word[0]):
-                raise ParseError(f"expected a name, found {word[0]!r}", lineno, at + word.start())
+        for word in re.finditer(r"[^\s,]+" if head == "leq" else r"\S+", line.replace(":", " ", 1)):
+            if not is_name(word[0]):  # a head's words too, so a valuation's world
+                raise ParseError(f"expected a name, found {word[0]!r}", lineno, col + word.start())
     if not worlds:
         raise InvalidModelError("model declares no worlds")
     for w in list(vplus) + list(vminus):

@@ -15,16 +15,15 @@ A name is an ASCII identifier, from a letter, that is no keyword or malformed in
 from __future__ import annotations
 
 import re
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
 from string import Formatter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from .errors import ParseError
 from .syntax import (MODE_OF, And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
-                     NegE, NegI, Or, PVar, Pair, Proj, PureProp, Term, Var,
+                     NegE, NegI, Or, PVar, Pair, Proj, PureProp, Scope, Term, Var,
                      fv, prop_vars)
 
 RESERVED_FALSITY = "_bot0"
@@ -275,40 +274,6 @@ def is_name(text: str, allow_reserved: bool = False) -> bool:
 
 # ---------------------------------------------------------------------------
 # Printing
-
-
-class Scope:
-    """The names of the binders open at a point of a printed tree.
-    push(hint, *taken) opens a binder named fresh_name(hint, the open names
-    | each of taken), and pop() closes the innermost.  push starts its
-    search after the names of the hint that it knows to be open, so a nest
-    of binders with one hint costs constant time per binder."""
-
-    def __init__(self, env: Sequence[str] = ()):
-        self.names = list(reversed(env))  # innermost last
-        self.count = Counter(env)
-        self.known: dict[str, int] = {}  # hint -> k: its first k - 1 names are open
-        self.undo: list[tuple[str, int]] = []  # (hint, its known k) before each push
-
-    def name(self, i: int) -> str:
-        """The name of index i, counted from the innermost binder."""
-        return self.names[-1 - i] if i < len(self.names) else f"#{i}"
-
-    def push(self, hint: str, *taken) -> str:
-        k = start = self.known.get(hint, 1)
-        while self.count[x := hint if k == 1 else f"{hint}{k}"] or any(x in s for s in taken):
-            k += 1
-        self.undo.append((hint, start))
-        if k == start:
-            self.known[hint] = k + 1
-        self.names.append(x)
-        self.count[x] += 1
-        return x
-
-    def pop(self) -> None:
-        self.count[self.names.pop()] -= 1
-        hint, start = self.undo.pop()
-        self.known[hint] = start
 
 
 def print_mprop(p: MProp) -> str:

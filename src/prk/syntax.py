@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache, partial
 from itertools import repeat
 from operator import attrgetter
-from typing import Container, Iterator, Union
+from typing import Container, Iterator, Sequence, Union
 
 
 def cache_hash(cls):
@@ -757,6 +757,45 @@ def fresh_name(base: str, *taken: Container[str]) -> str:
         else:
             return x
         x, i = f"{base}{i}", i + 1
+
+
+class Scope:
+    """The names open, innermost last, each with a value: the binders open in print_term, the
+    F printers or embed_nk, or typing's context.  push(hint, *taken) opens fresh_name(hint,
+    the open names, *taken), searching after the hint's names it knows to be open, so binders
+    with one hint cost O(1) each; add(name) opens a name not open; pop() closes the innermost."""
+
+    def __init__(self, env: Sequence[str] = ()):
+        self.names = list(reversed(env))  # innermost last
+        self.open = dict.fromkeys(env)  # name -> value; a name twice in env is never popped
+        self.known: dict[str, int] = {}  # hint -> k > 1: its first k - 1 names are open
+        self.undo: list[tuple] = []  # per push, (hint, its known k before); per add, (None, 1)
+
+    def name(self, i: int) -> str:
+        """The name of index i, counted from the innermost binder."""
+        return self.names[-1 - i] if i < len(self.names) else f"#{i}"
+
+    def push(self, hint: str, *taken: Container[str], value=None) -> str:
+        k = start = run = self.known.get(hint, 1)  # run: the first of its names not seen open
+        while (x := hint if k == 1 else f"{hint}{k}") in self.open or any(x in s for s in taken):
+            run, k = run + (run == k and x in self.open), k + 1
+        if (run := run + (run == k)) > start:  # x, now open, may carry the run on
+            self.known[hint] = run
+        return self.add(x, value, (hint, start))
+
+    def add(self, name: str, value=None, undo=(None, 1)) -> str:
+        self.names.append(name)
+        self.open[name] = value
+        self.undo.append(undo)
+        return name
+
+    def pop(self) -> None:
+        del self.open[self.names.pop()]
+        hint, start = self.undo.pop()
+        if start > 1:
+            self.known[hint] = start
+        elif hint is not None:  # known holds no 1, so no hint outlives its open names
+            self.known.pop(hint, None)
 
 
 for _cls in (PVar, And, Or, Neg, MProp, Var, Bound, Abs, Pair, Proj, Inj,

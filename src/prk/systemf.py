@@ -40,10 +40,10 @@ from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
-                     Proj, PVar, Summarized, Var, cache_hash, flip, fresh_name, fv,
+                     Proj, PVar, Scope, Summarized, Var, cache_hash, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_positions,
                      make_shape, opposite, preorder)
-from .surface import Scope, print_tree
+from .surface import print_tree
 from .typecheck import Context, Derivation, check_type
 
 

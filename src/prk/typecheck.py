@@ -15,10 +15,9 @@ is retried in checking mode (a case scrutinee, the sides of an absurdity,
 un-annotated case branches), so each top-level call keeps a memo, per
 thread: each inference and each check of a case, keyed on the context
 object, the node and the expected type, holds its derivation or typing
-error, and a binder's context and opened body, the binder named by
-`fresh_name`, are made once.  A `Context` is a persistent list, extended
-in O(1); names are looked up in a per-thread index that moves between
-neighbouring contexts in O(1).
+error, and a binder's context and opened body are made once.  A `Context`
+is a persistent list, extended in O(1); a per-thread `Scope` indexes its
+names, moves between neighbouring contexts and names each binder in O(1).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (AnnotationMismatchError, CannotInferError,
                      TypesNotOppositeError, UnboundVariableError)
 from .syntax import (CLASSICAL, INJECTED, MINUS, MODE_OF, PAIRED, PLUS, STANCE, STRONG,
                      Abs, Bound, CApp, CLam, Case, Inj, MProp, Neg,
-                     NegE, NegI, Or, Pair, Proj, PureProp, Term, Var, clam,
+                     NegE, NegI, Or, Pair, Proj, PureProp, Scope, Term, Var, clam,
                      case as mk_case, flip, fresh_name, fv, open_binder,
                      opposite, prop_dual, rebuild, strong_noun, term_dual,
                      truncate)
@@ -63,16 +62,19 @@ class Context:
 
     @property
     def entries(self) -> tuple[tuple[str, MProp], ...]:
-        return tuple(_index(self).items())
+        return tuple(_index(self).open.items())
 
     def lookup(self, name: str) -> MProp | None:
-        return _index(self).get(name)
+        return _index(self).open.get(name)
 
-    def extend(self, name: str, p: MProp) -> "Context":
-        if name in _index(self):
+    def extend(self, name: str, p: MProp, *taken: Container[str]) -> "Context":
+        """self with name : p last; given taken, name is a hint, named apart from self and taken."""
+        if not taken and name in _index(self).open:
             raise DuplicateAssumptionError(f"duplicate assumption {name!r}")
         child = object.__new__(Context)
         child.parent, child.name, child.prop, child.size = self, name, p, self.size + 1
+        if taken:  # a binder, named in the index, which moves to child
+            child.name, _INDEX.state[0] = _index(self).push(name, *taken, value=p), child
         return child
 
     def replace(self, name: str, p: MProp) -> "Context":
@@ -81,10 +83,10 @@ class Context:
         return Context((n, p if n == name else q) for n, q in self.entries)
 
     def names(self) -> frozenset[str]:
-        return frozenset(_index(self))
+        return frozenset(_index(self).open)
 
     def __contains__(self, name: str) -> bool:
-        return name in _index(self)
+        return name in _index(self).open
 
     def is_classical(self) -> bool:
         return all(p.is_classical for _, p in self.entries)
@@ -107,33 +109,27 @@ class Context:
 
 
 _MEMO: ContextVar[dict | None] = ContextVar("typing_memo", default=None)  # see _top_level
-_INDEX = threading.local()  # per thread, .state: [a context, the index of its names]
+_INDEX = threading.local()  # per thread, .state: [a context, the Scope of its entries]
 
 
-def _index(ctx: Context) -> dict[str, MProp]:
-    """This thread's index of names, moved to ctx: the entries of its context
-    down to the one it shares with ctx are dropped, then ctx's added, so the
-    index holds ctx's entries in order."""
-    if (state := getattr(_INDEX, "state", None)) is None:
-        state = _INDEX.state = [Context(), {}]
-    here, index = state
+def _index(ctx: Context) -> Scope:
+    """This thread's Scope, moved to ctx: popped to the context they share, then ctx's added."""
+    if (state := getattr(_INDEX, "state", (None,)))[0] is None:  # none yet, or a move cut short
+        state = _INDEX.state = [Context(), Scope()]
+    here, scope = state
     if here is not ctx:
-        there, down = ctx, []
-        try:
-            while here is not there and (here.size or there.size):
-                if here.size >= there.size:
-                    del index[here.name]
-                    here = here.parent
-                else:
-                    down.append(there)
-                    there = there.parent
-            for c in reversed(down):
-                index[c.name] = c.prop
-        except BaseException:  # a move cut short, say by KeyboardInterrupt: start again empty
-            state[:] = Context(), {}
-            raise
+        state[0], there, down = None, ctx, []
+        while here is not there and (here.size or there.size):
+            if here.size >= there.size:
+                scope.pop()
+                here = here.parent
+            else:
+                down.append(there)
+                there = there.parent
+        for c in reversed(down):
+            scope.add(c.name, c.prop)
         state[0] = ctx
-    return index
+    return scope
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +265,8 @@ def _opened(ctx: Context, hint: str, annot: MProp, body: Term) -> tuple[Context,
     and its body opened with that name, made once per top-level call."""
     key, memo = (id(ctx), id(annot), id(body), hint), _MEMO.get()
     if key not in memo:
-        x = fresh_name(hint or "x", _index(ctx), fv(body))
-        memo[key] = ctx.extend(x, annot), open_binder(body, x)
+        child = ctx.extend(hint or "x", annot, fv(body))
+        memo[key] = child, open_binder(body, child.name)
     return memo[key]
 
 
@@ -310,8 +306,8 @@ def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivatio
         except TypeMismatchError as e:
             raise AnnotationMismatchError(str(e)) from e
 
-    branch1 = _opened(ctx, t.hint1, p1, t.branch1)
-    branch2 = _opened(ctx, t.hint2, p2, t.branch2)
+    branch2 = _opened(ctx, t.hint2, p2, t.branch2)  # the index stays in branch1's context,
+    branch1 = _opened(ctx, t.hint1, p1, t.branch1)  # which is typed first
 
     if expected is not None:
         d1 = check_type(*branch1, expected)

@@ -138,6 +138,8 @@ MODEL_ERRORS = [
     # only vplus and vminus head a valuation line
     ("alphabet: a\nworlds: w0\nvplusx w0: a\n", "3:1: unknown section 'vplusx w0'"),
     ("alphabet: a\nworlds: w0\nvminusfoo w0: a\n", "3:1: unknown section 'vminusfoo w0'"),
+    # the world of a valuation head is a name, as its values are
+    ("alphabet: a\nworlds: w0\nvplus proj3: a\n", "3:7: expected a name, found 'proj3'"),
 ]
 
 

@@ -1,5 +1,8 @@
 import dataclasses
 import random
+import sys
+import threading
+import timeit
 
 import pytest
 
@@ -952,3 +955,58 @@ def test_contexts_look_names_up_in_their_own_entries():
     assert left != right and hash(left) == hash(Context(left.entries))
     with pytest.raises(DuplicateAssumptionError):
         Context([("x", MProp(a, CP)), ("x", MProp(b, CP))])
+
+
+# -- typing names its binders through the Scope that indexes its contexts ------
+# ctx.extend(hint, annot, taken) is how typing opens a binder.  The index
+# moves between unrelated contexts, by pops and adds, between two picks;
+# the reference asks fresh_name about names the test keeps itself.
+
+def test_binder_names_are_fresh_name_after_any_move(rng):
+    hints, p = ["x", "x2", "x3", "y"], MProp(a, CM)
+    pool = [(Context(), ())]
+    for names in [("x2",), ("x3", "x2"), ("y", "x3"), ("x", "x2", "x3")]:  # x2 or x3 without x
+        pool.append((Context((n, p) for n in names), names))
+    for _ in range(3000):
+        ctx, names = pool[-1] if rng.random() < 0.4 else rng.choice(pool)
+        if rng.random() < 0.3:  # only move the index here
+            assert [n for n, _ in ctx] == list(names) and ctx.names() == set(names)
+            continue
+        hint = rng.choice(hints)
+        if rng.random() < 0.2 and hint not in names:  # a name given, not picked
+            child = ctx.extend(hint, p)
+            assert child.name == hint
+        else:
+            taken = frozenset(rng.sample(hints + ["x4", "y2"], rng.randrange(3)))
+            child = ctx.extend(hint, p, taken)
+            assert child.name == fresh_name(hint, set(names), taken)
+        pool.append((child, names + (child.name,)))
+    assert max(len(names) for _, names in pool) > 20
+
+
+def _on_a_deep_stack(f):
+    """f() on a thread with a 256 MiB stack and a recursion limit of 100,000,
+    as the CLI runs its commands; both are restored after."""
+    out, limit, size = [], sys.getrecursionlimit(), threading.stack_size(1 << 28)
+    sys.setrecursionlimit(100_000)
+    try:
+        worker = threading.Thread(target=lambda: out.append(f()))
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    return out[0]
+
+
+def test_a_nest_with_one_hint_types_as_fast_as_one_with_distinct_hints():
+    def best(t):
+        return min(timeit.repeat(lambda: infer_type(NEST_CTX, t), number=1, repeat=3))
+
+    shared, distinct = Var("p"), Var("p")  # clam_nest(4000), with hints x and v0, v1, ...
+    for i in range(4000):
+        shared = CLam("+", MProp(a, CM), CApp("+", shared, Bound(0)), "x")
+        distinct = CLam("+", MProp(a, CM), CApp("+", distinct, Bound(0)), f"v{i}")
+    times = _on_a_deep_stack(lambda: (best(shared), best(distinct)))
+    # about 1; probing x, x2, ... from the start at each binder made it 10 and more
+    assert times[0] < 2 * times[1], times
