@@ -3,7 +3,11 @@ exhaustive enumeration of small models, and bounded counter-model search.
 A counter-model found is rooted at the world it names (w0) and has the
 fewest worlds of any counter-model within the bound.  Forcing is computed
 on bit-vectors, one bit per valuation, so the search forces every
-candidate valuation of an order in one pass."""
+candidate valuation of an order in one pass.  Both searches generate
+orders and valuations rather than filter them, and drop isomorphic ones
+by an exact key built on each order's least relabelling.  Kept across
+calls: _closure and _model_forcing (4,096 entries each), _shaped_orders
+(per world count, 8) and _order_tables (per worlds and atoms, 16)."""
 
 from __future__ import annotations
 
@@ -174,88 +178,94 @@ def entails_in_model(m: KripkeModel, hyps: list[MProp], p: MProp) -> bool:
 # Enumeration and counter-model search
 
 def _partial_orders(n: int):
-    """All reflexive-transitive-antisymmetric relations on range(n)."""
+    """All reflexive-transitive-antisymmetric relations on range(n), in the order of the
+    off-diagonal pairs' truth values (False first).  A depth-first walk decides a pair only
+    where that breaks neither antisymmetry nor transitivity with the pairs decided before."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        rel = {(i, i) for i in range(n)}
-        rel.update(p for p, b in zip(pairs, bits) if b)
-        ok = True
-        for (a, b) in list(rel):
-            if a != b and (b, a) in rel:
-                ok = False
-                break
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield rel
+    rel = {(i, i): True for i in range(n)}  # the pairs decided so far
+
+    def walk(t: int):
+        if t == len(pairs):
+            yield {p for p, holds in rel.items() if holds}
+            return
+        a, b = pairs[t]
+        for holds in (False, True):
+            if holds:  # not b <= a; k <= a gives k <= b, and b <= k gives a <= k
+                ok = not rel.get((b, a)) and not any(
+                    rel.get((k, a)) and rel.get((k, b)) is False or
+                    rel.get((b, k)) and rel.get((a, k)) is False for k in range(n))
+            else:  # no world k with a <= k <= b
+                ok = not any(rel.get((a, k)) and rel.get((k, b)) for k in range(n))
+            if ok:
+                rel[a, b] = holds
+                yield from walk(t + 1)
+                del rel[a, b]
+
+    return walk(0)
 
 
-def _canonical_key(n: int, order, states) -> tuple:
-    """Minimal permutation image, for isomorphism pruning."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        o = tuple(sorted((perm[a], perm[b]) for a, b in order))
-        s = tuple(states[perm.index(i)] for i in range(n))
-        key = (s, o)
-        if best is None or key < best:
-            best = key
-    return best
+def _shape(n: int, order) -> tuple[int, list[tuple[int, ...]]]:
+    """An order's least relabelling (a bit set of its pairs) among those that list its worlds
+    by how many worlds are below and above each, so isomorphic orders share it, and the
+    relabellings that reach it, each as the old world of every new one."""
+    degrees = [(sum((j, i) in order for j in range(n)), sum((i, j) in order for j in range(n)))
+               for i in range(n)]
+    classes = [[i for i in range(n) if degrees[i] == d] for d in sorted(set(degrees))]
+    images: dict[int, list] = {}
+    for parts in itertools.product(*map(itertools.permutations, classes)):
+        old = sum(parts, ())
+        new = sorted(range(n), key=old.__getitem__)
+        images.setdefault(sum(1 << new[a] * n + new[b] for a, b in order), []).append(old)
+    shape = min(images)
+    return shape, images[shape]
+
+
+@lru_cache(maxsize=8)
+def _shaped_orders(n: int) -> list:
+    """Each partial order on range(n), as _partial_orders yields them, with its up-sets
+    and its _shape."""
+    return [(order, [tuple(j for j in range(n) if (i, j) in order) for i in range(n)],
+             *_shape(n, order)) for order in _partial_orders(n)]
+
+
+def _valuations(above, atoms: int) -> list[tuple]:
+    """Each world's per-atom states (bit 1 vplus, bit 2 vminus), in lexicographic order:
+    monotone along the order given by the up-sets above, and one bit per atom at a maximal
+    world (stabilization).  Atoms are independent, so these are the products of one atom's
+    columns, each built world by world."""
+    cols = [()]
+    for i, ups in enumerate(above):
+        below = [j for j in range(i) if i in above[j]]
+        over = [j for j in ups if j < i]
+        codes = (1, 2) if len(ups) == 1 else range(4)
+        prefixes, cols = cols, []
+        for col in prefixes:  # a code holds what the worlds below hold, and no more than above
+            low = reduce(or_, map(col.__getitem__, below), 0)
+            high = reduce(and_, map(col.__getitem__, over), 3)
+            cols += [col + (c,) for c in codes if c & low == low and c & high == c]
+    return sorted(tuple(zip(*combo)) or ((),) * len(above)
+                  for combo in itertools.product(cols, repeat=atoms))
 
 
 def enumerate_models(alphabet: tuple[str, ...], max_worlds: int) -> list[KripkeModel]:
-    """All valid models with up to max_worlds worlds over the alphabet,
-    up to isomorphism (canonicalized by valuation signatures)."""
+    """All valid models with up to max_worlds worlds over the alphabet, up to isomorphism:
+    of each class the first met, over orders and then valuations.  A model's key is its
+    order's least relabelling and the least of its states under the relabellings that
+    reach it, so equal keys mean isomorphic models."""
     alpha = tuple(sorted(alphabet))
     out: list[KripkeModel] = []
     seen: set[tuple] = set()
-    # per-world variable state: 0 = absent, 1 = vplus, 2 = vminus, 3 = both
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
-        for order in _partial_orders(n):
-            for states in itertools.product(
-                    itertools.product(range(4), repeat=len(alpha)), repeat=n):
-                # monotonicity on states
-                ok = True
-                for a, b in order:
-                    if a == b:
-                        continue
-                    for k in range(len(alpha)):
-                        sa, sb = states[a][k], states[b][k]
-                        if (sa in (1, 3) and sb not in (1, 3)) or \
-                           (sa in (2, 3) and sb not in (2, 3)):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                # stabilization
-                for i in range(n):
-                    ups = [j for j in range(n) if (i, j) in order]
-                    for k in range(len(alpha)):
-                        if not any(states[j][k] in (1, 2) for j in ups):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                key = _canonical_key(n, order, states)
-                if key in seen:
-                    continue
-                seen.add(key)
-                vplus = {names[i]: {alpha[k] for k in range(len(alpha))
-                                    if states[i][k] in (1, 3)} for i in range(n)}
-                vminus = {names[i]: {alpha[k] for k in range(len(alpha))
-                                     if states[i][k] in (2, 3)} for i in range(n)}
-                m = KripkeModel.make(alpha, names,
-                                     {(names[a], names[b]) for a, b in order if a != b},
-                                     vplus, vminus)
-                out.append(m)
+        for order, above, shape, relabellings in _shaped_orders(n):
+            for states in _valuations(above, len(alpha)):
+                key = (shape, min(tuple(map(states.__getitem__, r)) for r in relabellings))
+                if key not in seen:
+                    seen.add(key)
+                    vplus, vminus = ({w: {a for a, c in zip(alpha, st) if c & bit}
+                                      for w, st in zip(names, states)} for bit in (1, 2))
+                    leq = {(names[a], names[b]) for a, b in order if a != b}
+                    out.append(KripkeModel.make(alpha, names, leq, vplus, vminus))
     return out
 
 
@@ -271,34 +281,21 @@ def _rooted_orders(n: int):
                                        for i in range(1, n)]
 
 
-def _rooted_states(above, atoms: int, states=()):
-    """Each world's per-atom states (bit 1 vplus, bit 2 vminus), in index order:
-    monotone, and one bit per atom at a maximal world (stabilization)."""
-    i = len(states)
-    if i == len(above):
-        yield states
-        return
-    low = [0] * atoms
-    for j in range(i):
-        if i in above[j]:
-            low = [a | b for a, b in zip(low, states[j])]
-    codes = (1, 2) if len(above[i]) == 1 else range(4)
-    for s in itertools.product(*([c for c in codes if c & lo == lo] for lo in low)):
-        yield from _rooted_states(above, atoms, states + (s,))
-
-
 @lru_cache(maxsize=16)
 def _order_tables(n: int, atoms: int) -> list:
-    """For each rooted order on n worlds: its up-sets, per world and atom the
-    masks of the candidates (bit c for the c-th valuation _rooted_states
-    yields) that put the atom in vplus and in vminus, and the all-candidates
-    mask.  Neither the formula nor the atom names enter."""
-    tables = []
+    """For each rooted order on n worlds but those isomorphic to an earlier one: its up-sets,
+    per world and atom the masks of the candidates (bit c for the c-th of _valuations) that
+    put the atom in vplus and in vminus, and the all-candidates mask.  Neither the formula
+    nor the atom names enter."""
+    tables, shapes = [], set()
     for above in _rooted_orders(n):
-        states = list(_rooted_states(above, atoms))
-        plus, minus = ([[int("".join("1" if st[w][k] & bit else "0" for st in reversed(states)), 2)
-                         for k in range(atoms)] for w in range(n)] for bit in (1, 2))
-        tables.append((above, plus, minus, (1 << len(states)) - 1))
+        shape, _ = _shape(n, [(i, j) for i in range(n) for j in above[i]])
+        if shape not in shapes:
+            shapes.add(shape)
+            states = _valuations(above, atoms)
+            plus, minus = ([[int("".join("1" if st[w][k] & bit else "0" for st in reversed(states)), 2)
+                             for k in range(atoms)] for w in range(n)] for bit in (1, 2))
+            tables.append((above, plus, minus, (1 << len(states)) - 1))
     return tables
 
 

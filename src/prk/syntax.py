@@ -769,7 +769,6 @@ class Scope:
         self.names = list(reversed(env))  # innermost last
         self.open = dict.fromkeys(env)  # name -> value; a name twice in env is never popped
         self.known: dict[str, int] = {}  # hint -> k > 1: its first k - 1 names are open
-        self.undo: list[tuple] = []  # per push, (hint, its known k before); per add, (None, 1)
 
     def name(self, i: int) -> str:
         """The name of index i, counted from the innermost binder."""
@@ -781,21 +780,23 @@ class Scope:
             run, k = run + (run == k and x in self.open), k + 1
         if (run := run + (run == k)) > start:  # x, now open, may carry the run on
             self.known[hint] = run
-        return self.add(x, value, (hint, start))
+        return self.add(x, value)
 
-    def add(self, name: str, value=None, undo=(None, 1)) -> str:
+    def add(self, name: str, value=None) -> str:
         self.names.append(name)
         self.open[name] = value
-        self.undo.append(undo)
         return name
 
     def pop(self) -> None:
-        del self.open[self.names.pop()]
-        hint, start = self.undo.pop()
-        if start > 1:
-            self.known[hint] = start
-        elif hint is not None:  # known holds no 1, so no hint outlives its open names
-            self.known.pop(hint, None)
+        """Close the innermost name.  What is known of each hint stays, cut at that name."""
+        name = self.names.pop()
+        del self.open[name]
+        self.known.pop(name, None)  # a hint's first name, so no hint outlives its open names
+        i = len(name)  # or a hint's k-th, the hint followed by k > 1
+        while i > 1 and name[i - 1].isdecimal():
+            i -= 1
+            if name[i] != "0" and 1 < (k := int(name[i:])) < self.known.get(name[:i], 0):
+                self.known[name[:i]] = k
 
 
 for _cls in (PVar, And, Or, Neg, MProp, Var, Bound, Abs, Pair, Proj, Inj,

@@ -443,12 +443,19 @@ def mk_lem(a: PureProp, sign: str) -> Term:
 # ---------------------------------------------------------------------------
 # Projection of derivations
 
+def _fresh(hint: str, names: Container[str], *taken: Container[str]) -> str:
+    """fresh_name(hint, names, *taken), named by the index's Scope when names is a Context."""
+    if isinstance(names, Context):
+        return names.extend(hint, None, *taken).name
+    return fresh_name(hint, names, *taken)
+
+
 def pc_term(t: Term, p: MProp, taken: Container[str]) -> Term:
     """Project the conclusion: wrap a strong-typed term so it types at
     truncate(p); classical conclusions are left alone."""
     if p.is_classical:
         return t
-    z = fresh_name("w", taken, fv(t))
+    z = _fresh("w", taken, fv(t))
     return clam(p.sign, z, MProp(p.base, MODE_OF[CLASSICAL, flip(p.sign)]), t)
 
 
@@ -494,8 +501,8 @@ def _project(d: Derivation, target: str) -> Term:
             # the same with nege and negi in place of proj and in
             (db,) = d.premises
             t0 = _project(db, target)
-            z = fresh_name("z", ctx, fv(t0))
-            w = fresh_name("w", ctx, fv(t0), {z})
+            z = _fresh("z", ctx, fv(t0))
+            w = _fresh("w", ctx, fv(t0), {z})
             intro = (NegI(flip(sign), Var(z)) if isinstance(t, NegE)
                      else Inj(flip(sign), t.index, Var(z)))
             arg = clam(flip(sign), w, truncate(db.conclusion), intro)
@@ -506,10 +513,10 @@ def _project(d: Derivation, target: str) -> Term:
             sc, s1, s2 = (_project(p, target) for p in d.premises)
             n1, n2 = d1.ctx.name, d2.ctx.name
             tq = truncate(q)
-            ystar = fresh_name("k", ctx, fv(s1), fv(s2), {n1, n2})
+            ystar = _fresh("k", ctx, fv(s1), fv(s2), {n1, n2})
             contra1 = contrapose_at(n1, p1, ystar, s1, tq)
             contra2 = contrapose_at(n2, p2, ystar, s2, tq)
-            w = fresh_name("w", ctx, fv(sc), {ystar})
+            w = _fresh("w", ctx, fv(sc), {ystar})
             refut = clam(flip(sign), w, truncate(dsc.conclusion),
                          Pair(flip(sign), contra1, contra2))
             body = mk_case(sign, CApp(sign, sc, refut), (n1, p1, s1), (n2, p2, s2))

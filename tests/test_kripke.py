@@ -5,7 +5,7 @@ import pytest
 
 from prk.errors import UnknownVariableError, UnknownWorldError
 from prk.kripke import (KripkeModel, _forcing, _order_tables, _partial_orders, _rooted_orders,
-                        _rooted_states, counter_model_lem, countermodel_search, enumerate_models,
+                        _valuations, counter_model_lem, countermodel_search, enumerate_models,
                         entails_in_model, forces, parse_model, print_model, validate_model)
 from prk.gen import PropGen, all_pure_props, provable_library
 from prk.surface import parse_mprop
@@ -338,6 +338,107 @@ def test_full_searches_scale():
     assert countermodel_search([], mp("((a & b) | ~(a & b))^c+"), 4) is None
     assert countermodel_search([], mp("(a | ~a)^c+"), 5) is None
     assert countermodel_search([], mp("(((a & b) & c) | ~((a & b) & c))^c+"), 4) is None
+
+
+# -- the generators against the filters they replaced ------------------------------------
+# reference_partial_orders, reference_canonical_key, reference_enumerate_models and
+# _rooted_states are the code that enumerate_models and the search tables used before
+# they generated orders and valuations: filters over every relation and every valuation,
+# and a key minimised over every relabelling.
+
+def reference_partial_orders(n):
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        rel = {(i, i) for i in range(n)}
+        rel.update(p for p, b in zip(pairs, bits) if b)
+        if all((b, a) not in rel for a, b in rel if a != b) and \
+                all((a, d) in rel for a, b in rel for c, d in rel if b == c):
+            yield rel
+
+
+def reference_canonical_key(n, order, states):
+    return min((tuple(states[perm.index(i)] for i in range(n)),
+                tuple(sorted((perm[a], perm[b]) for a, b in order)))
+               for perm in itertools.permutations(range(n)))
+
+
+def reference_enumerate_models(alphabet, max_worlds):
+    alpha = tuple(sorted(alphabet))
+    out, seen = [], set()
+    for n in range(1, max_worlds + 1):
+        names = tuple(f"w{i}" for i in range(n))
+        for order in reference_partial_orders(n):
+            for states in itertools.product(itertools.product(range(4), repeat=len(alpha)), repeat=n):
+                if any(states[a][k] & ~states[b][k] for a, b in order for k in range(len(alpha))):
+                    continue  # not monotone
+                if not all(any(states[j][k] in (1, 2) for j in range(n) if (i, j) in order)
+                           for i in range(n) for k in range(len(alpha))):
+                    continue  # not stable
+                key = reference_canonical_key(n, order, states)
+                if key not in seen:
+                    seen.add(key)
+                    vplus, vminus = ({names[i]: {alpha[k] for k in range(len(alpha)) if states[i][k] & bit}
+                                      for i in range(n)} for bit in (1, 2))
+                    out.append(KripkeModel.make(alpha, names, {(names[a], names[b]) for a, b in order
+                                                               if a != b}, vplus, vminus))
+    return out
+
+
+def _rooted_states(above, atoms: int, states=()):
+    i = len(states)
+    if i == len(above):
+        yield states
+        return
+    low = [0] * atoms
+    for j in range(i):
+        if i in above[j]:
+            low = [a | b for a, b in zip(low, states[j])]
+    codes = (1, 2) if len(above[i]) == 1 else range(4)
+    for s in itertools.product(*([c for c in codes if c & lo == lo] for lo in low)):
+        yield from _rooted_states(above, atoms, states + (s,))
+
+
+def test_partial_orders_are_the_filtered_relations():
+    for n in range(5):
+        assert list(_partial_orders(n)) == list(reference_partial_orders(n)), n
+
+
+@pytest.mark.parametrize("alphabet, max_worlds", [(("a",), 4), (("a", "b"), 3), (("a", "b", "c"), 2),
+                                                  ((), 3)])
+def test_enumerated_models_are_the_filtered_ones_in_order(alphabet, max_worlds):
+    # each bound's list starts the next one's, so the largest bound covers the smaller ones
+    assert enumerate_models(alphabet, max_worlds) == reference_enumerate_models(alphabet, max_worlds)
+
+
+def test_one_atom_over_five_worlds_gives_1094_models():
+    assert len(enumerate_models(("a",), 5)) == 1094
+
+
+def test_valuations_are_the_rooted_states():
+    for n in range(1, 6):
+        for above in _rooted_orders(n):
+            for atoms in (1, 2):
+                assert _valuations(above, atoms) == list(_rooted_states(above, atoms)), above
+
+
+def test_tables_hold_the_first_order_of_each_shape_and_its_rooted_states():
+    for n in range(1, 6):
+        shapes, first = set(), []
+        for above in _rooted_orders(n):
+            shape = _shape(n, {(i, j) for i in range(n) for j in above[i]})
+            if shape not in shapes:
+                shapes.add(shape)
+                first.append(above)
+        for atoms in (1, 2):
+            tables = _order_tables(n, atoms)
+            assert [above for above, *_ in tables] == first
+            for above, plus, minus, full in tables:
+                states = list(_rooted_states(above, atoms))
+                assert full == (1 << len(states)) - 1
+                for masks, bit in ((plus, 1), (minus, 2)):
+                    assert masks == [[sum(1 << c for c, st in enumerate(states) if st[w][k] & bit)
+                                      for k in range(atoms)] for w in range(n)]
+    assert [len(_order_tables(n, 1)) for n in (4, 5, 6)] == [5, 16, 63]  # rooted posets
 
 
 # -- model files ------------------------------------------------------------------------

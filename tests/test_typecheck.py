@@ -1010,3 +1010,23 @@ def test_a_nest_with_one_hint_types_as_fast_as_one_with_distinct_hints():
     times = _on_a_deep_stack(lambda: (best(shared), best(distinct)))
     # about 1; probing x, x2, ... from the start at each binder made it 10 and more
     assert times[0] < 2 * times[1], times
+
+
+def test_projecting_a_nest_with_one_hint_is_as_fast_as_one_with_distinct_hints():
+    # _project names its helper binders w, z, k through the index's Scope
+    ctx = ctx_of(("p", "a^c+"), ("r", "b^s+"))
+
+    def best(t):
+        d = infer_type(ctx, t)
+        return min(timeit.repeat(lambda: project_derivation(d, "r"), number=1, repeat=3))
+
+    def nest(hints):  # clam+(w : a^c-. capp+(proj1+(pair+(…, p)), w)) with the given hints
+        t = Var("p")
+        for hint in hints:
+            t = CLam("+", MProp(a, CM), CApp("+", Proj("+", 1, Pair("+", t, Var("p"))), Bound(0)), hint)
+        return t
+
+    shared, distinct = nest(["w"] * 2000), nest(f"v{i}" for i in range(2000))
+    times = _on_a_deep_stack(lambda: (best(shared), best(distinct)))
+    # about 1; probing w, w2, ... from the start at each node made it about 4
+    assert times[0] < 2 * times[1], times
