@@ -288,12 +288,6 @@ def nk_context(p: NKProof) -> tuple[Context, list[str]]:
     return ctx, names
 
 
-# The position of each NK rule's first premise that discharges a hypothesis
-# (both ore branches, the negi/impi body); 3 for a rule that discharges none.
-_DISCHARGES_FROM = {"OrE": 1, "NegI": 0, "ImpI": 0, **dict.fromkeys(
-    ("Hyp", "AndI", "AndE", "OrI", "NegE", "Explosion", "LEM", "ImpE"), 3)}
-
-
 def embed_nk(p: NKProof, names: list[str] | None = None) -> Term:
     """Compile an NK proof of A1,..,An |- B into a term typable as
     h1 : A1^c+, .., hn : An^c+ |- t : B^c+."""
@@ -305,13 +299,13 @@ def embed_nk(p: NKProof, names: list[str] | None = None) -> Term:
 def _embed(p: NKProof, scope: Scope) -> Term:  # a Scope names each discharge in O(1)
     if len(scope.names) != len(p.hyps):
         raise InvalidNKProofError("one variable name is needed per hypothesis")
-    if (first := _DISCHARGES_FROM.get(p.rule)) is None:
-        raise InvalidNKProofError(f"unknown rule {p.rule}")
-    terms, x = [_embed(q, scope) for q in p.premises[:first]], None
-    if first < len(p.premises):
-        x = scope.push("x")
-        terms += [_embed(q, scope) for q in p.premises[first:]]
-        scope.pop()
+    terms, x = [], None
+    for q in p.premises:  # a premise with one more hypothesis than p discharges it, named x
+        if discharges := len(q.hyps) == len(p.hyps) + 1:
+            x = scope.push("x")
+        terms.append(_embed(q, scope))
+        if discharges:
+            scope.pop()
     concls = [q.conclusion for q in p.premises]
 
     match p.rule:
@@ -335,10 +329,12 @@ def _embed(p: NKProof, scope: Scope) -> Term:  # a Scope names each discharge in
             return lemc(p.prop)
         case "ImpI":
             return lamc(x, *terms, p.prop, *concls)
-    match concls[0]:  # ImpE
-        case Or(Neg(a), b):
-            return appc(*terms, a, b)
-    raise InvalidNKProofError("malformed implication")
+        case "ImpE":
+            match concls[0]:
+                case Or(Neg(a), b):
+                    return appc(*terms, a, b)
+            raise InvalidNKProofError("malformed implication")
+    raise InvalidNKProofError(f"unknown rule {p.rule}")
 
 
 # ---------------------------------------------------------------------------

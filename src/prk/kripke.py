@@ -3,10 +3,10 @@ exhaustive enumeration of small models, and bounded counter-model search.
 A counter-model found is rooted at the world it names (w0) and has the
 fewest worlds of any counter-model within the bound.  Forcing is computed
 on bit-vectors, one bit per valuation, so the search forces every
-candidate valuation of an order in one pass.  Both searches generate
-orders and valuations rather than filter them, and drop isomorphic ones
-by an exact key built on each order's least relabelling.  Kept across
-calls: _closure and _model_forcing (4,096 entries each), _shaped_orders
+candidate valuation of an order in one pass.  Both searches take orders
+from one walk, valuations from one generator and models from one builder,
+and drop isomorphic ones by an exact key built on each order's least
+relabelling.  Kept across calls: _model_forcing (4,096 entries), _shaped_orders
 (per world count, 8) and _order_tables (per worlds and atoms, 16)."""
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, And, MProp, Neg, Or, PVar, 
 class KripkeModel:
     """Worlds with a partial order and monotone positive/negative valuations.
 
-    leq is given by generator pairs; the reflexive-transitive closure is
-    taken (and cached) for evaluation.
+    leq is given by generator pairs; order() is their reflexive-transitive closure.
     """
 
     alphabet: frozenset[str]
@@ -61,7 +60,6 @@ class KripkeModel:
         return tuple(v for v in self.worlds if (w, v) in order)
 
 
-@lru_cache(maxsize=1 << 12)
 def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     rel = {(w, w) for w in worlds} | set(leq)
     for k in {x for pair in rel for x in pair}:  # Warshall: paths through k
@@ -134,7 +132,8 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
 
 @lru_cache(maxsize=1 << 12)
 def _model_forcing(m: KripkeModel):
-    return _forcing({w: m.above(w) for w in m.worlds},
+    order = m.order()  # the closure once, for every world
+    return _forcing({w: tuple(v for v in m.worlds if (w, v) in order) for w in m.worlds},
                     *({w: dict.fromkeys(s, 1) for w, s in v} for v in (m.vplus, m.vminus)), 1)
 
 
@@ -177,11 +176,11 @@ def entails_in_model(m: KripkeModel, hyps: list[MProp], p: MProp) -> bool:
 # ---------------------------------------------------------------------------
 # Enumeration and counter-model search
 
-def _partial_orders(n: int):
-    """All reflexive-transitive-antisymmetric relations on range(n), in the order of the
-    off-diagonal pairs' truth values (False first).  A depth-first walk decides a pair only
-    where that breaks neither antisymmetry nor transitivity with the pairs decided before."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+def _partial_orders(n: int, pairs=None):
+    """The partial orders on range(n) whose strict pairs are among pairs (by default all), in
+    the order of those pairs' truth values (False first).  A depth-first walk decides a pair
+    only where that breaks neither antisymmetry nor transitivity with the pairs decided before."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j] if pairs is None else pairs
     rel = {(i, i): True for i in range(n)}  # the pairs decided so far
 
     def walk(t: int):
@@ -222,9 +221,8 @@ def _shape(n: int, order) -> tuple[int, list[tuple[int, ...]]]:
 
 @lru_cache(maxsize=8)
 def _shaped_orders(n: int) -> list:
-    """Each partial order on range(n), as _partial_orders yields them, with its up-sets
-    and its _shape."""
-    return [(order, [tuple(j for j in range(n) if (i, j) in order) for i in range(n)],
+    """Each partial order on range(n), as _partial_orders yields them: its up-sets and _shape."""
+    return [([tuple(j for j in range(n) if (i, j) in order) for i in range(n)],
              *_shape(n, order)) for order in _partial_orders(n)]
 
 
@@ -247,6 +245,15 @@ def _valuations(above, atoms: int) -> list[tuple]:
                   for combo in itertools.product(cols, repeat=atoms))
 
 
+def _model(alpha: tuple[str, ...], above, states) -> KripkeModel:
+    """The model on w0, w1, ... with these up-sets and states, as _valuations gives them."""
+    names = tuple(f"w{i}" for i in range(len(above)))
+    vplus, vminus = ({w: {a for a, c in zip(alpha, st) if c & bit} for w, st in zip(names, states)}
+                     for bit in (1, 2))
+    leq = {(names[i], names[j]) for i, ups in enumerate(above) for j in ups if i != j}
+    return KripkeModel.make(alpha, names, leq, vplus, vminus)
+
+
 def enumerate_models(alphabet: tuple[str, ...], max_worlds: int) -> list[KripkeModel]:
     """All valid models with up to max_worlds worlds over the alphabet, up to isomorphism:
     of each class the first met, over orders and then valuations.  A model's key is its
@@ -256,29 +263,21 @@ def enumerate_models(alphabet: tuple[str, ...], max_worlds: int) -> list[KripkeM
     out: list[KripkeModel] = []
     seen: set[tuple] = set()
     for n in range(1, max_worlds + 1):
-        names = tuple(f"w{i}" for i in range(n))
-        for order, above, shape, relabellings in _shaped_orders(n):
+        for above, shape, relabellings in _shaped_orders(n):
             for states in _valuations(above, len(alpha)):
                 key = (shape, min(tuple(map(states.__getitem__, r)) for r in relabellings))
                 if key not in seen:
                     seen.add(key)
-                    vplus, vminus = ({w: {a for a, c in zip(alpha, st) if c & bit}
-                                      for w, st in zip(names, states)} for bit in (1, 2))
-                    leq = {(names[a], names[b]) for a, b in order if a != b}
-                    out.append(KripkeModel.make(alpha, names, leq, vplus, vminus))
+                    out.append(_model(alpha, above, states))
     return out
 
 
 def _rooted_orders(n: int):
-    """The up-sets (world itself included) of each partial order on range(n)
-    where world 0 is least and i < j for every strict pair (i, j).  Every
-    rooted finite order has such a labelling; isomorphic ones repeat."""
-    pairs = list(itertools.combinations(range(1, n), 2))
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        strict = {p for p, b in zip(pairs, bits) if b}
-        if all((i, k) in strict for i, j in strict for j2, k in strict if j == j2):
-            yield [tuple(range(n))] + [(i, *(j for j in range(i + 1, n) if (i, j) in strict))
-                                       for i in range(1, n)]
+    """The up-sets (world itself included) of each partial order on range(n) where world 0
+    is least and i < j for every strict pair (i, j): the walk over the pairs 1 <= i < j.
+    Every rooted finite order has such a labelling; isomorphic ones repeat."""
+    for rel in _partial_orders(n, list(itertools.combinations(range(1, n), 2))):
+        yield [tuple(j for j in range(n) if i == 0 or (i, j) in rel) for i in range(n)]
 
 
 @lru_cache(maxsize=16)
@@ -309,17 +308,15 @@ def countermodel_search(hyps: list[MProp], goal: MProp,
     claimed for this semantics."""
     alpha = tuple(sorted(set().union(*(prop_vars(p.base) for p in [goal, *hyps])))) or ("a",)
     for n in range(1, max_worlds + 1):
-        names = tuple(f"w{i}" for i in range(n))
         for above, plus, minus, full in _order_tables(n, len(alpha)):
             vals = ([dict(zip(alpha, masks)) for masks in v] for v in (plus, minus))
             f = _forcing(above, *vals, full)
             refuted = reduce(and_, [f(0, h) for h in hyps], full & ~f(0, goal))
             if refuted:
                 first = (refuted & -refuted).bit_length() - 1  # the lowest set bit
-                vplus, vminus = ({w: {a for a, m in zip(alpha, masks[i]) if m >> first & 1}
-                                  for i, w in enumerate(names)} for masks in (plus, minus))
-                leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
-                return KripkeModel.make(alpha, names, leq, vplus, vminus), "w0"
+                states = [[(p >> first & 1) | (m >> first & 1) << 1 for p, m in zip(*masks)]
+                          for masks in zip(plus, minus)]
+                return _model(alpha, above, states), "w0"
     return None
 
 

@@ -50,7 +50,8 @@ def cache_hash(cls):
     """Memoize the dataclass-generated hash on first use.
 
     Terms are immutable trees compared structurally; sets and memo tables
-    hash the same nodes many times, so the recursive hash is cached."""
+    hash the same nodes many times, so the recursive hash is cached.  It
+    differs between processes, so pickles and copies leave it out."""
     generated = cls.__hash__
 
     def __hash__(self):
@@ -60,7 +61,10 @@ def cache_hash(cls):
             object.__setattr__(self, "_hash", h)
         return h
 
-    cls.__hash__ = __hash__
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
     return cls
 
 
@@ -762,21 +766,24 @@ def fresh_name(base: str, *taken: Container[str]) -> str:
 class Scope:
     """The names open, innermost last, each with a value: the binders open in print_term, the
     F printers or embed_nk, or typing's context.  push(hint, *taken) opens fresh_name(hint,
-    the open names, *taken), searching after the hint's names it knows to be open, so binders
-    with one hint cost O(1) each; add(name) opens a name not open; pop() closes the innermost."""
+    the open names, *taken): the hint if neither open nor taken, else the first name after
+    the run of the hint's names from its second that it knows to be open, so binders with one
+    hint cost O(1) each; add(name) opens a name not open; pop() closes the innermost."""
 
     def __init__(self, env: Sequence[str] = ()):
         self.names = list(reversed(env))  # innermost last
         self.open = dict.fromkeys(env)  # name -> value; a name twice in env is never popped
-        self.known: dict[str, int] = {}  # hint -> k > 1: its first k - 1 names are open
+        self.known: dict[str, int] = {}  # hint -> k: its 2nd to (k-1)-th names are open
 
     def name(self, i: int) -> str:
         """The name of index i, counted from the innermost binder."""
         return self.names[-1 - i] if i < len(self.names) else f"#{i}"
 
     def push(self, hint: str, *taken: Container[str], value=None) -> str:
-        k = start = run = self.known.get(hint, 1)  # run: the first of its names not seen open
-        while (x := hint if k == 1 else f"{hint}{k}") in self.open or any(x in s for s in taken):
+        if hint not in self.open and not any(hint in s for s in taken):
+            return self.add(hint, value)
+        k = start = run = self.known.get(hint, 2)  # run: the first from its 2nd not seen open
+        while (x := f"{hint}{k}") in self.open or any(x in s for s in taken):
             run, k = run + (run == k and x in self.open), k + 1
         if (run := run + (run == k)) > start:  # x, now open, may carry the run on
             self.known[hint] = run
@@ -791,8 +798,7 @@ class Scope:
         """Close the innermost name.  What is known of each hint stays, cut at that name."""
         name = self.names.pop()
         del self.open[name]
-        self.known.pop(name, None)  # a hint's first name, so no hint outlives its open names
-        i = len(name)  # or a hint's k-th, the hint followed by k > 1
+        i = len(name)  # a hint's k-th name is the hint followed by k > 1
         while i > 1 and name[i - 1].isdecimal():
             i -= 1
             if name[i] != "0" and 1 < (k := int(name[i:])) < self.known.get(name[:i], 0):

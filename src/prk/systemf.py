@@ -276,29 +276,8 @@ def subst_type_in_fterm(t: FTerm, j: int, a: FType) -> FTerm:
                      keep=lambda u, d: u.free[0] <= j + d[1])
 
 
-def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
-    def leaf(u, d: tuple[int, int]):  # `name` or a term index >= d[0]
-        return FBound(d[0]) if isinstance(u, FVar) else FBound(u.index + 1)
-
-    return fterm_map(t, leaf, (depth, 0),
-                     keep=lambda u, d: u.free[2] <= d[0] and name not in u.free[3])
-
-
-def close_tyvar_in_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
-    return fterm_map(t, lambda u, d: close_type(u, name, d[1]), (0, depth),
-                     keep=lambda u, d: u.free[0] <= d[1] and name not in u.free[1])
-
-
 def fterm_fv(t: FTerm) -> frozenset[str]:
     return t.free[3]
-
-
-def flam(name: str, annot: FType, body: FTerm) -> FLam:
-    return FLam(annot, close_fterm(body, name), hint=name)
-
-
-def tylam(name: str, body: FTerm) -> TyLam:
-    return TyLam(close_tyvar_in_fterm(body, name), hint=name)
 
 
 for _cls in (TVar, TBound, FPos, FNeg, Arrow, Forall, FVar, FBound, FLam,

@@ -370,15 +370,6 @@ def check_type(ctx: Context, t: Term, expected: MProp) -> Derivation:
             return d
 
 
-def validate_derivation(d: Derivation) -> bool:
-    """Re-check a derivation bottom-up; True iff it reconstructs exactly."""
-    try:
-        again = check_type(d.ctx, d.subject, d.conclusion)
-    except TypingError:
-        return False
-    return again == d
-
-
 # ---------------------------------------------------------------------------
 # Admissible-rule combinators
 

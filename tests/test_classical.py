@@ -526,6 +526,14 @@ def test_nk_rules_match_the_per_arm_reference(rng, monkeypatch):
     assert _outcome(embed_nk, built[1]) == (InvalidNKProofError, "unknown rule Cut")
 
 
+def test_a_premise_with_two_more_hypotheses_is_no_discharge():
+    # embed_nk reads a discharge off each premise with one more hypothesis than its node,
+    # where a per-rule table said which premises discharge; two more fits neither reading
+    p = NKProof("ImpI", (), implies(a, a), (nk_hyp((a, a), 0),), prop=a)
+    want = (InvalidNKProofError, "one variable name is needed per hypothesis")
+    assert _outcome(embed_nk, p) == _outcome(_per_arm_embed_nk, p) == want
+
+
 # -- embed_nk names discharged hypotheses through a Scope ----------------------------
 # _per_arm_embed_nk copies the name list at each node and asks fresh_name, as
 # embed_nk did: the reference for the names and the terms.

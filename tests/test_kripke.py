@@ -341,10 +341,10 @@ def test_full_searches_scale():
 
 
 # -- the generators against the filters they replaced ------------------------------------
-# reference_partial_orders, reference_canonical_key, reference_enumerate_models and
-# _rooted_states are the code that enumerate_models and the search tables used before
-# they generated orders and valuations: filters over every relation and every valuation,
-# and a key minimised over every relabelling.
+# reference_partial_orders, reference_canonical_key, reference_enumerate_models,
+# reference_rooted_orders and _rooted_states are the code that enumerate_models and the
+# search tables used before they generated orders and valuations: filters over every
+# relation and every valuation, and a key minimised over every relabelling.
 
 def reference_partial_orders(n):
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -396,6 +396,21 @@ def _rooted_states(above, atoms: int, states=()):
     codes = (1, 2) if len(above[i]) == 1 else range(4)
     for s in itertools.product(*([c for c in codes if c & lo == lo] for lo in low)):
         yield from _rooted_states(above, atoms, states + (s,))
+
+
+def reference_rooted_orders(n):
+    pairs = list(itertools.combinations(range(1, n), 2))
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        strict = {p for p, b in zip(pairs, bits) if b}
+        if all((i, k) in strict for i, j in strict for j2, k in strict if j == j2):
+            yield [tuple(range(n))] + [(i, *(j for j in range(i + 1, n) if (i, j) in strict))
+                                       for i in range(1, n)]
+
+
+def test_rooted_orders_are_the_filtered_ones_in_order():
+    # the one order walk over the pairs 1 <= i < j, against the product filter it replaced
+    for n in range(1, 8):
+        assert list(_rooted_orders(n)) == list(reference_rooted_orders(n)), n
 
 
 def test_partial_orders_are_the_filtered_relations():

@@ -290,6 +290,38 @@ def test_each_mode_is_built_once():
     assert "Mode(" not in inspect.getsource(typecheck)
 
 
+# -- pickled nodes -------------------------------------------------------------------
+# cache_hash keeps a node's hash in the node, and a string's hash depends on the
+# process's hash seed, so a pickle must not carry it into another process.
+
+_NODES = ("from prk.syntax import Mode, MProp, Or, Pair, PVar, Var\n"
+          "from prk.systemf import Arrow, Forall, TBound, TVar\n"
+          "nodes = [Pair('+', Var('x'), Var('y')), MProp(Or(PVar('a'), PVar('b')), Mode('c', '+')),\n"
+          "         Forall(Arrow(TBound(0), TVar('b')))]\n"
+          "import pickle, sys\n")
+
+
+def test_a_pickled_node_hashes_as_a_fresh_one_under_another_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import prk
+    env = {**os.environ, "PYTHONPATH": str(Path(prk.__file__).parents[1])}
+
+    def run(seed, code, data=None):
+        return subprocess.run([sys.executable, "-c", _NODES + code], input=data, check=True,
+                              capture_output=True, env={**env, "PYTHONHASHSEED": seed}).stdout
+
+    blob = run("1", "[hash(n) for n in nodes]\nsys.stdout.buffer.write(pickle.dumps(nodes))")
+    out = run("2", "got = pickle.loads(sys.stdin.buffer.read())\n"
+                   "print([(g == n, hash(g) == hash(n), g in {n},\n"
+                   "        getattr(g, 'free', 0) == getattr(n, 'free', 0))  # free is kept\n"
+                   "       for g, n in zip(got, nodes)])", blob)
+    assert out.decode().strip() == str([(True, True, True, True)] * 3)
+
+
 # -- index leaves --------------------------------------------------------------------
 
 @pytest.mark.parametrize("leaf", ["Bound", "FBound", "TBound"])

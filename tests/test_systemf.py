@@ -15,15 +15,16 @@ from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          DomainMismatchError, FApp, FBound, FLam, FNeg, FPos,
                          FType, FVar, Forall, NotAForallError, NotAnArrowError,
                          TBound, TVar, TyApp, TyLam, abort_f, case_f, check_simulation,
-                         close_fterm, close_type, close_tyvar_in_fterm, f_all_steps, f_head_step,
-                         f_infer, f_match_redex, f_normalize, f_step, flam, fterm_children,
+                         close_type, f_all_steps, f_head_step,
+                         f_infer, f_match_redex, f_normalize, f_step, fterm_children,
                          fterm_fold, fterm_fv, fterm_rebuild, ftype_children,
                          ftype_equiv, ftype_fold, ftype_rebuild, ftype_vars, funabs,
                          in_f, pair_f, plus, polarity, print_fterm, print_ftype, proj_f,
                          shift_fterm, shift_type, subst_fterm, subst_type,
                          subst_type_in_fterm, times, translate_ctx, translate_prop,
-                         translate_term, tylam)
+                         translate_term)
 from prk.typecheck import Context, Derivation, check_type, infer_type, mk_lem
+from testlib import close_fterm, close_tyvar_in_fterm, flam, tylam
 
 ROOT = Path(__file__).resolve().parent.parent
 A, B = TVar("A"), TVar("B")
@@ -256,8 +257,7 @@ def _check_close_roundtrips(ft, names, tyvars):
     # closing a name and substituting it back is the identity, on ft and on
     # every binder body (a body refers to its own binder as index 0)
     from prk.syntax import preorder
-    from prk.systemf import (FLam, FVar, close_fterm, close_tyvar_in_fterm,
-                             fterm_fold, subst_fterm, subst_type_in_fterm)
+    from prk.systemf import FLam, FVar, fterm_fold, subst_fterm, subst_type_in_fterm
     bodies = [ft] + [u.body for u in preorder(fterm_fold, ft) if isinstance(u, (FLam, TyLam))]
     for b in bodies:
         for x in names:
@@ -268,7 +268,7 @@ def _check_close_roundtrips(ft, names, tyvars):
 
 def test_translation_commutes_with_substitution(term_gen, rng):
     from prk.syntax import substitute
-    from prk.systemf import close_fterm, subst_fterm
+    from prk.systemf import subst_fterm
     from prk.typecheck import mk_lem
     for _ in range(25):
         ctx = term_gen.base_context()
@@ -1169,8 +1169,9 @@ def test_translation_walks_no_binder_to_close_or_shift_it(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the translation walked a binder to close or shift it")
 
+    # the closing functions moved to testlib; set here too, any call from systemf would raise
     for name in ("close_fterm", "close_tyvar_in_fterm", "shift_fterm"):
-        monkeypatch.setattr(systemf, name, forbidden)
+        monkeypatch.setattr(systemf, name, forbidden, raising=False)
     funabs.cache_clear()
     translate_prop.cache_clear()
     assert [translate_term(d) for d in derivations] == expected

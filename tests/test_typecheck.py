@@ -22,7 +22,8 @@ from prk.syntax import (CLASSICAL, INJECTED, PAIRED, STANCE, STRONG, Abs, And,
 from prk.typecheck import (Context, Derivation, _project, abs_general_at,
                            check_type, contrapose_at, cs_term, infer_type,
                            mk_abs_general, mk_contrapose, mk_lem, pc_term,
-                           project_derivation, validate_derivation)
+                           project_derivation)
+from testlib import validate_derivation
 
 a, b = PVar("a"), PVar("b")
 CP, CM, SP, SM = Mode("c", "+"), Mode("c", "-"), Mode("s", "+"), Mode("s", "-")

@@ -1,0 +1,39 @@
+"""Library code that only the tests call.  The translation builds each
+System F index in place, so src/prk closes no name into a binder:
+flam, tylam, close_fterm and close_tyvar_in_fterm build F binders over
+named bodies for hand-written terms.  validate_derivation re-checks a
+typing derivation; nothing in src/prk compares whole derivations."""
+
+from prk.errors import TypingError
+from prk.systemf import FBound, FLam, FTerm, FType, FVar, TyLam, close_type, fterm_map
+from prk.typecheck import Derivation, check_type
+
+
+def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
+    def leaf(u, d: tuple[int, int]):  # `name` or a term index >= d[0]
+        return FBound(d[0]) if isinstance(u, FVar) else FBound(u.index + 1)
+
+    return fterm_map(t, leaf, (depth, 0),
+                     keep=lambda u, d: u.free[2] <= d[0] and name not in u.free[3])
+
+
+def close_tyvar_in_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
+    return fterm_map(t, lambda u, d: close_type(u, name, d[1]), (0, depth),
+                     keep=lambda u, d: u.free[0] <= d[1] and name not in u.free[1])
+
+
+def flam(name: str, annot: FType, body: FTerm) -> FLam:
+    return FLam(annot, close_fterm(body, name), hint=name)
+
+
+def tylam(name: str, body: FTerm) -> TyLam:
+    return TyLam(close_tyvar_in_fterm(body, name), hint=name)
+
+
+def validate_derivation(d: Derivation) -> bool:
+    """Re-check a derivation bottom-up; True iff it reconstructs exactly."""
+    try:
+        again = check_type(d.ctx, d.subject, d.conclusion)
+    except TypingError:
+        return False
+    return again == d
