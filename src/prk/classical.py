@@ -1,13 +1,12 @@
 """The classical-logic bridge: strength-erasing map, truth tables, the
-decision procedure for the classical-affirmation fragment, compilation
-of natural-deduction proofs into proof terms, and the derived
-implication combinators with their computation rules."""
+decision procedure for the classical-affirmation fragment, compilation of
+natural-deduction proofs, each node judged by its rule's nk_* constructor, into
+proof terms, and the derived implication combinators with their computation rules."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
@@ -192,8 +191,8 @@ def appc(t: Term, s: Term, a: PureProp, b: PureProp) -> Term:
 
 @dataclass(frozen=True)
 class NKProof:
-    """A checked natural-deduction proof node: rule, parameters, premises,
-    the open hypotheses, and the concluded pure proposition."""
+    """A natural-deduction proof node: rule, parameters, premises, the open
+    hypotheses, and the concluded proposition; its rule's nk_* constructor checks it."""
 
     rule: str
     hyps: tuple[PureProp, ...]
@@ -217,6 +216,8 @@ def nk_and_i(p: NKProof, q: NKProof) -> NKProof:
 
 
 def nk_and_e(i: int, p: NKProof) -> NKProof:
+    if i not in (1, 2):
+        raise InvalidNKProofError(f"conjunction elimination side {i} is not 1 or 2")
     if not isinstance(p.conclusion, And):
         raise InvalidNKProofError("conjunction elimination needs a conjunction")
     comp = p.conclusion.left if i == 1 else p.conclusion.right
@@ -224,6 +225,8 @@ def nk_and_e(i: int, p: NKProof) -> NKProof:
 
 
 def nk_or_i(i: int, other: PureProp, p: NKProof) -> NKProof:
+    if i not in (1, 2):
+        raise InvalidNKProofError(f"disjunction introduction side {i} is not 1 or 2")
     concl = Or(p.conclusion, other) if i == 1 else Or(other, p.conclusion)
     return NKProof("OrI", p.hyps, concl, (p,), index=i, prop=other)
 
@@ -281,24 +284,29 @@ def nk_imp_e(p: NKProof, q: NKProof) -> NKProof:
     raise InvalidNKProofError("implication elimination needs A => B and A")
 
 
-def nk_context(p: NKProof) -> tuple[Context, list[str]]:
-    """The classical-affirmation context matching the proof's hypotheses."""
-    names = [f"h{i}" for i in range(len(p.hyps))]
-    ctx = Context.of(*((n, _cp(a)) for n, a in zip(names, p.hyps)))
-    return ctx, names
+def nk_context(p: NKProof) -> Context:
+    """The classical-affirmation context h0 : A0^c+, .. matching the proof's hypotheses."""
+    return Context.of(*((f"h{i}", _cp(a)) for i, a in enumerate(p.hyps)))
 
 
-def embed_nk(p: NKProof, names: list[str] | None = None) -> Term:
-    """Compile an NK proof of A1,..,An |- B into a term typable as
-    h1 : A1^c+, .., hn : An^c+ |- t : B^c+."""
-    if names is None:
-        names = [f"h{i}" for i in range(len(p.hyps))]
-    return _embed(p, Scope(names[::-1]))
+# Each rule's constructor, the one judge of its nodes.  A node is built from its parts in this
+# order: the hypotheses if it has no premises, its index and its prop if set, then its premises.
+_NK_MAKERS = dict(Hyp=nk_hyp, AndI=nk_and_i, AndE=nk_and_e, OrI=nk_or_i, OrE=nk_or_e, NegI=nk_neg_i,
+                  NegE=nk_neg_e, Explosion=nk_explosion, LEM=nk_lem, ImpI=nk_imp_i, ImpE=nk_imp_e)
+
+
+def embed_nk(p: NKProof) -> Term:
+    """Compile an NK proof of A0,..,An |- B into a term typable as h0 : A0^c+, .., hn : An^c+
+    |- t : B^c+.  Each node is rebuilt from its parts first, so only sound proofs compile."""
+    return _embed(p, Scope([f"h{i}" for i in reversed(range(len(p.hyps)))]))
 
 
 def _embed(p: NKProof, scope: Scope) -> Term:  # a Scope names each discharge in O(1)
-    if len(scope.names) != len(p.hyps):
-        raise InvalidNKProofError("one variable name is needed per hypothesis")
+    if (make := _NK_MAKERS.get(p.rule)) is None:
+        raise InvalidNKProofError(f"unknown rule {p.rule}")
+    parts = [p.hyps] * (not p.premises) + [x for x in (p.index, p.prop) if x is not None]
+    if make(*parts, *p.premises) != p:
+        raise InvalidNKProofError(f"{p.rule} node is not what {make.__name__} builds from its parts")
     terms, x = [], None
     for q in p.premises:  # a premise with one more hypothesis than p discharges it, named x
         if discharges := len(q.hyps) == len(p.hyps) + 1:
@@ -330,11 +338,7 @@ def _embed(p: NKProof, scope: Scope) -> Term:  # a Scope names each discharge in
         case "ImpI":
             return lamc(x, *terms, p.prop, *concls)
         case "ImpE":
-            match concls[0]:
-                case Or(Neg(a), b):
-                    return appc(*terms, a, b)
-            raise InvalidNKProofError("malformed implication")
-    raise InvalidNKProofError(f"unknown rule {p.rule}")
+            return appc(*terms, concls[1], concls[0].right)
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +424,13 @@ def _nk_proof(src: str, hyps: list[PureProp]) -> NKProof:
     return proof
 
 
-# Each proof keyword but hyp(i): its constructor, whether a [prop] parameter
-# comes first, and its premise count.  A rule without premises is given the
-# open hypotheses before its parameter.
+# Each proof keyword but hyp(i): its rule, its premise count, whether a [prop]
+# parameter comes first, and the side it fixes, if any.
 _NK_RULES = {
-    "andi": (nk_and_i, False, 2), "ande1": (partial(nk_and_e, 1), False, 1),
-    "ande2": (partial(nk_and_e, 2), False, 1), "ori1": (partial(nk_or_i, 1), True, 1),
-    "ori2": (partial(nk_or_i, 2), True, 1), "ore": (nk_or_e, False, 3),
-    "negi": (nk_neg_i, True, 1), "nege": (nk_neg_e, False, 2),
-    "expl": (nk_explosion, True, 1), "lem": (nk_lem, True, 0),
-    "impi": (nk_imp_i, True, 1), "impe": (nk_imp_e, False, 2),
+    "andi": ("AndI", 2, False), "ande1": ("AndE", 1, False, 1), "ande2": ("AndE", 1, False, 2),
+    "ori1": ("OrI", 1, True, 1), "ori2": ("OrI", 1, True, 2), "ore": ("OrE", 3, False),
+    "negi": ("NegI", 1, True), "nege": ("NegE", 2, False), "expl": ("Explosion", 1, True),
+    "lem": ("LEM", 0, True), "impi": ("ImpI", 1, True), "impe": ("ImpE", 2, False),
 }
 
 
@@ -446,17 +447,16 @@ def _parse_nk_node(tk, hyps: tuple[PureProp, ...]) -> NKProof:
         return nk_hyp(hyps, int(num))
     if head not in _NK_RULES:
         raise tk.error(f"unknown proof rule {head!r}", at)
-    make, takes_prop, count = _NK_RULES[head]
-    params = ()
+    rule, count, takes_prop, *params = _NK_RULES[head]  # params: its side, then its [prop]
     if takes_prop:
         tk.expect("[")
-        params = (_parse_base(tk),)
+        params.append(_parse_base(tk))
         tk.expect("]")
     if not count:
-        return make(hyps, *params)
+        return _NK_MAKERS[rule](hyps, *params)
     tk.expect("(")
     # negi and impi discharge their parameter; ore's branches, its disjuncts
-    premises = [_parse_nk_node(tk, hyps + params if head in ("negi", "impi") else hyps)]
+    premises = [_parse_nk_node(tk, hyps + (*params,) if head in ("negi", "impi") else hyps)]
     under = [hyps] * (count - 1)
     if head == "ore":
         if not isinstance(disj := premises[0].conclusion, Or):
@@ -466,4 +466,4 @@ def _parse_nk_node(tk, hyps: tuple[PureProp, ...]) -> NKProof:
         tk.expect(",")
         premises.append(_parse_nk_node(tk, branch_hyps))
     tk.expect(")")
-    return make(*params, *premises)
+    return _NK_MAKERS[rule](*params, *premises)

@@ -179,8 +179,7 @@ def cmd_decide(args, out: Output) -> int:
 def cmd_embed(args, out: Output) -> int:
     proof = parse_nk(_read(args.file))
     term = embed_nk(proof)
-    ctx, _names = nk_context(proof)
-    d = infer_type(ctx, term)
+    d = infer_type(nk_context(proof), term)
     out.emit("term", print_term(term))
     out.emit("type", print_mprop(d.conclusion))
     return 0

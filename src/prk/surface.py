@@ -304,7 +304,7 @@ def print_term(t: Term, env: tuple[str, ...] = ()) -> str:
     scope = Scope(env)
 
     def bind(hint: str, taken: frozenset[str]) -> str:  # a keyword hint numbers itself: pair2
-        if not is_name(x := scope.push(hint, taken, _KEYWORDS)):  # 'x y', proj3; proj once taken
+        if not is_name(x := scope.push(hint or "x", taken, _KEYWORDS)):  # 'x y', proj3; proj once taken
             scope.pop()
             x = scope.push("x", taken)  # the text reads back only if every binder is a name
         return x

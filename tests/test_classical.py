@@ -91,12 +91,12 @@ def test_embed_examples():
     # AndI over two hypotheses
     proof = nk_and_i(nk_hyp((a, b), 0), nk_hyp((a, b), 1))
     t = embed_nk(proof)
-    ctx, _ = nk_context(proof)
+    ctx = nk_context(proof)
     assert infer_type(ctx, t).conclusion == cp(And(a, b))
     # NegE concludes falsity
     proof = nk_neg_e(nk_hyp((Neg(a), a), 0), nk_hyp((Neg(a), a), 1))
     t = embed_nk(proof)
-    ctx, _ = nk_context(proof)
+    ctx = nk_context(proof)
     assert infer_type(ctx, t).conclusion == cp(FALSITY)
 
 
@@ -154,7 +154,7 @@ def test_embed_random_nk(rng):
         hyps = tuple(gen.pure(2) for _ in range(rng.randrange(0, 3)))
         proof = _random_nk(rng, gen, hyps, 4)
         term = embed_nk(proof)
-        ctx, _ = nk_context(proof)
+        ctx = nk_context(proof)
         d = infer_type(ctx, term)
         assert d.conclusion == cp(proof.conclusion)
 
@@ -531,7 +531,41 @@ def test_a_premise_with_two_more_hypotheses_is_no_discharge():
     # where a per-rule table said which premises discharge; two more fits neither reading
     p = NKProof("ImpI", (), implies(a, a), (nk_hyp((a, a), 0),), prop=a)
     want = (InvalidNKProofError, "one variable name is needed per hypothesis")
-    assert _outcome(embed_nk, p) == _outcome(_per_arm_embed_nk, p) == want
+    assert _outcome(_per_arm_embed_nk, p) == want
+    assert _outcome(embed_nk, p) == (InvalidNKProofError,
+                                     "ImpI node is not what nk_imp_i builds from its parts")
+
+
+# One hand-built node per way a node can contradict its rule: a premise that
+# discharges nothing, hypotheses its rule does not give, a part of the wrong
+# shape, and a conclusion that is not the rule's.
+_UNSOUND_NODES = [
+    NKProof("NegI", (), Neg(a), (nk_lem((), a),), prop=a),
+    NKProof("AndI", (a,), And(a, a), (nk_hyp((a, a), 0), nk_hyp((a, a), 0))),
+    NKProof("AndE", (a,), a, (nk_hyp((a,), 0),), index=1),
+    NKProof("Hyp", (a,), b, index=0),
+]
+
+
+@pytest.mark.parametrize("node", _UNSOUND_NODES, ids=lambda p: p.rule)
+def test_embed_refuses_a_node_its_rule_does_not_build(node):
+    # embed_nk rebuilds every node through its rule's constructor, at the root or under a sound node
+    for p in (node, nk_or_i(1, b, node), nk_and_i(nk_lem(node.hyps, b), node)):
+        with pytest.raises(InvalidNKProofError):
+            embed_nk(p)
+
+
+@pytest.mark.parametrize("side", [0, 3, -1])
+def test_nk_sides_are_1_or_2(side):
+    p = nk_hyp((And(a, b),), 0)
+    with pytest.raises(InvalidNKProofError, match=f"side {side} is not 1 or 2"):
+        nk_and_e(side, p)
+    with pytest.raises(InvalidNKProofError, match=f"side {side} is not 1 or 2"):
+        nk_or_i(side, b, p)
+    for node in (NKProof("AndE", p.hyps, a, (p,), index=side),
+                 NKProof("OrI", p.hyps, Or(b, p.conclusion), (p,), index=side, prop=b)):
+        with pytest.raises(InvalidNKProofError, match=f"side {side} is not 1 or 2"):
+            embed_nk(node)
 
 
 # -- embed_nk names discharged hypotheses through a Scope ----------------------------
@@ -568,9 +602,6 @@ def test_scoped_embed_names_as_the_list_copying_reference(monkeypatch):
     try:
         for p in proofs + [_imp_nest(n) for n in (1, 2, 30, 2000)]:
             assert _same_tree(embed_nk(p), _per_arm_embed_nk(p))
-        names = ["x", "x2", "h0"]
-        p = nk_imp_i(a, nk_imp_i(a, nk_hyp((a,) * 5, 4)))
-        assert _same_tree(embed_nk(p, names), _per_arm_embed_nk(p, names))
     finally:
         sys.setrecursionlimit(limit)
 

@@ -472,3 +472,15 @@ def test_printed_binders_are_names_that_read_back():
                 for free in ((), ("x",), ("proj", "x2"), ("in", "x", "x2", "x3")):
                     t = _nest(kinds, hint, free)
                     assert parse_term(print_term(t)) == t, (hint, kinds, free)
+
+
+def test_a_binder_without_a_hint_prints_as_one_hinted_x():
+    # typing and the F printers name such a binder x, too
+    t = CLam("+", MProp(PVar("a"), Mode("c", "-")), Var("y"), hint=None)
+    assert print_term(t) == print_term(CLam(t.sign, t.annot, t.body, hint="x")) == "clam+(x : a^c-. y)"
+    for depth in (1, 2):
+        for kinds in itertools.product(("clam", "case"), repeat=depth):
+            for free in ((), ("x",), ("in", "x", "x2", "x3")):
+                t = _nest(kinds, None, free)
+                assert print_term(t) == print_term(_nest(kinds, "x", free)), (kinds, free)
+                assert parse_term(print_term(t)) == t, (kinds, free)

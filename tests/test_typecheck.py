@@ -898,7 +898,7 @@ def _nk_derivation_inputs(count):
         hyps = tuple(nkgen.props.pure(2) for _ in range(rng.randrange(3)))
         text, concl = nkgen.proof(hyps, rng.choice((2, 3)))
         proof = parse_nk(ref.nk_file(hyps, text))
-        out.append((nk_context(proof)[0], embed_nk(proof), MProp(concl, CP)))
+        out.append((nk_context(proof), embed_nk(proof), MProp(concl, CP)))
     return out
 
 
