@@ -2,18 +2,32 @@
 type-check, normalize, and classify proof terms; translate them into
 System F with recursive type constraints; evaluate and search finite
 Kripke models; and compile classical natural-deduction proofs into
-terms whose computational behaviour can be observed."""
+terms whose computational behaviour can be observed.  Each exported name
+is imported from its home module on first use (PEP 562)."""
 
-from .syntax import (And, MProp, Mode, Neg, Or, PVar, PureProp, Term, dual,
-                     fv, measure, opposite, substitute, truncate)
-from .surface import parse_mprop, parse_term, print_mprop, print_term
-from .typecheck import (Context, Derivation, check_type, infer_type, mk_abs_general,
-                        mk_contrapose, mk_lem, project_derivation)
-from .rewrite import ETA, PLAIN, classify, normalize, step
-from .systemf import (check_simulation, f_infer, f_normalize, f_step,
-                      ftype_equiv, polarity, translate_prop, translate_term)
-from .kripke import (KripkeModel, countermodel_search, entails_in_model,
-                     enumerate_models, forces, validate_model)
-from .classical import classem, decide_oplus, embed_nk, run_classical_rule, tt_valid
+from importlib import import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "syntax": "And MProp Mode Neg Or PVar PureProp Term dual fv measure opposite substitute truncate",
+    "surface": "parse_mprop parse_term print_mprop print_term",
+    "typecheck": "Context Derivation check_type infer_type mk_abs_general mk_contrapose mk_lem "
+                 "project_derivation",
+    "rewrite": "ETA PLAIN classify normalize step",
+    "systemf": "check_simulation f_infer f_normalize f_step ftype_equiv polarity translate_prop "
+               "translate_term",
+    "kripke": "KripkeModel countermodel_search entails_in_model enumerate_models forces validate_model",
+    "classical": "classem decide_oplus embed_nk run_classical_rule tt_valid",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted([*_HOME, *_EXPORTS, "errors"])
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_HOME.get(name, name)}", __name__)
+    return globals().setdefault(name, getattr(module, name) if name in _HOME else module)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -305,7 +305,8 @@ def _embed(p: NKProof, scope: Scope) -> Term:  # a Scope names each discharge in
     if (make := _NK_MAKERS.get(p.rule)) is None:
         raise InvalidNKProofError(f"unknown rule {p.rule}")
     parts = [p.hyps] * (not p.premises) + [x for x in (p.index, p.prop) if x is not None]
-    if make(*parts, *p.premises) != p:
+    shape = (len(p.premises), p.index is not None, p.prop is not None)
+    if shape != _NK_SHAPES[p.rule] or make(*parts, *p.premises) != p:
         raise InvalidNKProofError(f"{p.rule} node is not what {make.__name__} builds from its parts")
     terms, x = [], None
     for q in p.premises:  # a premise with one more hypothesis than p discharges it, named x
@@ -432,6 +433,9 @@ _NK_RULES = {
     "negi": ("NegI", 1, True), "nege": ("NegE", 2, False), "expl": ("Explosion", 1, True),
     "lem": ("LEM", 0, True), "impi": ("ImpI", 1, True), "impe": ("ImpE", 2, False),
 }
+# Each rule's premise count and whether it takes an index and a prop, as embed_nk checks them.
+_NK_SHAPES = {rule: (count, bool(side), prop) for rule, count, prop, *side in _NK_RULES.values()}
+_NK_SHAPES["Hyp"] = (0, True, False)
 
 
 def _parse_nk_node(tk, hyps: tuple[PureProp, ...]) -> NKProof:

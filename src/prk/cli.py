@@ -14,15 +14,6 @@ import threading
 
 from .errors import (CannotInferError, ParseError, PrkError, TypingError,
                      UnknownVariableError, UnknownWorldError, WrongModeError)
-from .kripke import (countermodel_search, forces, parse_model, print_model,
-                     validate_model)
-from .rewrite import ETA, PLAIN, binder_names_at, classify, normalize, replay
-from .surface import (is_name, located, parse_mprop, parse_term, print_mprop, print_term,
-                      read_entailment)
-from .syntax import MProp, Term, dual, mprop_dual
-from .typecheck import Context, infer_type
-from .systemf import f_infer, print_fterm, print_ftype, translate_ctx, translate_prop, translate_term
-from .classical import decide_oplus, embed_nk, nk_context, parse_nk
 
 
 def _read(path: str) -> str:
@@ -33,6 +24,8 @@ def _read(path: str) -> str:
 def parse_judgment(text: str) -> tuple[Context, Term]:
     """Judgment files: lines 'x : prop' then '|- term', which comes last.
     The context is extended line by line, a name tested before its prop is read."""
+    from .surface import is_name, located, parse_mprop, parse_term, read_entailment
+    from .typecheck import Context
     ctx = Context()
 
     def hypothesis(line: str) -> None:
@@ -53,6 +46,7 @@ def parse_judgment(text: str) -> tuple[Context, Term]:
 
 def parse_sequent(text: str) -> tuple[list[MProp], MProp]:
     """Sequent files: hypothesis props one per line, then '|- prop', which comes last."""
+    from .surface import parse_mprop, read_entailment
     return read_entailment(text, "prop", "goal", parse_mprop, lambda src, _: parse_mprop(src))
 
 
@@ -68,43 +62,46 @@ class Output:
 
 
 def cmd_check(args, out: Output) -> int:
+    from . import surface, typecheck
     ctx, term = parse_judgment(_read(args.file))
     try:
-        d = infer_type(ctx, term)
+        d = typecheck.infer_type(ctx, term)
     except TypingError as e:
         out.emit("error", f"ill-typed: {e}")
         return 1
-    out.emit("type", print_mprop(d.conclusion))
+    out.emit("type", surface.print_mprop(d.conclusion))
     return 0
 
 
 def cmd_normalize(args, out: Output) -> int:
+    from . import rewrite, surface, typecheck
     ctx, term = parse_judgment(_read(args.file))
     try:
-        infer_type(ctx, term)  # reject ill-typed input before reducing
+        typecheck.infer_type(ctx, term)  # reject ill-typed input before reducing
     except CannotInferError:
         pass  # e.g. a bare injection: not ill-typed, only not inferable
-    mode = ETA if args.eta else PLAIN
-    nf, trace = normalize(term, mode=mode, fuel=args.fuel)
+    mode = rewrite.ETA if args.eta else rewrite.PLAIN
+    nf, trace = rewrite.normalize(term, mode=mode, fuel=args.fuel)
     if args.trace:
         current = term
         for entry in trace:
-            env = binder_names_at(current, entry.position)
+            env = rewrite.binder_names_at(current, entry.position)
             pos = ".".join(map(str, entry.position)) or "root"
-            print(f"{pos} {entry.rule} {print_term(entry.redex, env)} ==> "
-                  f"{print_term(entry.reduct, env)}")
-            current = replay(current, (entry,))
-    out.emit("normal_form", print_term(nf))
+            print(f"{pos} {entry.rule} {surface.print_term(entry.redex, env)} ==> "
+                  f"{surface.print_term(entry.reduct, env)}")
+            current = rewrite.replay(current, (entry,))
+    out.emit("normal_form", surface.print_term(nf))
     return 0
 
 
 def cmd_classify(args, out: Output) -> int:
+    from . import rewrite, typecheck
     ctx, term = parse_judgment(_read(args.file))
     try:
-        d = infer_type(ctx, term)
+        d = typecheck.infer_type(ctx, term)
     except TypingError:
         d = None
-    report = classify(term, d)
+    report = rewrite.classify(term, d)
     out.emit("normal", str(report.normal).lower())
     out.emit("neutral", str(report.neutral).lower())
     out.emit("canonical", str(report.canonical).lower())
@@ -115,42 +112,45 @@ def cmd_classify(args, out: Output) -> int:
 
 
 def cmd_translate(args, out: Output) -> int:
+    from . import systemf, typecheck
     ctx, term = parse_judgment(_read(args.file))
     try:
-        d = infer_type(ctx, term)
+        d = typecheck.infer_type(ctx, term)
     except TypingError as e:
         out.emit("error", f"ill-typed: {e}")
         return 1
-    fterm = translate_term(d)
-    out.emit("fterm", print_fterm(fterm))
-    out.emit("ftype", print_ftype(translate_prop(d.conclusion)))
+    fterm = systemf.translate_term(d)
+    out.emit("fterm", systemf.print_fterm(fterm))
+    out.emit("ftype", systemf.print_ftype(systemf.translate_prop(d.conclusion)))
     if args.check:
-        inferred = f_infer(translate_ctx(d.ctx), fterm)
-        out.emit("ftype_inferred", print_ftype(inferred))
+        inferred = systemf.f_infer(systemf.translate_ctx(d.ctx), fterm)
+        out.emit("ftype_inferred", systemf.print_ftype(inferred))
     return 0
 
 
 def cmd_dual(args, out: Output) -> int:
+    from . import surface, syntax
     ctx, term = parse_judgment(_read(args.file))
     for name, p in ctx:
-        out.emit("hyp", f"{name} : {print_mprop(mprop_dual(p))}")
-    out.emit("term", print_term(dual(term)))
+        out.emit("hyp", f"{name} : {surface.print_mprop(syntax.mprop_dual(p))}")
+    out.emit("term", surface.print_term(syntax.dual(term)))
     return 0
 
 
 def cmd_kripke(args, out: Output) -> int:
+    from . import kripke, surface
     if args.kripke_cmd == "eval":
-        model = parse_model(_read(args.model))
-        report = validate_model(model)
+        model = kripke.parse_model(_read(args.model))
+        report = kripke.validate_model(model)
         if not report.valid:
             out.emit("error", f"invalid model: {report.violations[0]}")
             return 1
-        prop = parse_mprop(args.prop)
-        out.emit("forces", str(forces(model, args.world, prop)).lower())
+        prop = surface.parse_mprop(args.prop)
+        out.emit("forces", str(kripke.forces(model, args.world, prop)).lower())
         return 0
     if args.kripke_cmd == "validate":
-        model = parse_model(_read(args.model))
-        report = validate_model(model)
+        model = kripke.parse_model(_read(args.model))
+        report = kripke.validate_model(model)
         if report.valid:
             out.emit("valid", "true")
             return 0
@@ -159,29 +159,31 @@ def cmd_kripke(args, out: Output) -> int:
         return 1
     if args.kripke_cmd == "countermodel":
         hyps, goal = parse_sequent(_read(args.judgment))
-        found = countermodel_search(hyps, goal, max_worlds=args.max_worlds)
+        found = kripke.countermodel_search(hyps, goal, max_worlds=args.max_worlds)
         if found is None:
             out.emit("countermodel", "none within bound (inconclusive)")
             return 0
         model, world = found
         out.emit("world", world)
-        sys.stdout.write(print_model(model))
+        sys.stdout.write(kripke.print_model(model))
         return 1
     raise ValueError(args.kripke_cmd)
 
 
 def cmd_decide(args, out: Output) -> int:
-    result = decide_oplus(*parse_sequent(_read(args.file)))
+    from . import classical
+    result = classical.decide_oplus(*parse_sequent(_read(args.file)))
     out.emit("provable", str(result).lower())
     return 0 if result else 1
 
 
 def cmd_embed(args, out: Output) -> int:
-    proof = parse_nk(_read(args.file))
-    term = embed_nk(proof)
-    d = infer_type(nk_context(proof), term)
-    out.emit("term", print_term(term))
-    out.emit("type", print_mprop(d.conclusion))
+    from . import classical, surface, typecheck
+    proof = classical.parse_nk(_read(args.file))
+    term = classical.embed_nk(proof)
+    d = typecheck.infer_type(classical.nk_context(proof), term)
+    out.emit("term", surface.print_term(term))
+    out.emit("type", surface.print_mprop(d.conclusion))
     return 0
 
 

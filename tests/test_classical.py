@@ -555,6 +555,25 @@ def test_embed_refuses_a_node_its_rule_does_not_build(node):
             embed_nk(p)
 
 
+# Nodes whose parts do not fit their rule's constructor's signature: an index or a
+# premise too many, or an index or a premise too few.
+_MISSHAPEN_NODES = {
+    "AndI-with-index": NKProof("AndI", (a,), And(a, a), (nk_hyp((a,), 0),) * 2, index=1),
+    "AndI-one-premise": NKProof("AndI", (a,), And(a, a), (nk_hyp((a,), 0),)),
+    "OrI-without-index": NKProof("OrI", (a,), Or(a, b), (nk_hyp((a,), 0),), prop=b),
+    "LEM-with-premises": NKProof("LEM", (a,), Or(a, Neg(a)), (nk_hyp((a,), 0),), prop=a),
+}
+
+
+@pytest.mark.parametrize("label", _MISSHAPEN_NODES)
+def test_embed_refuses_a_node_of_the_wrong_shape(label):
+    node = _MISSHAPEN_NODES[label]
+    maker = {"AndI": "nk_and_i", "OrI": "nk_or_i", "LEM": "nk_lem"}[node.rule]
+    for p in (node, nk_or_i(1, b, node), nk_and_i(nk_lem(node.hyps, b), node)):
+        assert _outcome(embed_nk, p) == (
+            InvalidNKProofError, f"{node.rule} node is not what {maker} builds from its parts")
+
+
 @pytest.mark.parametrize("side", [0, 3, -1])
 def test_nk_sides_are_1_or_2(side):
     p = nk_hyp((And(a, b),), 0)

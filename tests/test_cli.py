@@ -1,6 +1,8 @@
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -8,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from prk import cli
+from prk import cli, typecheck
 from prk.classical import _parse_nk_node, parse_nk
 from prk.cli import main, parse_judgment, parse_sequent
 from prk.errors import ParseError
@@ -513,7 +515,7 @@ def test_recursion_and_memory_errors_are_too_deep(capsys, monkeypatch):
     for error in (RecursionError, MemoryError):
         def fail(*_):
             raise error
-        monkeypatch.setattr(cli, "infer_type", fail)
+        monkeypatch.setattr(typecheck, "infer_type", fail)
         assert run(capsys, "check", str(GOLDEN / "lem.prk")) == \
             (2, "", "error: input too deep\n")
 
@@ -552,3 +554,33 @@ def test_random_judgments_end_in_an_exit_code(tmp_path, command, text):
         code = main([command, str(judgment)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_JUDGMENT = {"prk.syntax", "prk.surface", "prk.typecheck"}
+_CLASSICAL = {"prk.classical", "prk.rewrite", *_JUDGMENT}
+_KRIPKE = {"prk.syntax", "prk.surface", "prk.kripke"}
+_LOADS = {
+    "check golden/lem.prk": _JUDGMENT,
+    "dual golden/lem.prk": _JUDGMENT,
+    "normalize --eta --trace golden/projc_pairc.prk": {"prk.rewrite", *_JUDGMENT},
+    "classify golden/lem.prk": {"prk.rewrite", *_JUDGMENT},
+    "translate --check golden/lem.prk": {"prk.systemf", *_JUDGMENT},
+    "kripke eval golden/lem3.model w0 a^s+": _KRIPKE,
+    "kripke validate golden/lem3.model": _KRIPKE,
+    "kripke countermodel golden/lem_strong.seq": _KRIPKE,
+    "decide golden/peirce.seq": _CLASSICAL,
+    "embed golden/andcomm.nk": _CLASSICAL,
+    "--help": set(),
+}
+
+
+@pytest.mark.parametrize("command", _LOADS)
+def test_each_command_loads_only_its_layers(command):
+    # a fresh interpreter per command, as `prk` runs; the answers are checked by the tests above
+    code = ("import contextlib, io, sys\nfrom prk import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({command.split()!r})\n"
+            "print(sorted(m for m in sys.modules if m.startswith('prk')))")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=GOLDEN.parent, capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == str(sorted({"prk", "prk.cli", "prk.errors", *_LOADS[command]}))
