@@ -18,7 +18,8 @@ import re
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
-from string import Formatter
+from itertools import islice
+from string import Formatter, ascii_letters, digits
 from typing import Any, Callable, Iterator
 
 from .errors import ParseError
@@ -29,29 +30,35 @@ from .syntax import (MODE_OF, And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mod
 RESERVED_FALSITY = "_bot0"
 
 _IDENT_RE = re.compile("[A-Za-z][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(rf"""
-      (?P<ws>\s+|\#[^\n]*)
-    | (?P<ident>{_IDENT_RE.pattern}|{re.escape(RESERVED_FALSITY)})
-    | (?P<number>[0-9]+)
-    | (?P<sym>[()\[\],.:^&|~+-])
-    | (?P<bad>.)
-""", re.VERBOSE)
+# A token, after the blanks and comments before it: a name, a number or one
+# character; "" is the end.  The group starts at the token's offset.
+_TOKEN_RE = re.compile(rf"(?:\s+|#[^\n]*)*"
+                       rf"({_IDENT_RE.pattern}|{re.escape(RESERVED_FALSITY)}|[0-9]+|.|\Z)")
+# a token's kind by its first character ("_" starts only RESERVED_FALSITY); a
+# one-character token whose character is not here is an unexpected character
+_KINDS = {"": "eof", **dict.fromkeys(ascii_letters, "ident"), **dict.fromkeys(digits, "number"),
+          **dict.fromkeys("()[],.:^&|~+-", "sym")}
 
 _INDEXED = {"proj": "projection", "in": "injection"}
 _BAD_INDEX_RE = re.compile(r"(proj|in)[0-9]+$")
 
 
 class _Tokens:
-    """A text's tokens, each (kind, text, offset), and an "eof" one last."""
+    """A text's tokens, the strings of one findall, "" last; peek() and next()
+    give (kind, text, index).  Positions are worked out only for the token an
+    error names."""
 
     def __init__(self, text: str):
-        self.text, self.i = text, 0
-        self.toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)
-                     if m.lastgroup != "ws"]
-        for kind, val, at in self.toks:
-            if kind == "bad":
-                raise self.error(f"unexpected character {val!r}", at)
-        self.toks.append(("eof", "", len(text)))
+        self.text, self.i, self.words = text, 0, _TOKEN_RE.findall(text)
+        if self.words[-2:] == ["", ""]:  # blanks or a comment last: "" after them, "" at the end
+            self.words.pop()
+        if bad := [w for w in set(self.words) if len(w) == 1 and w not in _KINDS]:
+            at = min(map(self.words.index, bad))
+            raise self.error(f"unexpected character {self.words[at]!r}", at)
+
+    @property
+    def toks(self) -> list[tuple[str, str, int]]:
+        return [(_KINDS.get(w[:1], "ident"), w, i) for i, w in enumerate(self.words)]
 
     def end(self) -> None:
         kind, val, _ = self.peek()
@@ -59,21 +66,23 @@ class _Tokens:
             raise self.error(f"trailing input {val!r}")
 
     def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
+        w = self.words[self.i]
+        return _KINDS.get(w[:1], "ident"), w, self.i
 
     def next(self) -> tuple[str, str, int]:
-        t = self.toks[self.i]
+        t = self.peek()
         self.i += 1
         return t
 
     def expect(self, val: str) -> None:
-        _, v, at = self.next()
-        if v != val:
-            raise self.error(f"expected {val!r}, found {v or 'end of input'!r}", at)
+        if (v := self.words[self.i]) != val:
+            raise self.error(f"expected {val!r}, found {v or 'end of input'!r}")
+        self.i += 1
 
     def error(self, message: str, at: int | None = None) -> ParseError:
-        """A parse error at line:col of offset at, by default the next token's."""
-        at = self.toks[self.i][2] if at is None else at
+        """A parse error at line:col of token at, by default the next one."""
+        tokens = _TOKEN_RE.finditer(self.text)
+        at = next(islice(tokens, self.i if at is None else at, None)).start(1)
         return ParseError(message, self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at))
 
 
@@ -197,70 +206,87 @@ def _steps(cls: type, template: str) -> list[tuple]:
     types, steps, hint = {f.name: f.type for f in fields(cls)}, [], None
     for literal, name, _, _ in Formatter().parse(template):
         kind = types.get(name)
-        steps.append((literal, literal.replace(" ", ""), name, kind, kind == "Term" and hint))
+        steps.append((literal, _Tokens(literal).words[:-1], name, kind, kind == "Term" and hint))
         hint = name if kind == "str" else None if kind == "Term" else hint
     return steps
 
 
 _PRINT = {cls: _steps(cls, template) for cls, template in SYNTAX.items()}
-_KEYWORDS = {}  # keyword -> (class, the fields it fixes, the steps after it)
-for _cls, (_first, *_rest) in _PRINT.items():
-    _head = re.match("[a-z]+", _first[0]).group()
-    if _first[2] == "index":  # proj1, proj2, in1, in2
-        _KEYWORDS.update({f"{_head}{i}": (_cls, {"index": i}, _rest) for i in (1, 2)})
+_KEYWORDS = {}  # keyword -> (class, its fields as the keyword fixes them, the steps after it)
+for _cls, _print in _PRINT.items():
+    _at = {f.name: i for i, f in enumerate(fields(_cls))}
+    # a step: (literal tokens, their count, field position, field type)
+    _read = [(tokens, len(tokens), _at.get(name), kind) for _, tokens, name, kind, _ in _print]
+    (_head, *_lits), _, _field, _kind = _read[0]
+    if _field == _at.get("index"):  # proj1, proj2, in1, in2
+        for i in (1, 2):
+            _KEYWORDS[f"{_head}{i}"] = (_cls, [i if k == _field else None for k in _at.values()], _read[1:])
     else:
-        _KEYWORDS[_head] = (_cls, {}, [("", _first[1][len(_head):], *_first[2:])] + _rest)
+        _KEYWORDS[_head] = (_cls, [None] * len(_at), [(_lits, len(_lits), _field, _kind)] + _read[1:])
 BINDER_HINTS = {cls: tuple(s[4] for s in steps if s[3] == "Term") for cls, steps in _PRINT.items()}
 _BODIES = {cls: {s[4]: s[2] for s in steps if s[4]} for cls, steps in _PRINT.items()}  # hint -> body
 
 
 def parse_term(text: str, allow_reserved: bool = False) -> Term:
     """A shift/reduce loop over SYNTAX; each name is resolved against the
-    binders open where it is read."""
+    binders open where it is read, in O(1)."""
     tk = _Tokens(text)
-    stack = []  # open constructors: (class, fixed fields, steps, fields read, step, scope size)
-    scope: list[str] = []  # names of the open binders, innermost last
+    toks, j = tk.words, 0  # the tokens, and the next one's index
+    stack = []  # open constructors: (class, fields, steps, step, depth, its open binder's name)
+    depth, open_at = 0, {}  # the open binders' count, and each name's depths where it is open
     while True:
-        _, val, at = tk.next()  # a term starts here
+        val, j = toks[j], j + 1  # a term starts here
         if val in _KEYWORDS:
-            stack.append((*_KEYWORDS[val], {}, 0, len(scope)))
+            cls, fixed, steps = _KEYWORDS[val]
+            stack.append((cls, [*fixed], steps, 0, depth, None))
         elif is_name(val, allow_reserved):
-            t = Bound(scope[::-1].index(val)) if val in scope else Var(val)
+            t = Bound(depth - 1 - depths[-1]) if (depths := open_at.get(val)) else Var(val)
         elif bad := _BAD_INDEX_RE.match(val):
-            raise tk.error(f"{_INDEXED[bad[1]]} index must be 1 or 2", at)
+            raise tk.error(f"{_INDEXED[bad[1]]} index must be 1 or 2", j - 1)
         elif val == RESERVED_FALSITY:
-            raise tk.error(f"{RESERVED_FALSITY!r} is reserved", at)
+            raise tk.error(f"{RESERVED_FALSITY!r} is reserved", j - 1)
         else:
-            raise tk.error(f"expected a term, found {val or 'end of input'!r}", at)
+            raise tk.error(f"expected a term, found {val or 'end of input'!r}", j - 1)
         while stack:
-            cls, fixed, steps, got, i, bound = stack.pop()
+            cls, args, steps, i, bound, binder = stack.pop()
             if i:  # t is the term field of step i - 1
-                got[steps[i - 1][2]] = t
-            for _, tokens, name, kind, _ in steps[i:]:
+                args[steps[i - 1][2]] = t
+            for tokens, n, at, kind in steps[i:]:
                 i += 1
-                for token in tokens:
-                    tk.expect(token)
+                if n and toks[j:j + n] != tokens:
+                    tk.i = j
+                    for token in tokens:
+                        tk.expect(token)
+                j += n
                 if kind == "Term":
-                    stack.append((cls, fixed, steps, got, i, bound))
+                    stack.append((cls, args, steps, i, bound, binder))
                     break
                 if kind == "MProp":
-                    got[name] = _parse_mprop(tk, allow_reserved)
-                elif name:
-                    _, val, at = tk.next()
+                    tk.i = j
+                    args[at] = _parse_mprop(tk, allow_reserved)
+                    j = tk.i
+                elif at is not None:
+                    val, j = toks[j], j + 1
                     if kind == "Sign" and val not in ("+", "-"):
-                        raise tk.error(f"expected sign '+' or '-', found {val!r}", at)
+                        raise tk.error(f"expected sign '+' or '-', found {val!r}", j - 1)
                     if kind == "str":  # a binder's name, in scope for the next term field
                         if not is_name(val, allow_reserved):
                             raise tk.error(f"{val!r} is reserved" if val == RESERVED_FALSITY else
-                                           f"expected a binder name, found {val!r}", at)
-                        scope[bound:] = [val]
-                    got[name] = val
+                                           f"expected a binder name, found {val!r}", j - 1)
+                        if binder is not None:
+                            open_at[binder].pop()
+                        open_at.setdefault(val, []).append(bound)
+                        depth, binder = bound + 1, val
+                    args[at] = val
             else:
-                del scope[bound:]
-                t = cls(**fixed, **got)
+                if binder is not None:
+                    open_at[binder].pop()
+                    depth = bound
+                t = cls(*args)
                 continue
             break
         else:
+            tk.i = j
             tk.end()
             return t
 

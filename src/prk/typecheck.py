@@ -135,7 +135,7 @@ def _index(ctx: Context) -> Scope:
 # ---------------------------------------------------------------------------
 # Derivations
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Derivation:
     """One node of a typing derivation; premises under binders have the
     binder opened with a fresh named variable."""
@@ -145,6 +145,20 @@ class Derivation:
     subject: Term
     conclusion: MProp
     premises: tuple["Derivation", ...] = ()
+
+    def __init__(self, rule: str, ctx: Context, subject: Term, conclusion: MProp,
+                 premises: tuple["Derivation", ...] = ()):
+        object.__setattr__(self, "__dict__", {"rule": rule, "ctx": ctx, "subject": subject,
+                                              "conclusion": conclusion, "premises": premises})
+
+
+# Each rule's name, by its subject's constructor and sign, read off the duality table
+_RULES = {(cls, sign): f"{way}{conn}{sign}" for sign in (PLUS, MINUS) for cls, way, conn in (
+    (Pair, "I", PAIRED[sign].__name__), (Proj, "E", PAIRED[sign].__name__),
+    (Inj, "I", INJECTED[sign].__name__), (Case, "E", INJECTED[sign].__name__),
+    (NegI, "I", "Neg"), (NegE, "E", "Neg"), (CLam, "I", "C"), (CApp, "E", "C"))}
+_STRONG = {sign: MODE_OF[STRONG, sign] for sign in (PLUS, MINUS)}
+_CLASSICAL = {sign: MODE_OF[CLASSICAL, sign] for sign in (PLUS, MINUS)}
 
 
 def _expect_mode(p: MProp, strength: str, sign: str, what: str) -> None:
@@ -160,82 +174,84 @@ def infer_type(ctx: Context, t: Term) -> Derivation:
         return _top_level(infer_type, ctx, t)
     if (key := (id(ctx), id(t))) in memo:
         return _recall(memo[key])
+    kind = type(t)  # each rule in this frame, so a derivation costs one frame per level
     try:
-        match t:
-            case Var(name):
-                p = ctx.lookup(name)
-                if p is None:
-                    raise UnboundVariableError(f"unbound variable {name!r}")
-                d = Derivation("Ax", ctx, t, p)
+        if kind is Var:
+            if (p := ctx.lookup(t.name)) is None:
+                raise UnboundVariableError(f"unbound variable {t.name!r}")
+            d = Derivation("Ax", ctx, t, p)
 
-            case Bound(i):
-                raise TypingError(f"dangling bound variable #{i}")
+        elif kind is NegE:
+            db = infer_type(ctx, t.body)
+            p, sign = db.conclusion, t.sign
+            if not (isinstance(p.base, Neg) and p.mode is _STRONG[sign]):
+                raise ModeMismatchError(f"nege{sign} needs a strong negation, found {p}")
+            concl = MProp(p.base.inner, _CLASSICAL[flip(sign)])
+            d = Derivation(_RULES[kind, sign], ctx, t, concl, (db,))
 
-            case Abs(q, left, right):
-                dl, dr = _infer_either(opposite, (ctx, left), (ctx, right))
-                p = dl.conclusion
-                if not p.is_strong:
-                    raise NotStrongError(f"absurdity premise must be strong, found {p}")
-                d = Derivation("Abs", ctx, t, q, (dl, dr))
-
-            case Pair(sign, left, right):
-                dl = infer_type(ctx, left)
-                dr = infer_type(ctx, right)
-                _expect_mode(dl.conclusion, CLASSICAL, sign, f"pair{sign} left component")
-                _expect_mode(dr.conclusion, CLASSICAL, sign, f"pair{sign} right component")
-                conn = PAIRED[sign]
-                concl = MProp(conn(dl.conclusion.base, dr.conclusion.base), MODE_OF[STRONG, sign])
-                d = Derivation(f"I{conn.__name__}{sign}", ctx, t, concl, (dl, dr))
-
-            case Proj(sign, index, body):
-                db = infer_type(ctx, body)
-                p = db.conclusion
-                conn = PAIRED[sign]
-                if not (isinstance(p.base, conn) and p.mode is MODE_OF[STRONG, sign]):
-                    raise ModeMismatchError(
-                        f"proj{index}{sign} needs a {strong_noun(conn, sign)}, found {p}")
-                comp = p.base.left if index == 1 else p.base.right
-                d = Derivation(f"E{conn.__name__}{sign}", ctx, t,
-                               MProp(comp, MODE_OF[CLASSICAL, sign]), (db,))
-
-            case Inj(_, _, _):
-                raise CannotInferError(
-                    "the type of an injection is not inferable; check it against an expected type")
-
-            case Case(_, _, _, _, _, _):
-                d = _case_derivation(ctx, t, expected=None)
-
-            case NegI(sign, body):
-                db = infer_type(ctx, body)
-                p = db.conclusion
+        elif kind is NegI:
+            db = infer_type(ctx, t.body)
+            p, sign = db.conclusion, t.sign
+            if p.mode is not _CLASSICAL[flip(sign)]:
                 _expect_mode(p, CLASSICAL, flip(sign), f"negi{sign} premise")
-                d = Derivation(f"INeg{sign}", ctx, t, MProp(Neg(p.base), MODE_OF[STRONG, sign]), (db,))
+            d = Derivation(_RULES[kind, sign], ctx, t, MProp(Neg(p.base), _STRONG[sign]), (db,))
 
-            case NegE(sign, body):
-                db = infer_type(ctx, body)
-                p = db.conclusion
-                if not (isinstance(p.base, Neg) and p.mode is MODE_OF[STRONG, sign]):
-                    raise ModeMismatchError(f"nege{sign} needs a strong negation, found {p}")
-                concl = MProp(p.base.inner, MODE_OF[CLASSICAL, flip(sign)])
-                d = Derivation(f"ENeg{sign}", ctx, t, concl, (db,))
+        elif kind is Proj:
+            db = infer_type(ctx, t.body)
+            p, sign = db.conclusion, t.sign
+            conn = PAIRED[sign]
+            if not (isinstance(p.base, conn) and p.mode is _STRONG[sign]):
+                raise ModeMismatchError(
+                    f"proj{t.index}{sign} needs a {strong_noun(conn, sign)}, found {p}")
+            comp = p.base.left if t.index == 1 else p.base.right
+            d = Derivation(_RULES[kind, sign], ctx, t, MProp(comp, _CLASSICAL[sign]), (db,))
 
-            case CLam(sign, annot, body, hint):
-                if annot.mode is not MODE_OF[CLASSICAL, flip(sign)]:
-                    raise AnnotationMismatchError(f"clam{sign} binder must assume a classical "
-                                                  f"{STANCE[flip(sign)]}, found {annot}")
-                db = check_type(*_opened(ctx, hint, annot, body),
-                                MProp(annot.base, MODE_OF[STRONG, sign]))
-                d = Derivation(f"IC{sign}", ctx, t, MProp(annot.base, MODE_OF[CLASSICAL, sign]), (db,))
+        elif kind is Pair:
+            dl = infer_type(ctx, t.left)
+            dr = infer_type(ctx, t.right)
+            pl, pr, sign = dl.conclusion, dr.conclusion, t.sign
+            if pl.mode is not _CLASSICAL[sign]:
+                _expect_mode(pl, CLASSICAL, sign, f"pair{sign} left component")
+            if pr.mode is not _CLASSICAL[sign]:
+                _expect_mode(pr, CLASSICAL, sign, f"pair{sign} right component")
+            concl = MProp(PAIRED[sign](pl.base, pr.base), _STRONG[sign])
+            d = Derivation(_RULES[kind, sign], ctx, t, concl, (dl, dr))
 
-            case CApp(sign, fun, arg):
-                df = infer_type(ctx, fun)
-                p = df.conclusion
+        elif kind is CApp:
+            df = infer_type(ctx, t.fun)
+            p, sign = df.conclusion, t.sign
+            if p.mode is not _CLASSICAL[sign]:
                 _expect_mode(p, CLASSICAL, sign, f"capp{sign} function")
-                da = check_type(ctx, arg, MProp(p.base, MODE_OF[CLASSICAL, flip(sign)]))
-                d = Derivation(f"EC{sign}", ctx, t, MProp(p.base, MODE_OF[STRONG, sign]), (df, da))
+            da = check_type(ctx, t.arg, MProp(p.base, _CLASSICAL[flip(sign)]))
+            d = Derivation(_RULES[kind, sign], ctx, t, MProp(p.base, _STRONG[sign]), (df, da))
 
-            case _:
-                raise TypeError(t)
+        elif kind is CLam:
+            annot, sign = t.annot, t.sign
+            if annot.mode is not _CLASSICAL[flip(sign)]:
+                raise AnnotationMismatchError(f"clam{sign} binder must assume a classical "
+                                              f"{STANCE[flip(sign)]}, found {annot}")
+            db = check_type(*_opened(ctx, t.hint, annot, t.body), MProp(annot.base, _STRONG[sign]))
+            d = Derivation(_RULES[kind, sign], ctx, t, MProp(annot.base, _CLASSICAL[sign]), (db,))
+
+        elif kind is Case:
+            d = _case_derivation(ctx, t, expected=None)
+
+        elif kind is Abs:
+            dl, dr = _infer_either(opposite, (ctx, t.left), (ctx, t.right))
+            p = dl.conclusion
+            if not p.is_strong:
+                raise NotStrongError(f"absurdity premise must be strong, found {p}")
+            d = Derivation("Abs", ctx, t, t.annot, (dl, dr))
+
+        elif kind is Inj:
+            raise CannotInferError(
+                "the type of an injection is not inferable; check it against an expected type")
+
+        elif kind is Bound:
+            raise TypingError(f"dangling bound variable #{t.index}")
+
+        else:
+            raise TypeError(t)
     except TypingError as e:
         memo[key] = e
         raise
@@ -287,12 +303,10 @@ def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivatio
     sign = t.sign
     p1, p2 = t.annot1, t.annot2
     for which, p in (("first", p1), ("second", p2)):
-        if p.mode is not MODE_OF[CLASSICAL, sign]:
+        if p.mode is not _CLASSICAL[sign]:
             raise AnnotationMismatchError(f"case{sign} {which} binder must assume a "
                                           f"classical {STANCE[sign]}, found {p}")
-    conn = INJECTED[sign]
-    scrut_ty = MProp(conn(p1.base, p2.base), MODE_OF[STRONG, sign])
-    rule = f"E{conn.__name__}{sign}"
+    scrut_ty = MProp(INJECTED[sign](p1.base, p2.base), _STRONG[sign])
 
     try:
         dsc = infer_type(ctx, t.scrutinee)
@@ -314,60 +328,57 @@ def _case_derivation(ctx: Context, t: Case, expected: MProp | None) -> Derivatio
         d2 = check_type(*branch2, expected)
     else:
         d1, d2 = _infer_either(lambda p: p, branch1, branch2)
-    return Derivation(rule, ctx, t, d1.conclusion, (dsc, d1, d2))
+    return Derivation(_RULES[Case, sign], ctx, t, d1.conclusion, (dsc, d1, d2))
 
 
 def check_type(ctx: Context, t: Term, expected: MProp) -> Derivation:
     """Check t against an expected type, returning the derivation."""
     if (memo := _MEMO.get()) is None:
         return _top_level(check_type, ctx, t, expected)
-    match t:
-        case Inj(sign, index, body):
-            base = expected.base
-            conn = INJECTED[sign]
-            if not (isinstance(base, conn) and expected.mode is MODE_OF[STRONG, sign]):
-                raise TypeMismatchError(f"in{index}{sign} builds a {strong_noun(conn, sign)}, "
-                                        f"cannot have type {expected}")
-            comp = base.left if index == 1 else base.right
-            db = check_type(ctx, body, MProp(comp, MODE_OF[CLASSICAL, sign]))
-            return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (db,))
+    kind = type(t)
+    if kind is NegI:
+        base, sign = expected.base, t.sign
+        if not (isinstance(base, Neg) and expected.mode is _STRONG[sign]):
+            raise TypeMismatchError(f"negi{sign} cannot have type {expected}")
+        db = check_type(ctx, t.body, MProp(base.inner, _CLASSICAL[flip(sign)]))
+        return Derivation(_RULES[kind, sign], ctx, t, expected, (db,))
 
-        case Pair(sign, left, right):
-            base = expected.base
-            conn = PAIRED[sign]
-            if not (isinstance(base, conn) and expected.mode is MODE_OF[STRONG, sign]):
-                raise TypeMismatchError(f"pair{sign} cannot have type {expected}")
-            dl = check_type(ctx, left, MProp(base.left, MODE_OF[CLASSICAL, sign]))
-            dr = check_type(ctx, right, MProp(base.right, MODE_OF[CLASSICAL, sign]))
-            return Derivation(f"I{conn.__name__}{sign}", ctx, t, expected, (dl, dr))
+    if kind is Pair:
+        base, sign = expected.base, t.sign
+        if not (isinstance(base, PAIRED[sign]) and expected.mode is _STRONG[sign]):
+            raise TypeMismatchError(f"pair{sign} cannot have type {expected}")
+        dl = check_type(ctx, t.left, MProp(base.left, _CLASSICAL[sign]))
+        dr = check_type(ctx, t.right, MProp(base.right, _CLASSICAL[sign]))
+        return Derivation(_RULES[kind, sign], ctx, t, expected, (dl, dr))
 
-        case NegI(sign, body):
-            base = expected.base
-            if not (isinstance(base, Neg) and expected.mode is MODE_OF[STRONG, sign]):
-                raise TypeMismatchError(f"negi{sign} cannot have type {expected}")
-            db = check_type(ctx, body, MProp(base.inner, MODE_OF[CLASSICAL, flip(sign)]))
-            return Derivation(f"INeg{sign}", ctx, t, expected, (db,))
+    if kind is Inj:
+        base, sign = expected.base, t.sign
+        conn = INJECTED[sign]
+        if not (isinstance(base, conn) and expected.mode is _STRONG[sign]):
+            raise TypeMismatchError(f"in{t.index}{sign} builds a {strong_noun(conn, sign)}, "
+                                    f"cannot have type {expected}")
+        comp = base.left if t.index == 1 else base.right
+        db = check_type(ctx, t.body, MProp(comp, _CLASSICAL[sign]))
+        return Derivation(_RULES[kind, sign], ctx, t, expected, (db,))
 
-        case Case(_, _, _, _, _, _):
-            key = (id(ctx), id(t), expected)
-            if key not in memo:
-                try:
-                    memo[key] = _case_derivation(ctx, t, expected=expected)
-                except TypingError as e:
-                    memo[key] = e
-            return _recall(memo[key])
+    if kind is Case:
+        key = (id(ctx), id(t), expected)
+        if key not in memo:
+            try:
+                memo[key] = _case_derivation(ctx, t, expected=expected)
+            except TypingError as e:
+                memo[key] = e
+        return _recall(memo[key])
 
-        case Abs(q, _, _):
-            if q != expected:
-                raise TypeMismatchError(f"absurdity annotated {q}, expected {expected}")
-            return infer_type(ctx, t)
+    if kind is Abs:
+        if t.annot != expected:
+            raise TypeMismatchError(f"absurdity annotated {t.annot}, expected {expected}")
+        return infer_type(ctx, t)
 
-        case _:
-            d = infer_type(ctx, t)
-            if d.conclusion != expected:
-                raise TypeMismatchError(
-                    f"term has type {d.conclusion}, expected {expected}")
-            return d
+    d = infer_type(ctx, t)
+    if d.conclusion != expected:
+        raise TypeMismatchError(f"term has type {d.conclusion}, expected {expected}")
+    return d
 
 
 # ---------------------------------------------------------------------------

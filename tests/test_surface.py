@@ -9,9 +9,10 @@ import re
 import timeit
 from dataclasses import fields
 from pathlib import Path
+from string import Formatter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from prk.classical import (embed_nk, nk_and_e, nk_and_i, nk_hyp, nk_imp_e,
                            nk_imp_i, nk_lem, nk_or_i, parse_nk)
@@ -19,7 +20,8 @@ from prk.cli import parse_judgment
 from prk.errors import ParseError
 from prk.gen import PropGen, TermGen
 from prk.rewrite import ETA, PLAIN, binder_names_at, normalize, replay
-from prk.surface import Scope, _Tokens, is_name, parse_term, print_term
+from prk.surface import (RESERVED_FALSITY, SYNTAX, Scope, _BAD_INDEX_RE, _INDEXED, _Tokens,
+                         _parse_mprop, is_name, parse_term, print_term)
 from prk.syntax import (And, Bound, CApp, CLam, Case, MProp, Mode, Neg, NegE,
                         NegI, Or, PVar, Pair, Term, Var, dual, fresh_name)
 from prk.typecheck import mk_lem
@@ -289,8 +291,8 @@ def test_round_trip_of_deep_binder_nests():
 
 
 # -- tokens ------------------------------------------------------------------
-# The tokenizer once kept a running line and column; now a token keeps its
-# offset, and a position is worked out only for a token an error names.
+# The tokenizer once kept a running line and column; now a position is
+# worked out only for the token an error names.
 
 _RUNNING_TOKEN_RE = re.compile(r"""
       (?P<ws>\s+|\#[^\n]*)
@@ -415,6 +417,201 @@ def test_a_nest_whose_hint_is_taken_prints_as_fast_as_one_with_distinct_hints():
     assert print_term(shared).startswith("clam+(x2 : a^c-. capp+(clam+(x3 : ")
     times = best(shared), best(distinct)
     # about 1.3; knowing a hint's names open only while the hint was open made it 30 and more
+    assert times[0] < 3 * times[1], times
+
+
+# -- the reader against the one before it ------------------------------------
+# The reader once kept each token as (kind, text, offset) and looked each name
+# up in a list of the open binders' names; both are copied here as they were.
+
+_OLD_TOKEN_RE = re.compile(r"""
+      (?P<ws>\s+|\#[^\n]*)
+    | (?P<ident>[A-Za-z][A-Za-z0-9_]*|_bot0)
+    | (?P<number>[0-9]+)
+    | (?P<sym>[()\[\],.:^&|~+-])
+    | (?P<bad>.)
+""", re.VERBOSE)
+
+
+class _OldTokens:
+    """A text's tokens, each (kind, text, offset), and an "eof" one last."""
+
+    def __init__(self, text):
+        self.text, self.i = text, 0
+        self.toks = [(m.lastgroup, m.group(), m.start()) for m in _OLD_TOKEN_RE.finditer(text)
+                     if m.lastgroup != "ws"]
+        for kind, val, at in self.toks:
+            if kind == "bad":
+                raise self.error(f"unexpected character {val!r}", at)
+        self.toks.append(("eof", "", len(text)))
+
+    def end(self):
+        kind, val, _ = self.peek()
+        if kind != "eof":
+            raise self.error(f"trailing input {val!r}")
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, val):
+        _, v, at = self.next()
+        if v != val:
+            raise self.error(f"expected {val!r}, found {v or 'end of input'!r}", at)
+
+    def error(self, message, at=None):
+        at = self.toks[self.i][2] if at is None else at
+        return ParseError(message, self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at))
+
+
+def _old_keywords():
+    """keyword -> (class, the fields it fixes, the steps after it), as SYNTAX gave them."""
+    keywords = {}
+    for cls, template in SYNTAX.items():
+        types, steps, hint = {f.name: f.type for f in fields(cls)}, [], None
+        for literal, name, _, _ in Formatter().parse(template):
+            kind = types.get(name)
+            steps.append((literal, literal.replace(" ", ""), name, kind, kind == "Term" and hint))
+            hint = name if kind == "str" else None if kind == "Term" else hint
+        (first, *rest) = steps
+        head = re.match("[a-z]+", first[0]).group()
+        if first[2] == "index":
+            keywords.update({f"{head}{i}": (cls, {"index": i}, rest) for i in (1, 2)})
+        else:
+            keywords[head] = (cls, {}, [("", first[1][len(head):], *first[2:])] + rest)
+    return keywords
+
+
+_OLD_KEYWORDS = _old_keywords()
+
+
+def _old_parse_term(text, allow_reserved=False):
+    tk = _OldTokens(text)
+    stack = []
+    scope = []
+    while True:
+        _, val, at = tk.next()
+        if val in _OLD_KEYWORDS:
+            stack.append((*_OLD_KEYWORDS[val], {}, 0, len(scope)))
+        elif is_name(val, allow_reserved):
+            t = Bound(scope[::-1].index(val)) if val in scope else Var(val)
+        elif bad := _BAD_INDEX_RE.match(val):
+            raise tk.error(f"{_INDEXED[bad[1]]} index must be 1 or 2", at)
+        elif val == RESERVED_FALSITY:
+            raise tk.error(f"{RESERVED_FALSITY!r} is reserved", at)
+        else:
+            raise tk.error(f"expected a term, found {val or 'end of input'!r}", at)
+        while stack:
+            cls, fixed, steps, got, i, bound = stack.pop()
+            if i:
+                got[steps[i - 1][2]] = t
+            for _, tokens, name, kind, _ in steps[i:]:
+                i += 1
+                for token in tokens:
+                    tk.expect(token)
+                if kind == "Term":
+                    stack.append((cls, fixed, steps, got, i, bound))
+                    break
+                if kind == "MProp":
+                    got[name] = _parse_mprop(tk, allow_reserved)
+                elif name:
+                    _, val, at = tk.next()
+                    if kind == "Sign" and val not in ("+", "-"):
+                        raise tk.error(f"expected sign '+' or '-', found {val!r}", at)
+                    if kind == "str":
+                        if not is_name(val, allow_reserved):
+                            raise tk.error(f"{val!r} is reserved" if val == RESERVED_FALSITY else
+                                           f"expected a binder name, found {val!r}", at)
+                        scope[bound:] = [val]
+                    got[name] = val
+            else:
+                del scope[bound:]
+                t = cls(**fixed, **got)
+                continue
+            break
+        else:
+            tk.end()
+            return t
+
+
+def _reads_as_the_old_reader(text, allow_reserved=False):
+    """Check that parse_term gives the old reader's term, hints included, or
+    its error with the same message and position."""
+    try:
+        want = _old_parse_term(text, allow_reserved)
+    except ParseError as e:
+        with pytest.raises(ParseError) as err:
+            parse_term(text, allow_reserved)
+        assert (err.value.message, err.value.line, err.value.col) == (e.message, e.line, e.col), text
+        return
+    assert _same_tree(parse_term(text, allow_reserved), want), text
+
+
+def _goal_texts():
+    """What follows '|-' on each golden file's last line."""
+    return [line.split("|-", 1)[1] for path in sorted(GOLDEN.iterdir())
+            for line in path.read_text().splitlines() if line.startswith("|-")]
+
+
+def test_golden_texts_read_as_the_old_reader():
+    for text in _goal_texts() + [text for text, *_ in ERRORS]:
+        _reads_as_the_old_reader(text)
+        _reads_as_the_old_reader(text, allow_reserved=True)
+
+
+def test_printed_terms_read_as_the_old_reader():
+    from perfbench.reference import NKGen
+    rng = random.Random(27)
+    gen = TermGen(rng)
+    for _ in range(300):
+        make_ctx = rng.choice((gen.base_context, gen.classical_context))
+        _reads_as_the_old_reader(print_term(gen.sized_term(make_ctx(), gen.props.mprop(2), 4)))
+    nkgen = NKGen(rng, PropGen(rng))
+    for _ in range(40):  # embed_nk's terms name the reserved falsity atom
+        hyps = tuple(nkgen.props.pure(2) for _ in range(rng.randrange(3)))
+        text, _ = nkgen.proof(hyps, rng.randrange(1, 5))
+        t = embed_nk(parse_nk("".join(f"hyp : {h}\n" for h in hyps) + f"|- {text}\n"))
+        _reads_as_the_old_reader(print_term(t), allow_reserved=True)
+
+
+_BASES = _goal_texts() + ["clam+(x : a^c-. case+(x, y : a^c+. pair+(y, x), z : b^c+. in1-(z)))  # end",
+                          "abs[a^s+](proj1+(p), nege-(q))\n"]
+_EDIT = st.tuples(st.sampled_from(("insert", "delete", "swap")), st.integers(0, 1 << 16),
+                  st.sampled_from(_PIECES))
+
+
+@seed(27)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BASES), st.lists(_EDIT, min_size=1, max_size=3), st.booleans())
+def test_texts_with_a_token_inserted_deleted_or_swapped_read_as_the_old_reader(base, edits,
+                                                                              allow_reserved):
+    toks = re.findall(r"[A-Za-z][A-Za-z0-9_]*|_bot0|[0-9]+|\s+|.", base)
+    for how, at, piece in edits:
+        at %= len(toks) + (how == "insert")
+        if how == "insert":
+            toks.insert(at, piece)
+        elif how == "delete" and toks:
+            del toks[at]
+        elif toks:
+            toks[at] = piece
+    _reads_as_the_old_reader("".join(toks), allow_reserved)
+
+
+def test_reading_distinct_binder_names_is_linear():
+    def best(text):
+        return min(timeit.repeat(lambda: parse_term(text), number=1, repeat=3))
+
+    # 8,000 nested binders with distinct names, each named at the bottom: 17 tokens a level
+    n = 8000
+    nest = ("".join(f"clam+(x{i} : a^c-. capp+(" for i in range(n)) + "p"
+            + "".join(f", x{i}))" for i in reversed(range(n))))
+    chain = "nege-(negi-(" * (17 * n // 8) + "x" + "))" * (17 * n // 8)  # 8 tokens a pair
+    times = best(nest), best(chain)
+    # about 1; copying the open names' list for each name made it 3.5, and 6 at 16,000
     assert times[0] < 3 * times[1], times
 
 

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import pathlib
+import pickle
 import random
+import subprocess
 import sys
 import threading
 import timeit
@@ -1031,3 +1035,46 @@ def test_projecting_a_nest_with_one_hint_is_as_fast_as_one_with_distinct_hints()
     times = _on_a_deep_stack(lambda: (best(shared), best(distinct)))
     # about 1; probing w, w2, ... from the start at each node made it about 4
     assert times[0] < 2 * times[1], times
+
+
+# -- one frame per level, and the Derivation contract -------------------------
+
+def test_typing_a_chain_takes_one_frame_per_level():
+    # 450 nege/negi pairs are 900 levels, under the default limit of 1,000 frames;
+    # a helper function per rule would take two frames a level
+    code = ("import sys\nfrom prk.syntax import MProp, Mode, NegE, NegI, PVar, Var\n"
+            "from prk.typecheck import Context, check_type, infer_type\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "t = Var('x')\nfor _ in range(450):\n    t = NegE('-', NegI('-', t))\n"
+            "goal = MProp(PVar('a'), Mode('c', '+'))\nctx = Context.of(('x', goal))\n"
+            "print(infer_type(ctx, t).conclusion == goal, check_type(ctx, t, goal).conclusion == goal)")
+    src = str(pathlib.Path(infer_type.__code__.co_filename).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["True", "True"]
+
+
+def test_a_derivation_keeps_its_dataclass_contract():
+    ctx = ctx_of(("x", "a^c+"))
+    d = infer_type(ctx, parse_term("negi-(x)"))
+    assert [f.name for f in dataclasses.fields(Derivation)] == [
+        "rule", "ctx", "subject", "conclusion", "premises"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.rule = "Ax"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.premises[0].conclusion = None
+    x = "Context(entries=(('x', MProp(base=PVar(name='a'), mode=Mode(strength='c', sign='+'))),))"
+    ax = (f"Derivation(rule='Ax', ctx={x}, subject=Var(name='x'), "
+          "conclusion=MProp(base=PVar(name='a'), mode=Mode(strength='c', sign='+')), premises=())")
+    assert repr(d) == (f"Derivation(rule='INeg-', ctx={x}, subject=NegI(sign='-', body=Var(name='x')), "
+                       "conclusion=MProp(base=Neg(inner=PVar(name='a')), mode=Mode(strength='s', sign='-')), "
+                       f"premises=({ax},))")
+    assert repr(Derivation("Ax", ctx, Var("x"), parse_mprop("a^c+"))) == ax
+    again = Derivation("INeg-", ctx, d.subject, d.conclusion, premises=d.premises)
+    assert again == d and hash(again) == hash(d) and again is not d
+    assert d != dataclasses.replace(d, rule="R") == Derivation("R", ctx, d.subject, d.conclusion, d.premises)
+    assert dataclasses.replace(d, rule="R").premises is d.premises
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and repr(copy) == repr(d) and hash(copy) == hash(d)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copy.ctx = ctx
