@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
 from .surface import RESERVED_FALSITY, _Tokens, _parse_base, located, read_entailment
 from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
-                     Scope, Term, Var, case, clam, fresh_name, fv, prop_vars,
-                     substitute)
+                     Scope, Term, Var, case, clam, fresh_name, fv, preorder,
+                     prop_fold, substitute)
 from .typecheck import Context, abs_general_at, contrapose_at, mk_lem
 
 FALSITY_VAR = RESERVED_FALSITY
@@ -42,25 +43,25 @@ def classem(p: MProp) -> PureProp:
     return p.base if p.sign == PLUS else Neg(p.base)
 
 
-def eval_prop(a: PureProp, valuation: dict[str, bool]) -> bool:
-    match a:
-        case PVar(name):
-            return valuation[name]
-        case And(l, r):
-            return eval_prop(l, valuation) and eval_prop(r, valuation)
-        case Or(l, r):
-            return eval_prop(l, valuation) or eval_prop(r, valuation)
-        case Neg(inner):
-            return not eval_prop(inner, valuation)
-    raise TypeError(a)
-
-
 def tt_valid(hyps: list[PureProp], goal: PureProp) -> bool:
-    """Classical semantic entailment by truth tables."""
-    variables = sorted(set().union(prop_vars(goal), *(prop_vars(h) for h in hyps)))
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        valuation = dict(zip(variables, bits))
-        if all(eval_prop(h, valuation) for h in hyps) and not eval_prop(goal, valuation):
+    """Classical semantic entailment by truth tables, an int holding a column
+    of rows: the first 16 atoms span at most 2**16 rows, each assignment of
+    the rest is one pass, and the first counterexample ends the search."""
+    nodes = preorder(prop_fold, reduce(And, hyps, Neg(goal)))  # true on a counterexample
+    names = sorted({u.name for u in nodes if type(u) is PVar})
+    cols, rows = {}, 1  # each atom's column, and the number of rows
+    for x in names[:16]:
+        cols = {y: m | m << rows for y, m in cols.items()}  # each row twice, x false then true
+        cols[x] = ((1 << rows) - 1) << rows
+        rows *= 2
+    for bits in itertools.product((0, -1), repeat=len(names[16:])):  # -1: true on every row
+        cols.update(zip(names[16:], bits))
+        done = []  # a column per operand not yet combined; postorder reads children first
+        for u in reversed(nodes):
+            t = type(u)
+            done.append(cols[u.name] if t is PVar else ~done.pop() if t is Neg
+                        else done.pop() & done.pop() if t is And else done.pop() | done.pop())
+        if done[0] & (1 << rows) - 1:
             return False
     return True
 

@@ -10,6 +10,7 @@ Grammar (fully parenthesized):
 
 A name is an ASCII identifier, from a letter, that is no keyword or malformed index
 (`proj3`); `_bot0` is one only with allow_reserved=True.  Every reader asks is_name.
+Terms print through `print_tree`, which lives in `syntax` beside the other walks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Callable, Iterator
 from .errors import ParseError
 from .syntax import (MODE_OF, And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
                      NegE, NegI, Or, PVar, Pair, Proj, PureProp, Scope, Term, Var,
-                     fv, prop_vars)
+                     fv, print_tree, prop_vars)
 
 RESERVED_FALSITY = "_bot0"
 
@@ -304,24 +305,6 @@ def is_name(text: str, allow_reserved: bool = False) -> bool:
 
 def print_mprop(p: MProp) -> str:
     return str(p)
-
-
-def print_tree(t, layout) -> str:
-    """The text of t.  layout(u) lists the parts of a node u: text, a
-    subtree, or a function, run when it is reached, that returns text or
-    None, such as opening or closing a binder's scope.  The parts wait on an
-    explicit stack, so no tree is too deep for it."""
-    out: list[str] = []
-    todo = [t]
-    while todo:
-        part = todo.pop()
-        if isinstance(part, str):
-            out.append(part)
-        elif callable(part):
-            out.append(part() or "")
-        else:
-            todo += reversed(layout(part))
-    return "".join(out)
 
 
 def print_term(t: Term, env: tuple[str, ...] = ()) -> str:

@@ -14,8 +14,10 @@ built on that shape through the generic walks defined here: `make_map`,
 a binder-aware map that keeps unchanged nodes, and `make_fold`, an
 iterative pre-order walk, which `make_positions` runs with positions for
 depths; `make_debruijn` derives shifting, substitution and closing from
-a map, and `make_normalize` is the one normalizing walk of both calculi.
-systemf builds its type and term walks on the same helpers.
+a map, and `make_normalize` is the one normalizing walk of both calculi;
+`print_tree` prints any tree from a layout of each node's parts.
+systemf builds its type and term walks on the same helpers, and the walks
+over propositions (printing, size, duality, depth) use them too.
 
 Every proof term, System F type and System F term carries `free`, a
 summary of its free variables that `summarize` builds with the node from
@@ -191,7 +193,9 @@ def make_map(children, rebuild, binders, deeper=operator.add, top=0):
     leaf(u, d), d the depth of u; a subtree u with keep(u, d) true is
     returned as it is, unvisited.  A node whose children all come back
     unchanged is returned itself, so a map that changes nothing allocates
-    nothing.  It keeps an explicit stack, so no tree is too deep for it."""
+    nothing.  rebuild may return any value, so a map whose leaves return
+    values evaluates the tree bottom-up.  It keeps an explicit stack, so no
+    tree is too deep for it."""
 
     def tree_map(t, leaf, depth=top, keep=lambda u, d: False):
         done = []  # results, each node's after its children's
@@ -245,6 +249,24 @@ def make_fold(children, binders, deeper=operator.add, top=0):
         return None
 
     return fold
+
+
+def print_tree(t, layout) -> str:
+    """The text of t.  layout(u) lists the parts of a node u: text, a
+    subtree, or a function, run when it is reached, that returns text or
+    None, such as opening or closing a binder's scope.  The parts wait on an
+    explicit stack, so no tree is too deep for it."""
+    out: list[str] = []
+    todo = [t]
+    while todo:
+        part = todo.pop()
+        if isinstance(part, str):
+            out.append(part)
+        elif callable(part):
+            out.append(part() or "")
+        else:
+            todo += reversed(layout(part))
+    return "".join(out)
 
 
 # Positions: tuples of child indices from the root.  find's fold keeps a
@@ -404,13 +426,13 @@ class PureProp:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return print_tree(self, _prop_parts)
+
 
 @dataclass(frozen=True)
 class PVar(PureProp):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -418,31 +440,32 @@ class And(PureProp):
     left: PureProp
     right: PureProp
 
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
-
 
 @dataclass(frozen=True)
 class Or(PureProp):
     left: PureProp
     right: PureProp
 
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
-
 
 @dataclass(frozen=True)
 class Neg(PureProp):
     inner: PureProp
 
-    def __str__(self) -> str:
-        return f"~{self.inner}"
-
 
 prop_children, prop_rebuild = make_shape(PureProp)
 prop_fold = make_fold(prop_children, {})
-# every child sits one level below its parent, so a node's depth is its level
-_levels = make_fold(prop_children, {And: (1, 1), Or: (1, 1), Neg: (1,)})
+_SWAP = {And: Or, Or: And, Neg: Neg}
+_dual = make_map(prop_children, lambda u, kids: _SWAP[type(u)](*kids), {})
+_height = make_map(prop_children, lambda u, kids: 1 + max(kids), {})
+
+
+def _prop_parts(u: PureProp) -> list:
+    """The parts of u for print_tree."""
+    if type(u) is PVar:
+        return [u.name]
+    if type(u) is Neg:
+        return ["~", u.inner]
+    return ["(", u.left, " & " if type(u) is And else " | ", u.right, ")"]
 
 
 def prop_size(a: PureProp) -> int:
@@ -456,16 +479,13 @@ def prop_vars(a: PureProp) -> frozenset[str]:
 
 def prop_dual(a: PureProp) -> PureProp:
     """Swap conjunction/disjunction, push through negation, fix variables."""
-    if isinstance(a, PVar):
-        return a
-    return {And: Or, Or: And, Neg: Neg}[type(a)](*map(prop_dual, prop_children(a)))
+    # a copy of each variable, as make_map keeps a node whose children come back as they were
+    return _dual(a, lambda u, _: PVar(u.name))
 
 
 def prop_depth(a: PureProp) -> int:
     """Formula height, counting a variable as depth 1."""
-    levels: list[int] = []
-    _levels(a, lambda _, level: levels.append(level))
-    return 1 + max(levels)
+    return _height(a, lambda u, _: 1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, 
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
                      Proj, PVar, Scope, Summarized, Var, cache_hash, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_positions,
-                     make_shape, opposite, preorder)
-from .surface import print_tree
+                     make_shape, opposite, preorder, print_tree)
 from .typecheck import Context, Derivation, check_type
 
 

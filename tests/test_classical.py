@@ -1,10 +1,15 @@
+import itertools
+import os
 import random
 import re
+import subprocess
 import sys
 import timeit
+from pathlib import Path
 
 import pytest
 
+import prk
 from prk.classical import (FALSITY, FALSITY_VAR, NKProof, appc, casec, classem,
                            decide_oplus, embed_nk, explosionc, implies, inic,
                            lamc, lem_case_reduct, lemc, neglamc, negapc,
@@ -13,10 +18,11 @@ from prk.classical import (FALSITY, FALSITY_VAR, NKProof, appc, casec, classem,
                            nk_neg_i, nk_or_e, nk_or_i, pairc, parse_nk, projic,
                            run_classical_rule, tt_valid)
 from prk.errors import InvalidNKProofError, WrongModeError
+from prk.gen import PropGen, all_pure_props
 from prk.rewrite import all_redexes, apply_at
 from prk.surface import _parse_pure, parse_mprop, print_term
 from prk.syntax import (Abs, And, CApp, MProp, Mode, Neg, Or, PVar, Var, clam,
-                        fresh_name, substitute)
+                        fresh_name, prop_vars, substitute)
 from prk.typecheck import Context, abs_general_at, infer_type, mk_lem
 
 a, b, c = PVar("a"), PVar("b"), PVar("c")
@@ -42,6 +48,83 @@ def test_tt_valid():
     assert not tt_valid([], a)
     assert tt_valid([And(a, b)], b)
     assert not tt_valid([Or(a, b)], b)
+
+
+def _old_eval_prop(a, valuation):
+    match a:
+        case PVar(name):
+            return valuation[name]
+        case And(l, r):
+            return _old_eval_prop(l, valuation) and _old_eval_prop(r, valuation)
+        case Or(l, r):
+            return _old_eval_prop(l, valuation) or _old_eval_prop(r, valuation)
+        case Neg(inner):
+            return not _old_eval_prop(inner, valuation)
+
+
+def _old_tt_valid(hyps, goal):
+    """tt_valid as it was: each proposition evaluated once per row."""
+    variables = sorted(set().union(prop_vars(goal), *(prop_vars(h) for h in hyps)))
+    for bits in itertools.product((False, True), repeat=len(variables)):
+        valuation = dict(zip(variables, bits))
+        if all(_old_eval_prop(h, valuation) for h in hyps) and not _old_eval_prop(goal, valuation):
+            return False
+    return True
+
+
+def test_tt_valid_gives_the_row_by_row_answers():
+    props = all_pure_props(("a", "b"), 2)
+    sequents = [([h], g) for h in props for g in props]
+    assert len(sequents) == 144
+    rng = random.Random(29)
+    gen = PropGen(rng, ("a", "b", "c", "d", "e"))
+    sequents += [([gen.pure(rng.randint(1, 5)) for _ in range(rng.randint(0, 3))], gen.pure(rng.randint(1, 5)))
+                 for _ in range(3000)]
+    answers = [tt_valid(hyps, goal) for hyps, goal in sequents]
+    assert answers == [_old_tt_valid(hyps, goal) for hyps, goal in sequents]
+    assert 0 < sum(answers[144:]) < 3000
+
+
+def test_tt_valid_past_sixteen_atoms_gives_the_row_by_row_answers():
+    # a tautology over 14 atoms that sort first leaves d and e past the 16 atoms
+    # that span the rows, so their values come one assignment at a time
+    pad = [Or(PVar(f"A{i:02}"), Neg(PVar(f"A{i:02}"))) for i in range(14)]
+    rng = random.Random(30)
+    gen = PropGen(rng, ("a", "b", "c", "d", "e"))
+    checked = set()
+    for _ in range(300):
+        hyps, goal = [gen.pure(rng.randint(1, 5)) for _ in range(rng.randint(0, 3))], gen.pure(rng.randint(1, 5))
+        names = prop_vars(goal).union(*map(prop_vars, hyps))
+        answer = tt_valid([*hyps, *pad], goal)
+        assert answer == _old_tt_valid(hyps, goal)
+        checked.add((answer, len(names & {"d", "e"})))
+    assert checked >= {(True, 2), (False, 2)}
+
+
+def test_a_counterexample_on_the_first_row_ends_a_forty_atom_search():
+    # all atoms false refutes |- a0 & … & a39 at once; the 2^24 passes over the
+    # atoms past the first 16 would take hours, so a hung search fails here
+    code = """if True:
+        from functools import reduce
+        from prk.classical import tt_valid
+        from prk.syntax import And, Neg, PVar
+        atoms = [PVar(f"a{i}") for i in range(40)]
+        print(tt_valid([], reduce(And, atoms)), tt_valid([], Neg(reduce(And, atoms[:18]))))
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(prk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout == "False False\n", out.stderr[-2000:]
+
+
+def test_decide_oplus_over_twenty_atoms():
+    atoms = [PVar(f"a{i}") for i in range(20)]
+    conj, disj = atoms[0], atoms[-1]
+    for x, y in zip(atoms[1:], atoms[-2::-1]):
+        conj, disj = And(conj, x), Or(disj, y)
+    assert str(conj) == "(" * 19 + "a0" + "".join(f" & a{i})" for i in range(1, 20))
+    assert str(disj) == "(" * 19 + "a19" + "".join(f" | a{i})" for i in range(18, -1, -1))
+    assert decide_oplus([cp(conj)], cp(disj))
+    assert not decide_oplus([cp(disj)], cp(conj))
 
 
 def test_decide_oplus():

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prk.errors import ParseError
+from prk.gen import all_pure_props
 from prk.surface import parse_mprop, parse_term, print_mprop, print_term
 from prk.syntax import (And, Bound, CLam, MProp, Mode, Neg, Or, PVar, Pair,
                         Term, Var, clam, close_binder, dual, fresh_name, fv,
-                        measure, open_binder, opposite, prop_size, shift,
-                        substitute, truncate, uses_index)
+                        make_fold, measure, open_binder, opposite, prop_children,
+                        prop_depth, prop_dual, prop_size, shift, substitute,
+                        truncate, uses_index)
 from prk.typecheck import mk_lem
 
 a = PVar("a")
@@ -331,3 +333,75 @@ def test_a_negative_index_is_rejected(leaf):
     assert max(cls(3).free[0::2]) == 4  # free below index 4 of its sort
     with pytest.raises(ValueError, match="^negative de Bruijn index -1$"):
         cls(-1)
+
+
+# -- proposition walks ---------------------------------------------------------------
+# str, prop_dual and prop_depth run on print_tree and make_map; these are the
+# recursive walks they replaced, kept as references.
+
+def _old_str(p):
+    match p:
+        case PVar(name):
+            return name
+        case And(l, r):
+            return f"({_old_str(l)} & {_old_str(r)})"
+        case Or(l, r):
+            return f"({_old_str(l)} | {_old_str(r)})"
+        case Neg(inner):
+            return f"~{_old_str(inner)}"
+
+
+def _old_prop_dual(p):
+    if isinstance(p, PVar):
+        return p
+    return {And: Or, Or: And, Neg: Neg}[type(p)](*map(_old_prop_dual, prop_children(p)))
+
+
+def _old_prop_depth(p):
+    levels = []
+    make_fold(prop_children, {And: (1, 1), Or: (1, 1), Neg: (1,)})(p, lambda _, level: levels.append(level))
+    return 1 + max(levels)
+
+
+def test_proposition_walks_give_the_recursive_walks_answers():
+    props = all_pure_props(("a", "b"), 3)
+    assert len(props) == 302
+    for p in props:
+        assert str(p) == _old_str(p)
+        assert prop_dual(p) == _old_prop_dual(p)
+        assert prop_depth(p) == _old_prop_depth(p)
+        assert print_mprop(MProp(p, Mode("s", "-"))) == _old_str(p) + "^s-"
+
+
+_DEEP = """
+from prk.classical import decide_oplus, tt_valid
+from prk.surface import print_mprop
+from prk.syntax import And, MProp, Mode, Neg, PVar, prop_depth, prop_dual
+n = 100_000
+negs, ands = PVar("a"), PVar("a")
+for _ in range(n):
+    negs, ands = Neg(negs), And(ands, PVar("b"))
+cp = Mode("c", "+")
+for p, dual in ((negs, "~" * n + "a"), (ands, "(" * n + "a" + " | b)" * n)):
+    text = str(p)  # compared through strings: == and hash still recurse
+    assert len(text) == len(dual) and text.replace("&", "|") == dual
+    assert print_mprop(MProp(p, cp)) == text + "^c+"
+    assert prop_depth(p) == n + 1
+    assert str(prop_dual(p)) == dual
+    assert tt_valid([p], p)
+    assert decide_oplus([MProp(p, cp)], MProp(p, cp))
+print("ok")
+"""
+
+
+def test_proposition_walks_work_on_deep_input_at_the_default_limit():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import prk
+    env = {**os.environ, "PYTHONPATH": str(Path(prk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", "import sys; assert sys.getrecursionlimit() <= 1000\n" + _DEEP],
+                         capture_output=True, text=True, env=env)
+    assert out.stdout == "ok\n", out.stderr[-2000:]
