@@ -6,15 +6,16 @@ on bit-vectors, one bit per valuation, so the search forces every
 candidate valuation of an order in one pass.  Both searches take orders
 from one walk, valuations from one generator and models from one builder,
 and drop isomorphic ones by an exact key built on each order's least
-relabelling.  Kept across calls: _model_forcing (4,096 entries), _shaped_orders
-(per world count, 8) and _order_tables (per worlds and atoms, 16)."""
+relabelling.  A model keeps its up-sets and its forcing memo (4,096 entries),
+which go with it.  Kept across calls: _shaped_orders (per world count, 8) and
+_order_tables (per worlds and atoms, 16)."""
 
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
@@ -56,8 +57,20 @@ class KripkeModel:
         return _closure(self.worlds, self.leq)
 
     def above(self, w: str) -> tuple[str, ...]:
-        order = self.order()
-        return tuple(v for v in self.worlds if (w, v) in order)
+        return self._above[w]
+
+    @cached_property
+    def _above(self) -> dict[str, tuple[str, ...]]:
+        order = self.order()  # the closure once, for every world
+        return {w: tuple(v for v in self.worlds if (w, v) in order) for w in self.worlds}
+
+    @cached_property
+    def _forces(self):
+        return _forcing(self._above, *({w: dict.fromkeys(s, 1) for w, s in v}
+                                       for v in (self.vplus, self.vminus)), 1)
+
+    def __getstate__(self):  # the fields alone: copies derive _above and _forces again
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
 
 def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
@@ -124,17 +137,9 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
     """The forcing relation, by recursion on the measure of p."""
     if w not in m.worlds:
         raise UnknownWorldError(f"unknown world {w!r}")
-    missing = prop_vars(p.base) - m.alphabet
-    if missing:
+    if missing := prop_vars(p.base) - m.alphabet:
         raise UnknownVariableError(f"variables not in alphabet: {sorted(missing)}")
-    return bool(_model_forcing(m)(w, p))
-
-
-@lru_cache(maxsize=1 << 12)
-def _model_forcing(m: KripkeModel):
-    order = m.order()  # the closure once, for every world
-    return _forcing({w: tuple(v for v in m.worlds if (w, v) in order) for w in m.worlds},
-                    *({w: dict.fromkeys(s, 1) for w, s in v} for v in (m.vplus, m.vminus)), 1)
+    return bool(m._forces(w, p))
 
 
 def _forcing(above, plus, minus, full: int):
@@ -145,7 +150,7 @@ def _forcing(above, plus, minus, full: int):
     def f(w, p: MProp) -> int:
         return g(w, p.base, p.mode.strength, p.sign)
 
-    @cache
+    @lru_cache(maxsize=1 << 12)  # the memo's bound, for a model's and a search order's alike
     def g(w, base, strength, sign) -> int:
         if strength == CLASSICAL:  # no world above forces the strong opposite
             return full & ~reduce(or_, [g(v, base, STRONG, flip(sign)) for v in above[w]])
@@ -167,10 +172,7 @@ def _forcing(above, plus, minus, full: int):
 
 def entails_in_model(m: KripkeModel, hyps: list[MProp], p: MProp) -> bool:
     """Every world forcing all of hyps forces p."""
-    for w in m.worlds:
-        if all(forces(m, w, h) for h in hyps) and not forces(m, w, p):
-            return False
-    return True
+    return all(forces(m, w, p) for w in m.worlds if all(forces(m, w, h) for h in hyps))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +293,10 @@ def _order_tables(n: int, atoms: int) -> list:
         shape, _ = _shape(n, [(i, j) for i in range(n) for j in above[i]])
         if shape not in shapes:
             shapes.add(shape)
-            states = _valuations(above, atoms)
-            plus, minus = ([[int("".join("1" if st[w][k] & bit else "0" for st in reversed(states)), 2)
-                             for k in range(atoms)] for w in range(n)] for bit in (1, 2))
+            states = _valuations(above, atoms)  # cols[w][k]: a state byte per candidate, last first
+            cols = [[bytes(col) for col in zip(*world)] for world in zip(*reversed(states))]
+            plus, minus = ([[int(col.translate(bytes.maketrans(b"\0\1\2\3", digits)), 2) for col in row]
+                            for row in cols] for digits in (b"0101", b"0011"))
             tables.append((above, plus, minus, (1 << len(states)) - 1))
     return tables
 

@@ -48,20 +48,30 @@ from operator import attrgetter
 from typing import Container, Iterator, Sequence, Union
 
 
+_HASH_OF: dict[type, object] = {}  # each class cache_hash wraps -> its dataclass-generated hash
+
+
 def cache_hash(cls):
     """Memoize the dataclass-generated hash on first use.
 
     Terms are immutable trees compared structurally; sets and memo tables
-    hash the same nodes many times, so the recursive hash is cached.  It
-    differs between processes, so pickles and copies leave it out."""
-    generated = cls.__hash__
+    hash the same nodes many times, so the hash is cached.  A first hash
+    hashes the unhashed nodes below first, on an explicit stack, so no tree is
+    too deep.  It differs between processes, so pickles and copies leave it out."""
+    _HASH_OF[cls] = cls.__hash__
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+        if (h := self.__dict__.get("_hash")) is not None:
+            return h
+        stack = [self]
+        while stack:  # children first, so the generated hash recurses no further
+            u, n = stack[-1], len(stack)
+            for c in u.__dict__.values():
+                if type(c) in _HASH_OF and "_hash" not in c.__dict__:
+                    stack.append(c)
+            if len(stack) == n:  # no child left to hash
+                object.__setattr__(stack.pop(), "_hash", _HASH_OF[type(u)](u))
+        return self.__dict__["_hash"]
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}

@@ -1,4 +1,9 @@
+import copy
+import gc
 import itertools
+import pickle
+import random
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -10,6 +15,7 @@ from prk.kripke import (KripkeModel, _forcing, _order_tables, _partial_orders, _
 from prk.gen import PropGen, all_pure_props, provable_library
 from prk.surface import parse_mprop
 from prk.syntax import MODES, And, MProp, Mode, Neg, PVar, mprop_dual, opposite, prop_vars
+from testlib import per_candidate_masks
 
 
 def mp(src):
@@ -80,6 +86,43 @@ def test_entailment():
     assert entails_in_model(m, [mp("a^s+")], mp("a^s+"))
     assert not entails_in_model(m, [], mp("(a | ~a)^s+"))
     assert entails_in_model(m, [mp("a^s+")], mp("a^c+"))
+
+
+# -- a model's own forcing memo ---------------------------------------------------
+
+def _memo(m):
+    """The bounded memo that m's forcing function keeps, read off the function's closure."""
+    (memo,) = [c.cell_contents for c in m._forces.__closure__ if hasattr(c.cell_contents, "cache_info")]
+    return memo
+
+
+def test_one_model_asked_20000_propositions_keeps_at_most_4096_memo_entries():
+    rng = random.Random(1)
+    props, m, cp = PropGen(rng, ("a",)), counter_model_lem(), Mode("c", "+")
+    for _ in range(20_000):
+        forces(m, "w0", MProp(props.pure(rng.randint(1, 6)), cp))
+    info = _memo(m).cache_info()
+    assert info.maxsize == 4096 and info.currsize <= 4096 < info.misses, info
+
+
+def test_a_models_forcing_function_and_memo_are_collected_with_it():
+    m = counter_model_lem()
+    assert forces(m, "w2", mp("a^s-"))
+    refs = [weakref.ref(m._forces), weakref.ref(_memo(m))]
+    del m
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_forced_model_round_trips_through_pickle_and_deepcopy(models_2var):
+    props = [MProp(base, mode) for base in all_pure_props(("a", "b"), 3) for mode in MODES]
+    for m in models_2var[::24]:
+        want = [forces(m, w, p) for w in m.worlds for p in props]
+        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert again == m and hash(again) == hash(m)
+            assert set(vars(again)) == {"alphabet", "worlds", "leq", "vplus", "vminus"}
+            assert [forces(again, w, p) for w in again.worlds for p in props] == want
+            assert again._forces is not m._forces  # equal models built apart share no memo
 
 
 # -- forcing laws over enumerated models ------------------------------------------
@@ -454,6 +497,14 @@ def test_tables_hold_the_first_order_of_each_shape_and_its_rooted_states():
                     assert masks == [[sum(1 << c for c, st in enumerate(states) if st[w][k] & bit)
                                       for k in range(atoms)] for w in range(n)]
     assert [len(_order_tables(n, 1)) for n in (4, 5, 6)] == [5, 16, 63]  # rooted posets
+
+
+def test_order_table_masks_equal_the_per_candidate_construction():
+    for n, atoms in itertools.product(range(1, 6), range(1, 4)):
+        for above, plus, minus, full in _order_tables(n, atoms):
+            states = _valuations(above, atoms)
+            assert (plus, minus) == per_candidate_masks(states, n, atoms), (n, atoms, above)
+            assert full == (1 << len(states)) - 1
 
 
 # -- model files ------------------------------------------------------------------------

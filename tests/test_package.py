@@ -4,6 +4,7 @@ is the object of its home module, loaded when first used."""
 import importlib
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -75,3 +76,14 @@ def test_the_readme_library_tour_runs():
     assert "from prk import *" in tour
     # a fresh interpreter, so the tour's names are loaded on first use
     assert _fresh(tour + "print(forces(counter_model_lem(), 'w0', p))\n") == "True\n"
+
+
+def test_every_module_level_cache_keeps_a_stated_number_of_entries():
+    found = {}
+    for info in pkgutil.iter_modules(prk.__path__):
+        module = importlib.import_module(f"prk.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                found[name] = value.cache_parameters()["maxsize"]
+    assert {"_shared_leaf", "translate_prop", "funabs", "_shaped_orders", "_order_tables"} <= set(found)
+    assert None not in found.values(), found

@@ -405,3 +405,30 @@ def test_proposition_walks_work_on_deep_input_at_the_default_limit():
     out = subprocess.run([sys.executable, "-c", "import sys; assert sys.getrecursionlimit() <= 1000\n" + _DEEP],
                          capture_output=True, text=True, env=env)
     assert out.stdout == "ok\n", out.stderr[-2000:]
+
+
+_DEEP_HASH = """
+from dataclasses import fields
+from prk.syntax import Neg, NegE, NegI, PVar, Var
+from prk.systemf import Arrow, TVar
+
+prop, term, ftype = PVar("a"), Var("x"), TVar("a")
+for _ in range(100_000):  # 10^5 deep, 2 * 10^5 deep, 10^5 deep
+    prop, term, ftype = Neg(prop), NegE("+", NegI("-", term)), Arrow(ftype, TVar("b"))
+for t in (prop, term, ftype):  # each node keeps the hash its dataclass generates
+    assert hash(t) == hash(tuple(getattr(t, f.name) for f in fields(t)))
+print("ok")
+"""
+
+
+def test_hash_takes_deep_trees_at_the_default_limit():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import prk
+    env = {**os.environ, "PYTHONPATH": str(Path(prk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", "import sys; assert sys.getrecursionlimit() <= 1000\n" + _DEEP_HASH],
+                         capture_output=True, text=True, env=env)
+    assert out.stdout == "ok\n", out.stderr[-2000:]

@@ -37,3 +37,11 @@ def validate_derivation(d: Derivation) -> bool:
     except TypingError:
         return False
     return again == d
+
+
+def per_candidate_masks(states: list, n: int, atoms: int) -> tuple[list, list]:
+    """The vplus and vminus masks of kripke._order_tables for an order with these candidate
+    states, built candidate by candidate: per world and atom, a string of one digit per
+    candidate, the last first, read as a binary number."""
+    return tuple([[int("".join("1" if st[w][k] & bit else "0" for st in reversed(states)), 2)
+                   for k in range(atoms)] for w in range(n)] for bit in (1, 2))
