@@ -5,10 +5,10 @@ fewest worlds of any counter-model within the bound.  Forcing is computed
 on bit-vectors, one bit per valuation, so the search forces every
 candidate valuation of an order in one pass.  Both searches take orders
 from one walk, valuations from one generator and models from one builder,
-and drop isomorphic ones by an exact key built on each order's least
-relabelling.  A model keeps its up-sets and its forcing memo (4,096 entries),
-which go with it.  Kept across calls: _shaped_orders (per world count, 8) and
-_order_tables (per worlds and atoms, 16)."""
+and drop isomorphic ones by an exact key built on each order's least relabelling.  A
+model keeps its up-sets and its forcing memo (4,096 entries), which go with it; its
+tables name every atom of the alphabet, so a warm forces costs its memo.  Kept across
+calls: _shaped_orders (per world count, 8) and _order_tables (per worlds and atoms, 16)."""
 
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ class KripkeModel:
 
     @cached_property
     def _forces(self):
-        return _forcing(self._above, *({w: dict.fromkeys(s, 1) for w, s in v}
+        return _forcing(self._above, *({w: {a: int(a in s) for a in self.alphabet} for w, s in v}
                                        for v in (self.vplus, self.vminus)), 1)
 
     def __getstate__(self):  # the fields alone: copies derive _above and _forces again
@@ -135,18 +135,21 @@ def validate_model(m: KripkeModel) -> ValidationReport:
 
 def forces(m: KripkeModel, w: str, p: MProp) -> bool:
     """The forcing relation, by recursion on the measure of p."""
-    if w not in m.worlds:
+    if w not in m._above:
         raise UnknownWorldError(f"unknown world {w!r}")
-    if missing := prop_vars(p.base) - m.alphabet:
-        raise UnknownVariableError(f"variables not in alphabet: {sorted(missing)}")
-    return bool(m._forces(w, p))
+    try:
+        return bool(m._forces(w, p))
+    except (KeyError, RecursionError):  # a missing atom, or p too deep; no failed ask is memoized
+        if missing := prop_vars(p.base) - m.alphabet:
+            raise UnknownVariableError(f"variables not in alphabet: {sorted(missing)}") from None
+        raise
 
 
 def _forcing(above, plus, minus, full: int):
     """Forcing under several valuations of one order at once, memoized: bit c
     of f(w, p) is set iff w forces p under valuation c.  above[w] lists the
-    worlds at or above w, plus[w]/minus[w] map an atom to the valuations
-    holding it at w, and full has one bit per valuation (1 for one model)."""
+    worlds at or above w, plus[w]/minus[w] map every atom of the alphabet to the
+    valuations holding it at w, and full has one bit per valuation (1 for one model)."""
     def f(w, p: MProp) -> int:
         return g(w, p.base, p.mode.strength, p.sign)
 
@@ -156,7 +159,7 @@ def _forcing(above, plus, minus, full: int):
             return full & ~reduce(or_, [g(v, base, STRONG, flip(sign)) for v in above[w]])
         match base:
             case PVar(name):
-                return (plus[w] if sign == PLUS else minus[w]).get(name, 0)
+                return (plus[w] if sign == PLUS else minus[w])[name]
             case And(l, r) | Or(l, r):
                 # both components for the connective a pair of this sign
                 # builds, either one for the connective an injection builds
@@ -384,12 +387,8 @@ def print_model(m: KripkeModel) -> str:
     gens = sorted((a, b) for a, b in m.leq if a != b)
     if gens:
         lines.append("leq: " + ", ".join(f"{a} {b}" for a, b in gens))
-    for w in m.worlds:
-        if m.plus(w):
-            lines.append(f"vplus {w}: " + " ".join(sorted(m.plus(w))))
-    for w in m.worlds:
-        if m.minus(w):
-            lines.append(f"vminus {w}: " + " ".join(sorted(m.minus(w))))
+    for sign, v in (("vplus", dict(m.vplus)), ("vminus", dict(m.vminus))):
+        lines += [f"{sign} {w}: " + " ".join(sorted(v[w])) for w in m.worlds if v[w]]
     return "\n".join(lines) + "\n"
 
 

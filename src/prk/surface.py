@@ -88,24 +88,33 @@ class _Tokens:
 
 
 def _parse_pure(tk: _Tokens) -> PureProp:
-    kind, val, at = tk.next()
-    if kind == "ident":
+    stack: list = []  # with no recursion: "~", "(" and (left, operator) wait on what follows
+    while True:
+        while (tok := tk.next())[1] in ("~", "("):
+            stack.append(tok[1])
+        kind, val, at = tok
+        if kind != "ident":
+            raise tk.error(f"expected a pure proposition, found {val or 'end of input'!r}", at)
         if not is_name(val, allow_reserved=True):  # _parse_base judges RESERVED_FALSITY
             raise tk.error(f"{val!r} is a reserved word", at)
-        return PVar(val)
-    if val == "~":
-        return Neg(_parse_pure(tk))
-    if val == "(":
-        left = _parse_pure(tk)
-        _, op, at = tk.next()
-        if op == "^":
-            raise tk.error("modes cannot be nested", at)
-        if op not in ("&", "|"):
-            raise tk.error(f"expected '&' or '|', found {op!r}", at)
-        right = _parse_pure(tk)
-        tk.expect(")")
-        return And(left, right) if op == "&" else Or(left, right)
-    raise tk.error(f"expected a pure proposition, found {val or 'end of input'!r}", at)
+        p: PureProp = PVar(val)
+        while stack:
+            top = stack.pop()
+            if top == "~":
+                p = Neg(p)
+            elif top == "(":
+                _, op, at = tk.next()
+                if op == "^":
+                    raise tk.error("modes cannot be nested", at)
+                if op not in ("&", "|"):
+                    raise tk.error(f"expected '&' or '|', found {op!r}", at)
+                stack.append((p, op))
+                break
+            else:
+                tk.expect(")")
+                p = And(top[0], p) if top[1] == "&" else Or(top[0], p)
+        else:
+            return p
 
 
 def _parse_mode(tk: _Tokens) -> Mode:

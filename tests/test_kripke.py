@@ -15,7 +15,7 @@ from prk.kripke import (KripkeModel, _forcing, _order_tables, _partial_orders, _
 from prk.gen import PropGen, all_pure_props, provable_library
 from prk.surface import parse_mprop
 from prk.syntax import MODES, And, MProp, Mode, Neg, PVar, mprop_dual, opposite, prop_vars
-from testlib import per_candidate_masks
+from testlib import per_candidate_masks, print_model_by_lookup
 
 
 def mp(src):
@@ -79,6 +79,50 @@ def test_forcing_unknowns():
         forces(m, "w9", mp("a^s+"))
     with pytest.raises(UnknownVariableError):
         forces(m, "w0", mp("zz^s+"))
+
+
+def test_an_unknown_world_is_reported_before_missing_atoms():
+    with pytest.raises(UnknownWorldError, match="unknown world 'w9'"):
+        forces(counter_model_lem(), "w9", mp("(zz & ~b)^s+"))
+
+
+def test_missing_atoms_are_listed_sorted_and_each_failed_ask_raises_again():
+    m = counter_model_lem()
+    for _ in range(2):  # the memo keeps no failed ask
+        with pytest.raises(UnknownVariableError) as err:
+            forces(m, "w0", mp("((zz & a) | ~(b | ~y))^c+"))
+        assert str(err.value) == "variables not in alphabet: ['b', 'y', 'zz']"
+    assert forces(m, "w0", mp("(a | ~a)^c+"))
+
+
+def test_an_atom_valued_outside_the_alphabet_is_still_missing():
+    m = KripkeModel.make(("a",), ("w",), set(), {"w": {"a", "b"}}, {"w": {"b"}})
+    for p in ("b^s+", "b^s-", "(a & b)^c+"):
+        with pytest.raises(UnknownVariableError, match=r"\['b'\]"):
+            forces(m, "w", mp(p))
+
+
+def test_a_missing_atom_under_a_deep_proposition_is_reported_as_missing():
+    deep = PVar("zz")
+    for _ in range(5_000):  # deeper than forcing recurses at the default limit
+        deep = Neg(deep)
+    with pytest.raises(UnknownVariableError, match=r"\['zz'\]"):
+        forces(counter_model_lem(), "w0", MProp(deep, Mode("c", "+")))
+
+
+def test_warm_asks_walk_no_proposition_for_its_atoms(monkeypatch):
+    import prk.kripke
+    rng = random.Random(1)
+    props, m = PropGen(rng, ("a",)), counter_model_lem()
+    asks = [(rng.choice(m.worlds), props.mprop(rng.randint(1, 6))) for _ in range(100)]
+    want = [forces(m, w, p) for w, p in asks]
+    calls = []
+    monkeypatch.setattr(prk.kripke, "prop_vars", lambda p: calls.append(p) or prop_vars(p))
+    assert [forces(m, w, p) for _ in range(10) for w, p in asks] == want * 10
+    assert calls == []
+    with pytest.raises(UnknownVariableError):  # a missing atom is still worked out there
+        forces(m, "w0", mp("b^s+"))
+    assert calls == [PVar("b")]
 
 
 def test_entailment():
@@ -327,8 +371,8 @@ def per_candidate_search(hyps, goal, max_worlds):
             for states in _rooted_states(above, len(alpha)):
                 plus, minus = ([frozenset(a for a, c in zip(alpha, st) if c & bit) for st in states]
                                for bit in (1, 2))
-                f = _forcing(above, [dict.fromkeys(s, 1) for s in plus],
-                             [dict.fromkeys(s, 1) for s in minus], 1)
+                f = _forcing(above, [{a: int(a in s) for a in alpha} for s in plus],
+                             [{a: int(a in s) for a in alpha} for s in minus], 1)
                 if all(f(0, h) for h in hyps) and not f(0, goal):
                     leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
                     return KripkeModel.make(alpha, names, leq, dict(zip(names, plus)),
@@ -536,6 +580,19 @@ def test_countermodel_search_is_deterministic():
 def test_model_roundtrip():
     m = counter_model_lem()
     assert parse_model(print_model(m)) == m
+
+
+def test_print_model_reads_as_it_did_world_by_world(models_2var):
+    empty = [KripkeModel.make(alpha, worlds, leq, {}, {}) for alpha, worlds, leq in
+             [(("a",), ("w",), set()), ((), ("u", "v"), {("u", "v")}), (("b", "a"), ("x", "y"), set())]]
+    twice = KripkeModel(frozenset("ab"), ("w", "v", "w"), frozenset({("w", "v")}),  # last pair wins
+                        (("w", frozenset("a")), ("v", frozenset("ab")), ("w", frozenset("b"))),
+                        (("w", frozenset()), ("v", frozenset()), ("w", frozenset("a"))))
+    for m in [*models_2var, *empty, counter_model_lem()]:
+        assert print_model(m) == print_model_by_lookup(m)
+        assert parse_model(print_model(m)) == m
+    assert print_model(twice) == print_model_by_lookup(twice)
+    assert "vplus w: b\nvplus v: a b\nvplus w: b\nvminus w: a\nvminus w: a\n" in print_model(twice)
 
 
 def test_parse_model_format():

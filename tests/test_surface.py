@@ -14,16 +14,16 @@ from string import Formatter
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from prk.classical import (embed_nk, nk_and_e, nk_and_i, nk_hyp, nk_imp_e,
+from prk.classical import (decide_oplus, embed_nk, nk_and_e, nk_and_i, nk_hyp, nk_imp_e,
                            nk_imp_i, nk_lem, nk_or_i, parse_nk)
-from prk.cli import parse_judgment
+from prk.cli import parse_judgment, parse_sequent
 from prk.errors import ParseError
 from prk.gen import PropGen, TermGen
 from prk.rewrite import ETA, PLAIN, binder_names_at, normalize, replay
 from prk.surface import (RESERVED_FALSITY, SYNTAX, Scope, _BAD_INDEX_RE, _INDEXED, _Tokens,
-                         _parse_mprop, is_name, parse_term, print_term)
+                         _parse_mprop, is_name, parse_mprop, parse_term, print_term)
 from prk.syntax import (And, Bound, CApp, CLam, Case, MProp, Mode, Neg, NegE,
-                        NegI, Or, PVar, Pair, Term, Var, dual, fresh_name)
+                        NegI, Or, PVar, Pair, Term, Var, dual, fresh_name, prop_depth)
 from prk.typecheck import mk_lem
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -269,6 +269,19 @@ def test_round_trip_of_a_deep_negation_chain():
     t = parse_term(text)
     assert _same_tree(t, expected)
     assert print_term(t) == text
+
+
+def test_deep_propositions_read_at_the_default_recursion_limit():
+    n = 100_000
+    for text in ("~" * n + "a", "(" * n + "a" + " & b)" * n, "(a | " * n + "b" + ")" * n):
+        p = parse_mprop(text + "^c+")
+        assert str(p.base) == text and prop_depth(p.base) == n + 1  # == and hash still recurse
+
+
+def test_a_deep_sequent_is_decided_at_the_default_recursion_limit():
+    n = 100_000
+    assert decide_oplus(*parse_sequent("~" * n + "a^c+\n|- " + "~" * (n + 2) + "a^c+\n"))
+    assert not decide_oplus(*parse_sequent("|- " + "~" * n + "(a & ~a)^c+\n"))
 
 
 def test_round_trip_of_deep_binder_nests():

@@ -45,3 +45,19 @@ def per_candidate_masks(states: list, n: int, atoms: int) -> tuple[list, list]:
     candidate, the last first, read as a binary number."""
     return tuple([[int("".join("1" if st[w][k] & bit else "0" for st in reversed(states)), 2)
                    for k in range(atoms)] for w in range(n)] for bit in (1, 2))
+
+
+def print_model_by_lookup(m) -> str:
+    """kripke.print_model as it was: each world's valuations read through m.plus
+    and m.minus, which build a dict over every world on each call."""
+    lines = ["alphabet: " + " ".join(sorted(m.alphabet)), "worlds: " + " ".join(m.worlds)]
+    gens = sorted((a, b) for a, b in m.leq if a != b)
+    if gens:
+        lines.append("leq: " + ", ".join(f"{a} {b}" for a, b in gens))
+    for w in m.worlds:
+        if m.plus(w):
+            lines.append(f"vplus {w}: " + " ".join(sorted(m.plus(w))))
+    for w in m.worlds:
+        if m.minus(w):
+            lines.append(f"vminus {w}: " + " ".join(sorted(m.minus(w))))
+    return "\n".join(lines) + "\n"
