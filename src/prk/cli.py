@@ -258,8 +258,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    # Typing, f_infer, ==/hash, parsing, forcing and translate_prop recurse, so
-    # the command runs on a thread whose 1 GiB stack outlasts a 400,000 limit.
+    # Typing, f_infer, ==, forcing, translate_prop/funabs, parse_nk and embed_nk recurse,
+    # so the command runs on a thread whose 1 GiB stack outlasts a 400,000 limit.
     codes: list[int] = []
     limit, size = sys.getrecursionlimit(), threading.stack_size(1 << 30)
     sys.setrecursionlimit(400_000)

@@ -6,7 +6,7 @@ on bit-vectors, one bit per valuation, so the search forces every
 candidate valuation of an order in one pass.  Both searches take orders
 from one walk, valuations from one generator and models from one builder,
 and drop isomorphic ones by an exact key built on each order's least relabelling.  A
-model keeps its up-sets and its forcing memo (4,096 entries), which go with it; its
+model keeps its up-sets, one closure's rows, and its forcing memo (4,096 entries); its
 tables name every atom of the alphabet, so a warm forces costs its memo.  Kept across
 calls: _shaped_orders (per world count, 8) and _order_tables (per worlds and atoms, 16)."""
 
@@ -47,22 +47,16 @@ class KripkeModel:
             tuple((w, frozenset(vminus.get(w, ()))) for w in worlds),
         )
 
-    def plus(self, w: str) -> frozenset[str]:
-        return dict(self.vplus)[w]
-
-    def minus(self, w: str) -> frozenset[str]:
-        return dict(self.vminus)[w]
-
     def order(self) -> frozenset[tuple[str, str]]:
-        return _closure(self.worlds, self.leq)
+        return frozenset((a, b) for a, up in _closure(self.worlds, self.leq).items() for b in up)
 
     def above(self, w: str) -> tuple[str, ...]:
-        return self._above[w]
+        return tuple(v for v in self.worlds if v in self._above[w])
 
     @cached_property
-    def _above(self) -> dict[str, tuple[str, ...]]:
-        order = self.order()  # the closure once, for every world
-        return {w: tuple(v for v in self.worlds if (w, v) in order) for w in self.worlds}
+    def _above(self) -> dict[str, set[str]]:
+        known = set(self.worlds)
+        return {w: up & known for w, up in _closure(self.worlds, self.leq).items() if w in known}
 
     @cached_property
     def _forces(self):
@@ -73,11 +67,20 @@ class KripkeModel:
         return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
 
-def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    rel = {(w, w) for w in worlds} | set(leq)
-    for k in {x for pair in rel for x in pair}:  # Warshall: paths through k
-        rel |= {(a, d) for a, b in rel if b == k for c, d in rel if c == k}
-    return frozenset(rel)
+def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> dict[str, set[str]]:
+    """Each world and each end of a pair of leq, mapped to the elements at or above it in the
+    reflexive (on worlds) transitive closure of leq; an element off worlds is above itself
+    only on a cycle."""
+    rows = {w: {w} for w in worlds}
+    for a, b in leq:
+        rows.setdefault(a, set()).add(b)
+        rows.setdefault(b, set())
+    for k, up in rows.items():  # Warshall by rows: a row holding k takes k's row
+        if up - {k}:
+            for row in rows.values():
+                if k in row:
+                    row |= up
+    return rows
 
 
 @dataclass(frozen=True)
@@ -108,28 +111,22 @@ def validate_model(m: KripkeModel) -> ValidationReport:
             out.append(Violation("order", (a, b, "unknown world")))
     if len(known) != len(m.worlds):
         out.append(Violation("order", ("duplicate world names",)))
-    order = _closure(m.worlds, frozenset(p for p in m.leq
-                                         if p[0] in known and p[1] in known))
-    for a, b in sorted(order):
-        if a != b and (b, a) in order:
-            out.append(Violation("order", (a, b, "antisymmetry")))
-            break
+    rows = _closure(m.worlds, frozenset(p for p in m.leq if p[0] in known and p[1] in known))
     vp, vm = dict(m.vplus), dict(m.vminus)
-    for w in m.worlds:
-        for bad in sorted((vp[w] | vm[w]) - m.alphabet):
-            out.append(Violation("alphabet", (w, bad)))
-    for a, b in sorted(order):
-        if a == b:
-            continue
-        for v in sorted(vp[a] - vp[b]):
-            out.append(Violation("monotonicity", (a, b, v, "vplus")))
-        for v in sorted(vm[a] - vm[b]):
-            out.append(Violation("monotonicity", (a, b, v, "vminus")))
-    for w in m.worlds:
-        ups = [v for v in m.worlds if (w, v) in order]
-        for a in sorted(m.alphabet):
-            if not any((a in vp[u]) != (a in vm[u]) for u in ups):
-                out.append(Violation("stabilization", (w, a)))
+    anti, mono = [], []
+    for a in sorted(rows):  # each strict pair (a, b) of the order, sorted
+        for b in sorted(rows[a] - {a}):
+            if not anti and a in rows[b]:
+                anti.append(Violation("order", (a, b, "antisymmetry")))
+            if not (vp[a] <= vp[b] and vm[a] <= vm[b]):
+                mono += [Violation("monotonicity", (a, b, v, sign)) for sign, val in
+                         (("vplus", vp), ("vminus", vm)) for v in sorted(val[a] - val[b])]
+    out += anti
+    out += [Violation("alphabet", (w, bad)) for w in m.worlds
+            for bad in sorted((vp[w] | vm[w]) - m.alphabet)]
+    out += mono
+    out += [Violation("stabilization", (w, a)) for w in m.worlds for a in sorted(m.alphabet)
+            if not any((a in vp[u]) != (a in vm[u]) for u in rows[w])]
     return ValidationReport(tuple(out))
 
 
@@ -147,7 +144,7 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
 
 def _forcing(above, plus, minus, full: int):
     """Forcing under several valuations of one order at once, memoized: bit c
-    of f(w, p) is set iff w forces p under valuation c.  above[w] lists the
+    of f(w, p) is set iff w forces p under valuation c.  above[w] holds the
     worlds at or above w, plus[w]/minus[w] map every atom of the alphabet to the
     valuations holding it at w, and full has one bit per valuation (1 for one model)."""
     def f(w, p: MProp) -> int:
@@ -208,18 +205,19 @@ def _partial_orders(n: int, pairs=None):
     return walk(0)
 
 
-def _shape(n: int, order) -> tuple[int, list[tuple[int, ...]]]:
+def _shape(n: int, above) -> tuple[int, list[tuple[int, ...]]]:
     """An order's least relabelling (a bit set of its pairs) among those that list its worlds
     by how many worlds are below and above each, so isomorphic orders share it, and the
-    relabellings that reach it, each as the old world of every new one."""
-    degrees = [(sum((j, i) in order for j in range(n)), sum((i, j) in order for j in range(n)))
-               for i in range(n)]
+    relabellings that reach it, each as the old world of every new one.  above[i] lists
+    the worlds at or above i."""
+    degrees = [(sum(i in ups for ups in above), len(above[i])) for i in range(n)]
+    pairs = [(a, b) for a in range(n) for b in above[a]]
     classes = [[i for i in range(n) if degrees[i] == d] for d in sorted(set(degrees))]
     images: dict[int, list] = {}
     for parts in itertools.product(*map(itertools.permutations, classes)):
         old = sum(parts, ())
         new = sorted(range(n), key=old.__getitem__)
-        images.setdefault(sum(1 << new[a] * n + new[b] for a, b in order), []).append(old)
+        images.setdefault(sum(1 << new[a] * n + new[b] for a, b in pairs), []).append(old)
     shape = min(images)
     return shape, images[shape]
 
@@ -227,8 +225,9 @@ def _shape(n: int, order) -> tuple[int, list[tuple[int, ...]]]:
 @lru_cache(maxsize=8)
 def _shaped_orders(n: int) -> list:
     """Each partial order on range(n), as _partial_orders yields them: its up-sets and _shape."""
-    return [([tuple(j for j in range(n) if (i, j) in order) for i in range(n)],
-             *_shape(n, order)) for order in _partial_orders(n)]
+    return [(above, *_shape(n, above)) for above in
+            ([tuple(j for j in range(n) if (i, j) in order) for i in range(n)]
+             for order in _partial_orders(n))]
 
 
 def _valuations(above, atoms: int) -> list[tuple]:
@@ -293,7 +292,7 @@ def _order_tables(n: int, atoms: int) -> list:
     nor the atom names enter."""
     tables, shapes = [], set()
     for above in _rooted_orders(n):
-        shape, _ = _shape(n, [(i, j) for i in range(n) for j in above[i]])
+        shape, _ = _shape(n, above)
         if shape not in shapes:
             shapes.add(shape)
             states = _valuations(above, atoms)  # cols[w][k]: a state byte per candidate, last first
@@ -373,8 +372,9 @@ def parse_model(text: str) -> KripkeModel:
                 raise ParseError(f"expected a name, found {word[0]!r}", lineno, col + word.start())
     if not worlds:
         raise InvalidModelError("model declares no worlds")
+    known = set(worlds)
     for w in list(vplus) + list(vminus):
-        if w not in worlds:
+        if w not in known:
             raise InvalidModelError(f"valuation for unknown world {w!r}")
     return KripkeModel.make(alphabet, worlds, leq, vplus, vminus)
 

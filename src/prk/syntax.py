@@ -91,7 +91,8 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
     """children(t) and rebuild(t, kids) for the tree whose nodes are the
     dataclass subclasses of base, read off their fields: a field holds a
     child when its annotation names base or a class in leaves, and a node
-    of a leaves class is a leaf of this tree.
+    of a leaves class is a leaf of this tree.  Each node class of base
+    gets its cached hash (cache_hash).
 
     Given sorts, each node of base's tree gets its summary `free` when it is
     built: sorts lists, per sort of variable in summary order, its index
@@ -102,6 +103,7 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
     builders = {}
     slots = {cls: 2 * s + k for s, pair in enumerate(sorts) for k, cls in enumerate(pair)}
     for cls in base.__subclasses__():
+        cache_hash(cls)
         names = [f.name for f in fields(cls)]
         at = [i for i, f in enumerate(fields(cls)) if f.type in kinds]
         getters[cls] = _getter([names[i] for i in at])
@@ -553,6 +555,7 @@ def strong_noun(conn: type, sign: Sign) -> str:
     return noun if sign == PLUS else f"{noun} denial"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class MProp:
     """A pure proposition under one of the four modes."""
@@ -833,8 +836,3 @@ class Scope:
             i -= 1
             if name[i] != "0" and 1 < (k := int(name[i:])) < self.known.get(name[:i], 0):
                 self.known[name[:i]] = k
-
-
-for _cls in (PVar, And, Or, Neg, MProp, Var, Bound, Abs, Pair, Proj, Inj,
-             Case, NegI, NegE, CLam, CApp):
-    cache_hash(_cls)

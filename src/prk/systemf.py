@@ -40,7 +40,7 @@ from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
-                     Proj, PVar, Scope, Summarized, Var, cache_hash, flip, fresh_name, fv,
+                     Proj, PVar, Scope, Summarized, Var, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_positions,
                      make_shape, opposite, preorder, print_tree)
 from .typecheck import Context, Derivation, check_type
@@ -277,11 +277,6 @@ def subst_type_in_fterm(t: FTerm, j: int, a: FType) -> FTerm:
 
 def fterm_fv(t: FTerm) -> frozenset[str]:
     return t.free[3]
-
-
-for _cls in (TVar, TBound, FPos, FNeg, Arrow, Forall, FVar, FBound, FLam,
-             FApp, TyLam, TyApp):
-    cache_hash(_cls)
 
 
 # Encodings of unit/empty/product/sum introduction and elimination.

@@ -15,7 +15,8 @@ from prk.kripke import (KripkeModel, _forcing, _order_tables, _partial_orders, _
 from prk.gen import PropGen, all_pure_props, provable_library
 from prk.surface import parse_mprop
 from prk.syntax import MODES, And, MProp, Mode, Neg, PVar, mprop_dual, opposite, prop_vars
-from testlib import per_candidate_masks, print_model_by_lookup
+from testlib import (above_by_scan, closure_by_pairs, per_candidate_masks, print_model_by_lookup,
+                     random_model, validate_by_pairs)
 
 
 def mp(src):
@@ -53,6 +54,25 @@ def test_order_is_the_reflexive_transitive_closure(rng):
         while grown := {(a, d) for a, b in want for c, d in want if b == c} - want:
             want |= grown
         assert KripkeModel.make(("a",), worlds, leq, {}, {}).order() == want
+
+
+def _agrees_with_the_pair_scans(m):
+    assert validate_model(m).violations == validate_by_pairs(m)
+    assert m.order() == closure_by_pairs(m.worlds, m.leq)
+    assert all(m.above(w) == above_by_scan(m, w) for w in m.worlds)
+    assert all(forces(m, w, p) == reference_forces(m, w, p) for w in m.worlds
+               for p in map(mp, ("(a | ~a)^s+", "~a^c-", "a^c+")))
+
+
+def test_rows_answer_as_the_pair_scans_on_random_models(rng):
+    # undeclared worlds, names given twice, cycles and atoms outside the alphabet
+    for _ in range(2000):
+        _agrees_with_the_pair_scans(random_model(rng))
+
+
+def test_rows_answer_as_the_pair_scans_on_every_small_model(models_2var):
+    for m in models_2var:
+        _agrees_with_the_pair_scans(m)
 
 
 def test_antisymmetry_violation():
@@ -290,7 +310,7 @@ def reference_forces(m, w, p):
                    for v in m.above(w))
     base = p.base
     if isinstance(base, PVar):
-        return base.name in (m.plus(w) if p.sign == "+" else m.minus(w))
+        return base.name in dict(m.vplus if p.sign == "+" else m.vminus)[w]
     if isinstance(base, Neg):
         return reference_forces(m, w, MProp(base.inner, Mode("c", flipped)))
     parts = [reference_forces(m, w, MProp(q, Mode("c", p.sign))) for q in (base.left, base.right)]
@@ -606,5 +626,5 @@ def test_parse_model_format():
     """
     m = parse_model(src)
     assert m.worlds == ("u", "v")
-    assert m.plus("v") == frozenset({"a", "b"})
+    assert dict(m.vplus)["v"] == frozenset({"a", "b"})
     assert validate_model(m).valid  # every variable stabilizes at v

@@ -324,6 +324,26 @@ def test_a_pickled_node_hashes_as_a_fresh_one_under_another_hash_seed():
     assert out.decode().strip() == str([(True, True, True, True)] * 3)
 
 
+def test_every_node_class_keeps_its_hash_and_pickles_without_it():
+    import pickle
+
+    from prk import syntax, systemf as f
+    a, x, mp = PVar("a"), syntax.Var("x"), MProp(PVar("a"), Mode("c", "+"))
+    t, fx = f.TVar("a"), f.FVar("x")
+    nodes = [a, And(a, a), Or(a, a), Neg(a), mp, x, Bound(0), syntax.Abs(mp, x, x), Pair("+", x, x),
+             syntax.Proj("+", 1, x), syntax.Inj("+", 1, x), syntax.Case("+", x, mp, Bound(0), mp, x),
+             syntax.NegI("+", x), syntax.NegE("+", x), CLam("+", mp, Bound(0)), syntax.CApp("+", x, x),
+             t, f.TBound(0), f.FPos(t, t), f.FNeg(t, t), f.Arrow(t, t), f.Forall(t), fx, f.FBound(0),
+             f.FLam(t, fx), f.FApp(fx, fx), f.TyLam(fx), f.TyApp(fx, t)]
+    bases = (syntax.PureProp, syntax.Term, f.FType, f.FTerm)
+    assert {type(n) for n in nodes} == {MProp, *(c for base in bases for c in base.__subclasses__())}
+    for n in nodes:  # the cached __hash__ wraps the generated one and stores what it gives
+        assert type(n).__hash__ is not syntax._HASH_OF[type(n)]
+        assert hash(n) == n.__dict__["_hash"] == syntax._HASH_OF[type(n)](n)
+        copy = pickle.loads(pickle.dumps(n))
+        assert copy == n and "_hash" not in copy.__dict__, type(n)
+
+
 # -- index leaves --------------------------------------------------------------------
 
 @pytest.mark.parametrize("leaf", ["Bound", "FBound", "TBound"])

@@ -48,16 +48,81 @@ def per_candidate_masks(states: list, n: int, atoms: int) -> tuple[list, list]:
 
 
 def print_model_by_lookup(m) -> str:
-    """kripke.print_model as it was: each world's valuations read through m.plus
-    and m.minus, which build a dict over every world on each call."""
+    """kripke.print_model as it was: each world's valuations read through
+    dict(m.vplus)[w] and dict(m.vminus)[w], a dict over every world per lookup."""
     lines = ["alphabet: " + " ".join(sorted(m.alphabet)), "worlds: " + " ".join(m.worlds)]
     gens = sorted((a, b) for a, b in m.leq if a != b)
     if gens:
         lines.append("leq: " + ", ".join(f"{a} {b}" for a, b in gens))
     for w in m.worlds:
-        if m.plus(w):
-            lines.append(f"vplus {w}: " + " ".join(sorted(m.plus(w))))
+        if dict(m.vplus)[w]:
+            lines.append(f"vplus {w}: " + " ".join(sorted(dict(m.vplus)[w])))
     for w in m.worlds:
-        if m.minus(w):
-            lines.append(f"vminus {w}: " + " ".join(sorted(m.minus(w))))
+        if dict(m.vminus)[w]:
+            lines.append(f"vminus {w}: " + " ".join(sorted(dict(m.vminus)[w])))
     return "\n".join(lines) + "\n"
+
+
+def closure_by_pairs(worlds, leq) -> frozenset:
+    """kripke's closure as it was: Warshall over a set of pairs, the whole relation
+    scanned per element."""
+    rel = {(w, w) for w in worlds} | set(leq)
+    for k in {x for pair in rel for x in pair}:  # Warshall: paths through k
+        rel |= {(a, d) for a, b in rel if b == k for c, d in rel if c == k}
+    return frozenset(rel)
+
+
+def above_by_scan(m, w) -> tuple:
+    """KripkeModel.above as it was: the worlds, in order, that w's pairs of the closure reach."""
+    order = closure_by_pairs(m.worlds, m.leq)
+    return tuple(v for v in m.worlds if (w, v) in order)
+
+
+def validate_by_pairs(m) -> tuple:
+    """kripke.validate_model's violations as it found them: each test over every pair of
+    the closure, or of the worlds."""
+    from prk.kripke import Violation
+    out = []
+    known = set(m.worlds)
+    for a, b in sorted(m.leq):
+        if a not in known or b not in known:
+            out.append(Violation("order", (a, b, "unknown world")))
+    if len(known) != len(m.worlds):
+        out.append(Violation("order", ("duplicate world names",)))
+    order = closure_by_pairs(m.worlds, frozenset(p for p in m.leq if p[0] in known and p[1] in known))
+    for a, b in sorted(order):
+        if a != b and (b, a) in order:
+            out.append(Violation("order", (a, b, "antisymmetry")))
+            break
+    vp, vm = dict(m.vplus), dict(m.vminus)
+    for w in m.worlds:
+        for bad in sorted((vp[w] | vm[w]) - m.alphabet):
+            out.append(Violation("alphabet", (w, bad)))
+    for a, b in sorted(order):
+        if a == b:
+            continue
+        for v in sorted(vp[a] - vp[b]):
+            out.append(Violation("monotonicity", (a, b, v, "vplus")))
+        for v in sorted(vm[a] - vm[b]):
+            out.append(Violation("monotonicity", (a, b, v, "vminus")))
+    for w in m.worlds:
+        ups = [v for v in m.worlds if (w, v) in order]
+        for a in sorted(m.alphabet):
+            if not any((a in vp[u]) != (a in vm[u]) for u in ups):
+                out.append(Violation("stabilization", (w, a)))
+    return tuple(out)
+
+
+def random_model(rng):
+    """A small model that may break every rule validation checks: pairs naming undeclared
+    worlds, a world named twice, cycles, and atoms valued outside the alphabet."""
+    from prk.kripke import KripkeModel
+    names = [f"w{i}" for i in range(rng.randint(1, 5))]
+    worlds = names + (rng.sample(names, 1) if rng.random() < 0.2 else [])
+    rng.shuffle(worlds)
+    ends = names + ["x", "y"]
+    leq = {(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(0, 7))}
+    atoms = ["a", "b", "c"]
+    vplus, vminus = ({w: set(rng.sample(atoms, rng.randint(0, 2))) for w in names if rng.random() < 0.6}
+                     for _ in range(2))
+    return KripkeModel.make(atoms[:rng.randint(1, 2)], worlds, leq, vplus, vminus)
