@@ -414,7 +414,7 @@ def _nk_hypothesis(line: str) -> PureProp:
     with located(1, len(head) + 2):
         tk = _Tokens(rest)
         a = _parse_base(tk)
-        if tk.peek()[0] != "eof":
+        if tk.words[tk.i]:
             raise tk.error("trailing input after hypothesis")
     return a
 

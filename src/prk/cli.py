@@ -83,13 +83,10 @@ def cmd_normalize(args, out: Output) -> int:
     mode = rewrite.ETA if args.eta else rewrite.PLAIN
     nf, trace = rewrite.normalize(term, mode=mode, fuel=args.fuel)
     if args.trace:
-        current = term
         for entry in trace:
-            env = rewrite.binder_names_at(current, entry.position)
             pos = ".".join(map(str, entry.position)) or "root"
-            print(f"{pos} {entry.rule} {surface.print_term(entry.redex, env)} ==> "
-                  f"{surface.print_term(entry.reduct, env)}")
-            current = rewrite.replay(current, (entry,))
+            print(f"{pos} {entry.rule} {surface.print_term(entry.redex, entry.names)} ==> "
+                  f"{surface.print_term(entry.reduct, entry.names)}")
     out.emit("normal_form", surface.print_term(nf))
     return 0
 

@@ -135,7 +135,7 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
     if w not in m._above:
         raise UnknownWorldError(f"unknown world {w!r}")
     try:
-        return bool(m._forces(w, p))
+        return bool(m._forces(w, p.base, p.mode.strength, p.sign))
     except (KeyError, RecursionError):  # a missing atom, or p too deep; no failed ask is memoized
         if missing := prop_vars(p.base) - m.alphabet:
             raise UnknownVariableError(f"variables not in alphabet: {sorted(missing)}") from None
@@ -143,13 +143,10 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
 
 
 def _forcing(above, plus, minus, full: int):
-    """Forcing under several valuations of one order at once, memoized: bit c
-    of f(w, p) is set iff w forces p under valuation c.  above[w] holds the
-    worlds at or above w, plus[w]/minus[w] map every atom of the alphabet to the
+    """Forcing under several valuations of one order at once, as the memo g: bit c of
+    g(w, base, strength, sign) is set iff w forces that proposition under valuation c.  above[w]
+    holds the worlds at or above w, plus[w]/minus[w] map every atom of the alphabet to the
     valuations holding it at w, and full has one bit per valuation (1 for one model)."""
-    def f(w, p: MProp) -> int:
-        return g(w, p.base, p.mode.strength, p.sign)
-
     @lru_cache(maxsize=1 << 12)  # the memo's bound, for a model's and a search order's alike
     def g(w, base, strength, sign) -> int:
         if strength == CLASSICAL:  # no world above forces the strong opposite
@@ -167,7 +164,7 @@ def _forcing(above, plus, minus, full: int):
                 return g(w, inner, CLASSICAL, flip(sign))
         raise TypeError(base)
 
-    return f
+    return g
 
 
 def entails_in_model(m: KripkeModel, hyps: list[MProp], p: MProp) -> bool:
@@ -315,8 +312,9 @@ def countermodel_search(hyps: list[MProp], goal: MProp,
     for n in range(1, max_worlds + 1):
         for above, plus, minus, full in _order_tables(n, len(alpha)):
             vals = ([dict(zip(alpha, masks)) for masks in v] for v in (plus, minus))
-            f = _forcing(above, *vals, full)
-            refuted = reduce(and_, [f(0, h) for h in hyps], full & ~f(0, goal))
+            g = _forcing(above, *vals, full)
+            refuted = reduce(and_, [g(0, h.base, h.mode.strength, h.sign) for h in hyps],
+                             full & ~g(0, goal.base, goal.mode.strength, goal.sign))
             if refuted:
                 first = (refuted & -refuted).bit_length() - 1  # the lowest set bit
                 states = [[(p >> first & 1) | (m >> first & 1) << 1 for p, m in zip(*masks)]

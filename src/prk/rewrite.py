@@ -93,10 +93,12 @@ def step(t: Term, mode: str = PLAIN, strategy: str = "lo") -> tuple[str, Positio
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One contraction; names: the hints of the binders over position, innermost first."""
     position: Position
     rule: str
     redex: Term
     reduct: Term
+    names: tuple[str, ...]
 
 
 Trace = tuple[TraceStep, ...]
@@ -113,20 +115,21 @@ def normalize(t: Term, mode: str = PLAIN, fuel: int = 100_000,
         raise ValueError("fuel must be positive")
     steps: list[TraceStep] = []
 
-    def record(pos: Position, rule: str, redex: Term, reduct: Term) -> None:
+    def record(pos: Position, names: tuple[str, ...], rule: str, redex: Term, reduct: Term) -> None:
         if len(steps) == fuel:
             raise FuelExhaustedError(
                 f"no normal form within {fuel} steps (this signals a bug for typed terms)")
-        steps.append(TraceStep(pos, rule, redex, reduct))
+        steps.append(TraceStep(pos, rule, redex, reduct, names))
 
-    if strategy == "lo":
-        t = _walk(t, partial(match_redex, mode=mode),
-                  lambda frames, *m: record(tuple([f[2] for f in frames]), *m),
-                  (CLam,) if mode == ETA else ())
+    if strategy == "lo":  # frames [node, kids, i] lead to the redex; node's hint over kid i names a binder
+        t = _walk(t, partial(match_redex, mode=mode), lambda frames, *m: record(
+            tuple([i for _, _, i in frames]),
+            tuple([getattr(u, h) for u, _, i in reversed(frames) if (h := BINDER_HINTS[type(u)][i])]), *m),
+            (CLam,) if mode == ETA else ())
     else:
         while (nxt := step(t, mode, strategy)) is not None:
             rule, pos, new = nxt
-            record(pos, rule, subterm_at(t, pos), subterm_at(new, pos))
+            record(pos, binder_names_at(t, pos), rule, subterm_at(t, pos), subterm_at(new, pos))
             t = new
     return t, tuple(steps)
 

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator
 from .errors import ParseError
 from .syntax import (MODE_OF, And, Bound, CApp, CLam, Case, Abs, Inj, MProp, Mode, Neg,
                      NegE, NegI, Or, PVar, Pair, Proj, PureProp, Scope, Term, Var,
-                     fv, print_tree, prop_vars)
+                     fv, print_tree)
 
 RESERVED_FALSITY = "_bot0"
 
@@ -45,8 +45,8 @@ _BAD_INDEX_RE = re.compile(r"(proj|in)[0-9]+$")
 
 
 class _Tokens:
-    """A text's tokens, the strings of one findall, "" last; peek() and next()
-    give (kind, text, index).  Positions are worked out only for the token an
+    """A text's tokens, the strings of one findall, "" last; next() gives
+    (kind, text, index).  Positions are worked out only for the token an
     error names."""
 
     def __init__(self, text: str):
@@ -62,18 +62,12 @@ class _Tokens:
         return [(_KINDS.get(w[:1], "ident"), w, i) for i, w in enumerate(self.words)]
 
     def end(self) -> None:
-        kind, val, _ = self.peek()
-        if kind != "eof":
+        if val := self.words[self.i]:
             raise self.error(f"trailing input {val!r}")
 
-    def peek(self) -> tuple[str, str, int]:
-        w = self.words[self.i]
-        return _KINDS.get(w[:1], "ident"), w, self.i
-
     def next(self) -> tuple[str, str, int]:
-        t = self.peek()
-        self.i += 1
-        return t
+        w, self.i = self.words[self.i], self.i + 1
+        return _KINDS.get(w[:1], "ident"), w, self.i - 1
 
     def expect(self, val: str) -> None:
         if (v := self.words[self.i]) != val:
@@ -87,16 +81,20 @@ class _Tokens:
         return ParseError(message, self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at))
 
 
-def _parse_pure(tk: _Tokens) -> PureProp:
+def _parse_base(tk: _Tokens, allow_reserved: bool = False) -> PureProp:
+    """A pure proposition, which must not name RESERVED_FALSITY unless
+    allow_reserved; that error comes once it closes, at the token after it."""
     stack: list = []  # with no recursion: "~", "(" and (left, operator) wait on what follows
+    reserved = False  # RESERVED_FALSITY read where it is not allowed
     while True:
         while (tok := tk.next())[1] in ("~", "("):
             stack.append(tok[1])
         kind, val, at = tok
         if kind != "ident":
             raise tk.error(f"expected a pure proposition, found {val or 'end of input'!r}", at)
-        if not is_name(val, allow_reserved=True):  # _parse_base judges RESERVED_FALSITY
+        if not is_name(val, allow_reserved=True):
             raise tk.error(f"{val!r} is a reserved word", at)
+        reserved |= val == RESERVED_FALSITY and not allow_reserved
         p: PureProp = PVar(val)
         while stack:
             top = stack.pop()
@@ -114,6 +112,8 @@ def _parse_pure(tk: _Tokens) -> PureProp:
                 tk.expect(")")
                 p = And(top[0], p) if top[1] == "&" else Or(top[0], p)
         else:
+            if reserved:
+                raise tk.error(f"{RESERVED_FALSITY!r} is reserved for the falsity encoding")
             return p
 
 
@@ -130,19 +130,10 @@ def _parse_mode(tk: _Tokens) -> Mode:
     return MODE_OF[st, sg]
 
 
-def _parse_base(tk: _Tokens, allow_reserved: bool = False) -> PureProp:
-    """A pure proposition, which must not name RESERVED_FALSITY unless
-    allow_reserved; the error is at the token after it."""
-    a = _parse_pure(tk)
-    if not allow_reserved and RESERVED_FALSITY in prop_vars(a):
-        raise tk.error(f"{RESERVED_FALSITY!r} is reserved for the falsity encoding")
-    return a
-
-
 def parse_mprop(text: str, allow_reserved: bool = False) -> MProp:
     tk = _Tokens(text)
     p = _parse_mprop(tk, allow_reserved)
-    if tk.peek()[1] == "^":
+    if tk.words[tk.i] == "^":
         raise tk.error("modes cannot be nested")
     tk.end()
     return p

@@ -20,7 +20,7 @@ from prk.classical import (FALSITY, FALSITY_VAR, NKProof, appc, casec, classem,
 from prk.errors import InvalidNKProofError, WrongModeError
 from prk.gen import PropGen, all_pure_props
 from prk.rewrite import all_redexes, apply_at
-from prk.surface import _parse_pure, parse_mprop, print_term
+from prk.surface import _parse_base, parse_mprop, print_term
 from prk.syntax import (Abs, And, CApp, MProp, Mode, Neg, Or, PVar, Var, clam,
                         fresh_name, prop_vars, substitute)
 from prk.typecheck import Context, abs_general_at, infer_type, mk_lem
@@ -399,7 +399,7 @@ def _per_arm_parse_nk_node(tk, hyps):
 
     def prop_param():
         tk.expect("[")
-        a = _parse_pure(tk)
+        a = _parse_base(tk, allow_reserved=True)
         tk.expect("]")
         return a
 

@@ -220,7 +220,7 @@ def _old_parse_nk(text, split=str.splitlines):
             with located(lineno, col + len(head) + 1):
                 tk = _Tokens(rest)
                 hyps.append(_parse_base(tk))
-                if tk.peek()[0] != "eof":
+                if tk.words[tk.i]:
                     raise tk.error("trailing input after hypothesis")
         elif line.startswith("|-"):
             proof_src, proof_at = line[2:], (lineno, col + 2)

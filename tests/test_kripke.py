@@ -155,9 +155,8 @@ def test_entailment():
 # -- a model's own forcing memo ---------------------------------------------------
 
 def _memo(m):
-    """The bounded memo that m's forcing function keeps, read off the function's closure."""
-    (memo,) = [c.cell_contents for c in m._forces.__closure__ if hasattr(c.cell_contents, "cache_info")]
-    return memo
+    """The bounded memo that m's forcing function is."""
+    return m._forces
 
 
 def test_one_model_asked_20000_propositions_keeps_at_most_4096_memo_entries():
@@ -393,7 +392,8 @@ def per_candidate_search(hyps, goal, max_worlds):
                                for bit in (1, 2))
                 f = _forcing(above, [{a: int(a in s) for a in alpha} for s in plus],
                              [{a: int(a in s) for a in alpha} for s in minus], 1)
-                if all(f(0, h) for h in hyps) and not f(0, goal):
+                if all(f(0, h.base, h.mode.strength, h.sign) for h in hyps) and not f(
+                        0, goal.base, goal.mode.strength, goal.sign):
                     leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}
                     return KripkeModel.make(alpha, names, leq, dict(zip(names, plus)),
                                             dict(zip(names, minus))), "w0"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 import time
@@ -8,7 +9,7 @@ import pytest
 from prk import rewrite
 from prk.errors import DerivationMismatchError, FuelExhaustedError
 from prk.gen import TermGen, TypedEnumerator
-from prk.rewrite import (ETA, PLAIN, all_redexes, apply_at, classify,
+from prk.rewrite import (ETA, PLAIN, all_redexes, apply_at, binder_names_at, classify,
                          is_neutral, is_normal, match_redex, normalize, replay,
                          step, subterm_at)
 from prk.surface import parse_mprop, parse_term
@@ -281,11 +282,19 @@ def test_walk_matches_step_loop_on_exhaustive_terms():
 
 
 def test_trace_replays(term_gen):
+    named = 0
     for _ in range(40):
         ctx = term_gen.base_context()
         t = term_gen.sized_term(ctx, term_gen.props.mprop(2), 4)
         nf, trace = normalize(t)
         assert replay(t, trace) == nf
+        for mode, strategy in itertools.product((PLAIN, ETA), ("lo", "ri")):
+            current = t  # each step names the binders over its position in the term before it
+            for entry in normalize(t, mode, strategy=strategy)[1]:
+                assert entry.names == binder_names_at(current, entry.position), (t, mode, strategy)
+                named += bool(entry.names)
+                current = replay(current, (entry,))
+    assert named > 0
 
 
 def test_strategy_independence(term_gen):

@@ -71,6 +71,11 @@ ERRORS = [
     ('abs[a^s+](x, y', "expected ')', found 'end of input'", 1, 15),
     ('abs[_bot0^s+](x, y)', "'_bot0' is reserved for the falsity encoding", 1, 10),
     ('abs[(a & _bot0)^s+](x, y)', "'_bot0' is reserved for the falsity encoding", 1, 16),
+    # the reserved atom is judged once its proposition closes, at the token after it
+    ('abs[(_bot0 & a)^s+](x, y)', "'_bot0' is reserved for the falsity encoding", 1, 16),
+    ('abs[(a & (~_bot0 | b))^s+](x, y)', "'_bot0' is reserved for the falsity encoding", 1, 23),
+    ('abs[(_bot0 & (a ^ b))^s+](x, y)', 'modes cannot be nested', 1, 17),
+    ('abs[(_bot0 & a)^q+](x, y)', "'_bot0' is reserved for the falsity encoding", 1, 16),
     ('abs[(a % b)^s+](x, y)', "unexpected character '%'", 1, 8),
     ('abs[(a ^ b)^s+](x, y)', 'modes cannot be nested', 1, 8),
     ('case+(x y : a^c+. y, z : b^c+. z)', "expected ',', found 'y'", 1, 9),
