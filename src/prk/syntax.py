@@ -20,10 +20,10 @@ systemf builds its type and term walks on the same helpers, and the walks
 over propositions (printing, size, duality, depth) use them too.
 
 Every proof term, System F type and System F term carries `free`, a
-summary of its free variables that `summarize` builds with the node from
-its children's: per sort of variable, the bound on its free indices and
-its free names.  So `fv` takes constant time, and shifting, substitution
-and closing return unvisited every subtree they cannot change.
+summary of its free variables that `summarize` makes from its children's on
+first read (a variable's with it): per sort of variable, the bound on its free
+indices and its free names.  So `fv` takes constant time, and shifting,
+substitution and closing return unvisited every subtree they cannot change.
 
 The calculus is symmetric between affirmation (sign +) and denial (sign
 -), and that duality is written down once, in the table below the
@@ -56,28 +56,34 @@ def cache_hash(cls):
 
     Terms are immutable trees compared structurally; sets and memo tables
     hash the same nodes many times, so the hash is cached.  A first hash
-    hashes the unhashed nodes below first, on an explicit stack, so no tree is
-    too deep.  It differs between processes, so pickles and copies leave it out."""
+    hashes the unhashed nodes below first (see _fill), so no tree is too deep.
+    It differs between processes, so pickles and copies leave it out."""
     _HASH_OF[cls] = cls.__hash__
 
-    def __hash__(self):
-        if (h := self.__dict__.get("_hash")) is not None:
-            return h
-        stack = [self]
-        while stack:  # children first, so the generated hash recurses no further
-            u, n = stack[-1], len(stack)
-            for c in u.__dict__.values():
-                if type(c) in _HASH_OF and "_hash" not in c.__dict__:
-                    stack.append(c)
-            if len(stack) == n:  # no child left to hash
-                object.__setattr__(stack.pop(), "_hash", _HASH_OF[type(u)](u))
-        return self.__dict__["_hash"]
+    def __hash__(self):  # children first, so the generated hash recurses no further
+        h = self.__dict__.get("_hash")
+        return _fill(self, "_hash", _HASH_OF) if h is None else h
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     cls.__hash__, cls.__getstate__ = __hash__, __getstate__
     return cls
+
+
+def _fill(t, key: str, make: dict):
+    """t.__dict__[key], made first as make[type(u)](u) for each node u below t that
+    lacks it, children first, on an explicit stack.  A child holding it is not
+    entered, so the walk is linear in the graph, not the tree."""
+    stack = [t]
+    while stack:
+        u, n = stack[-1], len(stack)
+        for c in u.__dict__.values():
+            if type(c) in make and key not in c.__dict__:
+                stack.append(c)
+        if len(stack) == n:  # every child holds its value
+            stack.pop().__dict__[key] = make[type(u)](u)
+    return t.__dict__[key]
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +100,10 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
     of a leaves class is a leaf of this tree.  Each node class of base
     gets its cached hash (cache_hash).
 
-    Given sorts, each node of base's tree gets its summary `free` when it is
-    built: sorts lists, per sort of variable in summary order, its index
-    class and its name class, and under maps an entry of the binder table
-    to the binders of each sort that it puts over a child."""
+    Given sorts, each node of base's tree gets its summary `free` (Summarized):
+    sorts lists, per sort of variable in summary order, its index class and its
+    name class, and under maps an entry of the binder table to the binders of
+    each sort that it puts over a child."""
     kinds = {cls.__name__ for cls in (base, *leaves)}
     getters = {cls: _getter([]) for leaf in leaves for cls in leaf.__subclasses__()}
     builders = {}
@@ -143,16 +149,31 @@ def _build(cls, names, at, t, kids):
     return cls(*args)
 
 
-# Free-variable summaries.  A summary holds, per sort of variable, the
-# bound on a node's free indices (the largest + 1, 0 if none) and the set of
-# its free names, flattened into one tuple.  make_shape fills _SUMMARY.
+# Free-variable summaries.  A summary holds, per sort of variable, the bound on a
+# node's free indices (the largest + 1, 0 if none) and the set of its free names,
+# flattened into one tuple, made on first read.  make_shape fills _SUMMARY.
 
 _NO_NAMES: frozenset[str] = frozenset()
-_SUMMARY: dict[type, object] = {}  # node class -> the function that builds its nodes' free
+_SUMMARY: dict[type, object] = {}  # node class -> the function that makes its nodes' free
+
+
+class _Free:
+    """Summarized.free, made on first read (_fill).  It is a non-data descriptor,
+    so later reads find the summary in the node's __dict__ and do not come here."""
+
+    def __get__(self, t, cls=None):
+        return self if t is None else _fill(t, "free", _SUMMARY)
 
 
 class Summarized:
-    """A tree node that carries `free`, its summary, built with it."""
+    """A tree node that carries `free`, its summary, made on its first read."""
+
+    __slots__ = ()
+    free = _Free()
+
+
+class Variable(Summarized):
+    """A variable node: its summary is made when it is built, so a negative index fails there."""
 
     __slots__ = ()
 
@@ -608,14 +629,14 @@ class Term(Summarized):
 
 
 @dataclass(frozen=True)
-class Var(Term):
+class Var(Term, Variable):
     """Free variable, referenced by name."""
 
     name: str
 
 
 @dataclass(frozen=True)
-class Bound(Term):
+class Bound(Term, Variable):
     """Bound variable as a de Bruijn index into enclosing binders."""
 
     index: int

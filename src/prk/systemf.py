@@ -19,8 +19,8 @@ polarity, reduction positions, normalization) is built on that shape with
 the generic walks of syntax (`make_map`, `make_fold`, `make_debruijn`,
 `make_normalize`).
 
-Every node carries `free`, the summary syntax's `summarize` builds with it
-from its children's: (bound on its free type indices, free type names,
+Every node carries `free`, the summary syntax's `summarize` makes on its first
+read from its children's: (bound on its free type indices, free type names,
 bound on its free term indices, free term names), a bound being the
 largest free index + 1.  Shifting, substitution and closing return a
 subtree unvisited when its summary shows they cannot change it, so on the
@@ -40,7 +40,7 @@ from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
-                     Proj, PVar, Scope, Summarized, Var, flip, fresh_name, fv,
+                     Proj, PVar, Scope, Summarized, Var, Variable, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_positions,
                      make_shape, opposite, preorder, print_tree)
 from .typecheck import Context, Derivation, check_type
@@ -66,12 +66,12 @@ class FType(Summarized):
 
 
 @dataclass(frozen=True)
-class TVar(FType):
+class TVar(FType, Variable):
     name: str
 
 
 @dataclass(frozen=True)
-class TBound(FType):
+class TBound(FType, Variable):
     index: int
 
 
@@ -187,12 +187,12 @@ class FTerm(Summarized):
 
 
 @dataclass(frozen=True)
-class FVar(FTerm):
+class FVar(FTerm, Variable):
     name: str
 
 
 @dataclass(frozen=True)
-class FBound(FTerm):
+class FBound(FTerm, Variable):
     index: int
 
 
@@ -331,38 +331,38 @@ def f_infer(ctx: FContext, t: FTerm) -> FType:
         return shift_type(ty, n) if n and ty.free[0] else ty
 
     def go(u: FTerm) -> FType:
-        match u:
-            case FVar(name):
-                if name in names:
-                    return lift(names[name], len(hints))
-                raise UnboundVariableError(f"unbound variable {name!r}")
-            case FBound(i):
-                if i >= len(lams):
-                    raise TypingError(f"dangling bound variable #{i - len(lams)}")
-                annot, depth = lams[-1 - i]
-                return lift(annot, len(hints) - depth)
-            case FLam(annot, body, _):
-                lams.append((annot, len(hints)))
-                cod = go(body)
-                lams.pop()
-                return Arrow(annot, cod)
-            case FApp(fun, arg):
-                dom, cod = _expose_arrow(go(fun), show)
-                ta = go(arg)
-                if not ftype_equiv(ta, dom):
-                    raise DomainMismatchError(
-                        f"argument type {show(ta)} does not match domain {show(dom)}")
-                return cod
-            case TyLam(body, hint):
-                hints.append(hint or "a")
-                inner = go(body)
-                hints.pop()
-                return Forall(inner, hint=hint)
-            case TyApp(fun, ty):
-                tf = go(fun)
-                if not isinstance(tf, Forall):
-                    raise NotAForallError(f"expected a polymorphic type, found {show(tf)}")
-                return subst_type(tf.body, 0, ty)
+        kind = type(u)  # identity tests, cheaper than class patterns
+        if kind is FApp:
+            dom, cod = _expose_arrow(go(u.fun), show)
+            ta = go(u.arg)
+            if ta is not dom and not ftype_equiv(ta, dom):
+                raise DomainMismatchError(
+                    f"argument type {show(ta)} does not match domain {show(dom)}")
+            return cod
+        if kind is FBound:
+            if u.index >= len(lams):
+                raise TypingError(f"dangling bound variable #{u.index - len(lams)}")
+            annot, depth = lams[-1 - u.index]
+            return lift(annot, len(hints) - depth)
+        if kind is FLam:
+            lams.append((u.annot, len(hints)))
+            cod = go(u.body)
+            lams.pop()
+            return Arrow(u.annot, cod)
+        if kind is TyApp:
+            tf = go(u.fun)
+            if not isinstance(tf, Forall):
+                raise NotAForallError(f"expected a polymorphic type, found {show(tf)}")
+            return subst_type(tf.body, 0, u.ty)
+        if kind is TyLam:
+            hints.append(u.hint or "a")
+            inner = go(u.body)
+            hints.pop()
+            return Forall(inner, hint=u.hint)
+        if kind is FVar:
+            if u.name in names:
+                return lift(names[u.name], len(hints))
+            raise UnboundVariableError(f"unbound variable {u.name!r}")
         raise TypeError(u)
 
     return go(t)
@@ -647,20 +647,21 @@ def polarity(t: FType) -> Polarity:
 # ---------------------------------------------------------------------------
 # Printing
 
-def _unsugar_type(t: FType) -> tuple[str, FType, FType] | str | None:
+def _sugar(t: Forall) -> list | None:
+    """The parts of t as 0, 1, a product or a sum for print_tree, or None."""
     if t == ZERO:
-        return "0"
+        return ["0"]
     if t == ONE:
-        return "1"
+        return ["1"]
     match t:
         case Forall(Arrow(Arrow(a, Arrow(b, TBound(0))), TBound(0)), _):
-            op = "*"
+            op = " * "
         case Forall(Arrow(Arrow(a, TBound(0)), Arrow(Arrow(b, TBound(0)), TBound(0))), _):
-            op = "+"
+            op = " + "
         case _:
             return None
     try:
-        return op, shift_type(a, -1), shift_type(b, -1)
+        return ["(", shift_type(a, -1), op, shift_type(b, -1), ")"]
     except ValueError:  # a or b mentions the bound variable: no sugar
         return None
 
@@ -680,33 +681,27 @@ def _parens(t: FTerm, kinds: tuple[type, ...]) -> list:
 def _layout(t: FTerm | FType, scope: Scope, tyscope: Scope) -> list:
     """The parts of t for print_tree; scope and tyscope name the open term
     and type binders."""
-    sugar = _unsugar_type(t) if isinstance(t, FType) else None
-    if isinstance(sugar, str):
-        return [sugar]
-    if sugar is not None:
-        op, a, b = sugar
-        return ["(", a, f" {op} ", b, ")"]
-    match t:
-        case TVar(n) | FVar(n):
-            return [n]
-        case TBound(i):
-            return [tyscope.name(i)]
-        case FBound(i):
-            return [scope.name(i)]
-        case FPos(a, b) | FNeg(a, b):
-            return ["Pos<" if isinstance(t, FPos) else "Neg<", a, ", ", b, ">"]
-        case Arrow(d, c):
-            wrap = isinstance(d, Arrow) and _unsugar_type(d) is None
-            return (["(", d, ")"] if wrap else [d]) + [" -> ", c]
-        case Forall(b, hint):
-            return ["forall ", tyscope.push(hint or "a", ftype_vars(b)), ". ", b, tyscope.pop]
-        case FLam(annot, body, hint):
-            return ["fun (", scope.push(hint or "x", fterm_fv(body)), " : ", annot, ") -> ",
-                    body, scope.pop]
-        case FApp(f, a):
-            return _parens(f, (FLam, TyLam)) + [" "] + _parens(a, (FLam, TyLam, FApp, TyApp))
-        case TyLam(body, hint):
-            return ["tfun ", tyscope.push(hint or "a"), " -> ", body, tyscope.pop]
-        case TyApp(f, ty):
-            return _parens(f, (FLam, TyLam)) + [" [", ty, "]"]
+    kind = type(t)
+    if kind is FApp:
+        return _parens(t.fun, (FLam, TyLam)) + [" "] + _parens(t.arg, (FLam, TyLam, FApp, TyApp))
+    if kind is FBound:
+        return [scope.name(t.index)]
+    if kind is TBound:
+        return [tyscope.name(t.index)]
+    if kind is Arrow:  # sugar is a Forall, so an Arrow domain always takes parentheses
+        return (["(", t.dom, ")"] if type(t.dom) is Arrow else [t.dom]) + [" -> ", t.cod]
+    if kind is FLam:
+        return ["fun (", scope.push(t.hint or "x", fterm_fv(t.body)), " : ", t.annot, ") -> ",
+                t.body, scope.pop]
+    if kind is Forall:
+        return _sugar(t) or ["forall ", tyscope.push(t.hint or "a", ftype_vars(t.body)), ". ",
+                             t.body, tyscope.pop]
+    if kind is TyApp:
+        return _parens(t.fun, (FLam, TyLam)) + [" [", t.ty, "]"]
+    if kind is TyLam:
+        return ["tfun ", tyscope.push(t.hint or "a"), " -> ", t.body, tyscope.pop]
+    if kind is TVar or kind is FVar:
+        return [t.name]
+    if kind is FPos or kind is FNeg:
+        return ["Pos<" if kind is FPos else "Neg<", t.a, ", ", t.b, ">"]
     raise TypeError(t)

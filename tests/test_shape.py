@@ -2,6 +2,8 @@
 binder table, the generic map and fold built on them, and the free-variable
 summary every proof term and F node carries."""
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -16,6 +18,7 @@ from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, Arrow, FApp, FBound, FLam
                          TyApp, TyLam, complexity, shift_type, fterm_children, fterm_fold,
                          fterm_fv, fterm_map, fterm_rebuild, ftype_children,
                          ftype_fold, ftype_map, ftype_rebuild, ftype_vars)
+from testlib import lines_run
 
 P = MProp(PVar("a"), Mode("c", "+"))
 x, y = Var("x"), Var("y")
@@ -171,6 +174,63 @@ def test_every_node_carries_its_summary(term_gen, rng):
     assert t.free == _scan(t) == (0, frozenset({"x"}))
     # equal summaries are shared, not built again
     assert Var("q").free is Var("q").free and NegI("+", t).free is t.free
+
+
+# -- a summary is made on its node's first read -------------------------------------
+# Most nodes built are never asked for their summary, so it is made when first
+# read, with the summaries below it; a variable's is still made with it.
+
+def test_a_negative_index_fails_when_built():
+    for index in (Bound, TBound, FBound):
+        with pytest.raises(ValueError):
+            index(-1)
+
+
+def _read_shared_pairs(n):
+    """The lines run reading free on n levels of t = Pair("+", t, t): a tree of
+    2^n leaves, a graph of n + 1 nodes."""
+    t = x
+    for _ in range(n):
+        t = Pair("+", t, t)
+    free, lines = lines_run(lambda: t.free)
+    assert free == (0, frozenset({"x"}))
+    return lines
+
+
+def test_a_shared_graph_is_summarized_in_linear_work():
+    assert _read_shared_pairs(400) <= 2.2 * _read_shared_pairs(200)
+
+
+def test_deep_nests_read_free_without_recursion():
+    assert sys.getrecursionlimit() < DEEP
+    t, ty, ft = Pair("+", x, Bound(1)), Arrow(TBound(DEEP), a), FApp(FBound(0), FVar("y"))
+    for _ in range(DEEP):
+        t, ty, ft = NegI("+", t), Forall(ty), FLam(b, ft)
+    assert t.free == (2, frozenset({"x"}))
+    assert ty.free == (1, frozenset({"a"}), 0, frozenset())
+    assert ft.free == (0, frozenset({"b"}), 0, frozenset({"y"}))
+
+
+def _summary_samples():
+    return [CLam("+", P, Pair("+", Bound(0), Bound(2)), "k"),
+            Forall(Arrow(TBound(0), Forall(TBound(2)))),
+            TyLam(FLam(TBound(0), FApp(FBound(1), FVar("y")), "z"))]
+
+
+def test_a_node_has_no_attribute_beside_its_fields_and_free():
+    for t in _summary_samples():
+        assert not hasattr(t, "nope")
+        assert t.free == t.__dict__["free"]
+
+
+def test_copies_made_before_and_after_the_first_read_equal_the_original():
+    for read_first in (False, True):
+        for t in _summary_samples():
+            if read_first:
+                t.free
+            for again in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+                assert ("free" in again.__dict__) == read_first
+                assert again == t and again.free == t.free and hash(again) == hash(t)
 
 
 # A reference for the de Bruijn walks that visits every node: it recurses over

@@ -24,7 +24,8 @@ from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          subst_type_in_fterm, times, translate_ctx, translate_prop,
                          translate_term)
 from prk.typecheck import Context, Derivation, check_type, infer_type, mk_lem
-from testlib import close_fterm, close_tyvar_in_fterm, flam, tylam
+from testlib import (close_fterm, close_tyvar_in_fterm, flam, lines_run, print_f_by_patterns,
+                     tylam)
 
 ROOT = Path(__file__).resolve().parent.parent
 A, B = TVar("A"), TVar("B")
@@ -493,6 +494,35 @@ def test_print_terms():
     assert print_fterm(TyApp(FVar("x"), A)) == "x [A]"
 
 
+# The printers against the layout as it was (testlib.print_f_by_patterns), which
+# asks every type node for its sugar and matches each node against class patterns.
+
+def test_printers_match_the_pattern_layout_on_hand_cases():
+    cases = {
+        ZERO: "0", ONE: "1",
+        times(TBound(0), A): "forall r. (r -> A -> r) -> r",  # a component under the binder
+        plus(A, TBound(0)): "forall r. (A -> r) -> (r -> r) -> r",
+        Arrow(Arrow(A, B), A): "(A -> B) -> A",
+        Arrow(times(A, B), Arrow(ZERO, B)): "(A * B) -> 0 -> B",
+        FPos(A, FNeg(B, A)): "Pos<A, Neg<B, A>>",
+        TyLam(FLam(TBound(0), TyLam(FLam(TBound(1), FApp(FBound(1), FBound(0)), "x"), "a"),
+                   "x"), "a"): "tfun a -> fun (x : a) -> tfun a2 -> fun (x2 : a) -> x x2",
+        TyApp(FApp(FLam(ONE, FBound(0), "u"), TRIV), times(A, B)):
+            "(fun (u : 1) -> u) (tfun a -> fun (x : a) -> x) [(A * B)]",
+    }
+    for t, text in cases.items():
+        assert (print_ftype(t) if isinstance(t, FType) else print_fterm(t)) == text
+        assert print_f_by_patterns(t) == text
+    under_env = {
+        (Arrow(TBound(0), TBound(1)), ("a", "b")): "a -> b",
+        (Forall(Arrow(TBound(0), TBound(1)), "a"), ("a",)): "forall a2. a2 -> a",
+        (times(TBound(1), TBound(2)), ("r", "s")): "(r * s)",
+        (plus(TBound(1), TBound(0)), ("r",)): "forall r2. (r -> r2) -> (r2 -> r2) -> r2",
+    }
+    for (t, env), text in under_env.items():
+        assert print_ftype(t, env) == print_f_by_patterns(t, env) == text
+
+
 # -- the pruned walks ---------------------------------------------------------------
 # Shift, substitution and closing skip every subtree whose cached summary
 # shows they cannot change it.  The reference below walks every node over
@@ -756,28 +786,9 @@ def _neg_chain(n):
     return t
 
 
-def _lines_run(f, *args):
-    """f(*args) and the Python lines it runs: its work, counted the same on
-    every machine."""
-    lines = 0
-
-    def trace(frame, event, arg):
-        nonlocal lines
-        lines += event == "line"
-        return trace
-
-    old = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        result = f(*args)
-    finally:
-        sys.settrace(old)
-    return result, lines
-
-
 def _printed_lines(n):
     """The Python lines print_fterm runs on _neg_chain(n)."""
-    text, lines = _lines_run(print_fterm, _neg_chain(n))
+    text, lines = lines_run(print_fterm, _neg_chain(n))
     assert text.startswith("(fun (u : 1) -> (fun (u2 : 1) -> ") and f"(u{n} : 1) -> x)" in text
     return lines
 
@@ -791,7 +802,7 @@ def test_printing_deep_binders_is_linear():
 
 def _inferred_lines(n):
     """The Python lines f_infer runs on _neg_chain(n)."""
-    ty, lines = _lines_run(f_infer, (("x", A),), _neg_chain(n))
+    ty, lines = lines_run(f_infer, (("x", A),), _neg_chain(n))
     assert ty == A
     return lines
 
@@ -882,6 +893,16 @@ def test_f_infer_matches_reference_on_translate_workload(seed):
         d = infer_type(op.data["ctx"], op.data["term"])
         ty, _ = _assert_same_typing(translate_ctx(op.data["ctx"]), translate_term(d))
         assert ftype_equiv(ty, translate_prop(d.conclusion))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_printers_match_the_pattern_layout_on_translate_workload(seed):
+    for op in _translate_workload_ops(seed):
+        d = infer_type(op.data["ctx"], op.data["term"])
+        ft, fctx = translate_term(d), translate_ctx(op.data["ctx"])
+        assert print_fterm(ft) == print_f_by_patterns(ft)
+        for ty in (f_infer(fctx, ft), translate_prop(d.conclusion), *(ty for _, ty in fctx)):
+            assert print_ftype(ty) == print_f_by_patterns(ty)
 
 
 def test_f_infer_matches_reference_on_lem_and_golden():

@@ -2,11 +2,38 @@
 System F index in place, so src/prk closes no name into a binder:
 flam, tylam, close_fterm and close_tyvar_in_fterm build F binders over
 named bodies for hand-written terms.  validate_derivation re-checks a
-typing derivation; nothing in src/prk compares whole derivations."""
+typing derivation; nothing in src/prk compares whole derivations.
+lines_run counts the Python lines a call runs, and print_f_by_patterns is
+the F printer's reference."""
+
+import sys
+from functools import partial
 
 from prk.errors import TypingError
-from prk.systemf import FBound, FLam, FTerm, FType, FVar, TyLam, close_type, fterm_map
+from prk.syntax import Scope, print_tree
+from prk.systemf import (ONE, ZERO, Arrow, FApp, FBound, FLam, FNeg, FPos, FTerm, FType, FVar,
+                         Forall, TBound, TVar, TyApp, TyLam, close_type, fterm_fv, fterm_map,
+                         ftype_vars, shift_type)
 from prk.typecheck import Derivation, check_type
+
+
+def lines_run(f, *args):
+    """f(*args) and the Python lines it runs: its work, counted the same on
+    every machine."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = f(*args)
+    finally:
+        sys.settrace(old)
+    return result, lines
 
 
 def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
@@ -126,3 +153,65 @@ def random_model(rng):
     vplus, vminus = ({w: set(rng.sample(atoms, rng.randint(0, 2))) for w in names if rng.random() < 0.6}
                      for _ in range(2))
     return KripkeModel.make(atoms[:rng.randint(1, 2)], worlds, leq, vplus, vminus)
+
+
+def _unsugar_type(t: FType) -> tuple[str, FType, FType] | str | None:
+    if t == ZERO:
+        return "0"
+    if t == ONE:
+        return "1"
+    match t:
+        case Forall(Arrow(Arrow(a, Arrow(b, TBound(0))), TBound(0)), _):
+            op = "*"
+        case Forall(Arrow(Arrow(a, TBound(0)), Arrow(Arrow(b, TBound(0)), TBound(0))), _):
+            op = "+"
+        case _:
+            return None
+    try:
+        return op, shift_type(a, -1), shift_type(b, -1)
+    except ValueError:  # a or b mentions the bound variable: no sugar
+        return None
+
+
+def _parens(t: FTerm, kinds: tuple[type, ...]) -> list:
+    return ["(", t, ")"] if isinstance(t, kinds) else [t]
+
+
+def _layout(t: FTerm | FType, scope: Scope, tyscope: Scope) -> list:
+    """systemf's layout as it was: every type node is asked for its sugar,
+    and each node is matched against class patterns."""
+    sugar = _unsugar_type(t) if isinstance(t, FType) else None
+    if isinstance(sugar, str):
+        return [sugar]
+    if sugar is not None:
+        op, a, b = sugar
+        return ["(", a, f" {op} ", b, ")"]
+    match t:
+        case TVar(n) | FVar(n):
+            return [n]
+        case TBound(i):
+            return [tyscope.name(i)]
+        case FBound(i):
+            return [scope.name(i)]
+        case FPos(a, b) | FNeg(a, b):
+            return ["Pos<" if isinstance(t, FPos) else "Neg<", a, ", ", b, ">"]
+        case Arrow(d, c):
+            wrap = isinstance(d, Arrow) and _unsugar_type(d) is None
+            return (["(", d, ")"] if wrap else [d]) + [" -> ", c]
+        case Forall(b, hint):
+            return ["forall ", tyscope.push(hint or "a", ftype_vars(b)), ". ", b, tyscope.pop]
+        case FLam(annot, body, hint):
+            return ["fun (", scope.push(hint or "x", fterm_fv(body)), " : ", annot, ") -> ",
+                    body, scope.pop]
+        case FApp(f, a):
+            return _parens(f, (FLam, TyLam)) + [" "] + _parens(a, (FLam, TyLam, FApp, TyApp))
+        case TyLam(body, hint):
+            return ["tfun ", tyscope.push(hint or "a"), " -> ", body, tyscope.pop]
+        case TyApp(f, ty):
+            return _parens(f, (FLam, TyLam)) + [" [", ty, "]"]
+    raise TypeError(t)
+
+
+def print_f_by_patterns(t: FTerm | FType, env: tuple[str, ...] = ()) -> str:
+    """print_fterm, or print_ftype under env, through the layout as it was."""
+    return print_tree(t, partial(_layout, scope=Scope(), tyscope=Scope(env)))
