@@ -50,9 +50,6 @@ class KripkeModel:
     def order(self) -> frozenset[tuple[str, str]]:
         return frozenset((a, b) for a, up in _closure(self.worlds, self.leq).items() for b in up)
 
-    def above(self, w: str) -> tuple[str, ...]:
-        return tuple(v for v in self.worlds if v in self._above[w])
-
     @cached_property
     def _above(self) -> dict[str, set[str]]:
         known = set(self.worlds)

@@ -1,5 +1,6 @@
 """Reduction for proof terms: the seven rewriting rules, the optional
-eta rule, normalization with traces, and shape classification."""
+eta rule, normalization with traces and single steps, both on syntax's one
+leftmost-outermost walk, and shape classification."""
 
 from __future__ import annotations
 
@@ -9,9 +10,8 @@ from functools import partial
 from .errors import DerivationMismatchError, FuelExhaustedError
 from .surface import BINDER_HINTS
 from .syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
-                     Proj, Term, Var, children, find_subterms, flip, fv, make_map,
-                     make_normalize, rebuild, replace_at, shift, subst_bound, subterm_at,
-                     uses_index)
+                     Proj, Term, Var, children, flip, fv, make_map, make_normalize,
+                     rebuild, shift, subst_bound, uses_index)
 from .typecheck import Derivation
 
 PLAIN = "plain"
@@ -48,49 +48,6 @@ def match_redex(t: Term, mode: str) -> tuple[str, Term] | None:
     return None
 
 
-def binder_names_at(t: Term, pos: Position) -> tuple[str, ...]:
-    """Hints of the binders enclosing a position, innermost first.
-
-    Used to display extracted redexes whose indices point out of the
-    subterm; display only, no freshening."""
-    env: tuple[str, ...] = ()
-    for i in pos:
-        hint = BINDER_HINTS[type(t)][i]
-        if hint:
-            env = (getattr(t, hint),) + env
-        t = children(t)[i]
-    return env
-
-
-def all_redexes(t: Term, mode: str = PLAIN) -> list[tuple[Position, str]]:
-    """Redex positions with their rules, in pre-order (leftmost-outermost first)."""
-    return [(pos, m[0]) for pos, m in find_subterms(t, lambda u: match_redex(u, mode))]
-
-
-def apply_at(t: Term, pos: Position, mode: str = PLAIN) -> tuple[str, Term]:
-    """Contract the redex at pos; returns (rule, new whole term)."""
-    m = match_redex(subterm_at(t, pos), mode)
-    if m is None:
-        raise ValueError(f"no redex at position {pos}")
-    return m[0], replace_at(t, pos, m[1])
-
-
-def step(t: Term, mode: str = PLAIN, strategy: str = "lo") -> tuple[str, Position, Term] | None:
-    """One reduction step, or None if t is a normal form.
-
-    strategy "lo" is leftmost-outermost (the default, used for traces);
-    "ri" picks the rightmost-innermost redex instead.
-    """
-    if strategy not in ("lo", "ri"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    hits = find_subterms(t, lambda u: match_redex(u, mode),
-                         "first" if strategy == "lo" else "last")
-    if not hits:
-        return None
-    [(pos, (rule, reduct))] = hits
-    return rule, pos, replace_at(t, pos, reduct)
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One contraction; names: the hints of the binders over position, innermost first."""
@@ -105,44 +62,34 @@ Trace = tuple[TraceStep, ...]
 _walk = make_normalize(children, rebuild)
 
 
-def normalize(t: Term, mode: str = PLAIN, fuel: int = 100_000,
-              strategy: str = "lo") -> tuple[Term, Trace]:
+def step(t: Term, mode: str = PLAIN) -> tuple[str, Position, Term] | None:
+    """One leftmost-outermost step, (rule, position, new term), or None if t
+    is a normal form: normalize's walk, stopped at its first contraction."""
+    hit = []
+    new = _walk(t, partial(match_redex, mode=mode),
+                lambda frames, rule, *_: hit.append((rule, tuple([i for _, _, i in frames]))) or True)
+    return (*hit[0], new) if hit else None
+
+
+def normalize(t: Term, mode: str = PLAIN, fuel: int = 100_000) -> tuple[Term, Trace]:
     """Reduce to normal form, recording every step; FuelExhaustedError only
-    if a redex remains after `fuel` contractions.  "lo" (the default) is
-    syntax's leftmost-outermost walk, which under ETA also rechecks an
-    enclosing clam, as eta reads its whole function.  "ri" repeats `step`."""
+    if a redex remains after `fuel` contractions.  It is syntax's
+    leftmost-outermost walk, which under ETA also rechecks an enclosing clam,
+    as eta reads its whole function."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     steps: list[TraceStep] = []
 
-    def record(pos: Position, names: tuple[str, ...], rule: str, redex: Term, reduct: Term) -> None:
+    def record(frames: list, rule: str, redex: Term, reduct: Term) -> None:
         if len(steps) == fuel:
             raise FuelExhaustedError(
                 f"no normal form within {fuel} steps (this signals a bug for typed terms)")
-        steps.append(TraceStep(pos, rule, redex, reduct, names))
+        # frames [node, kids, i] lead to the redex; node's hint over kid i names a binder
+        names = tuple([getattr(u, h) for u, _, i in reversed(frames) if (h := BINDER_HINTS[type(u)][i])])
+        steps.append(TraceStep(tuple([i for _, _, i in frames]), rule, redex, reduct, names))
 
-    if strategy == "lo":  # frames [node, kids, i] lead to the redex; node's hint over kid i names a binder
-        t = _walk(t, partial(match_redex, mode=mode), lambda frames, *m: record(
-            tuple([i for _, _, i in frames]),
-            tuple([getattr(u, h) for u, _, i in reversed(frames) if (h := BINDER_HINTS[type(u)][i])]), *m),
-            (CLam,) if mode == ETA else ())
-    else:
-        while (nxt := step(t, mode, strategy)) is not None:
-            rule, pos, new = nxt
-            record(pos, binder_names_at(t, pos), rule, subterm_at(t, pos), subterm_at(new, pos))
-            t = new
+    t = _walk(t, partial(match_redex, mode=mode), record, (CLam,) if mode == ETA else ())
     return t, tuple(steps)
-
-
-def replay(t: Term, trace: Trace) -> Term:
-    """Re-apply a trace from its start term; checks each recorded redex."""
-    current = t
-    for entry in trace:
-        if subterm_at(current, entry.position) != entry.redex:
-            raise ValueError(f"trace mismatch at {entry.position}")
-        _, current = apply_at(current, entry.position,
-                              ETA if entry.rule == "eta" else PLAIN)
-    return current
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class _Tokens:
             at = min(map(self.words.index, bad))
             raise self.error(f"unexpected character {self.words[at]!r}", at)
 
-    @property
-    def toks(self) -> list[tuple[str, str, int]]:
-        return [(_KINDS.get(w[:1], "ident"), w, i) for i, w in enumerate(self.words)]
-
     def end(self) -> None:
         if val := self.words[self.i]:
             raise self.error(f"trailing input {val!r}")

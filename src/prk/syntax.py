@@ -9,12 +9,12 @@ Each tree's shape is read off its dataclass fields by `make_shape`: a
 field holds a child when its annotation names the tree, so `children`
 and `rebuild` are derived, and one binder table (`BINDERS` for terms)
 says how many binders sit over each child.  Every walk over terms (size,
-shifting, substitution, closing, duality, subterms, redex positions) is
-built on that shape through the generic walks defined here: `make_map`,
-a binder-aware map that keeps unchanged nodes, and `make_fold`, an
-iterative pre-order walk, which `make_positions` runs with positions for
-depths; `make_debruijn` derives shifting, substitution and closing from
-a map, and `make_normalize` is the one normalizing walk of both calculi;
+shifting, substitution, closing, duality, subterms, reduction) is built
+on that shape through the generic walks defined here: `make_map`, a
+binder-aware map that keeps unchanged nodes, and `make_fold`, an
+iterative pre-order walk; `make_debruijn` derives shifting, substitution
+and closing from a map, and `make_normalize` is the one reduction walk of
+both calculi, which a single step stops at its first contraction;
 `print_tree` prints any tree from a layout of each node's parts.
 systemf builds its type and term walks on the same helpers, and the walks
 over propositions (printing, size, duality, depth) use them too.
@@ -114,7 +114,6 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
         at = [i for i, f in enumerate(fields(cls)) if f.type in kinds]
         getters[cls] = _getter([names[i] for i in at])
         builders[cls] = partial(_build, cls, names, at)
-        _CHILD_INDICES[cls] = tuple(range(len(at)))
         if cls in slots:
             _SUMMARY[cls] = partial(_variable, len(sorts), slots[cls], attrgetter(names[0]))
         elif sorts:
@@ -302,71 +301,30 @@ def print_tree(t, layout) -> str:
     return "".join(out)
 
 
-# Positions: tuples of child indices from the root.  find's fold keeps a
-# node's position as a (parent chain, index) pair: a step down allocates one
-# pair, and only a hit pays for the tuple.
-
-_CHILD_INDICES: dict[type, tuple[int, ...]] = {}  # class -> its child indices, from make_shape
-
-
-def make_positions(children, rebuild):
-    """find(t, match, which="all"), the (position, match(u)) pairs for the
-    nodes u of t where match(u) is true, in pre-order, or the "first" or
-    the "last" alone; subterm_at(t, pos); replace_at(t, pos, new).  None
-    of them recurses."""
-    fold = make_fold(children, _CHILD_INDICES, lambda chain, i: (chain, i), ())
-
-    def find(t, match, which="all"):
-        hits = []
-
-        def visit(u, chain):
-            if m := match(u):
-                if which != "all":
-                    hits.clear()
-                hits.append((chain, m))
-                return which == "first"
-
-        fold(t, visit)
-        return [(_position(chain), m) for chain, m in hits]
-
-    def subterm_at(t, pos):
-        for i in pos:
-            t = children(t)[i]
-        return t
-
-    def replace_at(t, pos, new):
-        spine = [t] + [t := children(t)[i] for i in pos]  # the nodes along pos
-        for parent, i in zip(spine[-2::-1], reversed(pos)):
-            new = rebuild(parent, [new if k == i else c for k, c in enumerate(children(parent))])
-        return new
-
-    return find, subterm_at, replace_at
-
-
-def _position(chain) -> tuple[int, ...]:
-    path = []
-    while chain:
-        chain, i = chain
-        path.append(i)
-    return tuple(reversed(path))
-
-
 def make_normalize(children, rebuild):
     """normalize(t, match, before, recheck=()), t's leftmost-outermost normal
     form, by one pre-order walk on an explicit stack that resumes after each
     contraction: linear in the nodes visited plus the contractions.  match(u)
     is None or (rule, reduct); before(frames, rule, redex, reduct) runs before
     each contraction, frames [node, kids, i] leading from the root to the
-    redex through kids[i].  Nodes before the focus are redex-free and a rule
-    reads a node and its children, so a contraction can make a redex only of
-    its parent or of an enclosing node of a class in recheck."""
+    redex through kids[i], and if it returns true the walk stops there and
+    returns t with that one redex contracted.  Nodes before the focus are
+    redex-free and a rule reads a node and its children, so a contraction can
+    make a redex only of its parent or of an enclosing node of a class in
+    recheck."""
 
     def normalize(t, match, before, recheck=()):
         stack: list[list] = []
         focus, m = t, match(t)
         while True:
-            if m is not None:  # resume at the outermost rechecked node now a redex
-                before(stack, m[0], focus, m[1])
+            if m is not None:
+                if before(stack, m[0], focus, m[1]):  # stop, the reduct put back to the root
+                    node = m[1]
+                    for parent, kids, i in reversed(stack):
+                        kids[i] = node
+                        node = rebuild(parent, kids)
+                    return node
+                # resume at the outermost rechecked node now a redex
                 top = max(len(stack) - 1, 0)
                 if recheck:
                     top = next((k for k, f in enumerate(stack) if isinstance(f[0], recheck)), top)
@@ -724,7 +682,6 @@ children, rebuild = make_shape(Term, binders=BINDERS, sorts=((Bound, Var),))
 
 term_map = make_map(children, rebuild, BINDERS)
 term_fold = make_fold(children, BINDERS)
-find_subterms, subterm_at, replace_at = make_positions(children, rebuild)
 shift, subst_bound, close_binder = make_debruijn(term_map, Bound, Var)
 
 

@@ -15,7 +15,7 @@ Each tree's shape is read off its dataclass fields by syntax's
 `FTERM_BINDERS` for terms, where type fields are leaves and a binder
 depth counts term and type binders separately.  Every walk over either
 tree (shifting, substitution, closing, free variables, complexity,
-polarity, reduction positions, normalization) is built on that shape with
+polarity, reduction) is built on that shape with
 the generic walks of syntax (`make_map`, `make_fold`, `make_debruijn`,
 `make_normalize`).
 
@@ -41,8 +41,8 @@ from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
 from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
                      Proj, PVar, Scope, Summarized, Var, Variable, flip, fresh_name, fv,
-                     make_debruijn, make_fold, make_map, make_normalize, make_positions,
-                     make_shape, opposite, preorder, print_tree)
+                     make_debruijn, make_fold, make_map, make_normalize, make_shape,
+                     opposite, preorder, print_tree)
 from .typecheck import Context, Derivation, check_type
 
 
@@ -236,7 +236,6 @@ def _deeper(depth: tuple[int, int], k: tuple[int, int]) -> tuple[int, int]:
 
 fterm_map = make_map(fterm_children, fterm_rebuild, FTERM_BINDERS, _deeper, (0, 0))
 fterm_fold = make_fold(fterm_children, FTERM_BINDERS, _deeper, (0, 0))
-_find_fterms, _, _fterm_replace_at = make_positions(fterm_children, fterm_rebuild)
 _fterm_normalize = make_normalize(fterm_children, fterm_rebuild)
 
 
@@ -380,15 +379,16 @@ def f_match_redex(t: FTerm) -> FTerm | None:
     return None
 
 
+def _f_redex(t: FTerm) -> tuple[str, FTerm] | None:
+    """f_match_redex as the walk's match: ("beta", reduct) or None."""
+    return (r := f_match_redex(t)) and ("beta", r)
+
+
 def f_step(t: FTerm) -> FTerm | None:
-    """Leftmost-outermost beta step (term or type), or None."""
-    hits = _find_fterms(t, f_match_redex, "first")
-    return _fterm_replace_at(t, *hits[0]) if hits else None
-
-
-def f_all_steps(t: FTerm) -> list[FTerm]:
-    """All one-step reducts (every redex position), redexes in pre-order."""
-    return [_fterm_replace_at(t, pos, red) for pos, red in _find_fterms(t, f_match_redex)]
+    """The leftmost-outermost beta step (term or type), or None: f_normalize's
+    walk, stopped at its first contraction, which makes a new root."""
+    new = _fterm_normalize(t, _f_redex, lambda *_: True)
+    return None if new is t else new
 
 
 def f_normalize(t: FTerm, fuel: int = 100_000) -> FTerm:
@@ -399,7 +399,7 @@ def f_normalize(t: FTerm, fuel: int = 100_000) -> FTerm:
         if next(allowed, None) is None:
             raise FuelExhaustedError(f"no F normal form within {fuel} steps")
 
-    return _fterm_normalize(t, lambda u: (r := f_match_redex(u)) and ("beta", r), count)
+    return _fterm_normalize(t, _f_redex, count)
 
 
 # ---------------------------------------------------------------------------

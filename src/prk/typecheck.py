@@ -35,7 +35,7 @@ from .errors import (AnnotationMismatchError, CannotInferError,
 from .syntax import (CLASSICAL, INJECTED, MINUS, MODE_OF, PAIRED, PLUS, STANCE, STRONG,
                      Abs, Bound, CApp, CLam, Case, Inj, MProp, Neg,
                      NegE, NegI, Or, Pair, Proj, PureProp, Scope, Term, Var, clam,
-                     case as mk_case, flip, fresh_name, fv, open_binder,
+                     case as mk_case, flip, fv, open_binder,
                      opposite, prop_dual, rebuild, strong_noun, term_dual,
                      truncate)
 
@@ -445,19 +445,13 @@ def mk_lem(a: PureProp, sign: str) -> Term:
 # ---------------------------------------------------------------------------
 # Projection of derivations
 
-def _fresh(hint: str, names: Container[str], *taken: Container[str]) -> str:
-    """fresh_name(hint, names, *taken), named by the index's Scope when names is a Context."""
-    if isinstance(names, Context):
-        return names.extend(hint, None, *taken).name
-    return fresh_name(hint, names, *taken)
-
-
-def pc_term(t: Term, p: MProp, taken: Container[str]) -> Term:
+def pc_term(t: Term, p: MProp, ctx: Context) -> Term:
     """Project the conclusion: wrap a strong-typed term so it types at
-    truncate(p); classical conclusions are left alone."""
+    truncate(p), its binder named apart from ctx; classical conclusions are
+    left alone."""
     if p.is_classical:
         return t
-    z = _fresh("w", taken, fv(t))
+    z = ctx.extend("w", None, fv(t)).name
     return clam(p.sign, z, MProp(p.base, MODE_OF[CLASSICAL, flip(p.sign)]), t)
 
 
@@ -503,8 +497,8 @@ def _project(d: Derivation, target: str) -> Term:
             # the same with nege and negi in place of proj and in
             (db,) = d.premises
             t0 = _project(db, target)
-            z = _fresh("z", ctx, fv(t0))
-            w = _fresh("w", ctx, fv(t0), {z})
+            z = ctx.extend("z", None, fv(t0)).name
+            w = ctx.extend("w", None, fv(t0), {z}).name
             intro = (NegI(flip(sign), Var(z)) if isinstance(t, NegE)
                      else Inj(flip(sign), t.index, Var(z)))
             arg = clam(flip(sign), w, truncate(db.conclusion), intro)
@@ -515,10 +509,10 @@ def _project(d: Derivation, target: str) -> Term:
             sc, s1, s2 = (_project(p, target) for p in d.premises)
             n1, n2 = d1.ctx.name, d2.ctx.name
             tq = truncate(q)
-            ystar = _fresh("k", ctx, fv(s1), fv(s2), {n1, n2})
+            ystar = ctx.extend("k", None, fv(s1), fv(s2), {n1, n2}).name
             contra1 = contrapose_at(n1, p1, ystar, s1, tq)
             contra2 = contrapose_at(n2, p2, ystar, s2, tq)
-            w = _fresh("w", ctx, fv(sc), {ystar})
+            w = ctx.extend("w", None, fv(sc), {ystar}).name
             refut = clam(flip(sign), w, truncate(dsc.conclusion),
                          Pair(flip(sign), contra1, contra2))
             body = mk_case(sign, CApp(sign, sc, refut), (n1, p1, s1), (n2, p2, s2))

@@ -14,14 +14,14 @@ from prk.gen import (PropGen, TermGen, TypedEnumerator, all_pure_props,
                      provable_library, seed_from_env)
 from prk.kripke import (counter_model_lem, enumerate_models, entails_in_model,
                         forces, validate_model)
-from prk.rewrite import (ETA, PLAIN, all_redexes, apply_at, classify,
-                         is_normal, normalize, step)
+from prk.rewrite import ETA, PLAIN, classify, is_normal, normalize, step
 from prk.surface import parse_mprop, parse_term
 from prk.syntax import (And, MProp, Mode, Neg, Or, PVar, Var, fv, opposite,
                         term_size)
 from prk.systemf import (check_simulation, f_infer, ftype_equiv,
                          translate_ctx, translate_prop, translate_term)
 from prk.typecheck import Context, check_type, infer_type, mk_lem
+from testlib import above_by_scan, apply_at, ref_redexes
 
 
 def criterion(number, title):
@@ -99,7 +99,7 @@ def test_c04_confluence(term_gen, rng):
         attempts += 1
         ctx = term_gen.base_context()
         t = term_gen.sized_term(ctx, term_gen.props.mprop(2), 4)
-        redexes = all_redexes(t)
+        redexes = ref_redexes(t)
         if len(redexes) < 2:
             continue
         p1, p2 = rng.sample(redexes, 2)
@@ -121,7 +121,7 @@ def test_c05_normal_form_grammar():
         enum = TypedEnumerator(ctx, (PVar("a"), PVar("b")))
         terms = enum.terms(7)
         for t in terms:
-            assert is_normal(t) == (not all_redexes(t))
+            assert is_normal(t) == (not ref_redexes(t))
         total += len(terms)
     assert total > 10_000
 
@@ -190,7 +190,7 @@ def test_c07_simulation(term_gen, rng):
         gctx = term_gen.base_context(extra=1)
         goal = term_gen.props.mprop(2)
         t = term_gen.sized_term(gctx, goal, 3, max_size=16)
-        redexes = all_redexes(t)
+        redexes = ref_redexes(t)
         if not redexes:
             continue
         pos, rule = rng.choice(redexes)
@@ -219,7 +219,7 @@ def test_c09_forcing_laws():
     for m in models:
         order = m.order()
         for w in m.worlds:
-            ups = m.above(w)
+            ups = above_by_scan(m, w)
             for p in props:
                 holds = forces(m, w, p)
                 # monotonicity
@@ -324,7 +324,7 @@ def test_c13_eta_postponement(term_gen, rng):
         while frontier and len(seen) < limit:
             nxt = []
             for u in frontier:
-                for pos, rule in all_redexes(u, ETA):
+                for pos, rule in ref_redexes(u, ETA):
                     if rule != "eta":
                         continue
                     v = apply_at(u, pos, ETA)[1]
@@ -340,12 +340,12 @@ def test_c13_eta_postponement(term_gen, rng):
         attempts += 1
         ctx = term_gen.base_context()
         t = term_gen.sized_term(ctx, term_gen.props.mprop(2), 4)
-        etas = [(pos, rule) for pos, rule in all_redexes(t, ETA) if rule == "eta"]
+        etas = [(pos, rule) for pos, rule in ref_redexes(t, ETA) if rule == "eta"]
         if not etas:
             continue
         pos = rng.choice(etas)[0]
         s = apply_at(t, pos, ETA)[1]
-        non_eta = [(p, r) for p, r in all_redexes(s, ETA) if r != "eta"]
+        non_eta = [(p, r) for p, r in ref_redexes(s, ETA) if r != "eta"]
         if not non_eta:
             continue
         rpos = rng.choice(non_eta)[0]
@@ -356,7 +356,7 @@ def test_c13_eta_postponement(term_gen, rng):
         for _ in range(3):
             nxt = set()
             for w in frontier:
-                for p, r in all_redexes(w, PLAIN):
+                for p, r in ref_redexes(w, PLAIN):
                     w2 = apply_at(w, p, PLAIN)[1]
                     nxt.add(w2)
             if any(u in eta_closure(w2) for w2 in nxt):

@@ -19,11 +19,11 @@ from prk.classical import (FALSITY, FALSITY_VAR, NKProof, appc, casec, classem,
                            run_classical_rule, tt_valid)
 from prk.errors import InvalidNKProofError, WrongModeError
 from prk.gen import PropGen, all_pure_props
-from prk.rewrite import all_redexes, apply_at
 from prk.surface import _parse_base, parse_mprop, print_term
 from prk.syntax import (Abs, And, CApp, MProp, Mode, Neg, Or, PVar, Var, clam,
                         fresh_name, prop_vars, substitute)
 from prk.typecheck import Context, abs_general_at, infer_type, mk_lem
+from testlib import apply_at, ref_redexes
 
 a, b, c = PVar("a"), PVar("b"), PVar("c")
 CP = Mode("c", "+")
@@ -330,7 +330,7 @@ def test_negapc_partial_reduct_golden():
     for level in range(1, 7):
         nxt = set()
         for u in frontier:
-            for pos, _ in all_redexes(u):
+            for pos, _ in ref_redexes(u):
                 v = apply_at(u, pos)[1]
                 if v == expected and found_at is None:
                     found_at = level

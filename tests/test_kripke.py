@@ -59,7 +59,6 @@ def test_order_is_the_reflexive_transitive_closure(rng):
 def _agrees_with_the_pair_scans(m):
     assert validate_model(m).violations == validate_by_pairs(m)
     assert m.order() == closure_by_pairs(m.worlds, m.leq)
-    assert all(m.above(w) == above_by_scan(m, w) for w in m.worlds)
     assert all(forces(m, w, p) == reference_forces(m, w, p) for w in m.worlds
                for p in map(mp, ("(a | ~a)^s+", "~a^c-", "a^c+")))
 
@@ -222,7 +221,7 @@ def test_forcing_stabilization(models_1var):
         for w in m.worlds:
             for p in props:
                 assert any(forces(m, v, p) != forces(m, v, opposite(p))
-                           for v in m.above(w))
+                           for v in above_by_scan(m, w))
 
 
 def test_rule_of_classical_forcing(models_1var):
@@ -236,11 +235,11 @@ def test_rule_of_classical_forcing(models_1var):
             for w in m.worlds:
                 lhs = forces(m, w, plus_c)
                 rhs = all(forces(m, v, plus_s)
-                          for v in m.above(w) if forces(m, v, minus_c))
+                          for v in above_by_scan(m, w) if forces(m, v, minus_c))
                 assert lhs == rhs
                 lhs = forces(m, w, minus_c)
                 rhs = all(forces(m, v, minus_s)
-                          for v in m.above(w) if forces(m, v, plus_c))
+                          for v in above_by_scan(m, w) if forces(m, v, plus_c))
                 assert lhs == rhs
 
 
@@ -306,7 +305,7 @@ def reference_forces(m, w, p):
     flipped = "-" if p.sign == "+" else "+"
     if p.is_classical:
         return all(not reference_forces(m, v, MProp(p.base, Mode("s", flipped)))
-                   for v in m.above(w))
+                   for v in above_by_scan(m, w))
     base = p.base
     if isinstance(base, PVar):
         return base.name in dict(m.vplus if p.sign == "+" else m.vminus)[w]
@@ -337,7 +336,7 @@ def assert_search_agrees(hyps, goal, max_worlds):
     assert (found is None) == (expected is None), (hyps, goal)
     if found is not None:
         model, world = found
-        assert world == "w0" and set(model.above(world)) == set(model.worlds)
+        assert world == "w0" and set(above_by_scan(model, world)) == set(model.worlds)
         assert validate_model(model).valid
         assert len(model.worlds) == len(expected[0].worlds), (hyps, goal)
         assert all(reference_forces(model, world, h) for h in hyps)

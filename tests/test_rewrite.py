@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 import sys
 import time
@@ -9,14 +8,13 @@ import pytest
 from prk import rewrite
 from prk.errors import DerivationMismatchError, FuelExhaustedError
 from prk.gen import TermGen, TypedEnumerator
-from prk.rewrite import (ETA, PLAIN, all_redexes, apply_at, binder_names_at, classify,
-                         is_neutral, is_normal, match_redex, normalize, replay,
-                         step, subterm_at)
+from prk.rewrite import ETA, PLAIN, classify, is_neutral, is_normal, normalize, step
 from prk.surface import parse_mprop, parse_term
 from prk.syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
-                        Proj, PVar, Var, children, flip, rebuild, subterms,
-                        term_size)
+                        Proj, PVar, Var, children, flip, subterms)
 from prk.typecheck import Context, check_type, infer_type
+from testlib import (apply_at, binder_names_at, count_calls, ref_redexes, ref_replace, ref_step,
+                     replay, subterm_at)
 
 
 def t_(src):
@@ -123,15 +121,14 @@ def chain(family, n):
     return t
 
 
-@pytest.mark.parametrize("strategy", ["lo", "ri"])
-def test_fuel_counts_contractions(strategy):
+def test_fuel_counts_contractions():
     # fuel n allows n contractions; it runs out only if a redex remains
     for n in (1, 2, 5):
-        nf, trace = normalize(chain("neg", n), fuel=n, strategy=strategy)
+        nf, trace = normalize(chain("neg", n), fuel=n)
         assert nf == Var("x") and len(trace) == n
         if n > 1:
             with pytest.raises(FuelExhaustedError, match=f"within {n - 1} steps"):
-                normalize(chain("neg", n), fuel=n - 1, strategy=strategy)
+                normalize(chain("neg", n), fuel=n - 1)
 
 
 def test_f_fuel_counts_contractions():
@@ -147,13 +144,6 @@ def test_f_fuel_counts_contractions():
             f_normalize(t, fuel=k - 1)
     for fuel in (0, -1):
         assert f_normalize(FVar("x"), fuel=fuel) == FVar("x")
-
-
-@pytest.mark.parametrize("reduce", [step, normalize])
-def test_an_unknown_strategy_is_rejected_without_a_redex(reduce):
-    for t in (Var("x"), t_("proj1+(pair+(x, y))")):
-        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
-            reduce(t, strategy="bogus")
 
 
 def test_trace_order_outer_before_inner():
@@ -197,12 +187,10 @@ def test_redexes_and_steps_at_any_depth():
     t = NegE("+", NegI("+", Var("x")))
     for _ in range(12_000):
         t = NegI("-", t)
-    t, deep = NegE("-", t), (0,) * 12_001
-    assert all_redexes(t) == [((), "neg"), (deep, "neg")]
+    t, deep = NegE("-", t), (0,) * 12_000
     assert step(t)[:2] == ("neg", ())
-    rule, pos, new = step(t, strategy="ri")
-    assert (rule, pos) == ("neg", deep)
-    assert subterm_at(new, deep) == Var("x") and all_redexes(new) == [((), "neg")]
+    rule, pos, new = step(t.body)  # under the root, the deep redex is the first
+    assert (rule, pos) == ("neg", deep) and subterm_at(new, deep) == Var("x")
 
 
 def test_beta_and_case_substitute_into_deep_bodies():
@@ -227,25 +215,17 @@ def test_beta_and_case_substitute_into_deep_bodies():
 
 @pytest.mark.parametrize("family", ["neg", "proj"])
 def test_normalize_matches_linearly(family, monkeypatch):
-    calls = 0
-    original = rewrite.match_redex
-
-    def counting(t, mode):
-        nonlocal calls
-        calls += 1
-        return original(t, mode)
-
-    monkeypatch.setattr(rewrite, "match_redex", counting)
+    calls = count_calls(monkeypatch, rewrite, "match_redex")
     normalize(chain(family, 100))
-    small, calls = calls, 0
+    small, calls[0] = calls[0], 0
     normalize(chain(family, 3200))
-    assert calls <= 40 * small
+    assert calls[0] <= 40 * small
 
 
-def _step_loop(t, mode):
-    """The leftmost-outermost reference: repeat `step` until it stops."""
+def _step_loop(t, mode, strategy="lo"):
+    """The reference walk: repeat ref_step until it stops; (normal form, trace)."""
     trace = []
-    while (nxt := step(t, mode)) is not None:
+    while (nxt := ref_step(t, mode, strategy)) is not None:
         rule, pos, new = nxt
         trace.append((pos, rule, subterm_at(t, pos), subterm_at(new, pos)))
         t = new
@@ -266,7 +246,7 @@ def test_walk_matches_step_loop_on_corpora(term_gen, rng, context):
     for _ in range(750):  # c02, c03 and c04 draw their terms so, 500 + 250 in all
         t = term_gen.sized_term(make_ctx(), term_gen.props.mprop(2), 4)
         _assert_walk_matches_step_loop(t)
-        redexes = all_redexes(t)
+        redexes = ref_redexes(t)
         if len(redexes) >= 2 and peaks < 200:
             for pos, _ in rng.sample(redexes, 2):
                 _assert_walk_matches_step_loop(apply_at(t, pos)[1])
@@ -288,10 +268,10 @@ def test_trace_replays(term_gen):
         t = term_gen.sized_term(ctx, term_gen.props.mprop(2), 4)
         nf, trace = normalize(t)
         assert replay(t, trace) == nf
-        for mode, strategy in itertools.product((PLAIN, ETA), ("lo", "ri")):
+        for mode in (PLAIN, ETA):
             current = t  # each step names the binders over its position in the term before it
-            for entry in normalize(t, mode, strategy=strategy)[1]:
-                assert entry.names == binder_names_at(current, entry.position), (t, mode, strategy)
+            for entry in normalize(t, mode)[1]:
+                assert entry.names == binder_names_at(current, entry.position), (t, mode)
                 named += bool(entry.names)
                 current = replay(current, (entry,))
     assert named > 0
@@ -301,28 +281,26 @@ def test_strategy_independence(term_gen):
     for _ in range(60):
         ctx = term_gen.base_context()
         t = term_gen.sized_term(ctx, term_gen.props.mprop(2), 4)
-        lo, _ = normalize(t, strategy="lo")
-        ri, _ = normalize(t, strategy="ri")
+        lo, _ = normalize(t)
+        ri, _ = _step_loop(t, PLAIN, "ri")
         assert lo == ri
 
 
 def test_eta_mode_confluence(term_gen, rng):
     # the classical computation rules compare eta-normal forms, which is
     # only meaningful because the extended calculus is confluent
-    from prk.rewrite import all_redexes, apply_at
     peaks = 0
     for _ in range(400):
         ctx = term_gen.base_context()
         t = term_gen.sized_term(ctx, term_gen.props.mprop(2), 4)
-        redexes = all_redexes(t, ETA)
+        redexes = ref_redexes(t, ETA)
         if len(redexes) < 2:
             continue
         p1, p2 = rng.sample(redexes, 2)
         left = apply_at(t, p1[0], ETA)[1]
         right = apply_at(t, p2[0], ETA)[1]
         assert normalize(left, ETA)[0] == normalize(right, ETA)[0]
-        assert normalize(t, ETA, strategy="lo")[0] == \
-            normalize(t, ETA, strategy="ri")[0]
+        assert normalize(t, ETA)[0] == _step_loop(t, ETA, "ri")[0]
         peaks += 1
         if peaks >= 80:
             break
@@ -421,36 +399,6 @@ def ref_is_normal(t):
             return ref_is_neutral(t)
 
 
-def ref_redexes(t, mode, pos=()):
-    """Every redex position of t with its rule, in pre-order, by recursion."""
-    found = [(pos, m[0])] if (m := match_redex(t, mode)) else []
-    for i, kid in enumerate(children(t)):
-        found += ref_redexes(kid, mode, pos + (i,))
-    return found
-
-
-def ref_replace(t, pos, new):
-    if not pos:
-        return new
-    kids = list(children(t))
-    kids[pos[0]] = ref_replace(kids[pos[0]], pos[1:], new)
-    return rebuild(t, kids)
-
-
-def ref_step(t, mode, strategy):
-    """The reference for step: list every redex, then contract the first
-    ("lo") or the one at the greatest position ("ri")."""
-    redexes = ref_redexes(t, mode)
-    if not redexes:
-        return None
-    pos, _ = redexes[0] if strategy == "lo" else max(redexes)
-    u = t
-    for i in pos:
-        u = children(u)[i]
-    rule, reduct = match_redex(u, mode)
-    return rule, pos, ref_replace(t, pos, reduct)
-
-
 def _positions(t, pos=()):
     yield pos
     for i, kid in enumerate(children(t)):
@@ -472,10 +420,7 @@ def _mutate(t, names, rng):
             options.append(lambda: dataclasses.replace(u, index=3 - u.index))
         return rng.choice(options)()
 
-    u = t
-    for i in pos:
-        u = children(u)[i]
-    return ref_replace(t, pos, change(u))
+    return ref_replace(t, pos, change(subterm_at(t, pos)))
 
 
 C05_CONTEXTS = (Context.of(("x", parse_mprop("a^s+")), ("y", parse_mprop("a^s-"))),
@@ -511,9 +456,7 @@ def _assert_matches_references(t):
     report = classify(t)
     assert (report.normal, report.neutral) == (normal, neutral)
     for mode in (PLAIN, ETA):
-        assert all_redexes(t, mode) == ref_redexes(t, mode)
-        for strategy in ("lo", "ri"):
-            assert step(t, mode, strategy) == ref_step(t, mode, strategy)
+        assert step(t, mode) == ref_step(t, mode)
 
 
 def test_grammar_and_steps_match_the_references_exhaustively():
@@ -565,14 +508,12 @@ def test_leftmost_step_stops_at_the_first_redex():
     assert (rule, pos) == ("neg", ()) and new is t.body.body
 
 
-@pytest.mark.parametrize("strategy", ["lo", "ri"])
-def test_step_on_a_chain_of_100_000_constructors(strategy):
+def test_step_on_a_chain_of_100_000_constructors(monkeypatch):
+    # the walk contracts the root's redex and stops: one match, whatever the chain's length
     assert sys.getrecursionlimit() <= 10_000
     t = chain("neg", 50_000)
-    rule, pos, new = step(t, strategy=strategy)
+    calls = count_calls(monkeypatch, rewrite, "match_redex")
+    rule, pos, new = step(t)
     assert rule == "neg"
-    if strategy == "lo":
-        assert pos == () and new is t.body.body
-    else:  # the innermost pair
-        assert pos == (0,) * 99_998 and subterm_at(new, pos) == Var("x")
-        assert term_size(new) == 99_999
+    assert pos == () and new is t.body.body
+    assert calls == [1]

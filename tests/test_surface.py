@@ -19,12 +19,13 @@ from prk.classical import (decide_oplus, embed_nk, nk_and_e, nk_and_i, nk_hyp, n
 from prk.cli import parse_judgment, parse_sequent
 from prk.errors import ParseError
 from prk.gen import PropGen, TermGen
-from prk.rewrite import ETA, PLAIN, binder_names_at, normalize, replay
-from prk.surface import (RESERVED_FALSITY, SYNTAX, Scope, _BAD_INDEX_RE, _INDEXED, _Tokens,
-                         _parse_mprop, is_name, parse_mprop, parse_term, print_term)
+from prk.rewrite import ETA, PLAIN, normalize
+from prk.surface import (RESERVED_FALSITY, SYNTAX, Scope, _BAD_INDEX_RE, _INDEXED, _KINDS,
+                         _Tokens, _parse_mprop, is_name, parse_mprop, parse_term, print_term)
 from prk.syntax import (And, Bound, CApp, CLam, Case, MProp, Mode, Neg, NegE,
                         NegI, Or, PVar, Pair, Term, Var, dual, fresh_name, prop_depth)
 from prk.typecheck import mk_lem
+from testlib import binder_names_at, replay
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -353,9 +354,9 @@ def _tokens_as_the_running_reference(text) -> bool:
         return False
     tk = _Tokens(text)
     got = []
-    for kind, val, at in tk.toks:
+    for at, val in enumerate(tk.words):
         e = tk.error("", at)
-        got.append((kind, val, e.line, e.col))
+        got.append((_KINDS.get(val[:1], "ident"), val, e.line, e.col))
     assert got == want, text
     return True
 

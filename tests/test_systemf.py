@@ -15,7 +15,7 @@ from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          DomainMismatchError, FApp, FBound, FLam, FNeg, FPos,
                          FType, FVar, Forall, NotAForallError, NotAnArrowError,
                          TBound, TVar, TyApp, TyLam, abort_f, case_f, check_simulation,
-                         close_type, f_all_steps, f_head_step,
+                         close_type, f_head_step,
                          f_infer, f_match_redex, f_normalize, f_step, fterm_children,
                          fterm_fold, fterm_fv, fterm_rebuild, ftype_children,
                          ftype_equiv, ftype_fold, ftype_rebuild, ftype_vars, funabs,
@@ -24,8 +24,8 @@ from prk.systemf import (FTERM_BINDERS, FTYPE_BINDERS, ONE, TRIV, ZERO, Arrow,
                          subst_type_in_fterm, times, translate_ctx, translate_prop,
                          translate_term)
 from prk.typecheck import Context, Derivation, check_type, infer_type, mk_lem
-from testlib import (close_fterm, close_tyvar_in_fterm, flam, lines_run, print_f_by_patterns,
-                     tylam)
+from testlib import (close_fterm, close_tyvar_in_fterm, count_calls, flam, lines_run,
+                     print_f_by_patterns, ref_f_reducts, tylam)
 
 ROOT = Path(__file__).resolve().parent.parent
 A, B = TVar("A"), TVar("B")
@@ -360,7 +360,7 @@ def _bfs_distance(source, target, depth, cap=6000):
     for level in range(1, depth + 1):
         nxt = []
         for u in frontier:
-            for v in f_all_steps(u):
+            for v in ref_f_reducts(u):
                 if v == target:
                     return level
                 if v not in visited:
@@ -1075,17 +1075,6 @@ def test_translation_matches_the_rule_name_reference():
 
 # -- reduction against the recursive reference ------------------------------------------
 
-def _ref_f_reducts(t):
-    """The one-step reducts of t, redexes in pre-order, by a recursive generator."""
-    red = f_match_redex(t)
-    if red is not None:
-        yield red
-    kids = fterm_children(t)
-    for i, c in enumerate(kids):
-        for stepped in _ref_f_reducts(c):
-            yield fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
-
-
 def _reference_derivations():
     """The provable library and the 240 TermGen derivations that the
     rule-name reference test draws."""
@@ -1203,8 +1192,7 @@ def test_f_steps_match_the_recursive_reference():
     for d in _reference_derivations():
         t = translate_term(d)
         for _ in range(3):  # the translation and the first two terms on its leftmost path
-            steps = f_all_steps(t)
-            assert steps == list(_ref_f_reducts(t))
+            steps = list(ref_f_reducts(t))
             assert f_step(t) == next(iter(steps), None)
             compared += len(steps)
             if not steps:
@@ -1225,12 +1213,34 @@ def test_f_normalize_under_10_000_binders():
     assert nf == FVar("s")
 
 
-# -- normalization on the resuming walk against the f_step loop ---------------------------
+def test_f_step_under_100_000_binders():
+    assert sys.getrecursionlimit() <= 10_000
+    t = FApp(flam("x", A, FVar("x")), FVar("s"))
+    for _ in range(100_000):
+        t = FLam(ONE, t, hint="u")
+    new = f_step(t)
+    for _ in range(100_000):
+        assert type(new) is FLam
+        new = new.body
+    assert new == FVar("s")
+
+
+def test_an_f_step_at_a_root_redex_matches_once(monkeypatch):
+    # the walk contracts the root's redex and stops: one match, whatever the chain's length
+    from prk import systemf
+    t = FVar("x")
+    for _ in range(50_000):
+        t = FApp(FLam(ONE, t, hint="u"), TRIV)
+    calls = count_calls(monkeypatch, systemf, "f_match_redex")
+    assert f_step(t) is t.fun.body and calls == [1]
+
+
+# -- normalization on the resuming walk against the recursive reference ----------------------
 
 def _ref_f_normalize(t):
-    """The reference: f_step from the root until it stops; (normal form, contractions)."""
+    """The reference: the first recursive reduct until there is none; (normal form, contractions)."""
     steps = 0
-    while (nxt := f_step(t)) is not None:
+    while (nxt := next(ref_f_reducts(t), None)) is not None:
         t, steps = nxt, steps + 1
     return t, steps
 

@@ -659,7 +659,7 @@ def ref_project_derivation(d, target):
     p = d.ctx.lookup(target)
     new_ctx = d.ctx.replace(target, truncate(p))
     if p.is_classical:
-        term = pc_term(d.subject, d.conclusion, new_ctx.names())
+        term = pc_term(d.subject, d.conclusion, new_ctx)
     else:
         term = ref_project(d, target)
     return ref_check_type(new_ctx, term, truncate(d.conclusion))
@@ -672,7 +672,7 @@ def ref_project(d, target):
         case "Ax":
             if d.subject.name == target:
                 return d.subject
-            return pc_term(d.subject, q, taken)
+            return pc_term(d.subject, q, ctx)
         case "Abs":
             dl, dr = d.premises
             left = ref_project(dl, target)
@@ -681,11 +681,11 @@ def ref_project(d, target):
         case "IAnd+" | "IOr-":
             dl, dr = d.premises
             return pc_term(Pair(d.subject.sign, ref_project(dl, target),
-                                ref_project(dr, target)), q, taken)
+                                ref_project(dr, target)), q, ctx)
         case "IOr+" | "IAnd-":
             (db,) = d.premises
             return pc_term(Inj(d.subject.sign, d.subject.index, ref_project(db, target)),
-                           q, taken)
+                           q, ctx)
         case "EAnd+" | "EOr-":
             (db,) = d.premises
             sign, index = d.subject.sign, d.subject.index
@@ -715,7 +715,7 @@ def ref_project(d, target):
             return cs_term(ystar, body, tq)
         case "INeg+" | "INeg-":
             (db,) = d.premises
-            return pc_term(NegI(d.subject.sign, ref_project(db, target)), q, taken)
+            return pc_term(NegI(d.subject.sign, ref_project(db, target)), q, ctx)
         case "ENeg+" | "ENeg-":
             (db,) = d.premises
             sign = d.subject.sign

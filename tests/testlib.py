@@ -4,16 +4,21 @@ flam, tylam, close_fterm and close_tyvar_in_fterm build F binders over
 named bodies for hand-written terms.  validate_derivation re-checks a
 typing derivation; nothing in src/prk compares whole derivations.
 lines_run counts the Python lines a call runs, and print_f_by_patterns is
-the F printer's reference."""
+the F printer's reference.  The reduction references find redexes by
+recursion: ref_redexes, apply_at and ref_step for proof terms, with
+binder_names_at and replay for traces, and ref_f_reducts for F terms."""
 
 import sys
 from functools import partial
 
 from prk.errors import TypingError
-from prk.syntax import Scope, print_tree
+from prk.rewrite import ETA, PLAIN, match_redex
+from prk.surface import BINDER_HINTS
+from prk.syntax import Scope, children, print_tree, rebuild
 from prk.systemf import (ONE, ZERO, Arrow, FApp, FBound, FLam, FNeg, FPos, FTerm, FType, FVar,
-                         Forall, TBound, TVar, TyApp, TyLam, close_type, fterm_fv, fterm_map,
-                         ftype_vars, shift_type)
+                         Forall, TBound, TVar, TyApp, TyLam, close_type, f_match_redex,
+                         fterm_children, fterm_fv, fterm_map, fterm_rebuild, ftype_vars,
+                         shift_type)
 from prk.typecheck import Derivation, check_type
 
 
@@ -34,6 +39,92 @@ def lines_run(f, *args):
     finally:
         sys.settrace(old)
     return result, lines
+
+
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count the calls to module.name from here on: the one item of the list returned."""
+    calls, original = [0], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def ref_redexes(t, mode=PLAIN, pos=()) -> list:
+    """Every redex position of t with its rule, in pre-order, by recursion."""
+    found = [(pos, m[0])] if (m := match_redex(t, mode)) else []
+    for i, kid in enumerate(children(t)):
+        found += ref_redexes(kid, mode, pos + (i,))
+    return found
+
+
+def subterm_at(t, pos):
+    """The subterm of t at pos."""
+    for i in pos:
+        t = children(t)[i]
+    return t
+
+
+def ref_replace(t, pos, new):
+    """t with new at pos, by recursion."""
+    if not pos:
+        return new
+    kids = list(children(t))
+    kids[pos[0]] = ref_replace(kids[pos[0]], pos[1:], new)
+    return rebuild(t, kids)
+
+
+def apply_at(t, pos, mode=PLAIN) -> tuple:
+    """Contract the redex at pos: (rule, the new whole term)."""
+    m = match_redex(subterm_at(t, pos), mode)
+    if m is None:
+        raise ValueError(f"no redex at position {pos}")
+    return m[0], ref_replace(t, pos, m[1])
+
+
+def ref_step(t, mode=PLAIN, strategy="lo"):
+    """The reference for rewrite.step: list every redex, then contract the
+    first ("lo", leftmost-outermost) or the one at the greatest position
+    ("ri", rightmost-innermost); (rule, position, new term), or None."""
+    redexes = ref_redexes(t, mode)
+    if not redexes:
+        return None
+    pos, _ = redexes[0] if strategy == "lo" else max(redexes)
+    rule, new = apply_at(t, pos, mode)
+    return rule, pos, new
+
+
+def binder_names_at(t, pos) -> tuple:
+    """The hints of the binders over pos, innermost first: a trace step's names."""
+    env = ()
+    for i in pos:
+        if hint := BINDER_HINTS[type(t)][i]:
+            env = (getattr(t, hint),) + env
+        t = children(t)[i]
+    return env
+
+
+def replay(t, trace):
+    """Re-apply a trace from its start term, checking each recorded redex."""
+    for entry in trace:
+        if subterm_at(t, entry.position) != entry.redex:
+            raise ValueError(f"trace mismatch at {entry.position}")
+        t = apply_at(t, entry.position, ETA if entry.rule == "eta" else PLAIN)[1]
+    return t
+
+
+def ref_f_reducts(t):
+    """The one-step reducts of an F term, redexes in pre-order, by a recursive generator."""
+    red = f_match_redex(t)
+    if red is not None:
+        yield red
+    kids = fterm_children(t)
+    for i, c in enumerate(kids):
+        for stepped in ref_f_reducts(c):
+            yield fterm_rebuild(t, kids[:i] + (stepped,) + kids[i + 1:])
 
 
 def close_fterm(t: FTerm, name: str, depth: int = 0) -> FTerm:
