@@ -24,27 +24,36 @@ RULES = ("proj", "case", "neg", "beta", "absPairInj", "absInjPair", "absNeg", "e
 
 def match_redex(t: Term, mode: str) -> tuple[str, Term] | None:
     """If t is a redex at the root, return (rule, reduct)."""
-    match t:
-        case Proj(sign, index, Pair(sign2, left, right)) if sign == sign2:
-            return "proj", (left if index == 1 else right)
-        case Case(sign, Inj(sign2, index, arg), _, branch1, _, branch2) if sign == sign2:
-            branch = branch1 if index == 1 else branch2
-            return "case", subst_bound(branch, 0, arg)
-        case NegE(sign, NegI(sign2, body)) if sign == sign2:
-            return "neg", body
-        case CApp(sign, CLam(sign2, _, body), arg) if sign == sign2:
-            return "beta", subst_bound(body, 0, arg)
-        case Abs(q, Pair(sign, left, right), Inj(sign2, index, arg)) if sign2 == flip(sign):
-            comp = left if index == 1 else right
-            return "absPairInj", Abs(q, CApp(sign, comp, arg), CApp(flip(sign), arg, comp))
-        case Abs(q, Inj(sign, index, arg), Pair(sign2, left, right)) if sign2 == flip(sign):
-            comp = left if index == 1 else right
-            return "absInjPair", Abs(q, CApp(sign, arg, comp), CApp(flip(sign), comp, arg))
-        case Abs(q, NegI(sign, left), NegI(sign2, right)) if sign2 == flip(sign):
-            return "absNeg", Abs(q, CApp(flip(sign), left, right), CApp(sign, right, left))
-        case CLam(sign, _, CApp(sign2, fun, Bound(0))) if (
-                mode == ETA and sign == sign2 and not uses_index(fun, 0)):
-            return "eta", shift(fun, -1)
+    kind = type(t)  # identity tests, cheaper than class patterns
+    if kind is Proj:
+        if type(b := t.body) is Pair and b.sign == t.sign:
+            return "proj", (b.left if t.index == 1 else b.right)
+    elif kind is Case:
+        if type(s := t.scrutinee) is Inj and s.sign == t.sign:
+            return "case", subst_bound(t.branch1 if s.index == 1 else t.branch2, 0, s.body)
+    elif kind is NegE:
+        if type(b := t.body) is NegI and b.sign == t.sign:
+            return "neg", b.body
+    elif kind is CApp:
+        if type(f := t.fun) is CLam and f.sign == t.sign:
+            return "beta", subst_bound(f.body, 0, t.arg)
+    elif kind is Abs:
+        q, left, right = t.annot, t.left, t.right
+        kinds = type(left), type(right)
+        if kinds in ((Pair, Inj), (Inj, Pair), (NegI, NegI)) and right.sign == flip(left.sign):
+            sign, other = left.sign, right.sign
+            if kinds == (Pair, Inj):
+                comp = left.left if right.index == 1 else left.right
+                return "absPairInj", Abs(q, CApp(sign, comp, right.body), CApp(other, right.body, comp))
+            if kinds == (Inj, Pair):
+                comp = right.left if left.index == 1 else right.right
+                return "absInjPair", Abs(q, CApp(sign, left.body, comp), CApp(other, comp, left.body))
+            return "absNeg", Abs(q, CApp(other, left.body, right.body), CApp(sign, right.body, left.body))
+    elif kind is CLam and mode == ETA:
+        b = t.body
+        if (type(b) is CApp and b.sign == t.sign and type(a := b.arg) is Bound and a.index == 0
+                and not uses_index(b.fun, 0)):
+            return "eta", shift(b.fun, -1)
     return None
 
 

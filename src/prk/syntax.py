@@ -25,6 +25,11 @@ first read (a variable's with it): per sort of variable, the bound on its free
 indices and its free names.  So `fv` takes constant time, and shifting,
 substitution and closing return unvisited every subtree they cannot change.
 
+Every node class, MProp and typecheck's Derivation is a frozen dataclass built
+by the metaclass `Frozen`, with no instance __dict__: a node keeps its fields,
+its cached hash and its summary in slots.  The hash, and the summary of a node
+other than a variable, stay None until first read.
+
 The calculus is symmetric between affirmation (sign +) and denial (sign
 -), and that duality is written down once, in the table below the
 modes: `PAIRED[sign]` is the connective a pair and a projection of that
@@ -41,7 +46,7 @@ each (strength, sign) to it, and `==` on modes is identity.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from functools import cache, lru_cache, partial
 from itertools import repeat
 from operator import attrgetter
@@ -49,41 +54,88 @@ from typing import Container, Iterator, Sequence, Union
 
 
 _HASH_OF: dict[type, object] = {}  # each class cache_hash wraps -> its dataclass-generated hash
+_VALUES: dict[type, object] = {}  # each Frozen class -> the function from its instance to its fields
+
+
+class Frozen(type):
+    """The metaclass of the frozen dataclasses that keep no instance __dict__: every tree's
+    nodes, MProp and Derivation.  A class keeps its fields in slots, beside the lazy slots that
+    its body or bases name in __slots__ (a cached hash, a summary).  Its __init__ writes every
+    slot through its descriptor, a lazy one as None (_initializer), so a lazy slot's first read
+    finds None and fills it without raising.  Copies and pickles rebuild through __init__, so
+    they leave the lazy slots out.  Each class is built once: dataclass(slots=True) builds a
+    second, and the first stays among its base's subclasses until a collection runs."""
+
+    def __new__(mcs, name, bases, ns):
+        names = tuple(ns.get("__annotations__", ()))
+        specs = {k: ns.pop(k) for k in names if k in ns}  # defaults and field()s
+        cls = super().__new__(mcs, name, bases, {**ns, "__slots__": names + ns.get("__slots__", ())})
+        if names:  # dataclass reads each spec off the class, where the slot's descriptor is put back
+            defaults = [spec.default if isinstance(spec, Field) else spec for spec in specs.values()]
+            # before dataclass(), which writes a missing __doc__ from __init__'s signature
+            cls.__init__, cls.__reduce__ = _initializer(cls, names, defaults), _rebuilt
+            slots = {k: cls.__dict__[k] for k in names}
+            for k, spec in specs.items():
+                setattr(cls, k, spec)
+            dataclass(frozen=True, init=False)(cls)
+            for k, slot in slots.items():
+                setattr(cls, k, slot)
+            _VALUES[cls] = _getter(names)
+        return cls
+
+
+def _initializer(cls, names, defaults=(), leaf=None):
+    """cls.__init__(*names), which writes each slot through its descriptor: a field's from its
+    argument and a lazy one as None, or, given leaf, a variable's summary as
+    _shared_leaf(*leaf, its field).  The last len(defaults) arguments default to defaults."""
+    values = {s: s if s in names else "None" for c in cls.__mro__ for s in c.__dict__.get("__slots__", ())}
+    if leaf:
+        values["_free"] = f"_shared_leaf({leaf[0]}, {leaf[1]}, {names[0]})"
+    scope = {f"_{i}": getattr(cls, s).__set__ for i, s in enumerate(values)}
+    scope["_shared_leaf"] = _shared_leaf
+    exec(f"def __init__(self, {', '.join(names)}):" + "".join(
+        f"\n _{i}(self, {v})" for i, v in enumerate(values.values())), scope)
+    init = scope["__init__"]
+    init.__qualname__, init.__annotations__ = f"{cls.__qualname__}.__init__", dict(cls.__annotations__)
+    init.__defaults__ = tuple(d for d in defaults if d is not MISSING) or None
+    return init
+
+
+def _rebuilt(self):
+    """self's class and fields: a copy or pickle is rebuilt by __init__, its lazy slots None."""
+    return type(self), _VALUES[type(self)](self)
+
+
+def _cached_hash(self) -> int:  # children first, so the generated hash recurses no further
+    h = self._hash
+    return _fill(self, "_hash", _HASH_OF) if h is None else h
 
 
 def cache_hash(cls):
-    """Memoize the dataclass-generated hash on first use.
+    """Memoize the dataclass-generated hash on first use, in the slot `_hash`.
 
     Terms are immutable trees compared structurally; sets and memo tables
     hash the same nodes many times, so the hash is cached.  A first hash
     hashes the unhashed nodes below first (see _fill), so no tree is too deep.
-    It differs between processes, so pickles and copies leave it out."""
-    _HASH_OF[cls] = cls.__hash__
-
-    def __hash__(self):  # children first, so the generated hash recurses no further
-        h = self.__dict__.get("_hash")
-        return _fill(self, "_hash", _HASH_OF) if h is None else h
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    It differs between processes, so pickles and copies leave it out (Frozen)."""
+    _HASH_OF[cls], cls.__hash__ = cls.__hash__, _cached_hash
     return cls
 
 
 def _fill(t, key: str, make: dict):
-    """t.__dict__[key], made first as make[type(u)](u) for each node u below t that
-    lacks it, children first, on an explicit stack.  A child holding it is not
+    """The slot `key` of t, made first as make[type(u)](u) for each node u below t whose slot
+    is None, children first, on an explicit stack.  A child whose slot is filled is not
     entered, so the walk is linear in the graph, not the tree."""
     stack = [t]
     while stack:
         u, n = stack[-1], len(stack)
-        for c in u.__dict__.values():
-            if type(c) in make and key not in c.__dict__:
+        for c in _VALUES[type(u)](u):
+            if type(c) in make and getattr(c, key) is None:
                 stack.append(c)
         if len(stack) == n:  # every child holds its value
-            stack.pop().__dict__[key] = make[type(u)](u)
-    return t.__dict__[key]
+            u = stack.pop()
+            object.__setattr__(u, key, make[type(u)](u))
+    return getattr(t, key)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +165,9 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
         names = [f.name for f in fields(cls)]
         at = [i for i, f in enumerate(fields(cls)) if f.type in kinds]
         getters[cls] = _getter([names[i] for i in at])
-        builders[cls] = partial(_build, cls, names, at)
-        if cls in slots:
-            _SUMMARY[cls] = partial(_variable, len(sorts), slots[cls], attrgetter(names[0]))
+        builders[cls] = partial(_build, cls, at)
+        if cls in slots:  # a variable, whose summary is made as it is built
+            cls.__init__ = _initializer(cls, names, leaf=(len(sorts), slots[cls]))
         elif sorts:
             entry = binders.get(cls)
             unders = repeat(None) if entry is None else [u if any(u) else None for u in map(under, entry)]
@@ -140,9 +192,9 @@ def _getter(names):
     return attrgetter(*names) if names else lambda t: ()
 
 
-def _build(cls, names, at, t, kids):
+def _build(cls, at, t, kids):
     """A copy of t, a cls node, with kids for its fields at positions `at`."""
-    args = [getattr(t, name) for name in names]
+    args = list(_VALUES[cls](t))
     for i, kid in zip(at, kids):
         args[i] = kid
     return cls(*args)
@@ -156,28 +208,16 @@ _NO_NAMES: frozenset[str] = frozenset()
 _SUMMARY: dict[type, object] = {}  # node class -> the function that makes its nodes' free
 
 
-class _Free:
-    """Summarized.free, made on first read (_fill).  It is a non-data descriptor,
-    so later reads find the summary in the node's __dict__ and do not come here."""
+class Summarized(metaclass=Frozen):
+    """A tree node that carries `free`, its summary, made on its first read into the slot
+    `_free`, beside its cached hash's slot `_hash`."""
 
-    def __get__(self, t, cls=None):
-        return self if t is None else _fill(t, "free", _SUMMARY)
+    __slots__ = ("_hash", "_free")
 
-
-class Summarized:
-    """A tree node that carries `free`, its summary, made on its first read."""
-
-    __slots__ = ()
-    free = _Free()
-
-
-class Variable(Summarized):
-    """A variable node: its summary is made when it is built, so a negative index fails there."""
-
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        self.__dict__["free"] = _SUMMARY[type(self)](self)
+    @property
+    def free(self) -> tuple:
+        f = self._free
+        return _fill(self, "_free", _SUMMARY) if f is None else f
 
 
 def summarize(children, unders, t) -> tuple:
@@ -205,14 +245,10 @@ def summarize(children, unders, t) -> tuple:
     return free
 
 
-def _variable(sorts: int, slot: int, field, t) -> tuple:
-    """The summary of a variable t: its index or name fills the slot of its
-    sort.  Equal ones are shared, through a bounded table."""
-    return _shared_leaf(sorts, slot, field(t))
-
-
 @lru_cache(maxsize=1 << 12)
 def _shared_leaf(sorts: int, slot: int, value) -> tuple:
+    """The summary of a variable whose index or name is value, in the slot of its sort.
+    Equal ones are shared, through a bounded table."""
     if slot % 2 == 0 and value < 0:
         raise ValueError(f"negative de Bruijn index {value}")
     free: list = [0, _NO_NAMES] * sorts
@@ -412,33 +448,29 @@ def make_debruijn(tree_map, Bound, Free):
 # ---------------------------------------------------------------------------
 # Pure propositions
 
-class PureProp:
+class PureProp(metaclass=Frozen):
     """Base class for pure propositions (no mode)."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __str__(self) -> str:
         return print_tree(self, _prop_parts)
 
 
-@dataclass(frozen=True)
 class PVar(PureProp):
     name: str
 
 
-@dataclass(frozen=True)
 class And(PureProp):
     left: PureProp
     right: PureProp
 
 
-@dataclass(frozen=True)
 class Or(PureProp):
     left: PureProp
     right: PureProp
 
 
-@dataclass(frozen=True)
 class Neg(PureProp):
     inner: PureProp
 
@@ -535,10 +567,10 @@ def strong_noun(conn: type, sign: Sign) -> str:
 
 
 @cache_hash
-@dataclass(frozen=True)
-class MProp:
+class MProp(metaclass=Frozen):
     """A pure proposition under one of the four modes."""
 
+    __slots__ = ("_hash",)
     base: PureProp
     mode: Mode
 
@@ -586,21 +618,18 @@ class Term(Summarized):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term, Variable):
+class Var(Term):
     """Free variable, referenced by name."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Bound(Term, Variable):
+class Bound(Term):
     """Bound variable as a de Bruijn index into enclosing binders."""
 
     index: int
 
 
-@dataclass(frozen=True)
 class Abs(Term):
     """Absurdity witness abs[Q](t, s) from a strong contradiction."""
 
@@ -609,28 +638,24 @@ class Abs(Term):
     right: Term
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     sign: Sign
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Proj(Term):
     sign: Sign
     index: int  # 1 | 2
     body: Term
 
 
-@dataclass(frozen=True)
 class Inj(Term):
     sign: Sign
     index: int  # 1 | 2
     body: Term
 
 
-@dataclass(frozen=True)
 class Case(Term):
     """Binary case split; each branch binds one variable (index 0)."""
 
@@ -644,19 +669,16 @@ class Case(Term):
     hint2: str = field(default="y", compare=False)
 
 
-@dataclass(frozen=True)
 class NegI(Term):
     sign: Sign
     body: Term
 
 
-@dataclass(frozen=True)
 class NegE(Term):
     sign: Sign
     body: Term
 
 
-@dataclass(frozen=True)
 class CLam(Term):
     """Classical introduction; binds one variable (index 0) in the body."""
 
@@ -666,7 +688,6 @@ class CLam(Term):
     hint: str = field(default="x", compare=False)
 
 
-@dataclass(frozen=True)
 class CApp(Term):
     sign: Sign
     fun: Term

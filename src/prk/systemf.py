@@ -40,7 +40,7 @@ from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
                      CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
-                     Proj, PVar, Scope, Summarized, Var, Variable, flip, fresh_name, fv,
+                     Proj, PVar, Scope, Summarized, Var, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_shape,
                      opposite, preorder, print_tree)
 from .typecheck import Context, Derivation, check_type
@@ -65,35 +65,29 @@ class FType(Summarized):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TVar(FType, Variable):
+class TVar(FType):
     name: str
 
 
-@dataclass(frozen=True)
-class TBound(FType, Variable):
+class TBound(FType):
     index: int
 
 
-@dataclass(frozen=True)
 class FPos(FType):
     a: FType
     b: FType
 
 
-@dataclass(frozen=True)
 class FNeg(FType):
     a: FType
     b: FType
 
 
-@dataclass(frozen=True)
 class Arrow(FType):
     dom: FType
     cod: FType
 
 
-@dataclass(frozen=True)
 class Forall(FType):
     body: FType
     hint: str = field(default="a", compare=False)
@@ -186,36 +180,30 @@ class FTerm(Summarized):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FVar(FTerm, Variable):
+class FVar(FTerm):
     name: str
 
 
-@dataclass(frozen=True)
-class FBound(FTerm, Variable):
+class FBound(FTerm):
     index: int
 
 
-@dataclass(frozen=True)
 class FLam(FTerm):
     annot: FType
     body: FTerm
     hint: str = field(default="x", compare=False)
 
 
-@dataclass(frozen=True)
 class FApp(FTerm):
     fun: FTerm
     arg: FTerm
 
 
-@dataclass(frozen=True)
 class TyLam(FTerm):
     body: FTerm
     hint: str = field(default="a", compare=False)
 
 
-@dataclass(frozen=True)
 class TyApp(FTerm):
     fun: FTerm
     ty: FType

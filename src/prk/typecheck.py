@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Container
 
 from .errors import (AnnotationMismatchError, CannotInferError,
@@ -33,7 +32,7 @@ from .errors import (AnnotationMismatchError, CannotInferError,
                      SignMismatchError, TypeMismatchError, TypingError,
                      TypesNotOppositeError, UnboundVariableError)
 from .syntax import (CLASSICAL, INJECTED, MINUS, MODE_OF, PAIRED, PLUS, STANCE, STRONG,
-                     Abs, Bound, CApp, CLam, Case, Inj, MProp, Neg,
+                     Abs, Bound, CApp, CLam, Case, Frozen, Inj, MProp, Neg,
                      NegE, NegI, Or, Pair, Proj, PureProp, Scope, Term, Var, clam,
                      case as mk_case, flip, fv, open_binder,
                      opposite, prop_dual, rebuild, strong_noun, term_dual,
@@ -135,21 +134,16 @@ def _index(ctx: Context) -> Scope:
 # ---------------------------------------------------------------------------
 # Derivations
 
-@dataclass(frozen=True, init=False)
-class Derivation:
+class Derivation(metaclass=Frozen):
     """One node of a typing derivation; premises under binders have the
-    binder opened with a fresh named variable."""
+    binder opened with a fresh named variable.  A frozen dataclass whose
+    fields are its only slots, so it keeps no instance __dict__."""
 
     rule: str
     ctx: Context
     subject: Term
     conclusion: MProp
     premises: tuple["Derivation", ...] = ()
-
-    def __init__(self, rule: str, ctx: Context, subject: Term, conclusion: MProp,
-                 premises: tuple["Derivation", ...] = ()):
-        object.__setattr__(self, "__dict__", {"rule": rule, "ctx": ctx, "subject": subject,
-                                              "conclusion": conclusion, "premises": premises})
 
 
 # Each rule's name, by its subject's constructor and sign, read off the duality table

@@ -8,13 +8,13 @@ import pytest
 from prk import rewrite
 from prk.errors import DerivationMismatchError, FuelExhaustedError
 from prk.gen import TermGen, TypedEnumerator
-from prk.rewrite import ETA, PLAIN, classify, is_neutral, is_normal, normalize, step
+from prk.rewrite import ETA, PLAIN, RULES, classify, is_neutral, is_normal, match_redex, normalize, step
 from prk.surface import parse_mprop, parse_term
 from prk.syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
                         Proj, PVar, Var, children, flip, subterms)
 from prk.typecheck import Context, check_type, infer_type
-from testlib import (apply_at, binder_names_at, count_calls, ref_redexes, ref_replace, ref_step,
-                     replay, subterm_at)
+from testlib import (apply_at, binder_names_at, count_calls, ref_match_redex, ref_redexes,
+                     ref_replace, ref_step, replay, subterm_at)
 
 
 def t_(src):
@@ -466,6 +466,19 @@ def test_grammar_and_steps_match_the_references_exhaustively():
             _assert_matches_references(t)
             total += 1
     assert total > 10_000
+
+
+def test_match_redex_matches_the_class_patterns_exhaustively():
+    # the dispatch on the node's class against the class patterns it replaced, at every node
+    rules = set()
+    for ctx in C05_CONTEXTS:
+        for t in TypedEnumerator(ctx, (PVar("a"), PVar("b"))).terms(7):
+            for u in subterms(t):
+                for mode in (PLAIN, ETA):
+                    m = match_redex(u, mode)
+                    assert m == ref_match_redex(u, mode), (u, mode)
+                    rules.add(m and m[0])
+    assert rules == {None, *RULES}
 
 
 def test_grammar_and_steps_match_the_references_on_generated_terms():

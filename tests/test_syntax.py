@@ -319,14 +319,13 @@ def test_a_pickled_node_hashes_as_a_fresh_one_under_another_hash_seed():
     blob = run("1", "[hash(n) for n in nodes]\nsys.stdout.buffer.write(pickle.dumps(nodes))")
     out = run("2", "got = pickle.loads(sys.stdin.buffer.read())\n"
                    "print([(g == n, hash(g) == hash(n), g in {n},\n"
-                   "        getattr(g, 'free', 0) == getattr(n, 'free', 0))  # free is kept\n"
+                   "        getattr(g, 'free', 0) == getattr(n, 'free', 0))  # free is remade\n"
                    "       for g, n in zip(got, nodes)])", blob)
     assert out.decode().strip() == str([(True, True, True, True)] * 3)
 
 
-def test_every_node_class_keeps_its_hash_and_pickles_without_it():
-    import pickle
-
+def _one_node_of_each_class() -> list:
+    """A node of each class under the four tree bases, and an MProp."""
     from prk import syntax, systemf as f
     a, x, mp = PVar("a"), syntax.Var("x"), MProp(PVar("a"), Mode("c", "+"))
     t, fx = f.TVar("a"), f.FVar("x")
@@ -337,11 +336,30 @@ def test_every_node_class_keeps_its_hash_and_pickles_without_it():
              f.FLam(t, fx), f.FApp(fx, fx), f.TyLam(fx), f.TyApp(fx, t)]
     bases = (syntax.PureProp, syntax.Term, f.FType, f.FTerm)
     assert {type(n) for n in nodes} == {MProp, *(c for base in bases for c in base.__subclasses__())}
-    for n in nodes:  # the cached __hash__ wraps the generated one and stores what it gives
+    return nodes
+
+
+def test_every_node_class_keeps_its_hash_and_pickles_without_it():
+    import pickle
+
+    from prk import syntax
+    # the cached __hash__ wraps the generated one and stores what it gives
+    for n in _one_node_of_each_class():
         assert type(n).__hash__ is not syntax._HASH_OF[type(n)]
-        assert hash(n) == n.__dict__["_hash"] == syntax._HASH_OF[type(n)](n)
+        assert n._hash is None
+        assert hash(n) == n._hash == syntax._HASH_OF[type(n)](n)
         copy = pickle.loads(pickle.dumps(n))
-        assert copy == n and "_hash" not in copy.__dict__, type(n)
+        assert copy == n and copy._hash is None, type(n)
+
+
+def test_no_node_mprop_or_derivation_keeps_an_instance_dict():
+    from prk.syntax import NegI, Var
+    from prk.typecheck import Context, infer_type
+    d = infer_type(Context.of(("x", parse_mprop("a^c+"))), NegI("-", Var("x")))
+    for n in [*_one_node_of_each_class(), d, *d.premises]:
+        assert not hasattr(n, "__dict__"), type(n)
+        with pytest.raises(TypeError):
+            vars(n)
 
 
 # -- index leaves --------------------------------------------------------------------

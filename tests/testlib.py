@@ -6,15 +6,18 @@ typing derivation; nothing in src/prk compares whole derivations.
 lines_run counts the Python lines a call runs, and print_f_by_patterns is
 the F printer's reference.  The reduction references find redexes by
 recursion: ref_redexes, apply_at and ref_step for proof terms, with
-binder_names_at and replay for traces, and ref_f_reducts for F terms."""
+binder_names_at and replay for traces, and ref_f_reducts for F terms; each
+proof-term rule is matched by ref_match_redex, the class-pattern form of
+rewrite.match_redex."""
 
 import sys
 from functools import partial
 
 from prk.errors import TypingError
-from prk.rewrite import ETA, PLAIN, match_redex
+from prk.rewrite import ETA, PLAIN
 from prk.surface import BINDER_HINTS
-from prk.syntax import Scope, children, print_tree, rebuild
+from prk.syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair, Proj, Scope, children,
+                        flip, print_tree, rebuild, shift, subst_bound, uses_index)
 from prk.systemf import (ONE, ZERO, Arrow, FApp, FBound, FLam, FNeg, FPos, FTerm, FType, FVar,
                          Forall, TBound, TVar, TyApp, TyLam, close_type, f_match_redex,
                          fterm_children, fterm_fv, fterm_map, fterm_rebuild, ftype_vars,
@@ -53,9 +56,35 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def ref_match_redex(t, mode):
+    """The reference for rewrite.match_redex: (rule, reduct) if t is a redex at the root."""
+    match t:
+        case Proj(sign, index, Pair(sign2, left, right)) if sign == sign2:
+            return "proj", (left if index == 1 else right)
+        case Case(sign, Inj(sign2, index, arg), _, branch1, _, branch2) if sign == sign2:
+            branch = branch1 if index == 1 else branch2
+            return "case", subst_bound(branch, 0, arg)
+        case NegE(sign, NegI(sign2, body)) if sign == sign2:
+            return "neg", body
+        case CApp(sign, CLam(sign2, _, body), arg) if sign == sign2:
+            return "beta", subst_bound(body, 0, arg)
+        case Abs(q, Pair(sign, left, right), Inj(sign2, index, arg)) if sign2 == flip(sign):
+            comp = left if index == 1 else right
+            return "absPairInj", Abs(q, CApp(sign, comp, arg), CApp(flip(sign), arg, comp))
+        case Abs(q, Inj(sign, index, arg), Pair(sign2, left, right)) if sign2 == flip(sign):
+            comp = left if index == 1 else right
+            return "absInjPair", Abs(q, CApp(sign, arg, comp), CApp(flip(sign), comp, arg))
+        case Abs(q, NegI(sign, left), NegI(sign2, right)) if sign2 == flip(sign):
+            return "absNeg", Abs(q, CApp(flip(sign), left, right), CApp(sign, right, left))
+        case CLam(sign, _, CApp(sign2, fun, Bound(0))) if (
+                mode == ETA and sign == sign2 and not uses_index(fun, 0)):
+            return "eta", shift(fun, -1)
+    return None
+
+
 def ref_redexes(t, mode=PLAIN, pos=()) -> list:
     """Every redex position of t with its rule, in pre-order, by recursion."""
-    found = [(pos, m[0])] if (m := match_redex(t, mode)) else []
+    found = [(pos, m[0])] if (m := ref_match_redex(t, mode)) else []
     for i, kid in enumerate(children(t)):
         found += ref_redexes(kid, mode, pos + (i,))
     return found
@@ -79,7 +108,7 @@ def ref_replace(t, pos, new):
 
 def apply_at(t, pos, mode=PLAIN) -> tuple:
     """Contract the redex at pos: (rule, the new whole term)."""
-    m = match_redex(subterm_at(t, pos), mode)
+    m = ref_match_redex(subterm_at(t, pos), mode)
     if m is None:
         raise ValueError(f"no redex at position {pos}")
     return m[0], ref_replace(t, pos, m[1])
