@@ -1,14 +1,15 @@
 """Finite Kripke models: validation, forcing, entailment in a model,
 exhaustive enumeration of small models, and bounded counter-model search.
 A counter-model found is rooted at the world it names (w0) and has the
-fewest worlds of any counter-model within the bound.  Forcing is computed
-on bit-vectors, one bit per valuation, so the search forces every
-candidate valuation of an order in one pass.  Both searches take orders
-from one walk, valuations from one generator and models from one builder,
-and drop isomorphic ones by an exact key built on each order's least relabelling.  A
-model keeps its up-sets, one closure's rows, and its forcing memo (4,096 entries); its
-tables name every atom of the alphabet, so a warm forces costs its memo.  Kept across
-calls: _shaped_orders (per world count, 8) and _order_tables (per worlds and atoms, 16)."""
+fewest worlds of any counter-model within the bound.  Forcing labels each state
+(subformula, strength, sign) once with a table over the worlds whose entries are
+bit-vectors, one bit per valuation, so the search forces every candidate valuation of an
+order in one pass.  Both searches take orders from one walk, valuations from one generator
+and models from one builder, and drop isomorphic ones by an exact key built on each order's
+least relabelling.  A model keeps its up-sets, one closure's rows, and its forcing memo
+(4,096 tables); its columns name every atom of the alphabet, so a warm forces costs its
+memo.  Kept across calls: _shaped_orders (per world count, 8) and _order_tables (per worlds
+and atoms, 16)."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from operator import and_, or_
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
 from .surface import content_lines, is_name
-from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, And, MProp, Neg, Or, PVar, flip, prop_vars
+from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, MProp, Neg, PVar, flip, prop_vars
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,17 @@ class KripkeModel:
         return frozenset((a, b) for a, up in _closure(self.worlds, self.leq).items() for b in up)
 
     @cached_property
-    def _above(self) -> dict[str, set[str]]:
-        known = set(self.worlds)
-        return {w: up & known for w, up in _closure(self.worlds, self.leq).items() if w in known}
+    def _above(self) -> dict[str, tuple[int, tuple[int, ...]]]:
+        """Each world's index in its tables, and the indices of the worlds at or above it."""
+        rows = _closure(self.worlds, self.leq)
+        index = {w: i for i, w in enumerate(dict.fromkeys(self.worlds))}
+        return {w: (i, tuple(index[v] for v in rows[w] if v in index)) for w, i in index.items()}
 
     @cached_property
     def _forces(self):
-        return _forcing(self._above, *({w: {a: int(a in s) for a in self.alphabet} for w, s in v}
-                                       for v in (self.vplus, self.vminus)), 1)
+        columns = ({a: tuple(int(a in s) for s in sets) for a in self.alphabet}
+                   for sets in (dict(self.vplus).values(), dict(self.vminus).values()))
+        return _forcing([up for _, up in self._above.values()], *columns, 1)
 
     def __getstate__(self):  # the fields alone: copies derive _above and _forces again
         return {name: self.__dict__[name] for name in self.__dataclass_fields__}
@@ -128,11 +132,11 @@ def validate_model(m: KripkeModel) -> ValidationReport:
 
 
 def forces(m: KripkeModel, w: str, p: MProp) -> bool:
-    """The forcing relation, by recursion on the measure of p."""
-    if w not in m._above:
+    """The forcing relation: w's entry in the table of p's state."""
+    if (at := m._above.get(w)) is None:
         raise UnknownWorldError(f"unknown world {w!r}")
     try:
-        return bool(m._forces(w, p.base, p.mode.strength, p.sign))
+        return bool(m._forces(p.base, p.mode.strength, p.sign)[at[0]])
     except (KeyError, RecursionError):  # a missing atom, or p too deep; no failed ask is memoized
         if missing := prop_vars(p.base) - m.alphabet:
             raise UnknownVariableError(f"variables not in alphabet: {sorted(missing)}") from None
@@ -140,28 +144,25 @@ def forces(m: KripkeModel, w: str, p: MProp) -> bool:
 
 
 def _forcing(above, plus, minus, full: int):
-    """Forcing under several valuations of one order at once, as the memo g: bit c of
-    g(w, base, strength, sign) is set iff w forces that proposition under valuation c.  above[w]
-    holds the worlds at or above w, plus[w]/minus[w] map every atom of the alphabet to the
-    valuations holding it at w, and full has one bit per valuation (1 for one model)."""
+    """Forcing under several valuations of one order at once, as the memo table: entry i of
+    table(base, strength, sign) has bit c set iff world i forces that state under valuation c.
+    above[i] lists the worlds at or above world i, plus and minus map every atom to its column
+    (per world, the valuations holding it), and full has one bit per valuation (1 for one model)."""
     @lru_cache(maxsize=1 << 12)  # the memo's bound, for a model's and a search order's alike
-    def g(w, base, strength, sign) -> int:
+    def table(base, strength, sign) -> tuple[int, ...]:
         if strength == CLASSICAL:  # no world above forces the strong opposite
-            return full & ~reduce(or_, [g(v, base, STRONG, flip(sign)) for v in above[w]])
-        match base:
-            case PVar(name):
-                return (plus[w] if sign == PLUS else minus[w])[name]
-            case And(l, r) | Or(l, r):
-                # both components for the connective a pair of this sign
-                # builds, either one for the connective an injection builds
-                if isinstance(base, PAIRED[sign]):
-                    return g(w, l, CLASSICAL, sign) & g(w, r, CLASSICAL, sign)
-                return g(w, l, CLASSICAL, sign) | g(w, r, CLASSICAL, sign)
-            case Neg(inner):
-                return g(w, inner, CLASSICAL, flip(sign))
-        raise TypeError(base)
+            strong = table(base, STRONG, flip(sign))
+            return tuple(full & ~reduce(or_, map(strong.__getitem__, up)) for up in above)
+        kind = type(base)
+        if kind is PVar:
+            return (plus if sign == PLUS else minus)[base.name]
+        if kind is Neg:
+            return table(base.inner, CLASSICAL, flip(sign))
+        # both components for the connective a pair of this sign builds, either one for the other
+        return tuple(map(and_ if kind is PAIRED[sign] else or_,
+                         table(base.left, CLASSICAL, sign), table(base.right, CLASSICAL, sign)))
 
-    return g
+    return table
 
 
 def entails_in_model(m: KripkeModel, hyps: list[MProp], p: MProp) -> bool:
@@ -308,10 +309,9 @@ def countermodel_search(hyps: list[MProp], goal: MProp,
     alpha = tuple(sorted(set().union(*(prop_vars(p.base) for p in [goal, *hyps])))) or ("a",)
     for n in range(1, max_worlds + 1):
         for above, plus, minus, full in _order_tables(n, len(alpha)):
-            vals = ([dict(zip(alpha, masks)) for masks in v] for v in (plus, minus))
-            g = _forcing(above, *vals, full)
-            refuted = reduce(and_, [g(0, h.base, h.mode.strength, h.sign) for h in hyps],
-                             full & ~g(0, goal.base, goal.mode.strength, goal.sign))
+            table = _forcing(above, *(dict(zip(alpha, zip(*v))) for v in (plus, minus)), full)
+            refuted = reduce(and_, [table(h.base, h.mode.strength, h.sign)[0] for h in hyps],
+                             full & ~table(goal.base, goal.mode.strength, goal.sign)[0])
             if refuted:
                 first = (refuted & -refuted).bit_length() - 1  # the lowest set bit
                 states = [[(p >> first & 1) | (m >> first & 1) << 1 for p, m in zip(*masks)]

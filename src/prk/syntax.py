@@ -53,7 +53,7 @@ from operator import attrgetter
 from typing import Container, Iterator, Sequence, Union
 
 
-_HASH_OF: dict[type, object] = {}  # each class cache_hash wraps -> its dataclass-generated hash
+_HASH_OF: dict[type, object] = {}  # each class with a slot _hash -> its dataclass-generated hash
 _VALUES: dict[type, object] = {}  # each Frozen class -> the function from its instance to its fields
 
 
@@ -81,6 +81,8 @@ class Frozen(type):
             for k, slot in slots.items():
                 setattr(cls, k, slot)
             _VALUES[cls] = _getter(names)
+            if hasattr(cls, "_hash"):  # a slot for the hash: memoize it there (_cached_hash)
+                _HASH_OF[cls], cls.__hash__ = cls.__hash__, _cached_hash
         return cls
 
 
@@ -106,20 +108,13 @@ def _rebuilt(self):
     return type(self), _VALUES[type(self)](self)
 
 
-def _cached_hash(self) -> int:  # children first, so the generated hash recurses no further
+def _cached_hash(self) -> int:
+    """The dataclass-generated hash, memoized on first use in the slot `_hash`; Frozen makes
+    it the hash of each class with that slot.  Sets and memo tables hash the same immutable
+    nodes many times.  A first hash hashes the unhashed nodes below first (see _fill), so no
+    tree is too deep.  It differs between processes, so pickles and copies leave it out."""
     h = self._hash
     return _fill(self, "_hash", _HASH_OF) if h is None else h
-
-
-def cache_hash(cls):
-    """Memoize the dataclass-generated hash on first use, in the slot `_hash`.
-
-    Terms are immutable trees compared structurally; sets and memo tables
-    hash the same nodes many times, so the hash is cached.  A first hash
-    hashes the unhashed nodes below first (see _fill), so no tree is too deep.
-    It differs between processes, so pickles and copies leave it out (Frozen)."""
-    _HASH_OF[cls], cls.__hash__ = cls.__hash__, _cached_hash
-    return cls
 
 
 def _fill(t, key: str, make: dict):
@@ -149,8 +144,7 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
     """children(t) and rebuild(t, kids) for the tree whose nodes are the
     dataclass subclasses of base, read off their fields: a field holds a
     child when its annotation names base or a class in leaves, and a node
-    of a leaves class is a leaf of this tree.  Each node class of base
-    gets its cached hash (cache_hash).
+    of a leaves class is a leaf of this tree.
 
     Given sorts, each node of base's tree gets its summary `free` (Summarized):
     sorts lists, per sort of variable in summary order, its index class and its
@@ -161,7 +155,6 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
     builders = {}
     slots = {cls: 2 * s + k for s, pair in enumerate(sorts) for k, cls in enumerate(pair)}
     for cls in base.__subclasses__():
-        cache_hash(cls)
         names = [f.name for f in fields(cls)]
         at = [i for i, f in enumerate(fields(cls)) if f.type in kinds]
         getters[cls] = _getter([names[i] for i in at])
@@ -566,7 +559,6 @@ def strong_noun(conn: type, sign: Sign) -> str:
     return noun if sign == PLUS else f"{noun} denial"
 
 
-@cache_hash
 class MProp(metaclass=Frozen):
     """A pure proposition under one of the four modes."""
 

@@ -9,14 +9,14 @@ from functools import lru_cache
 import pytest
 
 from prk.errors import UnknownVariableError, UnknownWorldError
-from prk.kripke import (KripkeModel, _forcing, _order_tables, _partial_orders, _rooted_orders,
-                        _valuations, counter_model_lem, countermodel_search, enumerate_models,
+from prk.kripke import (KripkeModel, _order_tables, _partial_orders, _rooted_orders, _valuations,
+                        counter_model_lem, countermodel_search, enumerate_models,
                         entails_in_model, forces, parse_model, print_model, validate_model)
 from prk.gen import PropGen, all_pure_props, provable_library
 from prk.surface import parse_mprop
 from prk.syntax import MODES, And, MProp, Mode, Neg, PVar, mprop_dual, opposite, prop_vars
 from testlib import (above_by_scan, closure_by_pairs, per_candidate_masks, print_model_by_lookup,
-                     random_model, validate_by_pairs)
+                     random_model, ref_forcing, validate_by_pairs)
 
 
 def mp(src):
@@ -185,6 +185,48 @@ def test_a_forced_model_round_trips_through_pickle_and_deepcopy(models_2var):
             assert set(vars(again)) == {"alphabet", "worlds", "leq", "vplus", "vminus"}
             assert [forces(again, w, p) for w in again.worlds for p in props] == want
             assert again._forces is not m._forces  # equal models built apart share no memo
+
+
+def _chain(n):
+    """w0 <= w1 <= ... <= w(n-1), with a in vplus at the top only."""
+    ws = [f"w{i}" for i in range(n)]
+    return KripkeModel.make(("a",), ws, zip(ws, ws[1:]), {ws[-1]: {"a"}}, {})
+
+
+def test_forcing_a_chain_builds_one_table_per_state_whatever_its_length():
+    misses = []
+    for n in (200, 1600):
+        m = _chain(n)
+        assert forces(m, "w0", mp("(a | ~a)^s+")) and forces(m, "w0", mp("~~(a & ~~a)^c+"))
+        misses.append(m._forces.cache_info().misses)
+    assert misses[0] == misses[1], misses
+
+
+# -- the tables against forcing world by world ---------------------------------------
+
+def _tables_agree_with_ref_forcing(m, bases):
+    """Each state's table, entry for entry at every world, against ref_forcing."""
+    ref = ref_forcing({w: above_by_scan(m, w) for w in m.worlds}, *(
+        {w: {a: int(a in s) for a in m.alphabet} for w, s in v} for v in (m.vplus, m.vminus)), 1)
+    for base in bases:
+        for mode in MODES:
+            table = m._forces(base, mode.strength, mode.sign)
+            assert [table[m._above[w][0]] for w in m.worlds] == [
+                ref(w, base, mode.strength, mode.sign) for w in m.worlds], (m, base, mode)
+
+
+def test_tables_agree_with_ref_forcing_on_every_small_model(models_2var):
+    bases = all_pure_props(("a", "b"), 3)
+    for m in models_2var:
+        _tables_agree_with_ref_forcing(m, bases)
+
+
+def test_tables_agree_with_ref_forcing_on_random_models(rng):
+    # cycles, worlds named twice, and pairs naming undeclared worlds
+    bases = {alpha: all_pure_props(alpha, 3) for alpha in (("a",), ("a", "b"))}
+    for _ in range(2000):
+        m = random_model(rng)
+        _tables_agree_with_ref_forcing(m, bases[tuple(sorted(m.alphabet))])
 
 
 # -- forcing laws over enumerated models ------------------------------------------
@@ -381,7 +423,7 @@ def test_search_agrees_on_random_sequents(rng, atoms, max_worlds, count):
 
 def per_candidate_search(hyps, goal, max_worlds):
     """The search before bit-parallel forcing: the same candidates in the
-    same order, each forced on its own through a one-bit _forcing."""
+    same order, each forced on its own through a one-bit ref_forcing."""
     alpha = tuple(sorted(set().union(*(prop_vars(p.base) for p in [goal, *hyps])))) or ("a",)
     for n in range(1, max_worlds + 1):
         names = tuple(f"w{i}" for i in range(n))
@@ -389,8 +431,8 @@ def per_candidate_search(hyps, goal, max_worlds):
             for states in _rooted_states(above, len(alpha)):
                 plus, minus = ([frozenset(a for a, c in zip(alpha, st) if c & bit) for st in states]
                                for bit in (1, 2))
-                f = _forcing(above, [{a: int(a in s) for a in alpha} for s in plus],
-                             [{a: int(a in s) for a in alpha} for s in minus], 1)
+                f = ref_forcing(above, [{a: int(a in s) for a in alpha} for s in plus],
+                                [{a: int(a in s) for a in alpha} for s in minus], 1)
                 if all(f(0, h.base, h.mode.strength, h.sign) for h in hyps) and not f(
                         0, goal.base, goal.mode.strength, goal.sign):
                     leq = {(names[i], names[j]) for i in range(n) for j in above[i] if i != j}

@@ -293,8 +293,8 @@ def test_each_mode_is_built_once():
 
 
 # -- pickled nodes -------------------------------------------------------------------
-# cache_hash keeps a node's hash in the node, and a string's hash depends on the
-# process's hash seed, so a pickle must not carry it into another process.
+# a node keeps its hash in its slot _hash (syntax._cached_hash), and a string's hash
+# depends on the process's hash seed, so a pickle must not carry it into another process.
 
 _NODES = ("from prk.syntax import Mode, MProp, Or, Pair, PVar, Var\n"
           "from prk.systemf import Arrow, Forall, TBound, TVar\n"

@@ -8,16 +8,19 @@ the F printer's reference.  The reduction references find redexes by
 recursion: ref_redexes, apply_at and ref_step for proof terms, with
 binder_names_at and replay for traces, and ref_f_reducts for F terms; each
 proof-term rule is matched by ref_match_redex, the class-pattern form of
-rewrite.match_redex."""
+rewrite.match_redex.  ref_forcing forces world by world, the reference for
+kripke's tables."""
 
 import sys
-from functools import partial
+from functools import lru_cache, partial, reduce
+from operator import or_
 
 from prk.errors import TypingError
 from prk.rewrite import ETA, PLAIN
 from prk.surface import BINDER_HINTS
-from prk.syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair, Proj, Scope, children,
-                        flip, print_tree, rebuild, shift, subst_bound, uses_index)
+from prk.syntax import (CLASSICAL, PAIRED, PLUS, STRONG, Abs, And, Bound, CApp, CLam, Case, Inj, Neg,
+                        NegE, NegI, Or, PVar, Pair, Proj, Scope, children, flip, print_tree, rebuild,
+                        shift, subst_bound, uses_index)
 from prk.systemf import (ONE, ZERO, Arrow, FApp, FBound, FLam, FNeg, FPos, FTerm, FType, FVar,
                          Forall, TBound, TVar, TyApp, TyLam, close_type, f_match_redex,
                          fterm_children, fterm_fv, fterm_map, fterm_rebuild, ftype_vars,
@@ -184,6 +187,31 @@ def validate_derivation(d: Derivation) -> bool:
     except TypingError:
         return False
     return again == d
+
+
+def ref_forcing(above, plus, minus, full: int):
+    """kripke._forcing as it was, a memo per world and state: bit c of g(w, base, strength,
+    sign) is set iff w forces that proposition under valuation c.  above[w] holds the worlds
+    at or above w, plus[w]/minus[w] map every atom of the alphabet to the valuations holding
+    it at w, and full has one bit per valuation (1 for one model)."""
+    @lru_cache(maxsize=None)
+    def g(w, base, strength, sign) -> int:
+        if strength == CLASSICAL:  # no world above forces the strong opposite
+            return full & ~reduce(or_, [g(v, base, STRONG, flip(sign)) for v in above[w]])
+        match base:
+            case PVar(name):
+                return (plus[w] if sign == PLUS else minus[w])[name]
+            case And(l, r) | Or(l, r):
+                # both components for the connective a pair of this sign
+                # builds, either one for the connective an injection builds
+                if isinstance(base, PAIRED[sign]):
+                    return g(w, l, CLASSICAL, sign) & g(w, r, CLASSICAL, sign)
+                return g(w, l, CLASSICAL, sign) | g(w, r, CLASSICAL, sign)
+            case Neg(inner):
+                return g(w, inner, CLASSICAL, flip(sign))
+        raise TypeError(base)
+
+    return g
 
 
 def per_candidate_masks(states: list, n: int, atoms: int) -> tuple[list, list]:
