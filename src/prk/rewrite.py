@@ -1,10 +1,11 @@
 """Reduction for proof terms: the seven rewriting rules, the optional
 eta rule, normalization with traces and single steps, both on syntax's one
-leftmost-outermost walk, and shape classification."""
+leftmost-outermost walk, and shape classification.  A trace step keeps the
+walk's path to its redex, made in O(1), and reads its position off it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import DerivationMismatchError, FuelExhaustedError
@@ -57,14 +58,28 @@ def match_redex(t: Term, mode: str) -> tuple[str, Term] | None:
     return None
 
 
+def _cells(path):
+    """A walk's path, innermost cell first: each (the path above, parent, child index)."""
+    while path:
+        yield path
+        path = path[0]
+
+
 @dataclass(frozen=True)
 class TraceStep:
-    """One contraction; names: the hints of the binders over position, innermost first."""
-    position: Position
+    """One contraction at the end of path, the walk's path to the redex, left out of ==, hash and repr."""
     rule: str
     redex: Term
     reduct: Term
-    names: tuple[str, ...]
+    path: tuple = field(compare=False, repr=False)
+
+    @property
+    def position(self) -> Position:
+        return tuple(reversed([i for _, _, i in _cells(self.path)]))
+
+    @property
+    def names(self) -> tuple[str, ...]:  # the hints of the binders over position, innermost first
+        return tuple([getattr(u, h) for _, u, i in _cells(self.path) if (h := BINDER_HINTS[type(u)][i])])
 
 
 Trace = tuple[TraceStep, ...]
@@ -75,9 +90,8 @@ def step(t: Term, mode: str = PLAIN) -> tuple[str, Position, Term] | None:
     """One leftmost-outermost step, (rule, position, new term), or None if t
     is a normal form: normalize's walk, stopped at its first contraction."""
     hit = []
-    new = _walk(t, partial(match_redex, mode=mode),
-                lambda frames, rule, *_: hit.append((rule, tuple([i for _, _, i in frames]))) or True)
-    return (*hit[0], new) if hit else None
+    new = _walk(t, partial(match_redex, mode=mode), lambda path, *c: hit.append(TraceStep(*c, path)) or True)
+    return (hit[0].rule, hit[0].position, new) if hit else None
 
 
 def normalize(t: Term, mode: str = PLAIN, fuel: int = 100_000) -> tuple[Term, Trace]:
@@ -89,13 +103,11 @@ def normalize(t: Term, mode: str = PLAIN, fuel: int = 100_000) -> tuple[Term, Tr
         raise ValueError("fuel must be positive")
     steps: list[TraceStep] = []
 
-    def record(frames: list, rule: str, redex: Term, reduct: Term) -> None:
+    def record(path: tuple, rule: str, redex: Term, reduct: Term) -> None:
         if len(steps) == fuel:
             raise FuelExhaustedError(
                 f"no normal form within {fuel} steps (this signals a bug for typed terms)")
-        # frames [node, kids, i] lead to the redex; node's hint over kid i names a binder
-        names = tuple([getattr(u, h) for u, _, i in reversed(frames) if (h := BINDER_HINTS[type(u)][i])])
-        steps.append(TraceStep(tuple([i for _, _, i in frames]), rule, redex, reduct, names))
+        steps.append(TraceStep(rule, redex, reduct, path))
 
     t = _walk(t, partial(match_redex, mode=mode), record, (CLam,) if mode == ETA else ())
     return t, tuple(steps)

@@ -334,22 +334,24 @@ def make_normalize(children, rebuild):
     """normalize(t, match, before, recheck=()), t's leftmost-outermost normal
     form, by one pre-order walk on an explicit stack that resumes after each
     contraction: linear in the nodes visited plus the contractions.  match(u)
-    is None or (rule, reduct); before(frames, rule, redex, reduct) runs before
-    each contraction, frames [node, kids, i] leading from the root to the
-    redex through kids[i], and if it returns true the walk stops there and
-    returns t with that one redex contracted.  Nodes before the focus are
-    redex-free and a rule reads a node and its children, so a contraction can
-    make a redex only of its parent or of an enclosing node of a class in
-    recheck."""
+    is None or (rule, reduct); before(path, rule, redex, reduct) runs before
+    each contraction, path the redex's immutable path: () at the root, else
+    (the parent's path, the parent as the walk found it, the child index),
+    the parent's path made once, when its frame was pushed.  If before returns
+    true the walk stops there and returns t with that one redex contracted.
+    Nodes before the focus are redex-free and a rule reads a node and its
+    children, so a contraction can make a redex only of its parent or of an
+    enclosing node of a class in recheck."""
 
     def normalize(t, match, before, recheck=()):
-        stack: list[list] = []
+        stack: list[list] = []  # frames [node, kids, i, node's path]; the top one's kids[i] is the focus
         focus, m = t, match(t)
         while True:
             if m is not None:
-                if before(stack, m[0], focus, m[1]):  # stop, the reduct put back to the root
+                path = (stack[-1][3], stack[-1][0], stack[-1][2]) if stack else ()
+                if before(path, m[0], focus, m[1]):  # stop, the reduct put back to the root
                     node = m[1]
-                    for parent, kids, i in reversed(stack):
+                    for parent, kids, i, _ in reversed(stack):
                         kids[i] = node
                         node = rebuild(parent, kids)
                     return node
@@ -359,7 +361,7 @@ def make_normalize(children, rebuild):
                     top = next((k for k, f in enumerate(stack) if isinstance(f[0], recheck)), top)
                 hit, node = None, m[1]
                 for k in reversed(range(top, len(stack))):
-                    parent, kids, i = stack[k]
+                    parent, kids, i, _ = stack[k]
                     kids[i] = node
                     node = rebuild(parent, kids)
                     if (k == len(stack) - 1 or isinstance(node, recheck)) and (mk := match(node)):
@@ -368,11 +370,12 @@ def make_normalize(children, rebuild):
                 del stack[k:]
                 continue
             if kids := children(focus):
-                stack.append([focus, list(kids), 0])
+                path = (stack[-1][3], stack[-1][0], stack[-1][2]) if stack else ()
+                stack.append([focus, list(kids), 0, path])
                 focus = kids[0]
             else:  # climb to the next right sibling, rebuilding changed parents
                 while stack:
-                    node, kids, i = frame = stack[-1]
+                    node, kids, i, _ = frame = stack[-1]
                     kids[i] = focus
                     if i + 1 < len(kids):
                         frame[2], focus = i + 1, kids[i + 1]
