@@ -6,13 +6,12 @@ proof terms, and the derived implication combinators with their computation rule
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InvalidNKProofError, ParseError, WrongModeError
 from .rewrite import ETA, Trace, normalize
 from .surface import RESERVED_FALSITY, _Tokens, _parse_base, located, read_entailment
-from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Inj, MProp,
+from .syntax import (CLASSICAL, MINUS, PLUS, STRONG, And, CApp, Frozen, Inj, MProp,
                      Mode, Neg, NegE, NegI, Or, PVar, Pair, Proj, PureProp,
                      Scope, Term, Var, case, clam, fresh_name, fv, preorder,
                      prop_fold, substitute)
@@ -190,8 +189,7 @@ def appc(t: Term, s: Term, a: PureProp, b: PureProp) -> Term:
 # ---------------------------------------------------------------------------
 # NK proofs
 
-@dataclass(frozen=True)
-class NKProof:
+class NKProof(metaclass=Frozen):
     """A natural-deduction proof node: rule, parameters, premises, the open
     hypotheses, and the concluded proposition; its rule's nk_* constructor checks it."""
 
@@ -346,8 +344,7 @@ def _embed(p: NKProof, scope: Scope) -> Term:  # a Scope names each discharge in
 # ---------------------------------------------------------------------------
 # Computation rules of the embedding
 
-@dataclass(frozen=True)
-class RuleCheck:
+class RuleCheck(metaclass=Frozen):
     redex: Term
     stated: Term
     redex_normal: Term

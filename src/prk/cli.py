@@ -84,9 +84,9 @@ def cmd_normalize(args, out: Output) -> int:
     nf, trace = rewrite.normalize(term, mode=mode, fuel=args.fuel)
     if args.trace:
         for entry in trace:
-            pos = ".".join(map(str, entry.position)) or "root"
-            print(f"{pos} {entry.rule} {surface.print_term(entry.redex, entry.names)} ==> "
-                  f"{surface.print_term(entry.reduct, entry.names)}")
+            pos, names = ".".join(map(str, entry.position)) or "root", entry.names  # each reads the path
+            print(f"{pos} {entry.rule} {surface.print_term(entry.redex, names)} ==> "
+                  f"{surface.print_term(entry.reduct, names)}")
     out.emit("normal_form", surface.print_term(nf))
     return 0
 

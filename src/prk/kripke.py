@@ -21,7 +21,7 @@ from operator import and_, or_
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
 from .surface import content_lines, is_name
-from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, MProp, Neg, PVar, flip, prop_vars
+from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, Frozen, MProp, Neg, PVar, flip, prop_vars
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> dict[s
     return rows
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(metaclass=Frozen):
     kind: str  # "order" | "alphabet" | "monotonicity" | "stabilization"
     witness: tuple
 
@@ -93,8 +92,7 @@ class Violation:
         return f"{self.kind}: {self.witness}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(metaclass=Frozen):
     violations: tuple[Violation, ...]
 
     @property

@@ -5,12 +5,12 @@ walk's path to its redex, made in O(1), and reads its position off it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 
 from .errors import DerivationMismatchError, FuelExhaustedError
 from .surface import BINDER_HINTS
-from .syntax import (Abs, Bound, CApp, CLam, Case, Inj, NegE, NegI, Pair,
+from .syntax import (Abs, Bound, CApp, CLam, Case, Frozen, Inj, NegE, NegI, Pair,
                      Proj, Term, Var, children, flip, fv, make_map, make_normalize,
                      rebuild, shift, subst_bound, uses_index)
 from .typecheck import Derivation
@@ -65,8 +65,7 @@ def _cells(path):
         path = path[0]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(metaclass=Frozen):
     """One contraction at the end of path, the walk's path to the redex, left out of ==, hash and repr."""
     rule: str
     redex: Term
@@ -167,8 +166,7 @@ def peel_eliminative_context(t: Term) -> Term:
                 return t
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(metaclass=Frozen):
     normal: bool
     neutral: bool
     canonical: bool

@@ -25,10 +25,12 @@ first read (a variable's with it): per sort of variable, the bound on its free
 indices and its free names.  So `fv` takes constant time, and shifting,
 substitution and closing return unvisited every subtree they cannot change.
 
-Every node class, MProp and typecheck's Derivation is a frozen dataclass built
-by the metaclass `Frozen`, with no instance __dict__: a node keeps its fields,
-its cached hash and its summary in slots.  The hash, and the summary of a node
-other than a variable, stay None until first read.
+Every node class, MProp, typecheck's Derivation and the other layers' records
+are frozen dataclasses built by the metaclass `Frozen`, with no instance
+__dict__: a node keeps its fields, its cached hash and its summary in slots.
+The hash, and the summary of a node other than a variable, stay None until
+first read.  dataclass() only records each class's fields; one exec per class,
+at import, compiles its __init__, __eq__ and field hash here (_methods).
 
 The calculus is symmetric between affirmation (sign +) and denial (sign
 -), and that duality is written down once, in the table below the
@@ -46,61 +48,87 @@ each (strength, sign) to it, and `==` on modes is identity.
 from __future__ import annotations
 
 import operator
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, field, fields
 from functools import cache, lru_cache, partial
 from itertools import repeat
 from operator import attrgetter
 from typing import Container, Iterator, Sequence, Union
 
 
-_HASH_OF: dict[type, object] = {}  # each class with a slot _hash -> its dataclass-generated hash
+_HASH_OF: dict[type, object] = {}  # each class with a slot _hash -> its compiled field hash (_methods)
 _VALUES: dict[type, object] = {}  # each Frozen class -> the function from its instance to its fields
+_SHOWN: dict[type, list] = {}  # each Frozen class -> the names of the fields its repr shows
 
 
 class Frozen(type):
     """The metaclass of the frozen dataclasses that keep no instance __dict__: every tree's
-    nodes, MProp and Derivation.  A class keeps its fields in slots, beside the lazy slots that
-    its body or bases name in __slots__ (a cached hash, a summary).  Its __init__ writes every
-    slot through its descriptor, a lazy one as None (_initializer), so a lazy slot's first read
-    finds None and fills it without raising.  Copies and pickles rebuild through __init__, so
-    they leave the lazy slots out.  Each class is built once: dataclass(slots=True) builds a
-    second, and the first stays among its base's subclasses until a collection runs."""
+    nodes, MProp, Derivation and the other layers' records.  A class keeps its fields in slots,
+    beside the lazy slots that its body or bases name in __slots__ (a cached hash, a summary).
+    dataclass() only records its fields, for fields() and replace(), and generates no code: one
+    exec per class compiles its __init__, __eq__ and hash (_methods), one __repr__, __setattr__,
+    __delattr__ and __reduce__ serve every class, and a class with no docstring gets the one
+    dataclass() writes.  __init__ writes every slot through its descriptor, a lazy one as None,
+    so a lazy slot's first read finds None and fills it without raising.  Copies and pickles
+    rebuild through __init__, so they leave the lazy slots out.  Each class is built once:
+    dataclass(slots=True) builds a second, and the first stays among its base's subclasses."""
 
     def __new__(mcs, name, bases, ns):
         names = tuple(ns.get("__annotations__", ()))
         specs = {k: ns.pop(k) for k in names if k in ns}  # defaults and field()s
         cls = super().__new__(mcs, name, bases, {**ns, "__slots__": names + ns.get("__slots__", ())})
         if names:  # dataclass reads each spec off the class, where the slot's descriptor is put back
-            defaults = [spec.default if isinstance(spec, Field) else spec for spec in specs.values()]
-            # before dataclass(), which writes a missing __doc__ from __init__'s signature
-            cls.__init__, cls.__reduce__ = _initializer(cls, names, defaults), _rebuilt
+            defaults = {k: spec.default if isinstance(spec, Field) else spec for k, spec in specs.items()}
+            cls.__doc__ = cls.__doc__ or name + "(" + ", ".join(f"{k}: {a!r}" + (
+                "" if defaults.get(k, MISSING) is MISSING else f" = {defaults[k]!r}")
+                for k, a in cls.__annotations__.items()) + ")"  # as dataclass() writes it, no inspect
             slots = {k: cls.__dict__[k] for k in names}
             for k, spec in specs.items():
                 setattr(cls, k, spec)
-            dataclass(frozen=True, init=False)(cls)
+            dataclass(init=False, repr=False, eq=False)(cls)
             for k, slot in slots.items():
                 setattr(cls, k, slot)
-            _VALUES[cls] = _getter(names)
+            cls.__init__, cls.__eq__, cls.__hash__ = _methods(cls, names, defaults.values(), fields(cls))
+            cls.__repr__, cls.__setattr__, cls.__delattr__, cls.__reduce__ = _repr, _frozen, _frozen, _rebuilt
+            _VALUES[cls], _SHOWN[cls] = _getter(names), [f.name for f in fields(cls) if f.repr]
             if hasattr(cls, "_hash"):  # a slot for the hash: memoize it there (_cached_hash)
                 _HASH_OF[cls], cls.__hash__ = cls.__hash__, _cached_hash
         return cls
 
 
-def _initializer(cls, names, defaults=(), leaf=None):
-    """cls.__init__(*names), which writes each slot through its descriptor: a field's from its
-    argument and a lazy one as None, or, given leaf, a variable's summary as
-    _shared_leaf(*leaf, its field).  The last len(defaults) arguments default to defaults."""
+def _methods(cls, names, defaults=(), declared=(), leaf=None) -> tuple:
+    """cls.__init__(*names), __eq__ and __hash__, compiled by one exec as a frozen dataclass's.
+    __init__ writes each slot through its descriptor: a field's from its argument and a lazy one
+    as None, or, given leaf, a variable's summary as _shared_leaf(*leaf, its field); its last
+    arguments default to the defaults not MISSING.  __eq__ compares the declared fields with compare
+    set as tuples if the classes are the same, else is NotImplemented; __hash__ hashes that tuple."""
     values = {s: s if s in names else "None" for c in cls.__mro__ for s in c.__dict__.get("__slots__", ())}
     if leaf:
         values["_free"] = f"_shared_leaf({leaf[0]}, {leaf[1]}, {names[0]})"
     scope = {f"_{i}": getattr(cls, s).__set__ for i, s in enumerate(values)}
     scope["_shared_leaf"] = _shared_leaf
+    mine, theirs = ("".join(f"{who}.{f.name}," for f in declared if f.compare) for who in ("self", "other"))
     exec(f"def __init__(self, {', '.join(names)}):" + "".join(
-        f"\n _{i}(self, {v})" for i, v in enumerate(values.values())), scope)
-    init = scope["__init__"]
-    init.__qualname__, init.__annotations__ = f"{cls.__qualname__}.__init__", dict(cls.__annotations__)
-    init.__defaults__ = tuple(d for d in defaults if d is not MISSING) or None
-    return init
+        f"\n _{i}(self, {v})" for i, v in enumerate(values.values())) +
+        f"\ndef __eq__(self, other):\n if other.__class__ is self.__class__:"
+        f"\n  return ({mine}) == ({theirs})\n return NotImplemented"
+        f"\ndef __hash__(self):\n return hash(({mine}))", scope)
+    made = scope["__init__"], scope["__eq__"], scope["__hash__"]
+    for f in made:
+        f.__qualname__ = f"{cls.__qualname__}.{f.__name__}"
+    made[0].__annotations__ = dict(cls.__annotations__)
+    made[0].__defaults__ = tuple(d for d in defaults if d is not MISSING) or None
+    return made
+
+
+def _repr(self) -> str:
+    """Name(field=value, ...) over the fields with repr, as a dataclass's."""
+    shown = ", ".join([f"{k}={getattr(self, k)!r}" for k in _SHOWN[type(self)]])
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _frozen(self, name, *value):
+    """__setattr__ and __delattr__, which raise as a frozen dataclass's do."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _rebuilt(self):
@@ -109,7 +137,7 @@ def _rebuilt(self):
 
 
 def _cached_hash(self) -> int:
-    """The dataclass-generated hash, memoized on first use in the slot `_hash`; Frozen makes
+    """The field hash _methods compiles, memoized on first use in the slot `_hash`; Frozen makes
     it the hash of each class with that slot.  Sets and memo tables hash the same immutable
     nodes many times.  A first hash hashes the unhashed nodes below first (see _fill), so no
     tree is too deep.  It differs between processes, so pickles and copies leave it out."""
@@ -160,7 +188,7 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
         getters[cls] = _getter([names[i] for i in at])
         builders[cls] = partial(_build, cls, at)
         if cls in slots:  # a variable, whose summary is made as it is built
-            cls.__init__ = _initializer(cls, names, leaf=(len(sorts), slots[cls]))
+            cls.__init__ = _methods(cls, names, leaf=(len(sorts), slots[cls]))[0]
         elif sorts:
             entry = binders.get(cls)
             unders = repeat(None) if entry is None else [u if any(u) else None for u in map(under, entry)]

@@ -33,13 +33,13 @@ index's type off its binder's annotation, so it walks each term once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache, partial
 
 from .errors import (FuelExhaustedError, InvalidDerivationError, TypingError,
                      UnboundVariableError)
 from .syntax import (BINDERS, CLASSICAL, MINUS, PAIRED, PLUS, STRONG, Abs, And, CApp,
-                     CLam, Case, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
+                     CLam, Case, Frozen, Inj, MProp, Mode, Neg, NegE, NegI, Or, Pair,
                      Proj, PVar, Scope, Summarized, Var, flip, fresh_name, fv,
                      make_debruijn, make_fold, make_map, make_normalize, make_shape,
                      opposite, preorder, print_tree)
@@ -590,8 +590,7 @@ def check_simulation(t, s, d: Derivation, depth: int = 25) -> bool:
 # ---------------------------------------------------------------------------
 # Polarity and positivity tooling
 
-@dataclass(frozen=True)
-class Polarity:
+class Polarity(metaclass=Frozen):
     pos: frozenset[FType]
     neg: frozenset[FType]
     wpos: frozenset[FType]

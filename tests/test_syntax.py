@@ -362,6 +362,86 @@ def test_no_node_mprop_or_derivation_keeps_an_instance_dict():
             vars(n)
 
 
+# -- the dataclass contract ----------------------------------------------------------
+# Frozen compiles each class's __init__, __eq__ and hash and shares one __repr__,
+# __setattr__ and __delattr__ among all; they must give what a frozen dataclass's give,
+# as testlib's references read it off dataclasses.fields.
+
+def _one_of_each_frozen_class() -> list:
+    """An instance of every class that Frozen built with fields: the nodes, a derivation and
+    the other layers' records."""
+    from prk import syntax
+    from prk.classical import nk_hyp, run_classical_rule
+    from prk.kripke import ValidationReport, Violation
+    from prk.rewrite import classify, normalize
+    from prk.systemf import TVar, polarity
+    from prk.typecheck import Context, infer_type
+    x, v = Var("x"), Violation("order", ("w0", "w1"))
+    d = infer_type(Context.of(("x", parse_mprop("a^c+"))), syntax.NegI("-", x))
+    found = [*_one_node_of_each_class(), d,
+             normalize(parse_term("proj1+(pair+(x, x))"))[1][0], classify(x), polarity(TVar("a")),
+             v, ValidationReport((v,)), nk_hyp((a,), 0),
+             run_classical_rule("proj", i=1, t1=Var("t1"), t2=Var("t2"), a=a, b=b)]
+    assert {type(n) for n in found} == set(syntax._VALUES)
+    return found
+
+
+def test_every_frozen_class_keeps_a_frozen_dataclasss_contract():
+    import ast
+    import inspect
+    import textwrap
+
+    from testlib import ref_eq, ref_hash, ref_repr
+
+    @dataclasses.dataclass(frozen=True)
+    class Reference:
+        field: int
+
+    signed = set()
+    for n in _one_of_each_frozen_class():
+        cls, names = type(n), tuple(f.name for f in dataclasses.fields(n))
+        assert dataclasses.is_dataclass(n) and not hasattr(n, "__dict__"), cls
+        assert n.__eq__(n) is ref_eq(n, n) is True and n.__eq__(0) is ref_eq(n, 0) is NotImplemented
+        assert hash(n) == ref_hash(n) and repr(n) == ref_repr(n), cls
+        assert dataclasses.replace(n) == n and cls.__match_args__ == names
+        for name in (names[0], "unknown"):
+            for change in (lambda o: setattr(o, name, 0), lambda o: delattr(o, name)):
+                with pytest.raises(dataclasses.FrozenInstanceError) as got:
+                    change(n)
+                with pytest.raises(dataclasses.FrozenInstanceError) as want:
+                    change(Reference(0))
+                assert str(got.value) == str(want.value)
+        # a class with no docstring is documented as dataclass() documents it, by its signature
+        doc = ast.get_docstring(ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0], clean=False)
+        if doc is None:
+            signed.add(cls.__name__)
+            doc = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+        assert cls.__doc__ == doc
+    assert {"Pair", "ShapeReport", "Polarity", "Violation"} <= signed
+
+
+def test_every_pair_of_enumerated_nodes_compares_and_hashes_as_the_dataclass_reference():
+    from prk import syntax
+    from prk.gen import TypedEnumerator
+    from prk.typecheck import Context
+    from testlib import ref_eq, ref_hash
+
+    ctx = Context.of(("x", parse_mprop("a^c+")), ("y", parse_mprop("a^c-")))
+    stack = list(TypedEnumerator(ctx, (a, b)).terms(6))
+    nodes = {}  # every Frozen value below the terms, annotations too, by identity
+    while stack:
+        if id(u := stack.pop()) not in nodes:
+            nodes[id(u)] = u
+            stack += [c for c in syntax._VALUES[type(u)](u) if type(c) in syntax._VALUES]
+    nodes = list(nodes.values())
+    trees = (Term, syntax.PureProp)
+    assert {type(u) for u in nodes} == {MProp, *(c for c in syntax._VALUES if issubclass(c, trees))}
+    for u in nodes:
+        assert hash(u) == ref_hash(u), u
+        for v in nodes:
+            assert u.__eq__(v) is ref_eq(u, v), (u, v)
+
+
 # -- index leaves --------------------------------------------------------------------
 
 @pytest.mark.parametrize("leaf", ["Bound", "FBound", "TBound"])

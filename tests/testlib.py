@@ -9,8 +9,10 @@ recursion: ref_redexes, apply_at and ref_step for proof terms, with
 binder_names_at and replay for traces, and ref_f_reducts for F terms; each
 proof-term rule is matched by ref_match_redex, the class-pattern form of
 rewrite.match_redex.  ref_forcing forces world by world, the reference for
-kripke's tables."""
+kripke's tables.  ref_eq, ref_hash and ref_repr are a frozen dataclass's ==, hash
+and repr, read off dataclasses.fields, the references for syntax.Frozen's."""
 
+import dataclasses
 import sys
 from functools import lru_cache, partial, reduce
 from operator import or_
@@ -57,6 +59,33 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@lru_cache(maxsize=None)
+def _compared_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+
+
+def _compared(x) -> tuple:
+    """The values of x's fields that take part in == and hash."""
+    return tuple(getattr(x, name) for name in _compared_names(type(x)))
+
+
+def ref_eq(x, y):
+    """x == y as a frozen dataclass's __eq__ gives it: its compared fields as tuples when the
+    classes are the same, else NotImplemented."""
+    return _compared(x) == _compared(y) if x.__class__ is y.__class__ else NotImplemented
+
+
+def ref_hash(x) -> int:
+    """A frozen dataclass's hash: the hash of the tuple of its compared fields."""
+    return hash(_compared(x))
+
+
+def ref_repr(x) -> str:
+    """A dataclass's repr: Name(field=value, ...) over the fields with repr."""
+    shown = ", ".join(f"{f.name}={getattr(x, f.name)!r}" for f in dataclasses.fields(x) if f.repr)
+    return f"{type(x).__qualname__}({shown})"
 
 
 def ref_match_redex(t, mode):
