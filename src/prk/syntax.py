@@ -69,10 +69,11 @@ class Frozen(type):
     __delattr__ and __reduce__ serve every class, and a class with no docstring gets the one
     dataclass() writes.  __init__ writes every slot through its descriptor, a lazy one as None,
     so a lazy slot's first read finds None and fills it without raising.  Copies and pickles
-    rebuild through __init__, so they leave the lazy slots out.  Each class is built once:
-    dataclass(slots=True) builds a second, and the first stays among its base's subclasses."""
+    rebuild through __init__, so they leave the lazy slots out.  A variable's class names
+    leaf=(sorts, slot) of its summary, which __init__ writes (_methods).  Each class is built
+    once: dataclass(slots=True) builds a second, and the first stays among its base's subclasses."""
 
-    def __new__(mcs, name, bases, ns):
+    def __new__(mcs, name, bases, ns, leaf=None):
         names = tuple(ns.get("__annotations__", ()))
         specs = {k: ns.pop(k) for k in names if k in ns}  # defaults and field()s
         cls = super().__new__(mcs, name, bases, {**ns, "__slots__": names + ns.get("__slots__", ())})
@@ -87,7 +88,7 @@ class Frozen(type):
             dataclass(init=False, repr=False, eq=False)(cls)
             for k, slot in slots.items():
                 setattr(cls, k, slot)
-            cls.__init__, cls.__eq__, cls.__hash__ = _methods(cls, names, defaults.values(), fields(cls))
+            cls.__init__, cls.__eq__, cls.__hash__ = _methods(cls, names, defaults.values(), fields(cls), leaf)
             cls.__repr__, cls.__setattr__, cls.__delattr__, cls.__reduce__ = _repr, _frozen, _frozen, _rebuilt
             _VALUES[cls], _SHOWN[cls] = _getter(names), [f.name for f in fields(cls) if f.repr]
             if hasattr(cls, "_hash"):  # a slot for the hash: memoize it there (_cached_hash)
@@ -176,20 +177,17 @@ def make_shape(base, leaves=(), binders=None, sorts=(), under=lambda k: (k,)):
 
     Given sorts, each node of base's tree gets its summary `free` (Summarized):
     sorts lists, per sort of variable in summary order, its index class and its
-    name class, and under maps an entry of the binder table to the binders of
-    each sort that it puts over a child."""
+    name class (each naming its slot as Frozen's leaf), and under maps an entry
+    of the binder table to the binders of each sort that it puts over a child."""
     kinds = {cls.__name__ for cls in (base, *leaves)}
     getters = {cls: _getter([]) for leaf in leaves for cls in leaf.__subclasses__()}
-    builders = {}
-    slots = {cls: 2 * s + k for s, pair in enumerate(sorts) for k, cls in enumerate(pair)}
+    builders, variables = {}, {cls for pair in sorts for cls in pair}
     for cls in base.__subclasses__():
         names = [f.name for f in fields(cls)]
         at = [i for i, f in enumerate(fields(cls)) if f.type in kinds]
         getters[cls] = _getter([names[i] for i in at])
         builders[cls] = partial(_build, cls, at)
-        if cls in slots:  # a variable, whose summary is made as it is built
-            cls.__init__ = _methods(cls, names, leaf=(len(sorts), slots[cls]))[0]
-        elif sorts:
+        if sorts and cls not in variables:  # a variable's is made as it is built (Frozen's leaf)
             entry = binders.get(cls)
             unders = repeat(None) if entry is None else [u if any(u) else None for u in map(under, entry)]
             _SUMMARY[cls] = partial(summarize, getters[cls], unders)
@@ -641,13 +639,13 @@ class Term(Summarized):
     __slots__ = ()
 
 
-class Var(Term):
+class Var(Term, leaf=(1, 1)):
     """Free variable, referenced by name."""
 
     name: str
 
 
-class Bound(Term):
+class Bound(Term, leaf=(1, 0)):
     """Bound variable as a de Bruijn index into enclosing binders."""
 
     index: int

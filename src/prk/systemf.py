@@ -65,11 +65,11 @@ class FType(Summarized):
     __slots__ = ()
 
 
-class TVar(FType):
+class TVar(FType, leaf=(2, 1)):
     name: str
 
 
-class TBound(FType):
+class TBound(FType, leaf=(2, 0)):
     index: int
 
 
@@ -180,11 +180,11 @@ class FTerm(Summarized):
     __slots__ = ()
 
 
-class FVar(FTerm):
+class FVar(FTerm, leaf=(2, 3)):
     name: str
 
 
-class FBound(FTerm):
+class FBound(FTerm, leaf=(2, 2)):
     index: int
 
 

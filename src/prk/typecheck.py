@@ -15,9 +15,13 @@ is retried in checking mode (a case scrutinee, the sides of an absurdity,
 un-annotated case branches), so each top-level call keeps a memo, per
 thread: each inference and each check of a case, keyed on the context
 object, the node and the expected type, holds its derivation or typing
-error, and a binder's context and opened body are made once.  A `Context`
-is a persistent list, extended in O(1); a per-thread `Scope` indexes its
-names, moves between neighbouring contexts and names each binder in O(1).
+error, and a binder's context and opened body are made once.  The memo
+starts from one entry, the derivation the thread's previous top-level call
+inferred for its own context and term, the one derivation a thread keeps
+past a call: checking a term just inferred is one lookup, unless checking
+takes its root apart (a pair, injection, negi or case).  A `Context` is a
+persistent list, extended in O(1); a per-thread `Scope` indexes its names,
+moves between neighbouring contexts and names each binder in O(1).
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ class Context:
 
 _MEMO: ContextVar[dict | None] = ContextVar("typing_memo", default=None)  # see _top_level
 _INDEX = threading.local()  # per thread, .state: [a context, the Scope of its entries]
+_ROOT = threading.local()  # per thread, .kept: the previous top-level call's root derivation
 
 
 def _index(ctx: Context) -> Scope:
@@ -253,13 +258,17 @@ def infer_type(ctx: Context, t: Term) -> Derivation:
     return d
 
 
-def _top_level(typing, *args) -> Derivation:
-    """typing(*args) with a memo of its own (see the module docstring)."""
-    token = _MEMO.set(memo := {})
+def _top_level(typing, ctx: Context, t: Term, *expected: MProp) -> Derivation:
+    """typing(ctx, t, *expected) with a memo of its own (see the module docstring), which starts
+    from the derivation this thread's previous call kept; it pins its context and subject, so their
+    ids are not reused while it is kept.  Only the one this call infers for (ctx, t) is kept."""
+    d = getattr(_ROOT, "kept", None)
+    token = _MEMO.set(memo := {} if d is None else {(id(d.ctx), id(d.subject)): d})
     try:
-        return typing(*args)
+        return typing(ctx, t, *expected)
     finally:
         _MEMO.reset(token)
+        _ROOT.kept = d if isinstance(d := memo.get((id(ctx), id(t))), Derivation) else None
         memo.clear()  # kept errors' tracebacks hold frames that hold the memo
 
 

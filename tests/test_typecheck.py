@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 import pathlib
 import pickle
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import timeit
+import tracemalloc
 
 import pytest
 
@@ -16,6 +18,7 @@ from prk.errors import (AnnotationMismatchError, CannotInferError, DuplicateAssu
                         TypeMismatchError, TypesNotOppositeError, TypingError,
                         UnboundVariableError)
 from prk.gen import PropGen, TermGen, provable_library
+from prk.rewrite import normalize
 from prk.surface import parse_mprop, parse_term
 from prk.syntax import (CLASSICAL, INJECTED, PAIRED, STANCE, STRONG, Abs, And,
                         Bound, CApp, CLam, Case, Inj, MProp, Mode, Neg, NegE,
@@ -1078,3 +1081,105 @@ def test_a_derivation_keeps_its_dataclass_contract():
     assert copy == d and repr(copy) == repr(d) and hash(copy) == hash(d)
     with pytest.raises(dataclasses.FrozenInstanceError):
         copy.ctx = ctx
+
+
+# -- each top-level call's memo starts from the previous call's root derivation -
+
+def _chain(n):
+    """n nege-/negi- pairs over x, which types at a^c+ under x : a^c+."""
+    t = Var("x")
+    for _ in range(n):
+        t = NegE("-", NegI("-", t))
+    return t
+
+
+def _infer_frames(f, *args):
+    """f(*args) and the number of infer_type frames it ran, counted under sys.setprofile."""
+    frames, code = [0], infer_type.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            frames[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        return f(*args), frames[0]
+    finally:
+        sys.setprofile(None)
+
+
+def _on_a_fresh_thread(f, *args):
+    """_outcome(f, *args) on a new thread, which keeps no derivation of an earlier call."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_outcome(f, *args)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def test_checking_a_term_just_inferred_is_one_lookup():
+    cases = [(ctx_of(("x", "a^c+")), _chain(400), MProp(a, CP))] + _nk_derivation_inputs(60)
+    for ctx, t, goal in cases:
+        d = infer_type(ctx, t)
+        checked, frames = _infer_frames(check_type, ctx, t, goal)
+        # one frame, the lookup; on the chain, typing it again took 801
+        assert frames == 1, frames
+        assert checked is d
+
+
+def test_a_typing_error_is_never_kept():
+    ctx = ctx_of(("x", "a^c+"), ("y", "a^c-"))
+    bad, inj, goal = parse_term("proj1+(x)"), parse_term("in1+(x)"), parse_mprop("(a | b)^s+")
+    raised = []
+    for typing, args in [(infer_type, ()), (infer_type, ()), (check_type, (goal,))]:
+        with pytest.raises(ModeMismatchError) as e:
+            typing(ctx, bad, *args)
+        raised.append(e.value)
+    # the same answer, each time made anew: a kept error's traceback would hold the memo
+    assert len({(type(e), str(e)) for e in raised}) == 1 and len(set(map(id, raised))) == 3
+    for _ in range(2):
+        with pytest.raises(CannotInferError):
+            infer_type(ctx, inj)
+        assert check_type(ctx, inj, goal).conclusion == goal
+
+
+def test_a_kept_derivation_never_answers_for_another_term():
+    # terms typed and dropped in sequence, so their ids are reused, some under one context
+    gen = TermGen(random.Random(40))
+    shared = gen.base_context()
+    for i in range(300):
+        ctx = shared if i % 3 == 0 else gen.base_context()
+        goal = gen.props.mprop(2)
+        t = gen.sized_term(ctx, goal, 4, max_size=30)
+        got = [_outcome(infer_type, ctx, t), _outcome(check_type, ctx, t, goal)]
+        nf, _ = normalize(t)
+        got.append(_outcome(check_type, ctx, nf, goal))
+        assert got == [_on_a_fresh_thread(infer_type, ctx, t), _on_a_fresh_thread(check_type, ctx, t, goal),
+                       _on_a_fresh_thread(check_type, ctx, nf, goal)]
+
+
+def test_a_kept_derivation_stays_on_its_thread():
+    ctx, t = ctx_of(("x", "a^c+")), _chain(20)
+    d = infer_type(ctx, t)
+    there = _on_a_fresh_thread(infer_type, ctx, t)
+    assert there == d and there is not d
+    assert infer_type(ctx, t) is d and check_type(ctx, t, MProp(a, CP)) is d
+    assert _on_a_fresh_thread(check_type, ctx, t, MProp(a, CP)) is not d
+
+
+def test_the_next_call_releases_the_kept_derivation():
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ctx, t = ctx_of(("x", "a^c+")), _chain(400)
+        d = infer_type(ctx, t)
+        held = tracemalloc.get_traced_memory()[0] - start
+        del ctx, t, d
+        infer_type(ctx_of(("y", "b^c+")), Var("y"))
+        gc.collect()  # which empties the free lists, where freed tuples stay traced
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # the chain and its derivation take about 570 bytes a pair, and stay while the derivation is kept
+    assert held > 400 * 400 and left < held / 20, (held, left)
