@@ -6,17 +6,16 @@ fewest worlds of any counter-model within the bound.  Forcing labels each state
 bit-vectors, one bit per valuation, so the search forces every candidate valuation of an
 order in one pass.  Both searches take orders from one walk, valuations from one generator
 and models from one builder, and drop isomorphic ones by an exact key built on each order's
-least relabelling.  A model keeps its up-sets, one closure's rows, and its forcing memo
-(4,096 tables); its columns name every atom of the alphabet, so a warm forces costs its
-memo.  Kept across calls: _shaped_orders (per world count, 8) and _order_tables (per worlds
-and atoms, 16)."""
+least relabelling.  A model is a Frozen record whose lazy slots keep its up-sets (one
+closure's rows) and its forcing memo (4,096 tables), made on first read; its columns name
+every atom of the alphabet, so a warm forces costs its memo.  Kept across calls:
+_shaped_orders (per world count, 8) and _order_tables (per worlds and atoms, 16)."""
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 
 from .errors import InvalidModelError, ParseError, UnknownVariableError, UnknownWorldError
@@ -24,13 +23,13 @@ from .surface import content_lines, is_name
 from .syntax import CLASSICAL, PAIRED, PLUS, STRONG, Frozen, MProp, Neg, PVar, flip, prop_vars
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(metaclass=Frozen):
     """Worlds with a partial order and monotone positive/negative valuations.
 
     leq is given by generator pairs; order() is their reflexive-transitive closure.
     """
 
+    __slots__ = ("_ups", "_memo")  # lazy: _above's and _forces's values, made on first read
     alphabet: frozenset[str]
     worlds: tuple[str, ...]
     leq: frozenset[tuple[str, str]]
@@ -51,21 +50,23 @@ class KripkeModel:
     def order(self) -> frozenset[tuple[str, str]]:
         return frozenset((a, b) for a, up in _closure(self.worlds, self.leq).items() for b in up)
 
-    @cached_property
+    @property
     def _above(self) -> dict[str, tuple[int, tuple[int, ...]]]:
         """Each world's index in its tables, and the indices of the worlds at or above it."""
-        rows = _closure(self.worlds, self.leq)
-        index = {w: i for i, w in enumerate(dict.fromkeys(self.worlds))}
-        return {w: (i, tuple(index[v] for v in rows[w] if v in index)) for w, i in index.items()}
+        if self._ups is None:
+            rows = _closure(self.worlds, self.leq)
+            index = {w: i for i, w in enumerate(dict.fromkeys(self.worlds))}
+            object.__setattr__(self, "_ups", {
+                w: (i, tuple(index[v] for v in rows[w] if v in index)) for w, i in index.items()})
+        return self._ups
 
-    @cached_property
+    @property
     def _forces(self):
-        columns = ({a: tuple(int(a in s) for s in sets) for a in self.alphabet}
-                   for sets in (dict(self.vplus).values(), dict(self.vminus).values()))
-        return _forcing([up for _, up in self._above.values()], *columns, 1)
-
-    def __getstate__(self):  # the fields alone: copies derive _above and _forces again
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+        if self._memo is None:
+            columns = ({a: tuple(int(a in s) for s in sets) for a in self.alphabet}
+                       for sets in (dict(self.vplus).values(), dict(self.vminus).values()))
+            object.__setattr__(self, "_memo", _forcing([up for _, up in self._above.values()], *columns, 1))
+        return self._memo
 
 
 def _closure(worlds: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> dict[str, set[str]]:

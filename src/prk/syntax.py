@@ -25,12 +25,13 @@ first read (a variable's with it): per sort of variable, the bound on its free
 indices and its free names.  So `fv` takes constant time, and shifting,
 substitution and closing return unvisited every subtree they cannot change.
 
-Every node class, MProp, typecheck's Derivation and the other layers' records
-are frozen dataclasses built by the metaclass `Frozen`, with no instance
+Every record (the nodes, Mode, MProp, typecheck's Derivation, kripke's
+KripkeModel and the rest) is built by the metaclass `Frozen`, with no instance
 __dict__: a node keeps its fields, its cached hash and its summary in slots.
 The hash, and the summary of a node other than a variable, stay None until
 first read.  dataclass() only records each class's fields; one exec per class,
-at import, compiles its __init__, __eq__ and field hash here (_methods).
+at import, compiles its __init__, __eq__ and hash here (_methods), which hashes
+a record's class and compared fields, so And(l, r) and Or(l, r) hash apart.
 
 The calculus is symmetric between affirmation (sign +) and denial (sign
 -), and that duality is written down once, in the table below the
@@ -41,8 +42,8 @@ and the generators state each rule once and read its `-` form off the
 table, so no `-` rule is written out beside its `+` mirror.
 
 The paper's four modes are built once, as `MODES`: `Mode(strength, sign)`
-returns the shared one (so does copying or unpickling one), `MODE_OF` maps
-each (strength, sign) to it, and `==` on modes is identity.
+returns the shared one (as copying, unpickling and replace() do), `MODE_OF` maps
+each (strength, sign) to it, and modes are equal only when they are identical.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ _SHOWN: dict[type, list] = {}  # each Frozen class -> the names of the fields it
 
 
 class Frozen(type):
-    """The metaclass of the frozen dataclasses that keep no instance __dict__: every tree's
-    nodes, MProp, Derivation and the other layers' records.  A class keeps its fields in slots,
-    beside the lazy slots that its body or bases name in __slots__ (a cached hash, a summary).
+    """The metaclass of every record, which keeps no instance __dict__: every tree's nodes, Mode,
+    MProp, Derivation, KripkeModel and the other layers' records.  A class keeps its fields in slots,
+    beside the lazy slots that its body or bases name in __slots__ (a hash, a summary, up-sets).
     dataclass() only records its fields, for fields() and replace(), and generates no code: one
     exec per class compiles its __init__, __eq__ and hash (_methods), one __repr__, __setattr__,
     __delattr__ and __reduce__ serve every class, and a class with no docstring gets the one
@@ -97,11 +98,11 @@ class Frozen(type):
 
 
 def _methods(cls, names, defaults=(), declared=(), leaf=None) -> tuple:
-    """cls.__init__(*names), __eq__ and __hash__, compiled by one exec as a frozen dataclass's.
-    __init__ writes each slot through its descriptor: a field's from its argument and a lazy one
-    as None, or, given leaf, a variable's summary as _shared_leaf(*leaf, its field); its last
-    arguments default to the defaults not MISSING.  __eq__ compares the declared fields with compare
-    set as tuples if the classes are the same, else is NotImplemented; __hash__ hashes that tuple."""
+    """cls.__init__(*names), __eq__ and __hash__, compiled by one exec.  __init__ writes each slot
+    through its descriptor: a field's from its argument and a lazy one as None, or, given leaf, a
+    variable's summary as _shared_leaf(*leaf, its field); its last arguments default to the defaults
+    not MISSING.  __eq__ compares the declared fields with compare set as tuples if the classes are
+    the same, else is NotImplemented; __hash__ hashes cls's qualified name and that tuple."""
     values = {s: s if s in names else "None" for c in cls.__mro__ for s in c.__dict__.get("__slots__", ())}
     if leaf:
         values["_free"] = f"_shared_leaf({leaf[0]}, {leaf[1]}, {names[0]})"
@@ -112,7 +113,7 @@ def _methods(cls, names, defaults=(), declared=(), leaf=None) -> tuple:
         f"\n _{i}(self, {v})" for i, v in enumerate(values.values())) +
         f"\ndef __eq__(self, other):\n if other.__class__ is self.__class__:"
         f"\n  return ({mine}) == ({theirs})\n return NotImplemented"
-        f"\ndef __hash__(self):\n return hash(({mine}))", scope)
+        f"\ndef __hash__(self):\n return hash(({cls.__qualname__!r}, {mine}))", scope)
     made = scope["__init__"], scope["__eq__"], scope["__hash__"]
     for f in made:
         f.__qualname__ = f"{cls.__qualname__}.{f.__name__}"
@@ -542,8 +543,8 @@ PLUS = "+"
 MINUS = "-"
 
 
-class _Shared(type):
-    """Mode(strength, sign) returns the one mode built for that pair."""
+class _Shared(Frozen):
+    """Frozen, but Mode(strength, sign) returns the one mode built for that pair."""
 
     def __call__(cls, strength, sign):
         try:
@@ -552,19 +553,17 @@ class _Shared(type):
             raise ValueError(f"bad mode {strength!r}{sign!r}") from None
 
 
-@dataclass(frozen=True, eq=False, unsafe_hash=True)
 class Mode(metaclass=_Shared):
+    """One of the paper's four modes, each built once: copies, pickles and replace() return it."""
+
     strength: str  # "s" | "c"
     sign: str      # "+" | "-"
-
-    def __reduce__(self):  # copies and pickles are the shared mode too
-        return Mode, (self.strength, self.sign)
 
     def __str__(self) -> str:
         return f"^{self.strength}{self.sign}"
 
 
-# type.__call__ builds each mode with the dataclass __init__, which _Shared skips
+# type.__call__ builds each mode with the compiled __init__, which _Shared skips
 MODES = tuple(type.__call__(Mode, st, sg) for st in (STRONG, CLASSICAL) for sg in (PLUS, MINUS))
 MODE_OF = {(m.strength, m.sign): m for m in MODES}  # the mode of each (strength, sign)
 

@@ -476,10 +476,10 @@ def translate_term(d: Derivation) -> FTerm:
             done.append(_translate(d, [done.pop() for _ in d.premises][::-1]))
         elif type(u := d.subject) is Var:
             done.append(FBound(depth - bodies[u.name]) if u.name in bodies else FVar(u.name))
-        else:  # a premise under a clam or case binder has its name last in its ctx
+        else:  # a premise has d's ctx itself, or one a clam or case binder extends by its name
             stack.append((d, None, None))
             for p, k in zip(reversed(d.premises), reversed(_PREMISE_BINDERS.get(type(u), (0, 0)))):
-                stack.append((p, depth + k, p.ctx.name if p.ctx != d.ctx else None))
+                stack.append((p, depth + k, p.ctx.name if p.ctx is not d.ctx else None))
     return done[0]
 
 

@@ -180,10 +180,12 @@ def test_a_forced_model_round_trips_through_pickle_and_deepcopy(models_2var):
     props = [MProp(base, mode) for base in all_pure_props(("a", "b"), 3) for mode in MODES]
     for m in models_2var[::24]:
         want = [forces(m, w, p) for w in m.worlds for p in props]
-        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
             assert again == m and hash(again) == hash(m)
-            assert set(vars(again)) == {"alphabet", "worlds", "leq", "vplus", "vminus"}
+            # a copy starts with its lazy slots empty, as __init__ leaves them, and fills them on use
+            assert (again._ups, again._memo) == (None, None) and None not in (m._ups, m._memo)
             assert [forces(again, w, p) for w in again.worlds for p in props] == want
+            assert again._ups == m._ups
             assert again._forces is not m._forces  # equal models built apart share no memo
 
 

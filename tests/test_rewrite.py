@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import sys
 import time
@@ -292,8 +293,10 @@ def _binder_family(n):
 def _bytes_kept_by_normalize(t):
     tracemalloc.start()
     try:
+        gc.collect()  # which empties the free lists, where freed tuples stay traced
         start = tracemalloc.get_traced_memory()[0]
         result = normalize(t)
+        gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()

@@ -268,6 +268,7 @@ def test_each_mode_is_built_once():
 
     from prk import typecheck
     from prk.syntax import MODE_OF, MODES
+    from testlib import ref_hash
     assert [Mode(s, sign) for s in "sc" for sign in "+-"] == list(MODES)
     for m in MODES:
         assert Mode(m.strength, m.sign) is m is MODE_OF[m.strength, m.sign]
@@ -277,11 +278,11 @@ def test_each_mode_is_built_once():
         assert dataclasses.replace(m) is m
         assert dataclasses.replace(m, sign="-" if m.sign == "+" else "+") is Mode(
             m.strength, "-" if m.sign == "+" else "+")
-    # hash, str and repr are those of the frozen dataclass the modes were
+    # a mode hashes by its class and fields, as every record does; str and repr are the dataclass's
     sp = Mode("s", "+")
-    assert hash(sp) == hash(("s", "+"))
+    assert hash(sp) == ref_hash(sp) == hash(("Mode", "s", "+"))
     assert (str(sp), repr(Mode("c", "-"))) == ("^s+", "Mode(strength='c', sign='-')")
-    assert hash(MProp(a, sp)) == hash((a, sp))
+    assert hash(MProp(a, sp)) == ref_hash(MProp(a, sp)) == hash(("MProp", a, sp))
     assert sp != Mode("s", "-") and sp != ("s", "+")
     with pytest.raises(dataclasses.FrozenInstanceError):
         sp.sign = "-"
@@ -365,14 +366,15 @@ def test_no_node_mprop_or_derivation_keeps_an_instance_dict():
 # -- the dataclass contract ----------------------------------------------------------
 # Frozen compiles each class's __init__, __eq__ and hash and shares one __repr__,
 # __setattr__ and __delattr__ among all; they must give what a frozen dataclass's give,
-# as testlib's references read it off dataclasses.fields.
+# but for the hash, which names the class too, as testlib's references read it off
+# dataclasses.fields.
 
 def _one_of_each_frozen_class() -> list:
-    """An instance of every class that Frozen built with fields: the nodes, a derivation and
-    the other layers' records."""
+    """An instance of every class that Frozen built with fields: the nodes, a mode, a derivation,
+    a model and the other layers' records."""
     from prk import syntax
     from prk.classical import nk_hyp, run_classical_rule
-    from prk.kripke import ValidationReport, Violation
+    from prk.kripke import ValidationReport, Violation, counter_model_lem
     from prk.rewrite import classify, normalize
     from prk.systemf import TVar, polarity
     from prk.typecheck import Context, infer_type
@@ -380,7 +382,7 @@ def _one_of_each_frozen_class() -> list:
     d = infer_type(Context.of(("x", parse_mprop("a^c+"))), syntax.NegI("-", x))
     found = [*_one_node_of_each_class(), d,
              normalize(parse_term("proj1+(pair+(x, x))"))[1][0], classify(x), polarity(TVar("a")),
-             v, ValidationReport((v,)), nk_hyp((a,), 0),
+             v, ValidationReport((v,)), nk_hyp((a,), 0), Mode("s", "+"), counter_model_lem(),
              run_classical_rule("proj", i=1, t1=Var("t1"), t2=Var("t2"), a=a, b=b)]
     assert {type(n) for n in found} == set(syntax._VALUES)
     return found
@@ -435,11 +437,18 @@ def test_every_pair_of_enumerated_nodes_compares_and_hashes_as_the_dataclass_ref
             stack += [c for c in syntax._VALUES[type(u)](u) if type(c) in syntax._VALUES]
     nodes = list(nodes.values())
     trees = (Term, syntax.PureProp)
-    assert {type(u) for u in nodes} == {MProp, *(c for c in syntax._VALUES if issubclass(c, trees))}
+    assert {type(u) for u in nodes} == {MProp, Mode, *(c for c in syntax._VALUES if issubclass(c, trees))}
     for u in nodes:
         assert hash(u) == ref_hash(u), u
         for v in nodes:
             assert u.__eq__(v) is ref_eq(u, v), (u, v)
+
+
+def test_every_pure_proposition_of_depth_3_over_two_atoms_hashes_apart():
+    # a hash of the fields alone made And(l, r) and Or(l, r) collide: 302 propositions took 74 hashes
+    from prk.gen import all_pure_props
+    props = all_pure_props(("a", "b"), 3)
+    assert len(props) == len(set(props)) == len({hash(p) for p in props}) == 302
 
 
 # -- index leaves --------------------------------------------------------------------
@@ -533,8 +542,8 @@ from prk.systemf import Arrow, TVar
 prop, term, ftype = PVar("a"), Var("x"), TVar("a")
 for _ in range(100_000):  # 10^5 deep, 2 * 10^5 deep, 10^5 deep
     prop, term, ftype = Neg(prop), NegE("+", NegI("-", term)), Arrow(ftype, TVar("b"))
-for t in (prop, term, ftype):  # each node keeps the hash its dataclass generates
-    assert hash(t) == hash(tuple(getattr(t, f.name) for f in fields(t)))
+for t in (prop, term, ftype):  # each node keeps the hash of its class name and fields
+    assert hash(t) == hash((type(t).__qualname__, *(getattr(t, f.name) for f in fields(t))))
 print("ok")
 """
 

@@ -9,8 +9,9 @@ recursion: ref_redexes, apply_at and ref_step for proof terms, with
 binder_names_at and replay for traces, and ref_f_reducts for F terms; each
 proof-term rule is matched by ref_match_redex, the class-pattern form of
 rewrite.match_redex.  ref_forcing forces world by world, the reference for
-kripke's tables.  ref_eq, ref_hash and ref_repr are a frozen dataclass's ==, hash
-and repr, read off dataclasses.fields, the references for syntax.Frozen's."""
+kripke's tables.  ref_eq and ref_repr are a frozen dataclass's == and repr, and
+ref_hash hashes a record's class name and compared fields; all three read
+dataclasses.fields and are the references for syntax.Frozen's."""
 
 import dataclasses
 import sys
@@ -78,8 +79,8 @@ def ref_eq(x, y):
 
 
 def ref_hash(x) -> int:
-    """A frozen dataclass's hash: the hash of the tuple of its compared fields."""
-    return hash(_compared(x))
+    """A record's hash: the hash of its class's qualified name and its compared fields."""
+    return hash((type(x).__qualname__, *_compared(x)))
 
 
 def ref_repr(x) -> str:
